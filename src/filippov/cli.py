@@ -145,7 +145,7 @@ def _cmd_diagnose(args):
 
 
 def _cmd_cycles(args):
-    from .diagnostics import Disk, assemble_closed_orbits, build_segment_graph
+    from .diagnostics import Disk, _window_cycles, build_segment_graph
     import random
 
     scenario = load_scenario(args.scenario)
@@ -161,32 +161,18 @@ def _cmd_cycles(args):
             (d.x_min + rng.random() * d.width, d.y_min + rng.random() * d.height),
             args.radius or cfg.window_radius,
         ))
+    decs = [sigma_decomposition(sys_, c.id, cfg.sigma_resolution) for c in sys_.curves]
     graph = build_segment_graph(
-        sys_, windows=windows, horizon=cfg.graph_horizon, budget=cfg.graph_budget,
+        sys_, decs, windows=windows, horizon=cfg.graph_horizon, budget=cfg.graph_budget,
         opts=scenario.integrator, dwell_grid=cfg.dwell_grid,
-        sigma_resolution=cfg.sigma_resolution, rng=rng,
     )
-    payload = {"graph": graph.to_dict(), "cycles": []}
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(graph.to_dot() + "\n")
-    bases = [n.node_id for n in graph.nodes_of_kind("sliding_anchor")]
-    all_found = bool(bases)
-    for node in graph.nodes_of_kind("window_v"):
-        recs = []
-        for base in bases:
-            recs = assemble_closed_orbits(graph, base, {node.node_id}, sys_,
-                                          horizon=cfg.cycle_horizon, opts=scenario.integrator)
-            if recs:
-                break
-        all_found = all_found and bool(recs)
-        payload["cycles"].append({
-            "window": node.to_dict(),
-            "found": bool(recs),
-            "record": recs[0].to_dict() if recs else None,
-        })
-    _dump_json(payload, args.json)
-    return EXIT_OK if all_found and payload["cycles"] else EXIT_INCONCLUSIVE
+    cycles = _window_cycles(graph, sys_, cfg.cycle_horizon, scenario.integrator)
+    _dump_json({"graph": graph.to_dict(), "cycles": cycles}, args.json)
+    all_found = bool(graph.nodes_of_kind("sliding_anchor")) and all(c["found"] for c in cycles)
+    return EXIT_OK if all_found and cycles else EXIT_INCONCLUSIVE
 
 
 def build_parser():
@@ -265,6 +251,10 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_ERROR
+    except Exception as exc:  # an unexpected failure is an error, never "inconclusive"
+        log.debug("unexpected failure", exc_info=True)
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_ERROR
 
 

@@ -21,9 +21,15 @@ from .integrate import (
     PolicyCursor,
     enumerate_branches,
     integrate_filippov,
-    _escaping_adjacent_tangencies,
+    _nudge_into_arc,
 )
-from .sigma import PointClass, classify_point, find_tangency_points, sigma_decomposition
+from .sigma import (
+    PointClass,
+    classify_point,
+    find_tangency_points,
+    sigma_decomposition,
+    sliding_vector_field,
+)
 from .system import FilippovSystem
 
 
@@ -301,6 +307,7 @@ class SegmentGraph:
     nodes: list
     edges: list
     hypothesis_failed: bool = False
+    ride_targets: list = field(default_factory=list)  # (TangencyPoint, curve id) escape entries
 
     def node(self, node_id):
         return self.nodes[node_id]
@@ -310,21 +317,6 @@ class SegmentGraph:
 
     def nodes_of_kind(self, *kinds):
         return [n for n in self.nodes if n.kind in kinds]
-
-    def reachable_from(self, node_id):
-        seen = {node_id}
-        frontier = [node_id]
-        while frontier:
-            nid = frontier.pop()
-            for e in self.out_edges(nid):
-                if e.target not in seen:
-                    seen.add(e.target)
-                    frontier.append(e.target)
-        return seen
-
-    def strongly_connected(self, ids):
-        ids = set(ids)
-        return all(ids <= self.reachable_from(i) for i in ids)
 
     def validate_edges(self, domain):
         """Every edge starts near its source and first meets its target."""
@@ -395,19 +387,42 @@ def probe_windows(sys, count, radius, rng, horizon=20.0, opts=None, kind="forwar
     return out
 
 
-def build_segment_graph(sys, anchors=None, windows=None, horizon=60.0, budget=400,
-                        opts=None, dwell_grid=(0.0, 0.02), sigma_resolution=512,
-                        anchor_fraction=0.8, rng=None):
+def _escape_entry_tangencies(sys, decompositions):
+    """Escape-entry tangencies: the sliding flow points into an escaping arc.
+
+    Only these can serve as graze-capture (ride) targets; at the other end of
+    an arc the sliding flow immediately leaves it again.  A tangency whose
+    neighbourhood cannot be classified is skipped.
+    """
+    targets = []
+    for dec in decompositions:
+        for tp in dec.tangencies:
+            if tp.kind != "regular":
+                continue
+            try:
+                probe = _nudge_into_arc(sys, dec.curve_id, tp.position, step=1e-4)
+                pcls = classify_point(sys, dec.curve_id, probe)
+            except FilippovError:
+                continue
+            if pcls.point_class is PointClass.ESCAPING:
+                targets.append((tp, dec.curve_id))
+    return targets
+
+
+def build_segment_graph(sys, decompositions, windows=None, horizon=60.0, budget=400,
+                        opts=None, dwell_grid=(0.0, 0.02), anchor_fraction=0.8):
     """Nodes on the manifold joined by numerically computed orbit segments.
 
-    Edges are discovered by branch-enumerated integration (with graze capture
-    of escape-entry tangencies) from every node; each edge stores its orbit
-    and first-passage flight time.
+    ``decompositions`` are the caller's ``sigma_decomposition`` results, one
+    per curve of ``sys``; anchors sit on their sliding and escaping arcs and
+    every tangency becomes a node.  The escape-entry tangencies among them are
+    the graph's ``ride_targets``.  Edges are discovered by branch-enumerated
+    integration (with graze capture of the ride targets) from every node;
+    each edge stores its orbit and first-passage flight time.
     """
     opts = opts or IntegratorOptions()
-    rng = rng or random.Random(0)
     domain = sys.domain
-    decs = [sigma_decomposition(sys, c.id, sigma_resolution) for c in sys.curves]
+    decs = decompositions
     slide_arcs = [(dec, arc) for dec in decs for arc in dec.arcs_of_class(PointClass.SLIDING)]
     escape_arcs = [(dec, arc) for dec in decs for arc in dec.arcs_of_class(PointClass.ESCAPING)]
     nodes: list[GraphNode] = []
@@ -427,25 +442,19 @@ def build_segment_graph(sys, anchors=None, windows=None, horizon=60.0, budget=40
             return comp.point_at(arc.s_start + fraction * arc.length)
         mid = comp.point_at(arc.s_start + 0.5 * arc.length)
         ahead = comp.point_at(arc.s_start + 0.5 * arc.length + 1e-4)
-        from .sigma import sliding_vector_field
-
         zx, zy = sliding_vector_field(sys, arc.curve_id, mid)
         dx, dy = domain.displacement(mid, ahead)
         along = zx * dx + zy * dy  # does the flow run with increasing s?
         w = fraction if along > 0 else 1.0 - fraction
         return comp.point_at(arc.s_start + w * arc.length)
 
-    if anchors:
-        for p in anchors:
-            add_node("sliding_anchor", p)
-    else:
-        for dec, arc in slide_arcs:
-            add_node("sliding_anchor", flow_fraction(dec, arc, anchor_fraction),
-                     curve=arc.curve_id)
-        for dec, arc in escape_arcs:
-            add_node("escape_anchor", flow_fraction(dec, arc, 0.5), curve=arc.curve_id)
+    for dec, arc in slide_arcs:
+        add_node("sliding_anchor", flow_fraction(dec, arc, anchor_fraction),
+                 curve=arc.curve_id)
+    for dec, arc in escape_arcs:
+        add_node("escape_anchor", flow_fraction(dec, arc, 0.5), curve=arc.curve_id)
 
-    ride_targets = _escaping_adjacent_tangencies(sys, resolution=sigma_resolution)
+    ride_targets = _escape_entry_tangencies(sys, decs)
     ride_positions = {t[0].position for t in ride_targets}
     for dec in decs:
         for tp in dec.tangencies:
@@ -471,7 +480,7 @@ def build_segment_graph(sys, anchors=None, windows=None, horizon=60.0, budget=40
         for orbit in orbits:
             edges.extend(_edges_from_orbit(domain, src, orbit, nodes))
 
-    graph = SegmentGraph(nodes=nodes, edges=edges)
+    graph = SegmentGraph(nodes=nodes, edges=edges, ride_targets=ride_targets)
     for e in graph.edges:
         e.windows_hit = {
             n.node_id
@@ -481,7 +490,7 @@ def build_segment_graph(sys, anchors=None, windows=None, horizon=60.0, budget=40
     return graph
 
 
-def _edges_from_orbit(domain, src, orbit, nodes, script=None):
+def _edges_from_orbit(domain, src, orbit, nodes):
     """First-passage hits of every node vicinity along one orbit trace.
 
     Distances are measured to the chords between consecutive samples so that
@@ -507,8 +516,7 @@ def _edges_from_orbit(domain, src, orbit, nodes, script=None):
     sy = wrap(ys[1:] - ys[:-1], domain.height)
     seg2 = sx * sx + sy * sy
     seg2[seg2 == 0.0] = 1e-300
-    if script is None:
-        script = list(orbit.script)
+    script = list(orbit.script)
     edges = []
     for n in nodes:
         ax = wrap(n.point[0] - xs[:-1], domain.width)
@@ -575,6 +583,8 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
                            opts=None, budget=24, tol=1e-6):
     """Closed orbits through the base anchor visiting the requested windows.
 
+    ``graph`` is a ``build_segment_graph`` result for ``sys``; candidate
+    orbits may ride its ``ride_targets``, so no curve is traced here.
     Candidate branch scripts come from the graph: scripts of edges leaving
     the base anchor (depth one) and their concatenations through exact
     returns to the anchor (depth two).  Every candidate is re-validated
@@ -587,7 +597,6 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
         return []
     base = graph.node(base_anchor)
     want = set(windows_to_visit)
-    ride_targets = _escaping_adjacent_tangencies(sys)
 
     def script_key(script):
         return tuple(str(s) for s in script)
@@ -615,8 +624,7 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
 
     records = []
     for script in candidates[:budget]:
-        record = _revalidate_cycle(sys, graph, base, want, script, horizon, opts, tol,
-                                   ride_targets)
+        record = _revalidate_cycle(sys, graph, base, want, script, horizon, opts, tol)
         if record is not None:
             records.append(record)
             if want:
@@ -624,11 +632,11 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
     return records
 
 
-def _revalidate_cycle(sys, graph, base, want, script, horizon, opts, tol, ride_targets):
+def _revalidate_cycle(sys, graph, base, want, script, horizon, opts, tol):
     orbit = integrate_filippov(
         sys, base.point, horizon,
         policy=PolicyCursor(BranchPolicy.slide_on(), script),
-        opts=opts, ride_targets=ride_targets,
+        opts=opts, ride_targets=graph.ride_targets,
     )
     window_times = {}
     for wid in want:
@@ -643,6 +651,25 @@ def _revalidate_cycle(sys, graph, base, want, script, horizon, opts, tol, ride_t
             gap = sys.domain.distance(endpoint, base.point)
             return ClosedOrbitRecord(orbit, period, base.point, sorted(want), gap)
     return None
+
+
+def _window_cycles(graph, sys, horizon, opts):
+    """Per window node, the first closed orbit through it from any sliding anchor."""
+    bases = [n.node_id for n in graph.nodes_of_kind("sliding_anchor")]
+    results = []
+    for node in graph.nodes_of_kind("window_v"):
+        recs = []
+        for base in bases:
+            recs = assemble_closed_orbits(graph, base, {node.node_id}, sys,
+                                          horizon=horizon, opts=opts)
+            if recs:
+                break
+        results.append({
+            "window": node.to_dict(),
+            "found": bool(recs),
+            "record": recs[0].to_dict() if recs else None,
+        })
+    return results
 
 
 # --------------------------------------------------------------------------- #
@@ -672,7 +699,7 @@ def rescale_tangency_freeze(sys, sigma_resolution=512):
         return out
 
     rescaled = sys.with_velocity_scale(g)
-    rescaled.frozen_tangencies = tangencies
+    rescaled.frozen_tangencies = rescaled.frozen_tangencies + tuple(tangencies)
     return rescaled
 
 
@@ -831,27 +858,12 @@ def chaos_report(sys, config=None, opts=None):
     if hypothesis:
         windows = [_random_disk(rng, domain, cfg.window_radius) for _ in range(cfg.cycle_windows)]
         graph = build_segment_graph(
-            sys, windows=windows, horizon=cfg.graph_horizon, budget=cfg.graph_budget,
-            opts=opts, dwell_grid=cfg.dwell_grid, sigma_resolution=cfg.sigma_resolution,
-            rng=rng,
+            sys, decs, windows=windows, horizon=cfg.graph_horizon, budget=cfg.graph_budget,
+            opts=opts, dwell_grid=cfg.dwell_grid,
         )
-        base_ids = [n.node_id for n in graph.nodes_of_kind("sliding_anchor")]
         cycle_results = []
-        if base_ids:
-            window_ids = [n.node_id for n in graph.nodes_of_kind("window_v")]
-            for wid in window_ids:
-                recs = []
-                for base in base_ids:
-                    recs = assemble_closed_orbits(
-                        graph, base, {wid}, sys, horizon=cfg.cycle_horizon, opts=opts,
-                    )
-                    if recs:
-                        break
-                cycle_results.append({
-                    "window": graph.node(wid).to_dict(),
-                    "found": bool(recs),
-                    "record": recs[0].to_dict() if recs else None,
-                })
+        if graph.nodes_of_kind("sliding_anchor"):
+            cycle_results = _window_cycles(graph, sys, cfg.cycle_horizon, opts)
         periodic_positive = bool(cycle_results) and all(c["found"] for c in cycle_results)
         report["dense_periodicity"] = {
             "graph": graph.to_dict(),

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import functools
+
 
 class FilippovError(Exception):
     """Base class for all toolkit errors."""
@@ -40,3 +42,16 @@ class NonIsolatedTangencyError(FilippovError):
 
 class IntegrationError(FilippovError):
     """The stepper failed (step-size underflow, non-finite field, ...)."""
+
+
+def evaluation_boundary(fn):
+    """Turn the arithmetic errors of ``ScalarField.raw()`` callables into EvaluationError."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise EvaluationError(f"{fn.__name__}: evaluation failed ({exc})") from exc
+
+    return wrapper

@@ -18,20 +18,22 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .errors import IntegrationError, UndefinedSlidingError
+from .errors import IntegrationError, UndefinedSlidingError, evaluation_boundary
 from .sigma import (
     PE_NORM_TOL,
     PointClass,
     TAU_CLASS,
     classify_point,
+    filippov_combination,
+    lie_pair,
     second_lie_value,
+    sliding_vector_field,
 )
-from .system import EPS_SIGMA, FilippovSystem, OnSigma
+from .system import FilippovSystem, OnSigma
 
 EVENT_H_TOL = 1e-10  # |h| at located non-sliding event endpoints
-SLIDE_H_TOL = 1e-8  # max |h| along sliding arcs
+POLISH_H_TOL = EVENT_H_TOL * 1e-3  # Newton polish onto a curve stops below this |h|
 ESCAPE_BAND = 1e-8  # hysteresis band: a curve re-arms once |h| leaves it
-MATCH_TOL = 1e-9  # adjacent segment endpoints must agree to this
 
 
 # --------------------------------------------------------------------------- #
@@ -105,7 +107,7 @@ class _DenseStep:
         return (self.x0 + self.dt * x, self.y0 + self.dt * y)
 
 
-def _rk_step(f, t, x, y, k1, dt):
+def _rk_step(f, x, y, k1, dt):
     ks = [k1]
     for i in range(1, 7):
         ax = x
@@ -140,7 +142,7 @@ class _Stepper:
         """Advance one accepted step of size <= dt_cap; returns a _DenseStep."""
         dt = min(self.dt, dt_cap, self.max_step)
         for _ in range(60):
-            x1, y1, ks, ex, ey = _rk_step(self.f, self.t, self.x, self.y, self.k1, dt)
+            x1, y1, ks, ex, ey = _rk_step(self.f, self.x, self.y, self.k1, dt)
             if not (math.isfinite(x1) and math.isfinite(y1)):
                 dt *= 0.25
                 continue
@@ -407,21 +409,6 @@ def _refine_sign_change(h, step, th_a, th_b, v_a, v_b):
     return 0.5 * (th_a + th_b)
 
 
-def _polish_onto_curve(sys, curve, p):
-    h = curve.h.raw()
-    gxf, gyf = curve.grad[0].raw(), curve.grad[1].raw()
-    x, y = p
-    for _ in range(3):
-        hv = h(x, y)
-        if abs(hv) <= EVENT_H_TOL * 1e-3:
-            break
-        gx, gy = gxf(x, y), gyf(x, y)
-        g2 = gx * gx + gy * gy
-        x -= hv * gx / g2
-        y -= hv * gy / g2
-    return (x, y)
-
-
 def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, captures=()):
     """Integrate the region's smooth field until an event.
 
@@ -445,7 +432,6 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
     live_captures = list(captures)
     times = [0.0]
     pts = [p]
-    samples_h = [None] * len(_THETAS)
 
     def emit(step, th_end, t_end, end_point=None):
         # subdivide [previous sample, step end] so spacing stays bounded
@@ -517,19 +503,12 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
         th, kind, payload = best
         t_event = step.t0 + th * step.dt
         if kind == "curve":
-            point = domain.canonical(_polish_onto_curve(sys, sys.curve(payload), step.at(th)))
-            emit(step, th, t_event, point)
-            seg = OrbitSegment("regular_arc", 0.0, t_event, times, pts, region_id=region_id)
-            return seg, ("curve", payload, point)
-        if kind == "left_domain":
+            point = domain.canonical(sys.curve(payload).project(step.at(th), 3, POLISH_H_TOL))
+        else:
             point = domain.canonical(step.at(th))
-            emit(step, th, t_event, point)
-            seg = OrbitSegment("regular_arc", 0.0, t_event, times, pts, region_id=region_id)
-            return seg, ("left_domain", point)
-        point = domain.canonical(step.at(th))
         emit(step, th, t_event, point)
         seg = OrbitSegment("regular_arc", 0.0, t_event, times, pts, region_id=region_id)
-        return seg, ("capture", payload, point)
+        return seg, ((kind, point) if kind == "left_domain" else (kind, payload, point))
 
 
 def _refine_exit(domain, step, th_hint):
@@ -581,14 +560,10 @@ def _make_sliding_rhs(sys, curve_id):
     canonical = sys.domain.canonical
 
     def rhs(x, y):
-        gx, gy = gxf(x, y), gyf(x, y)
-        v1x, v1y = f1x(x, y), f1y(x, y)
-        v2x, v2y = f2x(x, y), f2y(x, y)
-        l1 = gx * v1x + gy * v1y
-        l2 = gx * v2x + gy * v2y
-        den = l2 - l1
-        zx = (l2 * v1x - l1 * v2x) / den
-        zy = (l2 * v1y - l1 * v2y) / den
+        v1 = (f1x(x, y), f1y(x, y))
+        v2 = (f2x(x, y), f2y(x, y))
+        l1, l2 = lie_pair((gxf(x, y), gyf(x, y)), v1, v2)
+        zx, zy = filippov_combination(l1, l2, v1, v2, curve_id, (x, y))
         if scale is not None:
             g = scale(canonical((x, y)))
             zx *= g
@@ -609,10 +584,11 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     max_step, spacing = opts.resolved(sys.domain)
     domain = sys.domain
     curve = sys.curve(curve_id)
-    h = curve.h.raw()
     gxf, gyf = curve.grad[0].raw(), curve.grad[1].raw()
     y1, y2 = sys.side_fields(curve_id)
-    p = domain.canonical(_polish_onto_curve(sys, curve, domain.canonical(p)))
+    f1x, f1y = y1.raw_pair()
+    f2x, f2y = y2.raw_pair()
+    p = domain.canonical(curve.project(domain.canonical(p), 3, POLISH_H_TOL))
 
     cls = classify_point(sys, curve_id, p)
     if cls.point_class is PointClass.TANGENCY_REGULAR:
@@ -630,21 +606,11 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     stepper = _Stepper(rhs, p, opts, max_step)
 
     def project(q):
-        x, y = q
-        for _ in range(2):
-            hv = h(x, y)
-            gx, gy = gxf(x, y), gyf(x, y)
-            g2 = gx * gx + gy * gy
-            x -= hv * gx / g2
-            y -= hv * gy / g2
-        return (x, y)
+        return curve.project(q, 2)
 
     def lies(q):
-        gx, gy = gxf(q[0], q[1]), gyf(q[0], q[1])
-        v1 = y1.raw_pair()
-        v2 = y2.raw_pair()
-        l1 = gx * v1[0](q[0], q[1]) + gy * v1[1](q[0], q[1])
-        l2 = gx * v2[0](q[0], q[1]) + gy * v2[1](q[0], q[1])
+        x, y = q
+        l1, l2 = lie_pair((gxf(x, y), gyf(x, y)), (f1x(x, y), f1y(x, y)), (f2x(x, y), f2y(x, y)))
         if sys.velocity_scale is not None:
             g = sys.velocity_scale(domain.canonical(q))
             l1 *= g
@@ -656,7 +622,6 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     s2_0 = 1.0 if l2_0 > 0 else -1.0
     times = [0.0]
     pts = [p]
-    raw = p  # un-canonicalized running point for stepping continuity
 
     def emit_to(q, t):
         a = pts[-1]
@@ -688,8 +653,7 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
         l1, l2 = lies(q)
         if l1 * s1_0 < 0 or l2 * s2_0 < 0 or abs(l1) <= TAU_CLASS or abs(l2) <= TAU_CLASS:
             flipped = "positive" if (l1 * s1_0 < 0 or abs(l1) <= TAU_CLASS) else "negative"
-            th, point = _locate_slide_tangency(
-                domain, step, project, lies, flipped, s1_0, s2_0)
+            th, point = _locate_slide_tangency(step, project, lies, flipped, s1_0, s2_0)
             t_ev = step.t0 + th * step.dt
             emit_to(point, t_ev)
             seg = OrbitSegment("sliding_arc", 0.0, times[-1], times, pts, curve_id=curve_id)
@@ -705,7 +669,7 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
         emit_to(q, stepper.t)
 
 
-def _locate_slide_tangency(domain, step, project, lies, flipped, s1_0, s2_0):
+def _locate_slide_tangency(step, project, lies, flipped, s1_0, s2_0):
     idx = 0 if flipped == "positive" else 1
     ref = s1_0 if flipped == "positive" else s2_0
 
@@ -767,7 +731,7 @@ def _off_sigma(side, lie):
     return lie > TAU_CLASS if side == "positive" else lie < -TAU_CLASS
 
 
-def _tangency_action(sys, curve_id, cls, p, t):
+def _tangency_action(sys, curve_id, cls, p):
     """Continuation at a regular tangency.
 
     Preference order: the non-tangent field if it departs linearly; else the
@@ -791,17 +755,12 @@ def _tangency_action(sys, curve_id, cls, p, t):
 
 def _escape_action(sys, curve_id, p, t, cursor):
     policy = cursor.next_escape()
-    if policy.kind == "exit_immediately_up":
-        choice = BranchChoice(t, p, "escape_exit", side="positive", dwell=0.0)
+    if policy.kind in ("exit_immediately_up", "exit_immediately_down"):
+        side = "positive" if policy.kind == "exit_immediately_up" else "negative"
+        choice = BranchChoice(t, p, "escape_exit", side=side, dwell=0.0)
         return _EnterRegion(
-            _side_region(sys.curve(curve_id), "positive"),
-            marker="escape_departure", side="positive", choice=choice,
-        )
-    if policy.kind == "exit_immediately_down":
-        choice = BranchChoice(t, p, "escape_exit", side="negative", dwell=0.0)
-        return _EnterRegion(
-            _side_region(sys.curve(curve_id), "negative"),
-            marker="escape_departure", side="negative", choice=choice,
+            _side_region(sys.curve(curve_id), side),
+            marker="escape_departure", side=side, choice=choice,
         )
     if policy.kind == "dwell_then_exit":
         choice = BranchChoice(t, p, "escape_exit", side=policy.side, dwell=policy.dwell)
@@ -813,7 +772,7 @@ def _escape_action(sys, curve_id, p, t, cursor):
     return _EnterSliding(curve_id, allow_escaping=True, choice=choice)
 
 
-def handle_sigma_event(sys, curve_id, p, incoming_region, cursor, t=0.0):
+def handle_sigma_event(sys, curve_id, p, cursor, t=0.0):
     """Decide the continuation after the orbit touches a switching curve."""
     cls = classify_point(sys, curve_id, p)
     curve = sys.curve(curve_id)
@@ -831,44 +790,20 @@ def handle_sigma_event(sys, curve_id, p, incoming_region, cursor, t=0.0):
     if cls.point_class is PointClass.TANGENCY_DOUBLE:
         choice = BranchChoice(t, p, "double_tangency_stop")
         return _Stop("double_tangency", choice=choice)
-    return _tangency_action(sys, curve_id, cls, p, t)
+    return _tangency_action(sys, curve_id, cls, p)
 
 
 def _nudge_into_arc(sys, curve_id, p, step=1e-5):
     """Displace a tangency point slightly along Z_s so it classifies cleanly."""
-    from .sigma import sliding_vector_field
-
     zx, zy = sliding_vector_field(sys, curve_id, p)
     norm = math.hypot(zx, zy)
     if norm == 0.0:
         return p
     q = (p[0] + step * zx / norm, p[1] + step * zy / norm)
-    return sys.domain.canonical(_polish_onto_curve(sys, sys.curve(curve_id), q))
+    return sys.domain.canonical(sys.curve(curve_id).project(q, 3, POLISH_H_TOL))
 
 
-def _escaping_adjacent_tangencies(sys, resolution=512):
-    """Escape-entry tangencies: the sliding flow points into an escaping arc.
-
-    Only these can serve as graze-capture (ride) targets; at the other end of
-    an arc the sliding flow immediately leaves it again.
-    """
-    from .sigma import find_tangency_points
-
-    targets = []
-    for curve in sys.curves:
-        for tp in find_tangency_points(sys, curve.id, resolution):
-            if tp.kind != "regular":
-                continue
-            try:
-                probe = _nudge_into_arc(sys, curve.id, tp.position, step=1e-4)
-                pcls = classify_point(sys, curve.id, probe)
-            except FilippovError:
-                continue
-            if pcls.point_class is PointClass.ESCAPING:
-                targets.append((tp, curve.id))
-    return targets
-
-
+@evaluation_boundary
 def integrate_filippov(
     sys: FilippovSystem,
     p0,
@@ -920,7 +855,6 @@ def integrate_filippov(
     # initial location
     where = eff.region_of(p)
     mode = ("sigma", where.curve_id, None) if isinstance(where, OnSigma) else ("region", where, None)
-    pending_slide = None  # _EnterSliding currently being executed
 
     guard = 0
     while t < horizon - 1e-12 and terminal is None:
@@ -948,17 +882,17 @@ def integrate_filippov(
                 terminal = "left_domain"
                 break
             if hit[0] == "curve":
-                mode = ("sigma", hit[1], region_id)
+                mode = ("sigma", hit[1], None)
                 p = hit[2]
                 continue
             # graze capture
             target, point = hit[1], hit[2]
-            tp, cid = target.tag
+            cid = target.tag[1]
             decision = cursor.next_ride()
             captures = [c for c in captures if c.tag is not target.tag]
             rode = False
             if decision == "ride":
-                q = domain.canonical(_polish_onto_curve(eff, eff.curve(cid), point))
+                q = domain.canonical(eff.curve(cid).project(point, 3, POLISH_H_TOL))
                 q = _nudge_into_arc(eff, cid, q)
                 entered = classify_point(eff, cid, q).point_class
                 if entered in (PointClass.ESCAPING, PointClass.PSEUDO_EQUILIBRIUM):
@@ -972,14 +906,14 @@ def integrate_filippov(
                 mode = ("region", region_id, None)
             continue
         if kind == "sigma":
-            curve_id, incoming = mode[1], mode[2]
+            curve_id = mode[1]
             near = next(
                 (c for c in captures if domain.distance(p, c.point) <= c.radius), None
             )
             if near is not None:
                 # the point sits on an escape-entry tangency: the policy may
                 # route the orbit onto the escaping arc instead of past it
-                tp, ride_curve = near.tag
+                ride_curve = near.tag[1]
                 decision = cursor.next_ride()
                 captures = [c for c in captures if c.tag is not near.tag]
                 if decision == "ride":
@@ -991,7 +925,7 @@ def integrate_filippov(
                         action = _escape_action(eff, ride_curve, p, t, cursor)
                         mode = ("action", action, ride_curve)
                         continue
-            action = handle_sigma_event(eff, curve_id, p, incoming, cursor, t=t)
+            action = handle_sigma_event(eff, curve_id, p, cursor, t=t)
             mode = ("action", action, curve_id)
             continue
         # kind == "action"

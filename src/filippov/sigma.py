@@ -10,7 +10,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ConfigurationError, NonIsolatedTangencyError, UndefinedSlidingError
+from .errors import (
+    ConfigurationError,
+    NonIsolatedTangencyError,
+    UndefinedSlidingError,
+    evaluation_boundary,
+)
 from .expr import Binary, ScalarField, fold
 from .system import EPS_SIGMA, GRAD_MIN, FilippovSystem
 
@@ -66,6 +71,33 @@ class TangencyPoint:
         }
 
 
+def lie_pair(grad, v1, v2):
+    """(L1, L2) = (grad h . Y1, grad h . Y2) from evaluated gradient and fields."""
+    gx, gy = grad
+    return gx * v1[0] + gy * v1[1], gx * v2[0] + gy * v2[1]
+
+
+def _sliding_denominator(l1, l2, curve_id, p):
+    den = l2 - l1
+    if abs(den) <= TAU_CLASS:
+        raise UndefinedSlidingError(
+            f"sliding field undefined on curve {curve_id} at {p}: |L2 - L1| <= {TAU_CLASS}"
+        )
+    return den
+
+
+def filippov_combination(l1, l2, v1, v2, curve_id, p):
+    """Z_s = (L2 Y1 - L1 Y2) / (L2 - L1) from evaluated Lie pair and fields."""
+    den = _sliding_denominator(l1, l2, curve_id, p)
+    return ((l2 * v1[0] - l1 * v2[0]) / den, (l2 * v1[1] - l1 * v2[1]) / den)
+
+
+def _side_values(sys, curve_id, p):
+    """Checked grad h, Y1 and Y2 at p, with the system's velocity scale."""
+    y1, y2 = sys.side_fields(curve_id)
+    return sys.curve(curve_id).gradient_at(p), sys.field_value(y1, p), sys.field_value(y2, p)
+
+
 def classify_point(sys: FilippovSystem, curve_id: int, p) -> Classification:
     """Classify a manifold point per the five-way sign table.
 
@@ -76,9 +108,8 @@ def classify_point(sys: FilippovSystem, curve_id: int, p) -> Classification:
     curve = sys.curve(curve_id)
     if abs(curve.h(p[0], p[1])) > EPS_SIGMA:
         raise ConfigurationError(f"point {p} is not on curve {curve_id}")
-    y1, y2 = sys.side_fields(curve_id)
-    l1 = sys.lie_derivative(y1, curve_id, p)
-    l2 = sys.lie_derivative(y2, curve_id, p)
+    grad, v1, v2 = _side_values(sys, curve_id, p)
+    l1, l2 = lie_pair(grad, v1, v2)
     t1, t2 = abs(l1) <= TAU_CLASS, abs(l2) <= TAU_CLASS
     if t1 and t2:
         return Classification(PointClass.TANGENCY_DOUBLE, l1, l2, tangent_side="both")
@@ -88,43 +119,26 @@ def classify_point(sys: FilippovSystem, curve_id: int, p) -> Classification:
         )
     if l1 * l2 > 0.0:
         return Classification(PointClass.CROSSING, l1, l2)
-    zs = _sliding_from_lie(sys, curve_id, p, l1, l2)
+    zs = filippov_combination(l1, l2, v1, v2, curve_id, p)
     point_class = PointClass.SLIDING if l1 < 0.0 else PointClass.ESCAPING
     if math.hypot(*zs) <= PE_NORM_TOL:
         point_class = PointClass.PSEUDO_EQUILIBRIUM
     return Classification(point_class, l1, l2, sliding_velocity=zs)
 
 
-def _sliding_from_lie(sys, curve_id, p, l1, l2):
-    den = l2 - l1
-    if abs(den) <= TAU_CLASS:
-        raise UndefinedSlidingError(
-            f"sliding field undefined on curve {curve_id} at {p}: |L2 - L1| <= {TAU_CLASS}"
-        )
-    y1, y2 = sys.side_fields(curve_id)
-    v1 = sys.field_value(y1, p)
-    v2 = sys.field_value(y2, p)
-    return ((l2 * v1[0] - l1 * v2[0]) / den, (l2 * v1[1] - l1 * v2[1]) / den)
-
-
 def sliding_vector_field(sys: FilippovSystem, curve_id: int, p) -> tuple[float, float]:
     """Filippov convex combination Z_s(p) on a sliding or escaping point."""
     p = sys.domain.canonical(p)
-    y1, y2 = sys.side_fields(curve_id)
-    l1 = sys.lie_derivative(y1, curve_id, p)
-    l2 = sys.lie_derivative(y2, curve_id, p)
-    return _sliding_from_lie(sys, curve_id, p, l1, l2)
+    grad, v1, v2 = _side_values(sys, curve_id, p)
+    l1, l2 = lie_pair(grad, v1, v2)
+    return filippov_combination(l1, l2, v1, v2, curve_id, p)
 
 
 def convex_weight(sys: FilippovSystem, curve_id: int, p) -> float:
     """The weight lambda with Z_s = lambda Y1 + (1 - lambda) Y2."""
-    y1, y2 = sys.side_fields(curve_id)
-    l1 = sys.lie_derivative(y1, curve_id, p)
-    l2 = sys.lie_derivative(y2, curve_id, p)
-    den = l2 - l1
-    if abs(den) <= TAU_CLASS:
-        raise UndefinedSlidingError(f"lambda undefined on curve {curve_id} at {p}")
-    return l2 / den
+    p = sys.domain.canonical(p)
+    l1, l2 = lie_pair(*_side_values(sys, curve_id, p))
+    return l2 / _sliding_denominator(l1, l2, curve_id, p)
 
 
 def lie_scalar_field(h: ScalarField, planar) -> ScalarField:
@@ -147,22 +161,16 @@ def second_lie_field(h: ScalarField, planar) -> ScalarField:
 
 
 def second_lie_value(sys: FilippovSystem, curve_id: int, side: str, p) -> float:
-    """Y(Yh) at p for the side's field, cached per system instance.
+    """Y(Yh) at p for the side's field, compiled once per system and side.
 
     For a velocity-scaled system g Z the value picks up a g^2 factor away
     from the scale's zero set, which leaves the fold sign unchanged.
     """
-    cache = getattr(sys, "_second_lie_cache", None)
-    if cache is None:
-        cache = {}
-        sys._second_lie_cache = cache
     key = (curve_id, side)
-    fn = cache.get(key)
+    fn = sys.second_lie_fields.get(key)
     if fn is None:
-        curve = sys.curve(curve_id)
         planar = sys.side_fields(curve_id)[0 if side == "positive" else 1]
-        fn = second_lie_field(curve.h, planar)
-        cache[key] = fn
+        fn = sys.second_lie_fields[key] = second_lie_field(sys.curve(curve_id).h, planar)
     value = fn(p[0], p[1])
     if sys.velocity_scale is not None:
         value *= sys.velocity_scale(p) ** 2
@@ -206,19 +214,6 @@ class CurveComponent:
         return (a[0] + w * (b[0] - a[0]), a[1] + w * (b[1] - a[1]))
 
 
-def _project_to_curve(p, h_fn, gx_fn, gy_fn, iterations=3):
-    x, y = p
-    for _ in range(iterations):
-        hv = h_fn(x, y)
-        gx, gy = gx_fn(x, y), gy_fn(x, y)
-        g2 = gx * gx + gy * gy
-        if g2 < GRAD_MIN * GRAD_MIN:
-            raise ConfigurationError(f"gradient of h degenerate near ({x:.6g}, {y:.6g})")
-        x -= hv * gx / g2
-        y -= hv * gy / g2
-    return (x, y)
-
-
 def _curve_seeds(sys, curve, grid=96):
     d = sys.domain
     h = curve.h.raw()
@@ -226,7 +221,6 @@ def _curve_seeds(sys, curve, grid=96):
     xs = [d.x_min + i * d.width / grid for i in range(grid + 1)]
     ys = [d.y_min + j * d.height / grid for j in range(grid + 1)]
     values = [[h(x, y) for y in ys] for x in xs]
-    gx_fn, gy_fn = curve.grad[0].raw(), curve.grad[1].raw()
 
     def refine(p0, p1, v0, v1):
         for _ in range(40):
@@ -236,13 +230,13 @@ def _curve_seeds(sys, curve, grid=96):
                 p1, v1 = xm, vm
             else:
                 p0, v0 = xm, vm
-        return _project_to_curve(xm, h, gx_fn, gy_fn)
+        return curve.project(xm, 3)
 
     for i in range(grid + 1):
         for j in range(grid + 1):
             v = values[i][j]
             if v == 0.0:  # curve passes exactly through a grid node
-                seeds.append(_project_to_curve((xs[i], ys[j]), h, gx_fn, gy_fn))
+                seeds.append(curve.project((xs[i], ys[j]), 3))
                 continue
             if i < grid and v * values[i + 1][j] < 0:
                 seeds.append(refine((xs[i], ys[j]), (xs[i + 1], ys[j]), v, values[i + 1][j]))
@@ -254,9 +248,8 @@ def _curve_seeds(sys, curve, grid=96):
 def _trace_one(sys, curve, start, ds, direction=1.0, max_steps=200_000):
     """Predictor-corrector walk along h = 0; returns (points, closed)."""
     d = sys.domain
-    h = curve.h.raw()
     gx_fn, gy_fn = curve.grad[0].raw(), curve.grad[1].raw()
-    p = _project_to_curve(start, h, gx_fn, gy_fn)
+    p = curve.project(start, 3)
     points = [d.canonical(p)]
     prev_dir = None
     travelled = 0.0
@@ -277,7 +270,7 @@ def _trace_one(sys, curve, start, ds, direction=1.0, max_steps=200_000):
             if clipped is not None:
                 points.append(d.canonical(clipped))
             return points, False
-        q = _project_to_curve(q, h, gx_fn, gy_fn)
+        q = curve.project(q, 3)
         travelled += ds
         points.append(d.canonical(q))
         p = q
@@ -289,9 +282,7 @@ def _trace_one(sys, curve, start, ds, direction=1.0, max_steps=200_000):
 
 def _clip_to_rect(p, q, d):
     best = None
-    for bound, axis, sign in (
-        (d.x_min, 0, -1), (d.x_max, 0, 1), (d.y_min, 1, -1), (d.y_max, 1, 1),
-    ):
+    for bound, axis in ((d.x_min, 0), (d.x_max, 0), (d.y_min, 1), (d.y_max, 1)):
         denom = q[axis] - p[axis]
         if denom == 0:
             continue
@@ -321,15 +312,13 @@ def trace_curve(sys: FilippovSystem, curve_id: int, resolution: int) -> list[Cur
             back, _ = _trace_one(sys, curve, seed, ds, direction=-1.0)
             points = list(reversed(back[1:])) + points
         used.extend(points)
-        comp = _resample(sys, curve, points, closed, resolution, len(components), ds)
+        comp = _resample(sys, curve, points, closed, resolution, len(components))
         components.append(comp)
     return components
 
 
-def _resample(sys, curve, points, closed, resolution, index, ds):
+def _resample(sys, curve, points, closed, resolution, index):
     d = sys.domain
-    h = curve.h.raw()
-    gx_fn, gy_fn = curve.grad[0].raw(), curve.grad[1].raw()
     cum = [0.0]
     for a, b in zip(points, points[1:]):
         cum.append(cum[-1] + d.distance(a, b))
@@ -348,7 +337,7 @@ def _resample(sys, curve, points, closed, resolution, index, ds):
         a, b = points[j], points[j + 1]
         dx, dy = d.displacement(a, b)
         q = d.canonical((a[0] + w * dx, a[1] + w * dy))
-        q = d.canonical(_project_to_curve(q, h, gx_fn, gy_fn))
+        q = d.canonical(curve.project(q, 3))
         out_pts.append(q)
         out_par.append(s)
     if closed:
@@ -362,8 +351,15 @@ def _resample(sys, curve, points, closed, resolution, index, ds):
 # --------------------------------------------------------------------------- #
 
 
-def _lie_along(sys, curve_id, planar, component):
-    return [sys.lie_derivative(planar, curve_id, p) for p in component.points]
+def _lie_samples(sys, curve_id, components):
+    """Per component, the lists of L1 and L2 at its sample points."""
+    y1, y2 = sys.side_fields(curve_id)
+    out = []
+    for component in components:
+        l1s = [sys.lie_derivative(y1, curve_id, p) for p in component.points]
+        l2s = [sys.lie_derivative(y2, curve_id, p) for p in component.points]
+        out.append((l1s, l2s))
+    return out
 
 
 def _check_isolated(values, label, curve_id):
@@ -377,7 +373,7 @@ def _check_isolated(values, label, curve_id):
             )
 
 
-def _bisect_on_arc(sys, curve_id, component, fn, s_lo, s_hi, target=ROOT_L_TOL):
+def _bisect_on_arc(component, fn, s_lo, s_hi, target=ROOT_L_TOL):
     f_lo = fn(component.point_at(s_lo))
     f_hi = fn(component.point_at(s_hi))
     if f_lo == 0.0:
@@ -400,33 +396,29 @@ def _bisect_on_arc(sys, curve_id, component, fn, s_lo, s_hi, target=ROOT_L_TOL):
 
 def find_tangency_points(sys: FilippovSystem, curve_id: int, resolution: int) -> list[TangencyPoint]:
     """Scan-and-bisect: roots of either Lie derivative along the curve."""
+    components = trace_curve(sys, curve_id, resolution)
+    return _scan_tangencies(sys, curve_id, components, _lie_samples(sys, curve_id, components))
+
+
+def _scan_tangencies(sys, curve_id, components, lies):
     curve = sys.curve(curve_id)
     y1, y2 = sys.side_fields(curve_id)
-    h = curve.h.raw()
-    gx_fn, gy_fn = curve.grad[0].raw(), curve.grad[1].raw()
-    second = {
-        "positive": second_lie_field(curve.h, y1),
-        "negative": second_lie_field(curve.h, y2),
-    }
     found = []
-    for component in trace_curve(sys, curve_id, resolution):
-        for side, planar in (("positive", y1), ("negative", y2)):
-            values = _lie_along(sys, curve_id, planar, component)
+    for component, pair in zip(components, lies):
+        for side, planar, values in (("positive", y1, pair[0]), ("negative", y2, pair[1])):
             _check_isolated(values, f"L({side})", curve_id)
             fn = lambda p, _pl=planar: sys.lie_derivative(_pl, curve_id, p)
             for k in range(len(values) - 1):
                 s = None
                 if values[k] * values[k + 1] < 0:
-                    s = _bisect_on_arc(sys, curve_id, component, fn,
+                    s = _bisect_on_arc(component, fn,
                                        component.params[k], component.params[k + 1])
                 elif abs(values[k]) <= TAU_CLASS:
                     # sample already inside the deadband (touch without crossing)
                     s = component.params[k]
                 if s is None:
                     continue
-                pos = sys.domain.canonical(
-                    _project_to_curve(component.point_at(s), h, gx_fn, gy_fn)
-                )
+                pos = sys.domain.canonical(curve.project(component.point_at(s), 3))
                 found.append((pos, side, component.index, s))
     merged: list[TangencyPoint] = []
     for pos, side, comp_idx, s in found:
@@ -438,18 +430,16 @@ def find_tangency_points(sys: FilippovSystem, curve_id: int, resolution: int) ->
         if hit is not None:
             old = merged[hit]
             if old.side != side:
-                merged[hit] = _make_tangency(sys, pos, curve_id, "both", second, comp_idx, s)
+                merged[hit] = _make_tangency(sys, pos, curve_id, "both", comp_idx, s)
             continue
-        merged.append(_make_tangency(sys, pos, curve_id, side, second, comp_idx, s))
+        merged.append(_make_tangency(sys, pos, curve_id, side, comp_idx, s))
     merged.sort(key=lambda t: (t.component, t.param))
     return merged
 
 
-def _make_tangency(sys, pos, curve_id, side, second, comp_idx, s):
+def _make_tangency(sys, pos, curve_id, side, comp_idx, s):
     lookup_side = "positive" if side in ("positive", "both") else "negative"
-    val = second[lookup_side](pos[0], pos[1])
-    if sys.velocity_scale is not None:
-        val *= sys.velocity_scale(pos) ** 2
+    val = second_lie_value(sys, curve_id, lookup_side, pos)
     if abs(val) <= TAU_CLASS:
         fold_kind = "degenerate"
     else:
@@ -471,17 +461,21 @@ def _tangent_at(sys, curve_id, p):
 
 def find_pseudo_equilibria(sys: FilippovSystem, curve_id: int, resolution: int) -> list[tuple[float, float]]:
     """Roots of Z_s . tangent on sliding/escaping sub-arcs of the curve."""
-    y1, y2 = sys.side_fields(curve_id)
+    components = trace_curve(sys, curve_id, resolution)
+    return _scan_pseudo_equilibria(sys, curve_id, components,
+                                   _lie_samples(sys, curve_id, components))
+
+
+def _scan_pseudo_equilibria(sys, curve_id, components, lies):
+    curve = sys.curve(curve_id)
+
+    def sigma_dot(p):
+        tx, ty = _tangent_at(sys, curve_id, p)
+        zx, zy = sliding_vector_field(sys, curve_id, p)
+        return zx * tx + zy * ty
+
     points = []
-    for component in trace_curve(sys, curve_id, resolution):
-        l1s = _lie_along(sys, curve_id, y1, component)
-        l2s = _lie_along(sys, curve_id, y2, component)
-
-        def sigma_dot(p):
-            tx, ty = _tangent_at(sys, curve_id, p)
-            zx, zy = sliding_vector_field(sys, curve_id, p)
-            return zx * tx + zy * ty
-
+    for component, (l1s, l2s) in zip(components, lies):
         values = []
         for k, p in enumerate(component.points):
             on_arc = (
@@ -499,16 +493,12 @@ def find_pseudo_equilibria(sys: FilippovSystem, curve_id: int, resolution: int) 
             a, b = values[k], values[k + 1]
             if a is None or b is None or a * b >= 0:
                 continue
-            s = _bisect_on_arc(sys, curve_id, component, sigma_dot,
+            s = _bisect_on_arc(component, sigma_dot,
                                component.params[k], component.params[k + 1])
             if s is not None:
                 roots.append(s)
-        curve = sys.curve(curve_id)
         for s in roots:
-            pos = sys.domain.canonical(
-                _project_to_curve(component.point_at(s), curve.h.raw(),
-                                  curve.grad[0].raw(), curve.grad[1].raw())
-            )
+            pos = sys.domain.canonical(curve.project(component.point_at(s), 3))
             if all(sys.domain.distance(pos, q) >= DEDUP_DIST for q in points):
                 points.append(pos)
     return points
@@ -530,9 +520,6 @@ class SigmaArc:
     @property
     def length(self):
         return self.s_end - self.s_start
-
-    def point_at_fraction(self, w, component_obj):
-        return component_obj.point_at(self.s_start + w * self.length)
 
     def to_dict(self):
         return {
@@ -582,11 +569,17 @@ def _class_of_open_point(sys, curve_id, p):
     return cls.point_class
 
 
+@evaluation_boundary
 def sigma_decomposition(sys: FilippovSystem, curve_id: int, resolution: int) -> SigmaDecomposition:
-    """Maximal constant-class arcs with tangency points as separators."""
+    """Maximal constant-class arcs with tangency points as separators.
+
+    The curve is traced and L1, L2 are sampled along it once; the tangency
+    and pseudo-equilibrium scans both read those samples.
+    """
     components = trace_curve(sys, curve_id, resolution)
-    tangencies = find_tangency_points(sys, curve_id, resolution)
-    pes = find_pseudo_equilibria(sys, curve_id, resolution)
+    lies = _lie_samples(sys, curve_id, components)
+    tangencies = _scan_tangencies(sys, curve_id, components, lies)
+    pes = _scan_pseudo_equilibria(sys, curve_id, components, lies)
     arcs = []
     for component in components:
         t_here = sorted(
@@ -605,7 +598,6 @@ def sigma_decomposition(sys: FilippovSystem, curve_id: int, resolution: int) -> 
             continue
         bounds = []
         if component.closed:
-            params = [t.param for t in t_here]
             for i, t in enumerate(t_here):
                 nxt = t_here[(i + 1) % len(t_here)]
                 s_end = nxt.param if i + 1 < len(t_here) else nxt.param + component.length

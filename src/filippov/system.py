@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError, OutsideDomainError
+from .errors import ConfigurationError, OutsideDomainError, evaluation_boundary
 from .expr import PlanarField, ScalarField
 
 EPS_SIGMA = 1e-9  # |h| band that counts as "on the switching manifold"
@@ -103,6 +103,29 @@ class SwitchingCurve:
     def gradient_at(self, p):
         return (self.grad[0](p[0], p[1]), self.grad[1](p[0], p[1]))
 
+    def project(self, p, iterations, stop_below=None,
+                message="gradient of h degenerate near ({x:.6g}, {y:.6g})"):
+        """Newton projection of p onto h = 0 along grad h.
+
+        Takes ``iterations`` steps, or fewer once |h| <= ``stop_below``.  A
+        gradient with ||grad h|| < GRAD_MIN raises ConfigurationError with
+        ``message`` formatted at the current (x, y).
+        """
+        h = self.h.raw()
+        gxf, gyf = self.grad[0].raw(), self.grad[1].raw()
+        x, y = p
+        for _ in range(iterations):
+            hv = h(x, y)
+            if stop_below is not None and abs(hv) <= stop_below:
+                break
+            gx, gy = gxf(x, y), gyf(x, y)
+            g2 = gx * gx + gy * gy
+            if g2 < GRAD_MIN * GRAD_MIN:
+                raise ConfigurationError(message.format(x=x, y=y))
+            x -= hv * gx / g2
+            y -= hv * gy / g2
+        return (x, y)
+
     def side_region(self, sign: int) -> int:
         return self.positive_region if sign > 0 else self.negative_region
 
@@ -122,7 +145,10 @@ class FilippovSystem:
     """Domain + switching curves + per-region fields: the object Z.
 
     ``velocity_scale`` is an optional positive scalar multiplier g(p) applied
-    to every evaluated field vector (used by the tangency-freezing rescale).
+    to every evaluated field vector (used by the tangency-freezing rescale);
+    ``frozen_tangencies`` lists the tangency points that scale turns into
+    equilibria.  ``second_lie_fields`` caches the compiled Y(Yh) per
+    (curve id, side) for ``sigma.second_lie_value``.
     """
 
     def __init__(self, domain, curves, regions, parameters=None, velocity_scale=None, validate=True):
@@ -131,6 +157,8 @@ class FilippovSystem:
         self.regions = list(regions)
         self.parameters = dict(parameters or {})
         self.velocity_scale = velocity_scale
+        self.frozen_tangencies = ()
+        self.second_lie_fields = {}
         self._regions_by_id = {r.id: r for r in self.regions}
         self._curves_by_id = {c.id: c for c in self.curves}
         if len(self._regions_by_id) != len(self.regions):
@@ -212,20 +240,25 @@ class FilippovSystem:
     def reversed(self) -> "FilippovSystem":
         """Time-reversed system: all fields negated (sliding <-> escaping)."""
         regions = [RegionSpec(r.id, r.field.negated(), r.conditions) for r in self.regions]
-        return FilippovSystem(
+        rev = FilippovSystem(
             self.domain, self.curves, regions, self.parameters,
             velocity_scale=self.velocity_scale, validate=False,
         )
+        rev.frozen_tangencies = self.frozen_tangencies
+        return rev
 
     def with_velocity_scale(self, g) -> "FilippovSystem":
+        """The system with every field multiplied by g(p); frozen tangencies carry over."""
         scale = g
         if self.velocity_scale is not None:
             old = self.velocity_scale
             scale = lambda p, _old=old, _g=g: _old(p) * _g(p)  # noqa: E731
-        return FilippovSystem(
+        scaled = FilippovSystem(
             self.domain, self.curves, self.regions, self.parameters,
             velocity_scale=scale, validate=False,
         )
+        scaled.frozen_tangencies = self.frozen_tangencies
+        return scaled
 
     # -- load-time validation --------------------------------------------------
 
@@ -239,6 +272,7 @@ class FilippovSystem:
         for _ in range(extra):
             yield (d.x_min + rng.random() * d.width, d.y_min + rng.random() * d.height)
 
+    @evaluation_boundary
     def validate(self, grid=256, extra=10_000):
         """Sampled disjointness / membership / regularity / periodicity checks.
 
@@ -277,25 +311,13 @@ class FilippovSystem:
 
     def _check_on_curve(self, cid, p, h_fns):
         curve = self._curves_by_id[cid]
-        h = curve.h.raw()
-        x, y = p
-        for _ in range(4):  # Newton projection onto h = 0
-            hv = h(x, y)
-            gx, gy = curve.gradient_at((x, y))
-            g2 = gx * gx + gy * gy
-            if g2 < GRAD_MIN * GRAD_MIN:
-                raise ConfigurationError(
-                    f"curve {cid}: 0 is not a regular value of h near ({x:.6g}, {y:.6g})"
-                )
-            x -= hv * gx / g2
-            y -= hv * gy / g2
-        if abs(h(x, y)) > DISJOINT_EPS:
+        message = f"curve {cid}: 0 is not a regular value of h near ({{x:.6g}}, {{y:.6g}})"
+        x, y = curve.project(p, 4, message=message)
+        if abs(curve.h.raw()(x, y)) > DISJOINT_EPS:
             return  # the nearby sample did not actually belong to this curve
         gx, gy = curve.gradient_at((x, y))
         if math.hypot(gx, gy) < GRAD_MIN:
-            raise ConfigurationError(
-                f"curve {cid}: 0 is not a regular value of h near ({x:.6g}, {y:.6g})"
-            )
+            raise ConfigurationError(message.format(x=x, y=y))
         clashing = [
             other for other, fn in h_fns
             if other != cid and abs(fn(x, y)) < DISJOINT_EPS

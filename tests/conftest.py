@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from filippov import sigma
 from filippov.expr import PlanarField, ScalarField
 from filippov.system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
@@ -15,6 +16,24 @@ def build_plane_system(fields_pos, fields_neg, bounds=(-2, 2, -1, 1), h="y", val
         RegionSpec(2, PlanarField(*fields_neg), [(0, -1)]),
     ]
     return FilippovSystem(domain, [curve], regions, validate=validate)
+
+
+def decompose(system, resolution=512):
+    """One sigma decomposition per curve, as build_segment_graph takes them."""
+    return [sigma.sigma_decomposition(system, c.id, resolution) for c in system.curves]
+
+
+def count_trace_calls(monkeypatch):
+    """List that records the curve id of every later sigma.trace_curve call."""
+    calls = []
+    original = sigma.trace_curve
+
+    def counting(system, curve_id, resolution):
+        calls.append(curve_id)
+        return original(system, curve_id, resolution)
+
+    monkeypatch.setattr(sigma, "trace_curve", counting)
+    return calls
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from filippov.sigma import (
     sliding_vector_field,
 )
 
+from conftest import decompose
 from test_expr import _random_expression
 from test_sigma import classification_oracle
 
@@ -170,8 +171,7 @@ def test_criterion_4_integrator_convergence(circle_system):
 
 def test_criterion_5_torus_sliding_belt_period(systems):
     s = systems["sliding_belt_torus"]
-    graph = build_segment_graph(s, horizon=15.0, budget=40, dwell_grid=(0.0,),
-                                rng=random.Random(0))
+    graph = build_segment_graph(s, decompose(s), horizon=15.0, budget=40, dwell_grid=(0.0,))
     q0 = graph.nodes_of_kind("sliding_anchor")[0].node_id
     records = assemble_closed_orbits(graph, q0, set(), s, horizon=10.0)
     assert records

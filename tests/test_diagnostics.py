@@ -25,7 +25,7 @@ from filippov.integrate import BranchPolicy, integrate_filippov
 from filippov.sigma import PointClass, find_tangency_points, sigma_decomposition
 from filippov.system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
-from conftest import build_plane_system
+from conftest import build_plane_system, count_trace_calls, decompose
 
 
 def _two_cells_system():
@@ -112,16 +112,15 @@ def test_probe_windows_filter(belt_system):
 
 def test_segment_graph_empty_when_no_sliding():
     s = build_plane_system(("1", "1"), ("1", "1"))
-    graph = build_segment_graph(s, horizon=5.0, budget=10)
+    graph = build_segment_graph(s, decompose(s), horizon=5.0, budget=10)
     assert graph.hypothesis_failed
     assert graph.nodes == [] and graph.edges == []
 
 
 def test_segment_graph_belt_windows_reach_anchor(belt_system):
-    rng = random.Random(1)
     windows = [Disk((0.3, 0.2), 0.05), Disk((0.7, 0.8), 0.05)]
-    graph = build_segment_graph(belt_system, windows=windows, horizon=15.0,
-                                budget=60, dwell_grid=(0.0, 0.1), rng=rng)
+    graph = build_segment_graph(belt_system, decompose(belt_system), windows=windows,
+                                horizon=15.0, budget=60, dwell_grid=(0.0, 0.1))
     assert not graph.hypothesis_failed
     anchors = graph.nodes_of_kind("sliding_anchor")
     assert anchors
@@ -133,8 +132,8 @@ def test_segment_graph_belt_windows_reach_anchor(belt_system):
 
 
 def test_belt_cycle_has_unit_period(belt_system):
-    graph = build_segment_graph(belt_system, horizon=15.0, budget=40,
-                                dwell_grid=(0.0,), rng=random.Random(0))
+    graph = build_segment_graph(belt_system, decompose(belt_system), horizon=15.0,
+                                budget=40, dwell_grid=(0.0,))
     q0 = graph.nodes_of_kind("sliding_anchor")[0].node_id
     records = assemble_closed_orbits(graph, q0, set(), belt_system, horizon=10.0)
     assert records
@@ -144,8 +143,8 @@ def test_belt_cycle_has_unit_period(belt_system):
 
 
 def test_no_cyctherough_anchor_gives_empty(fold_system):
-    graph = build_segment_graph(fold_system, horizon=8.0, budget=30,
-                                dwell_grid=(0.0,), rng=random.Random(0))
+    graph = build_segment_graph(fold_system, decompose(fold_system), horizon=8.0,
+                                budget=30, dwell_grid=(0.0,))
     anchors = graph.nodes_of_kind("sliding_anchor")
     assert anchors
     records = assemble_closed_orbits(graph, anchors[0].node_id, set(), fold_system,
@@ -247,3 +246,41 @@ def test_chaos_report_negative_labels_are_inconclusive(belt_system):
     if not report["transitivity"]["positive"]:
         assert report["transitivity"]["label"] == "inconclusive at budget"
         assert report["verdict"] != "chaotic at budget"
+
+
+def test_escape_entry_tangency_skipped_when_unclassifiable(monkeypatch):
+    from filippov import diagnostics
+    from filippov.errors import UndefinedSlidingError
+
+    # h = y: escaping for x > 0, crossing for x < 0, the sliding flow at the
+    # fold x = 0 runs into the escaping arc
+    s = build_plane_system(("1", "x"), ("1", "-1"))
+    decs = decompose(s)
+    (target,) = diagnostics._escape_entry_tangencies(s, decs)
+    assert target[0].position == pytest.approx((0.0, 0.0), abs=1e-9)
+
+    def unclassifiable(*args, **kwargs):
+        raise UndefinedSlidingError("probe failed")
+
+    monkeypatch.setattr(diagnostics, "classify_point", unclassifiable)
+    assert diagnostics._escape_entry_tangencies(s, decs) == []
+
+
+def test_chaos_report_traces_each_curve_once(monkeypatch):
+    from filippov.scenario import load_shipped
+
+    scenario = load_shipped("chaotic_torus")
+    system = scenario.build_system()
+    cfg = scenario.config
+    small = {
+        "saturate_seeds_per_arc": 1, "saturate_horizon": 2.0,
+        "transitivity_pairs": 1, "transitivity_budget": 1, "probe_horizon": 2.0,
+        "sensitivity_budget": 1, "sensitivity_horizon": 2.0,
+        "graph_budget": 2, "graph_horizon": 5.0, "cycle_windows": 2, "cycle_horizon": 5.0,
+    }
+    for key, value in small.items():
+        setattr(cfg, key, value)
+    calls = count_trace_calls(monkeypatch)
+    report = chaos_report(system, cfg, opts=scenario.integrator)
+    assert report["dense_periodicity"]["windows"]  # the cycle assembly ran
+    assert sorted(calls) == sorted(c.id for c in system.curves)

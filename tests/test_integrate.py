@@ -52,13 +52,13 @@ def test_event_endpoints_have_tiny_h(fold_system):
 
 def test_handle_crossing_continues_to_other_side():
     s = build_plane_system(("1", "-1"), ("1", "-1"))
-    action = handle_sigma_event(s, 0, (1.0, 0.0), 1, PolicyCursor())
+    action = handle_sigma_event(s, 0, (1.0, 0.0), PolicyCursor())
     assert isinstance(action, _EnterRegion)
     assert action.region_id == 2
 
 
 def test_handle_sliding_entry(flat_system):
-    action = handle_sigma_event(flat_system, 0, (1.0, 0.0), 1, PolicyCursor())
+    action = handle_sigma_event(flat_system, 0, (1.0, 0.0), PolicyCursor())
     assert isinstance(action, _EnterSliding)
 
 
@@ -73,7 +73,7 @@ def test_handle_visible_fold_ejects_tangent_side(fold_system):
         x += dt * vx
         y += dt * vy
     assert y > 0  # moves off into the h > 0 side
-    action = handle_sigma_event(fold_system, 0, p, None, PolicyCursor())
+    action = handle_sigma_event(fold_system, 0, p, PolicyCursor())
     assert isinstance(action, _EnterRegion)
     assert action.region_id == 1
 

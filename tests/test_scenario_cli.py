@@ -173,3 +173,31 @@ def test_cli_bad_policy_errors(tmp_path):
         "--start", "0,0.5", "--horizon", "1", "--policy", "bogus",
     ])
     assert status == 2
+
+
+def test_cli_raw_evaluation_error_exits_2(tmp_path, capsys):
+    # sqrt(x) is undefined on the left half of the domain, where the orbit starts
+    path = tmp_path / "sqrt.json"
+    path.write_text(json.dumps({
+        "name": "sqrt_field",
+        "domain": {"kind": "plane_rect", "bounds": [-1, 1, -1, 1]},
+        "curves": [{"id": 0, "h": "y", "positive_region": 1, "negative_region": 2}],
+        "regions": [
+            {"id": 1, "field": ["1", "sqrt(x)"], "where": [{"curve": 0, "sign": "+"}]},
+            {"id": 2, "field": ["1", "sqrt(x)"], "where": [{"curve": 0, "sign": "-"}]},
+        ],
+    }))
+    status = main(["orbit", f"--scenario={path}", "--start=-0.5,0.5", "--horizon", "2"])
+    assert status == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_unexpected_exception_exits_2(monkeypatch, capsys):
+    import filippov.cli as cli
+
+    def boom(args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "_cmd_classify", boom)
+    assert main(["classify", "--scenario", "unused.json"]) == 2
+    assert "error: RuntimeError: unexpected" in capsys.readouterr().err

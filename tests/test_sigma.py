@@ -4,6 +4,7 @@ import pytest
 
 from filippov.errors import NonIsolatedTangencyError, UndefinedSlidingError
 from filippov.expr import PlanarField, ScalarField
+from filippov.integrate import _make_sliding_rhs
 from filippov.sigma import (
     PointClass,
     classify_point,
@@ -16,7 +17,7 @@ from filippov.sigma import (
 )
 from filippov.system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
-from conftest import build_plane_system
+from conftest import build_plane_system, count_trace_calls
 
 
 def test_classify_crossing():
@@ -241,6 +242,8 @@ def test_convex_weight_in_unit_interval_and_forms_agree(sliding_samples):
         quotient = sliding_vector_field(s, 0, p)
         assert abs(combo[0] - quotient[0]) <= 1e-12
         assert abs(combo[1] - quotient[1]) <= 1e-12
+        # the integrator's unchecked form shares the kernel: exactly equal
+        assert _make_sliding_rhs(s, 0)(*p) == quotient
 
 
 def test_classification_invariant_under_h_scaling():
@@ -351,3 +354,12 @@ def test_trace_curve_closed_on_torus(belt_system):
     assert all(c.closed for c in comps)
     for c in comps:
         assert c.length == pytest.approx(1.0, abs=1e-6)
+
+
+def test_sigma_decomposition_traces_the_curve_once(monkeypatch, fold_system):
+    calls = count_trace_calls(monkeypatch)
+    dec = sigma_decomposition(fold_system, 0, 256)
+    assert calls == [0]
+    # the shared samples give what the stand-alone scans find
+    assert dec.tangencies == find_tangency_points(fold_system, 0, 256)
+    assert dec.pseudo_equilibria == find_pseudo_equilibria(fold_system, 0, 256)

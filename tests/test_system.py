@@ -159,3 +159,20 @@ def test_reversed_negates_fields(flat_system):
 def test_velocity_scale_multiplies_field(flat_system):
     scaled = flat_system.with_velocity_scale(lambda p: 0.5)
     assert scaled.field_at((0.0, 1.0)) == (0.5, -0.5)
+
+
+def test_project_onto_unit_circle():
+    curve = SwitchingCurve(0, ScalarField("x^2 + y^2 - 1"), 1, 2)
+    h = curve.h.raw()
+    for start in [(2.0, 0.5), (0.3, 0.4), (-0.9, -1.2), (0.0, -0.2), (1.0, 1.0)]:
+        x, y = curve.project(start, 8)
+        assert abs(h(x, y)) <= 1e-12
+    with pytest.raises(ConfigurationError):
+        curve.project((0.0, 0.0), 3)
+
+
+def test_project_stops_below_tolerance():
+    curve = SwitchingCurve(0, ScalarField("x^2 + y^2 - 1"), 1, 2)
+    assert curve.project((1.0, 0.0), 3, stop_below=0.0) == (1.0, 0.0)
+    # one Newton step from radius 2 gives radius 1.25, |h| = 0.5625
+    assert curve.project((2.0, 0.0), 3, stop_below=0.6) == (1.25, 0.0)
