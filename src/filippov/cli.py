@@ -245,11 +245,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except FilippovError as exc:
-        log.error("%s", exc)
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except OSError as exc:
+    except (FilippovError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
     except Exception as exc:  # an unexpected failure is an error, never "inconclusive"

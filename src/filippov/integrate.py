@@ -13,9 +13,11 @@ concurrently against the shared immutable system.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import IntegrationError, UndefinedSlidingError, evaluation_boundary
@@ -230,7 +232,6 @@ class BranchPolicy:
     kind: str  # exit_immediately_up | exit_immediately_down | slide_until_tangency | dwell_then_exit
     dwell: float = 0.0
     side: str = "positive"
-    seed: int = 0
 
     @staticmethod
     def exit_up():
@@ -255,47 +256,60 @@ class BranchPolicy:
 
 
 class PolicyCursor:
-    """Feeds scripted choices to the driver; flags unscripted choice points.
+    """Feeds scripted choices to the driver.
 
     ``script`` entries are BranchPolicy objects (escaping encounters) or the
-    strings 'ride'/'pass' (graze capture opportunities).  When the script is
-    exhausted the default policy applies and ``overflow`` records where the
-    first unscripted decision happened.
+    strings 'ride'/'pass' (graze capture opportunities), consumed in order.
+    Once the script is exhausted the default policy resolves escaping
+    encounters and graze captures are passed.
     """
 
     def __init__(self, policy=None, script=None):
         self.default = policy if policy is not None else BranchPolicy.slide_on()
         self.script = list(script or [])
         self.index = 0
-        self.overflow = None  # ('escape' | 'ride', choice index)
 
     def next_escape(self):
-        if self.index < len(self.script):
-            entry = self.script[self.index]
-            self.index += 1
-            if not isinstance(entry, BranchPolicy):
-                raise IntegrationError("policy script mismatch: expected a BranchPolicy")
-            return entry
-        if self.overflow is None:
-            self.overflow = ("escape", self.index)
+        if self._script_done("escape"):
+            return self.default
+        entry = self.script[self.index]
         self.index += 1
-        return self.default
+        if not isinstance(entry, BranchPolicy):
+            raise IntegrationError("policy script mismatch: expected a BranchPolicy")
+        return entry
 
     def next_ride(self):
-        if self.index < len(self.script):
-            entry = self.script[self.index]
-            self.index += 1
-            if entry not in ("ride", "pass"):
-                raise IntegrationError("policy script mismatch: expected 'ride' or 'pass'")
-            return entry
-        if self.overflow is None:
-            self.overflow = ("ride", self.index)
+        if self._script_done("ride"):
+            return "pass"
+        entry = self.script[self.index]
         self.index += 1
-        return "pass"
+        if entry not in ("ride", "pass"):
+            raise IntegrationError("policy script mismatch: expected 'ride' or 'pass'")
+        return entry
+
+    def _script_done(self, kind):
+        """Is the script used up at this choice of ``kind`` ('escape' | 'ride')?"""
+        return self.index == len(self.script)
 
     def describe(self):
         parts = [e.describe() if isinstance(e, BranchPolicy) else e for e in self.script]
         return {"default": self.default.describe(), "script": parts}
+
+
+class _Fork(Exception):
+    """A forking cursor met an unscripted choice; ``args[0]`` is 'escape' or 'ride'."""
+
+
+_MAX_FORK_DEPTH = 8  # scripts this long continue on the default policy
+
+
+class _ForkingCursor(PolicyCursor):
+    """Raises _Fork at the first unscripted choice while the script is short."""
+
+    def _script_done(self, kind):
+        if self.index == len(self.script) < _MAX_FORK_DEPTH:
+            raise _Fork(kind)
+        return super()._script_done(kind)
 
 
 @dataclass
@@ -368,11 +382,11 @@ class Orbit:
 _THETAS = (0.25, 0.5, 0.75)
 
 
-@dataclass
+@dataclass(eq=False)  # targets are told apart by identity
 class CaptureTarget:
     point: tuple[float, float]
     radius: float
-    tag: object = None
+    curve_id: int
 
 
 def _make_rhs(sys, planar):
@@ -429,7 +443,6 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
         v = h(p[0], p[1])
         armed[cid] = abs(v) >= ESCAPE_BAND and cid != entry_curve
         sign[cid] = 1.0 if v > 0 else (-1.0 if v < 0 else 0.0)
-    live_captures = list(captures)
     times = [0.0]
     pts = [p]
 
@@ -491,7 +504,7 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
                         best = (th_exit, "left_domain", None)
                     break
 
-        for target in list(live_captures):
+        for target in captures:
             hit_th = _capture_theta(domain, step, theta_grid, grid_pts, target)
             if hit_th is not None and (best is None or hit_th < best[0]):
                 best = (hit_th, "capture", target)
@@ -775,10 +788,9 @@ def _escape_action(sys, curve_id, p, t, cursor):
 def handle_sigma_event(sys, curve_id, p, cursor, t=0.0):
     """Decide the continuation after the orbit touches a switching curve."""
     cls = classify_point(sys, curve_id, p)
-    curve = sys.curve(curve_id)
     if cls.point_class is PointClass.CROSSING:
         side = "positive" if cls.lie_positive > 0 else "negative"
-        return _EnterRegion(_side_region(curve, side), marker="crossing_event")
+        return _EnterRegion(_side_region(sys.curve(curve_id), side), marker="crossing_event")
     if cls.point_class is PointClass.SLIDING:
         return _EnterSliding(curve_id)
     if cls.point_class is PointClass.ESCAPING:
@@ -803,6 +815,155 @@ def _nudge_into_arc(sys, curve_id, p, step=1e-5):
     return sys.domain.canonical(sys.curve(curve_id).project(q, 3, POLISH_H_TOL))
 
 
+class _Run:
+    """The state of one orbit between two driver steps.
+
+    ``mode`` is the next step (``_region``, ``_sigma``, ``_capture``, ``_escape``,
+    ``_action``) with its arguments, None at the end; each step counts against
+    ``max_segments``.  A step consults the cursor at most once, before it
+    changes anything, so one interrupted by ``_Fork`` can re-run on a ``fork``.
+    """
+
+    def __init__(self, sys, p0, horizon, direction, cursor, opts, ride_targets):
+        if horizon <= 0:
+            raise IntegrationError("horizon must be positive")
+        self.sys = sys if direction == "forward" else sys.reversed()
+        self.direction, self.horizon, self.cursor = direction, horizon, cursor
+        self.opts = opts or IntegratorOptions()
+        self.p0 = self.p = self.sys.domain.canonical(p0)
+        self.t = 0.0
+        # replaced, never changed in place, so forks may share it
+        self.captures = [
+            CaptureTarget(tp.position, self.opts.capture_radius, cid) for tp, cid in ride_targets
+        ]
+        where = self.sys.region_of(self.p)
+        self.mode = ("sigma", where.curve_id) if isinstance(where, OnSigma) else ("region", where, None)
+        self.segments, self.choices = [], []
+        self.terminal = None
+        self.steps = 0
+
+    def fork(self, entry):
+        """A copy of this state whose cursor scripts the pending choice as ``entry``."""
+        child = copy.copy(self)
+        child.segments, child.choices = list(self.segments), list(self.choices)
+        child.cursor = copy.copy(self.cursor)
+        child.cursor.script = self.cursor.script + [entry]
+        return child
+
+    def run(self):
+        while self.mode is not None and self.t < self.horizon - 1e-12:
+            if self.steps >= self.opts.max_segments:
+                self.terminal = "segment_budget"
+                break
+            getattr(self, "_" + self.mode[0])(*self.mode[1:])
+            self.steps += 1
+        return Orbit(
+            self.p0, self.direction, self.horizon, self.segments, self.choices, self.terminal,
+            policy=self.cursor.describe(), script=list(self.cursor.script),
+        )
+
+    def _add_marker(self, kind, detail):
+        self.segments.append(OrbitSegment(kind, self.t, self.t, [self.t], [self.p], detail=detail))
+
+    def _add_segment(self, seg):
+        seg.t_start += self.t
+        seg.t_end += self.t
+        seg.times = [tt + self.t for tt in seg.times]
+        self.t = seg.t_end
+        self.p = seg.end_point
+        self.segments.append(seg)
+
+    def _stop(self, reason):
+        self._add_marker("terminal", {"reason": reason})
+        self.terminal = reason
+        self.mode = None
+
+    def _region(self, region_id, entry_curve):
+        domain = self.sys.domain
+        # a target we are departing from must not instantly re-capture
+        arc_captures = [
+            c for c in self.captures if domain.distance(self.p, c.point) > 4.0 * c.radius
+        ]
+        seg, hit = integrate_regular(
+            self.sys, self.p, region_id, self.horizon - self.t, self.opts,
+            entry_curve=entry_curve, captures=arc_captures,
+        )
+        self._add_segment(seg)
+        if hit[0] == "t_max":
+            self.mode = None
+        elif hit[0] == "left_domain":
+            self._stop("left_domain")
+        elif hit[0] == "curve":
+            self.mode = ("sigma", hit[1])
+        else:
+            self.mode = ("capture", hit[1], ("region", region_id, None))
+
+    def _sigma(self, curve_id):
+        distance = self.sys.domain.distance
+        near = next((c for c in self.captures if distance(self.p, c.point) <= c.radius), None)
+        if near is not None:
+            self.mode = ("capture", near, ("sigma", curve_id))
+            return
+        action = handle_sigma_event(self.sys, curve_id, self.p, self.cursor, t=self.t)
+        self.mode = ("action", action, curve_id)
+
+    def _capture(self, target, on_pass):
+        # the policy may route the orbit onto the escaping arc that starts at the target
+        decision = self.cursor.next_ride()
+        self.captures = [c for c in self.captures if c is not target]
+        self.mode = on_pass
+        if decision == "ride":
+            cid = target.curve_id
+            q = self.sys.domain.canonical(self.sys.curve(cid).project(self.p, 3, POLISH_H_TOL))
+            q = _nudge_into_arc(self.sys, cid, q)
+            entered = classify_point(self.sys, cid, q).point_class
+            if entered in (PointClass.ESCAPING, PointClass.PSEUDO_EQUILIBRIUM):
+                self.p = q
+                self.choices.append(BranchChoice(self.t, q, "enter_escaping"))
+                self.mode = ("escape", cid)
+
+    def _escape(self, curve_id):
+        action = _escape_action(self.sys, curve_id, self.p, self.t, self.cursor)
+        self.mode = ("action", action, curve_id)
+
+    def _action(self, action, curve_id):
+        if action.choice is not None:
+            self.choices.append(action.choice)
+        if isinstance(action, _Stop):
+            self._stop(action.reason)
+            return
+        if isinstance(action, _EnterRegion):
+            if action.marker:
+                detail = {"side": action.side} if action.side else {}
+                detail["curve"] = curve_id
+                self._add_marker(action.marker, detail)
+            self.mode = ("region", action.region_id, curve_id)
+            return
+        remaining = self.horizon - self.t
+        seg, exit_info = integrate_sliding(
+            self.sys, curve_id, self.p,
+            remaining if action.dwell is None else min(action.dwell, remaining),
+            self.opts, allow_escaping=action.allow_escaping,
+        )
+        seg.detail["escaping"] = action.allow_escaping
+        self._add_segment(seg)
+        if exit_info[0] == "t_max":
+            self.mode = None
+            if action.dwell is not None and self.t < self.horizon - 1e-12:
+                # dwell elapsed: leave to the chosen side
+                side = action.exit_side or "positive"
+                self._add_marker("escape_departure", {"side": side, "curve": curve_id})
+                self.mode = ("region", _side_region(self.sys.curve(curve_id), side), curve_id)
+        elif exit_info[0] in ("pseudo_eq", "left_domain"):
+            self._stop("pseudo_equilibrium" if exit_info[0] == "pseudo_eq" else "left_domain")
+        else:
+            # tangency exit: hand back to the event logic at the fold point
+            self.choices.append(
+                BranchChoice(self.t, self.p, "sliding_exit_at_tangency", side=exit_info[2])
+            )
+            self.mode = ("sigma", curve_id)
+
+
 @evaluation_boundary
 def integrate_filippov(
     sys: FilippovSystem,
@@ -813,7 +974,6 @@ def integrate_filippov(
     opts: IntegratorOptions | None = None,
     script=None,
     ride_targets=(),
-    _cursor_out=None,
 ):
     """Produce one Filippov orbit under a deterministic branch policy.
 
@@ -822,174 +982,11 @@ def integrate_filippov(
     cursor decides 'pass' (keep flying) or 'ride' (enter the manifold there,
     which is how an orbit enters an escaping region through its tangency).
     """
-    if horizon <= 0:
-        raise IntegrationError("horizon must be positive")
-    opts = opts or IntegratorOptions()
-    eff = sys if direction == "forward" else sys.reversed()
     cursor = policy if isinstance(policy, PolicyCursor) else PolicyCursor(policy, script)
-    if _cursor_out is not None:
-        _cursor_out.append(cursor)
-    domain = eff.domain
-    p = domain.canonical(p0)
-    segments: list[OrbitSegment] = []
-    choices: list[BranchChoice] = []
-    terminal = None
-    t = 0.0
-
-    captures = [
-        CaptureTarget(tp.position, opts.capture_radius, tag=(tp, cid))
-        for tp, cid in ride_targets
-    ]
-
-    def add_marker(kind, point, detail=None):
-        segments.append(OrbitSegment(kind, t, t, [t], [point], detail=detail or {}))
-
-    def add_segment(seg):
-        nonlocal t
-        seg.t_start += t
-        seg.t_end += t
-        seg.times = [tt + t for tt in seg.times]
-        t = seg.t_end
-        segments.append(seg)
-
-    # initial location
-    where = eff.region_of(p)
-    mode = ("sigma", where.curve_id, None) if isinstance(where, OnSigma) else ("region", where, None)
-
-    guard = 0
-    while t < horizon - 1e-12 and terminal is None:
-        guard += 1
-        if guard > opts.max_segments:
-            terminal = "segment_budget"
-            break
-        kind = mode[0]
-        if kind == "region":
-            region_id = mode[1]
-            entry_curve = mode[2]
-            # a target we are departing from must not instantly re-capture
-            arc_captures = [
-                c for c in captures if domain.distance(p, c.point) > 4.0 * c.radius
-            ]
-            seg, hit = integrate_regular(
-                eff, p, region_id, horizon - t, opts, entry_curve=entry_curve,
-                captures=arc_captures,
-            )
-            add_segment(seg)
-            p = seg.end_point
-            if hit[0] == "t_max":
-                break
-            if hit[0] == "left_domain":
-                terminal = "left_domain"
-                break
-            if hit[0] == "curve":
-                mode = ("sigma", hit[1], None)
-                p = hit[2]
-                continue
-            # graze capture
-            target, point = hit[1], hit[2]
-            cid = target.tag[1]
-            decision = cursor.next_ride()
-            captures = [c for c in captures if c.tag is not target.tag]
-            rode = False
-            if decision == "ride":
-                q = domain.canonical(eff.curve(cid).project(point, 3, POLISH_H_TOL))
-                q = _nudge_into_arc(eff, cid, q)
-                entered = classify_point(eff, cid, q).point_class
-                if entered in (PointClass.ESCAPING, PointClass.PSEUDO_EQUILIBRIUM):
-                    p = q
-                    choices.append(BranchChoice(t, p, "enter_escaping"))
-                    action = _escape_action(eff, cid, p, t, cursor)
-                    mode = ("action", action, cid)
-                    rode = True
-            if not rode:
-                p = point
-                mode = ("region", region_id, None)
-            continue
-        if kind == "sigma":
-            curve_id = mode[1]
-            near = next(
-                (c for c in captures if domain.distance(p, c.point) <= c.radius), None
-            )
-            if near is not None:
-                # the point sits on an escape-entry tangency: the policy may
-                # route the orbit onto the escaping arc instead of past it
-                ride_curve = near.tag[1]
-                decision = cursor.next_ride()
-                captures = [c for c in captures if c.tag is not near.tag]
-                if decision == "ride":
-                    q = _nudge_into_arc(eff, ride_curve, p)
-                    entered = classify_point(eff, ride_curve, q).point_class
-                    if entered in (PointClass.ESCAPING, PointClass.PSEUDO_EQUILIBRIUM):
-                        p = q
-                        choices.append(BranchChoice(t, p, "enter_escaping"))
-                        action = _escape_action(eff, ride_curve, p, t, cursor)
-                        mode = ("action", action, ride_curve)
-                        continue
-            action = handle_sigma_event(eff, curve_id, p, cursor, t=t)
-            mode = ("action", action, curve_id)
-            continue
-        # kind == "action"
-        action, curve_id = mode[1], mode[2]
-        if isinstance(action, _Stop):
-            if action.choice is not None:
-                choices.append(action.choice)
-            add_marker("terminal", p, {"reason": action.reason})
-            terminal = action.reason
-            break
-        if isinstance(action, _EnterRegion):
-            if action.choice is not None:
-                choices.append(action.choice)
-            if action.marker:
-                detail = {"side": action.side} if action.side else {}
-                detail["curve"] = curve_id
-                add_marker(action.marker, p, detail)
-            mode = ("region", action.region_id, curve_id)
-            continue
-        # _EnterSliding
-        if action.choice is not None:
-            choices.append(action.choice)
-        dwell_cap = horizon - t if action.dwell is None else min(action.dwell, horizon - t)
-        seg, exit_info = integrate_sliding(
-            eff, curve_id, p, dwell_cap, opts, allow_escaping=action.allow_escaping,
-        )
-        seg.detail["escaping"] = action.allow_escaping
-        add_segment(seg)
-        p = seg.end_point
-        if exit_info[0] == "t_max":
-            if action.dwell is not None and t < horizon - 1e-12:
-                # dwell elapsed: leave to the chosen side
-                side = action.exit_side or "positive"
-                add_marker("escape_departure", p, {"side": side, "curve": curve_id})
-                mode = ("region", _side_region(eff.curve(curve_id), side), curve_id)
-                continue
-            break
-        if exit_info[0] == "pseudo_eq":
-            add_marker("terminal", p, {"reason": "pseudo_equilibrium"})
-            terminal = "pseudo_equilibrium"
-            break
-        if exit_info[0] == "left_domain":
-            terminal = "left_domain"
-            break
-        # tangency exit: hand back to the event logic at the fold point
-        choices.append(BranchChoice(t, p, "sliding_exit_at_tangency", side=exit_info[2]))
-        mode = ("sigma", curve_id, None)
-        continue
-
-    if terminal == "left_domain":
-        add_marker("terminal", p, {"reason": "left_domain"})
-
-    return Orbit(
-        initial_point=domain.canonical(p0),
-        direction=direction,
-        horizon=horizon,
-        segments=segments,
-        choices=choices,
-        terminal=terminal,
-        policy=cursor.describe(),
-        script=list(cursor.script),
-    )
+    return _Run(sys, p0, horizon, direction, cursor, opts, ride_targets).run()
 
 
+@evaluation_boundary
 def enumerate_branches(
     sys,
     p0,
@@ -1004,7 +1001,12 @@ def enumerate_branches(
 
     At each escaping encounter the orbit forks over (dwell x side) plus
     slide-until-tangency; at each graze capture it forks over pass/ride.
-    Returns at most ``budget`` orbits in breadth-first script order.
+    Forks resume from a copy of the state at the choice, so each arc of the
+    tree is integrated once and orbits share the segments of their common
+    prefix.  Past 8 scripted choices an orbit continues on the defaults.
+    Returns at most ``budget`` orbits in breadth-first script order; each
+    equals ``integrate_filippov`` under ``PolicyCursor(BranchPolicy.slide_on(),
+    orbit.script)``.
     """
     if budget < 1:
         raise IntegrationError("budget must be >= 1")
@@ -1016,26 +1018,14 @@ def enumerate_branches(
         for side in ("positive", "negative")
     ]
     escape_options.append(BranchPolicy.slide_on())
+    cursor = _ForkingCursor(BranchPolicy.slide_on())
+    queue = deque([_Run(sys, p0, horizon, direction, cursor, opts, ride_targets)])
     orbits = []
-    queue = [[]]
-    max_depth = 8
     while queue and len(orbits) < budget:
-        script = queue.pop(0)
-        sink = []
-        orbit = integrate_filippov(
-            sys, p0, horizon, direction=direction,
-            policy=PolicyCursor(BranchPolicy.slide_on(), script),
-            opts=opts, ride_targets=ride_targets, _cursor_out=sink,
-        )
-        cursor = sink[0]
-        if cursor.overflow is not None and len(script) < max_depth:
-            overflow_kind, _ = cursor.overflow
-            if overflow_kind == "escape":
-                for option in escape_options:
-                    queue.append(script + [option])
-            else:
-                queue.append(script + ["pass"])
-                queue.append(script + ["ride"])
-            continue
-        orbits.append(orbit)
+        run = queue.popleft()
+        try:
+            orbits.append(run.run())
+        except _Fork as fork:
+            options = escape_options if fork.args[0] == "escape" else ("pass", "ride")
+            queue.extend(run.fork(option) for option in options)
     return orbits

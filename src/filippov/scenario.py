@@ -56,12 +56,25 @@ class Scenario:
 
 
 def _require(data, key, path, kind=None):
+    """data[key], checked to be a ``kind``; int and float convert the value."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path}: expected an object")
     if key not in data:
         raise ConfigurationError(f"{path}: missing required field {key!r}")
     value = data[key]
+    if kind in (int, float):
+        return _number(value, f"{path}.{key}", kind)
     if kind is not None and not isinstance(value, kind):
         raise ConfigurationError(f"{path}.{key}: expected {kind.__name__}")
     return value
+
+
+def _number(value, path, kind=float):
+    """``kind(value)``, or a ConfigurationError that names the field path."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{path}: expected a number, got {value!r}") from None
 
 
 def load_scenario(path) -> Scenario:
@@ -85,15 +98,17 @@ def scenario_from_dict(data, source=None) -> Scenario:
     bounds = _require(dom, "bounds", "domain", list)
     if len(bounds) != 4:
         raise ConfigurationError("domain.bounds: expected [x_min, x_max, y_min, y_max]")
-    domain = Domain(kind, *[float(b) for b in bounds])
-    parameters = {str(k): float(v) for k, v in data.get("parameters", {}).items()}
+    domain = Domain(kind, *[_number(b, f"domain.bounds[{i}]") for i, b in enumerate(bounds)])
+    parameters = {
+        str(k): _number(v, f"parameters.{k}") for k, v in data.get("parameters", {}).items()
+    }
     curve_defs = []
     for i, cd in enumerate(_require(data, "curves", "scenario", list)):
         curve_defs.append({
-            "id": int(_require(cd, "id", f"curves[{i}]")),
+            "id": _require(cd, "id", f"curves[{i}]", int),
             "h": str(_require(cd, "h", f"curves[{i}]")),
-            "positive_region": int(_require(cd, "positive_region", f"curves[{i}]")),
-            "negative_region": int(_require(cd, "negative_region", f"curves[{i}]")),
+            "positive_region": _require(cd, "positive_region", f"curves[{i}]", int),
+            "negative_region": _require(cd, "negative_region", f"curves[{i}]", int),
         })
     region_defs = []
     for i, rd in enumerate(_require(data, "regions", "scenario", list)):
@@ -101,18 +116,19 @@ def scenario_from_dict(data, source=None) -> Scenario:
         if len(fd) != 2:
             raise ConfigurationError(f"regions[{i}].field: expected [fx, fy]")
         region_defs.append({
-            "id": int(_require(rd, "id", f"regions[{i}]")),
+            "id": _require(rd, "id", f"regions[{i}]", int),
             "field": [str(fd[0]), str(fd[1])],
             "where": [
-                {"curve": int(c["curve"]), "sign": c["sign"]}
-                for c in _require(rd, "where", f"regions[{i}]", list)
+                {"curve": _require(c, "curve", f"regions[{i}].where[{j}]", int),
+                 "sign": _require(c, "sign", f"regions[{i}].where[{j}]")}
+                for j, c in enumerate(_require(rd, "where", f"regions[{i}]", list))
             ],
         })
     config = DiagnosticsConfig.from_dict(data.get("config", {}))
     integ = data.get("integrator", {})
     options = IntegratorOptions(
-        rtol=float(integ.get("rtol", 1e-10)),
-        atol=float(integ.get("atol", 1e-12)),
+        rtol=_number(integ.get("rtol", 1e-10), "integrator.rtol"),
+        atol=_number(integ.get("atol", 1e-12), "integrator.atol"),
         max_step=integ.get("max_step"),
         sample_spacing=integ.get("sample_spacing"),
     )

@@ -126,9 +126,6 @@ class SwitchingCurve:
             y -= hv * gy / g2
         return (x, y)
 
-    def side_region(self, sign: int) -> int:
-        return self.positive_region if sign > 0 else self.negative_region
-
 
 class RegionSpec:
     """A smooth region: its vector field plus signed membership conditions."""

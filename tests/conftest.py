@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from filippov import sigma
+from filippov import integrate, sigma
 from filippov.expr import PlanarField, ScalarField
 from filippov.system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
@@ -33,6 +33,20 @@ def count_trace_calls(monkeypatch):
         return original(system, curve_id, resolution)
 
     monkeypatch.setattr(sigma, "trace_curve", counting)
+    return calls
+
+
+def count_arc_calls(monkeypatch):
+    """List that records the name of every later integrate_regular/integrate_sliding call."""
+    calls = []
+    for name in ("integrate_regular", "integrate_sliding"):
+        original = getattr(integrate, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(integrate, name, counting)
     return calls
 
 

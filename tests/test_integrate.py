@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from filippov import diagnostics
 from filippov.errors import IntegrationError
+from filippov.expr import PlanarField, ScalarField
 from filippov.integrate import (
     BranchPolicy,
     IntegratorOptions,
@@ -14,9 +16,11 @@ from filippov.integrate import (
     integrate_sliding,
 )
 from filippov.integrate import PolicyCursor, _EnterRegion, _EnterSliding
+from filippov.scenario import load_shipped
 from filippov.sigma import PointClass, classify_point
+from filippov.system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
-from conftest import build_plane_system
+from conftest import build_plane_system, count_arc_calls, decompose
 
 
 def test_regular_event_location():
@@ -210,6 +214,64 @@ def test_enumerate_fork_tree_with_dwell_grid(belt_system):
     assert len(orbits) == 5
     dwell_ends = [o.end_point() for o in orbits if "dwell" in str(o.policy["script"])]
     assert len(dwell_ends) == 2
+
+
+def _enumerate_against_fresh_runs(system, p0, horizon, **kwargs):
+    """Enumerate, and check each orbit against a fresh run of its script from p0."""
+    orbits = enumerate_branches(system, p0, horizon, **kwargs)
+    for orbit in orbits:
+        fresh = integrate_filippov(
+            system, p0, horizon, policy=PolicyCursor(BranchPolicy.slide_on(), orbit.script),
+            opts=kwargs.get("opts"), ride_targets=kwargs.get("ride_targets", ()),
+        )
+        assert fresh.serialize() == orbit.serialize()
+    return orbits
+
+
+def test_enumerated_orbits_equal_fresh_runs_of_their_scripts(belt_system):
+    orbits = _enumerate_against_fresh_runs(
+        belt_system, (0.3, 0.5), 2.0, budget=100, dwell_grid=(0.0, 0.1)
+    )
+    assert len(orbits) == 5
+
+    scenario = load_shipped("chaotic_torus")
+    torus = scenario.build_system()
+    rides = diagnostics._escape_entry_tangencies(torus, decompose(torus))
+    entry = min((tp.position for tp, _ in rides), key=lambda q: math.dist(q, (0.5817, 0.5)))
+    assert math.dist(entry, (0.5817, 0.5)) < 1e-3
+    # from the tangency the ride fork happens on sigma; from (0.77, 0.61) a
+    # regular arc grazes the tangency first
+    for p0 in (entry, (0.77, 0.61)):
+        orbits = _enumerate_against_fresh_runs(
+            torus, p0, 6.0, budget=12, opts=scenario.integrator, ride_targets=rides
+        )
+        scripts = [o.policy["script"] for o in orbits]
+        assert ["pass"] in scripts
+        assert ["ride", "exit_immediately_up"] in scripts
+
+
+def test_enumeration_integrates_each_arc_once(belt_system, monkeypatch):
+    calls = count_arc_calls(monkeypatch)
+    orbits = enumerate_branches(belt_system, (0.3, 0.5), 2.0, budget=100, dwell_grid=(0.0, 0.1))
+    arcs = sum(1 for o in orbits for seg in o.segments if seg.kind in ("regular_arc", "sliding_arc"))
+    assert 0 < len(calls) <= arcs
+
+
+def test_segment_budget_terminal():
+    # crossings at y = 0.5 and y = 0 (mod 1); each arc, sigma touch and
+    # crossing is one driver step
+    domain = Domain("flat_torus", 0, 1, 0, 1)
+    curve = SwitchingCurve(0, ScalarField("sin(2*pi*y)"), 1, 2)
+    regions = [
+        RegionSpec(1, PlanarField("1", "1"), [(0, +1)]),
+        RegionSpec(2, PlanarField("1", "2"), [(0, -1)]),
+    ]
+    system = FilippovSystem(domain, [curve], regions, validate=False)
+    orbit = integrate_filippov(system, (0.1, 0.25), 50.0, opts=IntegratorOptions(max_segments=7))
+    assert orbit.terminal == "segment_budget"
+    assert [s.kind for s in orbit.segments] == [
+        "regular_arc", "crossing_event", "regular_arc", "crossing_event", "regular_arc",
+    ]
 
 
 def test_policy_dwell_then_exit(belt_system):

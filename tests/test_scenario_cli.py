@@ -30,14 +30,43 @@ def test_load_missing_file(tmp_path):
 
 
 def test_load_reports_field_paths(tmp_path):
+    def scenario():
+        return {
+            "domain": {"kind": "plane_rect", "bounds": [0, 1, 0, 1]},
+            "parameters": {"a": 1.0},
+            "curves": [{"id": 0, "h": "y - 0.5", "positive_region": 1, "negative_region": 2}],
+            "regions": [
+                {"id": 1, "field": ["a", "-1"], "where": [{"curve": 0, "sign": "+"}]},
+                {"id": 2, "field": ["1", "1"], "where": [{"curve": 0, "sign": "-"}]},
+            ],
+        }
+
+    cases = [
+        (lambda d: d["curves"][0].pop("negative_region"),
+         r"curves\[0\]: missing required field 'negative_region'"),
+        (lambda d: d["regions"][0]["where"][0].pop("curve"),
+         r"regions\[0\]\.where\[0\]: missing required field 'curve'"),
+        (lambda d: d["regions"][1]["where"][0].pop("sign"),
+         r"regions\[1\]\.where\[0\]: missing required field 'sign'"),
+        (lambda d: d["regions"][1].update(where=["y < 0.5"]),
+         r"regions\[1\]\.where\[0\]: expected an object"),
+        (lambda d: d["regions"][0]["where"][0].update(curve="zero"),
+         r"regions\[0\]\.where\[0\]\.curve: expected a number"),
+        (lambda d: d["domain"].update(bounds=[0, 1, "low", 1]),
+         r"domain\.bounds\[2\]: expected a number"),
+        (lambda d: d["parameters"].update(a="big"), r"parameters\.a: expected a number"),
+        (lambda d: d["curves"][0].update(id=[0]), r"curves\[0\]\.id: expected a number"),
+        (lambda d: d["regions"][1].update(id="two"), r"regions\[1\]\.id: expected a number"),
+    ]
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({
-        "domain": {"kind": "plane_rect", "bounds": [0, 1, 0, 1]},
-        "curves": [{"id": 0, "h": "y - 0.5", "positive_region": 1}],
-        "regions": [],
-    }))
-    with pytest.raises(ConfigurationError, match=r"curves\[0\]"):
-        load_scenario(path)
+    path.write_text(json.dumps(scenario()))
+    load_scenario(path)  # the unedited scenario loads
+    for edit, message in cases:
+        data = scenario()
+        edit(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match=message):
+            load_scenario(path)
 
 
 def test_load_rejects_overlapping_curves(tmp_path):
@@ -175,7 +204,7 @@ def test_cli_bad_policy_errors(tmp_path):
     assert status == 2
 
 
-def test_cli_raw_evaluation_error_exits_2(tmp_path, capsys):
+def test_cli_raw_evaluation_error_exits_2(tmp_path, capsys, caplog):
     # sqrt(x) is undefined on the left half of the domain, where the orbit starts
     path = tmp_path / "sqrt.json"
     path.write_text(json.dumps({
@@ -189,7 +218,11 @@ def test_cli_raw_evaluation_error_exits_2(tmp_path, capsys):
     }))
     status = main(["orbit", f"--scenario={path}", "--start=-0.5,0.5", "--horizon", "2"])
     assert status == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    # reported once, as the error line; pytest diverts logging from stderr to caplog
+    logged = "".join(r.getMessage() for r in caplog.records)
+    assert (err + logged).count("evaluation failed") == 1
 
 
 def test_cli_unexpected_exception_exits_2(monkeypatch, capsys):
