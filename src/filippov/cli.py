@@ -11,9 +11,18 @@ import argparse
 import json
 import logging
 import os
+import random
 import sys
 
-from .diagnostics import chaos_report, saturate, sigma_seed_points, _saturate_policies
+from .diagnostics import (
+    build_segment_graph,
+    chaos_report,
+    saturate,
+    sigma_seed_points,
+    _random_disk,
+    _saturate_policies,
+    _window_cycles,
+)
 from .errors import FilippovError
 from .integrate import BranchPolicy, integrate_filippov
 from .portrait import PortraitData, PortraitSpec, render_portrait
@@ -94,15 +103,10 @@ def _cmd_orbit(args):
 def _cmd_portrait(args):
     scenario = load_scenario(args.scenario)
     sys_ = scenario.build_system()
-    decs = []
-    for curve in sys_.curves:
-        decs.append(sigma_decomposition(sys_, curve.id, args.resolution))
-    orbits = []
-    for start in args.orbit_start or []:
-        orbits.append(integrate_filippov(
-            sys_, _parse_point(start), args.horizon,
-            policy=_parse_policy(args.policy), opts=scenario.integrator,
-        ))
+    decs = [sigma_decomposition(sys_, c.id, args.resolution) for c in sys_.curves]
+    orbits = [integrate_filippov(sys_, _parse_point(start), args.horizon,
+                                 policy=_parse_policy(args.policy), opts=scenario.integrator)
+              for start in args.orbit_start or []]
     width, height = (int(v) for v in args.size.split("x"))
     spec = PortraitSpec(width=width, height=height, title=scenario.name)
     svg = render_portrait(spec, PortraitData(sys_.domain, decs, orbits))
@@ -139,28 +143,19 @@ def _cmd_diagnose(args):
         cfg.seed = args.seed
     report = chaos_report(sys_, cfg, opts=scenario.integrator)
     _dump_json(report, args.json)
-    if report["verdict"] == "chaotic at budget":
-        return EXIT_OK
-    return EXIT_INCONCLUSIVE
+    return EXIT_OK if report["verdict"] == "chaotic at budget" else EXIT_INCONCLUSIVE
 
 
 def _cmd_cycles(args):
-    from .diagnostics import Disk, _window_cycles, build_segment_graph
-    import random
-
     scenario = load_scenario(args.scenario)
     sys_ = scenario.build_system()
     cfg = scenario.config
     if args.seed is not None:
         cfg.seed = args.seed
     rng = random.Random(cfg.seed)
-    windows = []
-    for _ in range(args.windows or cfg.cycle_windows):
-        d = sys_.domain
-        windows.append(Disk(
-            (d.x_min + rng.random() * d.width, d.y_min + rng.random() * d.height),
-            args.radius or cfg.window_radius,
-        ))
+    radius = args.radius or cfg.window_radius
+    windows = [_random_disk(rng, sys_.domain, radius)
+               for _ in range(args.windows or cfg.cycle_windows)]
     decs = [sigma_decomposition(sys_, c.id, cfg.sigma_resolution) for c in sys_.curves]
     graph = build_segment_graph(
         sys_, decs, windows=windows, horizon=cfg.graph_horizon, budget=cfg.graph_budget,

@@ -62,19 +62,13 @@ class GridCoverage:
         self.resolution = resolution
         self.hits = np.zeros((resolution, resolution), dtype=bool)
 
-    def _cell(self, p):
-        x, y = self.domain.canonical(p)
-        i = int((x - self.domain.x_min) / self.domain.width * self.resolution)
-        j = int((y - self.domain.y_min) / self.domain.height * self.resolution)
-        return min(i, self.resolution - 1), min(j, self.resolution - 1)
-
-    def mark(self, p):
-        i, j = self._cell(p)
-        self.hits[i, j] = True
-
     def mark_orbit(self, orbit):
-        for _, p, _, _ in orbit.samples():
-            self.mark(p)
+        """Hit the cell of every stored sample (samples are canonical already)."""
+        _, x, y = _trace(orbit)
+        d, n = self.domain, self.resolution
+        i = ((x - d.x_min) / d.width * n).astype(np.int64)
+        j = ((y - d.y_min) / d.height * n).astype(np.int64)
+        self.hits[np.minimum(i, n - 1), np.minimum(j, n - 1)] = True
 
     def fraction(self):
         return float(self.hits.sum()) / float(self.hits.size)
@@ -85,9 +79,8 @@ class GridCoverage:
 
     def write_csv(self, fh):
         fh.write("i,j,hit\n")
-        for i in range(self.resolution):
-            for j in range(self.resolution):
-                fh.write(f"{i},{j},{int(self.hits[i, j])}\n")
+        for (i, j), hit in np.ndenumerate(self.hits):
+            fh.write(f"{i},{j},{int(hit)}\n")
 
     def to_dict(self):
         return {
@@ -109,15 +102,14 @@ def sigma_seed_points(sys, decompositions, per_arc=16, classes=(PointClass.SLIDI
     return seeds
 
 
-def saturate(sys, seeds, horizon, policies, grid_resolution=32, opts=None,
-             directions=("forward", "backward")):
-    """Grid coverage of the union of orbits from every seed under every policy."""
+def saturate(sys, seeds, horizon, policies, grid_resolution=32, opts=None):
+    """Grid coverage of the union of orbits, both directions, from every seed under every policy."""
     if not seeds:
         raise FilippovError("saturate needs a nonempty seed set")
     opts = opts or IntegratorOptions()
     cov = GridCoverage(sys.domain, grid_resolution)
     for seed in seeds:
-        for direction in directions:
+        for direction in ("forward", "backward"):
             for policy in policies:
                 orbit = integrate_filippov(
                     sys, seed, horizon, direction=direction, policy=policy, opts=opts
@@ -139,14 +131,50 @@ def _disk_seeds(disk, n, domain):
     return pts
 
 
+def _trace(orbit):
+    """(t, x, y) float arrays of the orbit's stored samples; every trace query reads these."""
+    t = np.array([tt for seg in orbit.segments for tt in seg.times], dtype=float)
+    xy = np.array([p for seg in orbit.segments for p in seg.points], dtype=float).reshape(-1, 2)
+    return t, xy[:, 0], xy[:, 1]
+
+
+def _wrap(domain, dx, dy):
+    """Shortest representatives of displacement arrays (wrap-aware on the torus)."""
+    if domain.kind == "flat_torus":
+        dx = dx - np.round(dx / domain.width) * domain.width
+        dy = dy - np.round(dy / domain.height) * domain.height
+    return dx, dy
+
+
+def _distances(domain, trace, point):
+    """Distance from every sample of the trace to ``point``."""
+    _, x, y = trace
+    return np.hypot(*_wrap(domain, x - point[0], y - point[1]))
+
+
+def _entry(domain, trace, disk, t_max=None):
+    """First sample time at which the trace is inside the disk (by ``t_max``), else None."""
+    t = trace[0]
+    inside = _distances(domain, trace, disk.center) <= disk.radius
+    if t_max is not None:
+        inside &= t <= t_max  # sample times never decrease
+    return float(t[np.argmax(inside)]) if inside.any() else None
+
+
+def _approach(domain, trace, point):
+    """Per chord between consecutive samples: closest-point fraction w and distance to ``point``."""
+    _, x, y = trace
+    sx, sy = _wrap(domain, x[1:] - x[:-1], y[1:] - y[:-1])
+    ax, ay = _wrap(domain, point[0] - x[:-1], point[1] - y[:-1])
+    seg2 = sx * sx + sy * sy
+    seg2[seg2 == 0.0] = 1e-300
+    w = np.clip((ax * sx + ay * sy) / seg2, 0.0, 1.0)
+    return w, np.hypot(w * sx - ax, w * sy - ay)
+
+
 def orbit_enters(orbit, disk, domain, t_max=None):
     """First sample time at which the trace enters the disk, else None."""
-    for t, p, _, _ in orbit.samples():
-        if t_max is not None and t > t_max:
-            return None
-        if disk.contains(domain, p):
-            return t
-    return None
+    return _entry(domain, _trace(orbit), disk, t_max)
 
 
 def transitivity_probe(sys, u_disk, v_disk, budget, horizon, opts=None, dwell_grid=(0.0,)):
@@ -163,9 +191,10 @@ def transitivity_probe(sys, u_disk, v_disk, budget, horizon, opts=None, dwell_gr
         )
         spent += len(orbits)
         for orbit in orbits:
-            if orbit_enters(orbit, v_disk, sys.domain) is not None:
-                if orbit_enters(orbit, u_disk, sys.domain) is None:
-                    continue  # must genuinely intersect both
+            trace = _trace(orbit)
+            # the orbit must genuinely meet both disks
+            if (_entry(sys.domain, trace, v_disk) is not None
+                    and _entry(sys.domain, trace, u_disk) is not None):
                 return orbit
         if spent >= budget:
             break
@@ -193,22 +222,23 @@ class SensitivityWitness:
             "separation": self.separation,
         }
 
-    def revalidate(self, sys, opts=None, tol=1e-6):
-        """Re-integrate both records; the separation at t must reproduce."""
+    def revalidate(self, sys, opts=None):
+        """Re-integrate both records; the separation at t must reproduce to 1e-6."""
         opts = opts or IntegratorOptions()
         ox = integrate_filippov(sys, self.x, self.horizon, policy=self.policy_x, opts=opts)
         oy = integrate_filippov(sys, self.y, self.horizon, policy=self.policy_y, opts=opts)
         d = sys.domain.distance(
             ox.position_at(self.t, sys.domain), oy.position_at(self.t, sys.domain)
         )
-        return abs(d - self.separation) <= tol and d > 0.0
+        return abs(d - self.separation) <= 1e-6 and d > 0.0
 
 
-def _pair_separation(sys, orbit_a, orbit_b, horizon, n_grid=512):
+def _pair_separation(sys, orbit_a, orbit_b, horizon):
+    """(t, d) of the largest separation on a grid of 512 times."""
     best = (0.0, 0.0)
     t_end = min(orbit_a.duration(), orbit_b.duration(), horizon)
-    for k in range(1, n_grid + 1):
-        t = t_end * k / n_grid
+    for k in range(1, 513):
+        t = t_end * k / 512
         d = sys.domain.distance(
             orbit_a.position_at(t, sys.domain), orbit_b.position_at(t, sys.domain)
         )
@@ -229,9 +259,8 @@ def sensitivity_probe(sys, disk, r, budget, horizon, opts=None, rng=None):
     rng = rng or random.Random(0)
     domain = sys.domain
     slide = BranchPolicy.slide_on()
-    pairs = []
     center = domain.canonical(disk.center)
-    pairs.append((center, center, BranchPolicy.exit_up(), BranchPolicy.exit_down()))
+    pairs = [(center, center, BranchPolicy.exit_up(), BranchPolicy.exit_down())]
     for k in range(budget):
         a = rng.uniform(0, 2 * math.pi)
         rad = disk.radius * math.sqrt(rng.random())
@@ -265,15 +294,16 @@ def sensitivity_probe(sys, disk, r, budget, horizon, opts=None, rng=None):
 # --------------------------------------------------------------------------- #
 
 NODE_VICINITY = 1e-3
+_RETURN_TOL = 1e-6  # endpoint gap of an exact return to a cycle's base point
+_RETURN_T_MIN = 1e-3  # a return needs at least this flight time
 
 
 @dataclass
 class GraphNode:
     node_id: int
-    kind: str  # sliding_anchor | escape_anchor | tangency | escape_entry | window_v | window_w
+    kind: str  # sliding_anchor | escape_anchor | tangency | escape_entry | window_v
     point: tuple[float, float]
     radius: float  # capture vicinity (NODE_VICINITY for points, disk radius for windows)
-    meta: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -368,21 +398,14 @@ def probe_windows(sys, count, radius, rng, horizon=20.0, opts=None, kind="forwar
         attempts += 1
         p = (d.x_min + rng.random() * d.width, d.y_min + rng.random() * d.height)
         orbit = integrate_filippov(sys, p, horizon, direction=direction, opts=opts)
-        entered = None
-        for seg in orbit.segments:
-            if seg.kind == "sliding_arc":
-                entered = seg
-                break
+        entered = next((seg for seg in orbit.segments if seg.kind == "sliding_arc"), None)
         if entered is None:
             continue
         try:
             cls = classify_point(sys, entered.curve_id, entered.start_point)
         except FilippovError:
             continue
-        wanted = cls.point_class is want or (
-            cls.point_class is PointClass.PSEUDO_EQUILIBRIUM
-        )
-        if wanted:
+        if cls.point_class in (want, PointClass.PSEUDO_EQUILIBRIUM):
             out.append(Disk(d.canonical(p), radius))
     return out
 
@@ -410,7 +433,7 @@ def _escape_entry_tangencies(sys, decompositions):
 
 
 def build_segment_graph(sys, decompositions, windows=None, horizon=60.0, budget=400,
-                        opts=None, dwell_grid=(0.0, 0.02), anchor_fraction=0.8):
+                        opts=None, dwell_grid=(0.0, 0.02)):
     """Nodes on the manifold joined by numerically computed orbit segments.
 
     ``decompositions`` are the caller's ``sigma_decomposition`` results, one
@@ -418,7 +441,8 @@ def build_segment_graph(sys, decompositions, windows=None, horizon=60.0, budget=
     every tangency becomes a node.  The escape-entry tangencies among them are
     the graph's ``ride_targets``.  Edges are discovered by branch-enumerated
     integration (with graze capture of the ride targets) from every node;
-    each edge stores its orbit and first-passage flight time.
+    each edge stores its orbit, its first-passage flight time and the windows
+    its orbit entered by then.
     """
     opts = opts or IntegratorOptions()
     domain = sys.domain
@@ -430,8 +454,8 @@ def build_segment_graph(sys, decompositions, windows=None, horizon=60.0, budget=
     if not slide_arcs and not escape_arcs:
         return SegmentGraph(nodes=[], edges=[], hypothesis_failed=True)
 
-    def add_node(kind, point, radius=NODE_VICINITY, **meta):
-        node = GraphNode(len(nodes), kind, domain.canonical(point), radius, dict(meta))
+    def add_node(kind, point, radius=NODE_VICINITY):
+        node = GraphNode(len(nodes), kind, domain.canonical(point), radius)
         nodes.append(node)
         return node
 
@@ -449,22 +473,18 @@ def build_segment_graph(sys, decompositions, windows=None, horizon=60.0, budget=
         return comp.point_at(arc.s_start + w * arc.length)
 
     for dec, arc in slide_arcs:
-        add_node("sliding_anchor", flow_fraction(dec, arc, anchor_fraction),
-                 curve=arc.curve_id)
+        add_node("sliding_anchor", flow_fraction(dec, arc, 0.8))
     for dec, arc in escape_arcs:
-        add_node("escape_anchor", flow_fraction(dec, arc, 0.5), curve=arc.curve_id)
+        add_node("escape_anchor", flow_fraction(dec, arc, 0.5))
 
     ride_targets = _escape_entry_tangencies(sys, decs)
     ride_positions = {t[0].position for t in ride_targets}
     for dec in decs:
         for tp in dec.tangencies:
             kind = "escape_entry" if tp.position in ride_positions else "tangency"
-            add_node(kind, tp.position, curve=tp.curve_id, fold=tp.fold)
+            add_node(kind, tp.position)
 
-    window_nodes = []
-    if windows:
-        for disk in windows:
-            window_nodes.append(add_node("window_v", disk.center, radius=disk.radius))
+    window_nodes = [add_node("window_v", disk.center, radius=disk.radius) for disk in windows or ()]
 
     edges = []
     spent = 0
@@ -478,61 +498,40 @@ def build_segment_graph(sys, decompositions, windows=None, horizon=60.0, budget=
         )
         spent += len(orbits)
         for orbit in orbits:
-            edges.extend(_edges_from_orbit(domain, src, orbit, nodes))
+            trace = _trace(orbit)
+            # sample times never decrease: an edge's orbit has entered a window
+            # by its flight time exactly when the first entry is no later
+            entries = [(n.node_id, _entry(domain, trace, Disk(n.point, n.radius)))
+                       for n in window_nodes]
+            for e in _edges_from_orbit(domain, src, orbit, trace, nodes):
+                e.windows_hit = {wid for wid, t_in in entries
+                                 if t_in is not None and t_in <= e.flight_time}
+                edges.append(e)
+    return SegmentGraph(nodes=nodes, edges=edges, ride_targets=ride_targets)
 
-    graph = SegmentGraph(nodes=nodes, edges=edges, ride_targets=ride_targets)
-    for e in graph.edges:
-        e.windows_hit = {
-            n.node_id
-            for n in window_nodes
-            if orbit_enters(e.orbit, Disk(n.point, n.radius), domain, t_max=e.flight_time) is not None
-        }
-    return graph
 
-
-def _edges_from_orbit(domain, src, orbit, nodes):
-    """First-passage hits of every node vicinity along one orbit trace.
+def _edges_from_orbit(domain, src, orbit, trace, nodes):
+    """First-passage hits of every node vicinity along one orbit's trace.
 
     Distances are measured to the chords between consecutive samples so that
     close passes between samples (grazes in particular) are not missed.
     """
-    ts, xs, ys = [], [], []
-    for t, p, _, _ in orbit.samples():
-        ts.append(t)
-        xs.append(p[0])
-        ys.append(p[1])
-    if len(ts) < 2:
+    ts = trace[0]
+    if ts.size < 2:
         return []
-    ts = np.asarray(ts)
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
-
-    def wrap(d, period):
-        if domain.kind != "flat_torus":
-            return d
-        return d - np.round(d / period) * period
-
-    sx = wrap(xs[1:] - xs[:-1], domain.width)
-    sy = wrap(ys[1:] - ys[:-1], domain.height)
-    seg2 = sx * sx + sy * sy
-    seg2[seg2 == 0.0] = 1e-300
     script = list(orbit.script)
     edges = []
     for n in nodes:
-        ax = wrap(n.point[0] - xs[:-1], domain.width)
-        ay = wrap(n.point[1] - ys[:-1], domain.height)
-        w = np.clip((ax * sx + ay * sy) / seg2, 0.0, 1.0)
-        dist = np.hypot(w * sx - ax, w * sy - ay)
+        w, dist = _approach(domain, trace, n.point)
         ok = dist <= n.radius
         if n.node_id == src.node_id:
             # require the orbit to leave the source vicinity before re-entry
-            away = np.hypot(ax, ay) > 3.0 * max(n.radius, NODE_VICINITY)
+            away = _distances(domain, trace, n.point)[:-1] > 3.0 * max(n.radius, NODE_VICINITY)
             first_away = int(np.argmax(away)) if away.any() else len(ok)
             ok[:first_away] = False
-        idx = np.nonzero(ok)[0]
-        if idx.size == 0:
+        if not ok.any():
             continue
-        i = int(idx[0])
+        i = int(np.argmax(ok))
         t_hit = float(ts[i] + w[i] * (ts[i + 1] - ts[i]))
         if t_hit > 1e-9:
             edges.append(GraphEdge(src.node_id, n.node_id, orbit, t_hit, script))
@@ -556,40 +555,46 @@ class ClosedOrbitRecord:
         }
 
 
-def _returns_to(sys, orbit, base, t_min=1e-3, tol=1e-6):
-    """Yield (t, point) whenever the trace passes through the base point."""
+def _returns_to(sys, trace, base):
+    """Yield (t, point) whenever the trace passes through the base point.
+
+    The chord kernel proposes the chords that come within twice the tolerance;
+    the scalar domain metric computes each one's point and gap and decides.
+    """
     domain = sys.domain
-    prev_t, prev_p = None, None
+    ts, xs, ys = trace
+    if ts.size < 2:
+        return
+    _, dist = _approach(domain, trace, base)
     last_t = -1.0
-    for t, p, _, _ in orbit.samples():
-        if prev_p is not None and t > t_min:
-            a, b = prev_p, p
-            seg = domain.displacement(a, b)
-            seg_len2 = seg[0] ** 2 + seg[1] ** 2
-            w = 0.0
-            if seg_len2 > 0:
-                to_base = domain.displacement(a, base)
-                w = max(0.0, min(1.0, (to_base[0] * seg[0] + to_base[1] * seg[1]) / seg_len2))
-            q = domain.canonical((a[0] + w * seg[0], a[1] + w * seg[1]))
-            if domain.distance(q, base) <= tol:
-                t_hit = prev_t + w * (t - prev_t)
-                if t_hit > t_min and t_hit - last_t > 1e-6:
-                    last_t = t_hit
-                    yield t_hit, q
-        prev_t, prev_p = t, p
+    for i in np.flatnonzero((dist <= 2.0 * _RETURN_TOL) & (ts[1:] > _RETURN_T_MIN)):
+        prev_t, t = float(ts[i]), float(ts[i + 1])
+        a, b = (float(xs[i]), float(ys[i])), (float(xs[i + 1]), float(ys[i + 1]))
+        seg = domain.displacement(a, b)
+        seg_len2 = seg[0] ** 2 + seg[1] ** 2
+        w = 0.0
+        if seg_len2 > 0:
+            to_base = domain.displacement(a, base)
+            w = max(0.0, min(1.0, (to_base[0] * seg[0] + to_base[1] * seg[1]) / seg_len2))
+        q = domain.canonical((a[0] + w * seg[0], a[1] + w * seg[1]))
+        if domain.distance(q, base) <= _RETURN_TOL:
+            t_hit = prev_t + w * (t - prev_t)
+            if t_hit > _RETURN_T_MIN and t_hit - last_t > 1e-6:
+                last_t = t_hit
+                yield t_hit, q
 
 
 def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=200.0,
-                           opts=None, budget=24, tol=1e-6):
+                           opts=None):
     """Closed orbits through the base anchor visiting the requested windows.
 
     ``graph`` is a ``build_segment_graph`` result for ``sys``; candidate
     orbits may ride its ``ride_targets``, so no curve is traced here.
     Candidate branch scripts come from the graph: scripts of edges leaving
     the base anchor (depth one) and their concatenations through exact
-    returns to the anchor (depth two).  Every candidate is re-validated
+    returns to the anchor (depth two).  The first 24 candidates are re-validated
     end-to-end by a fresh integration from the anchor; a cycle is accepted
-    only when some exact return (endpoint mismatch <= tol) happens after the
+    only when some exact return (endpoint mismatch <= 1e-6) happens after the
     requested windows were visited.
     """
     opts = opts or IntegratorOptions()
@@ -598,33 +603,18 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
     base = graph.node(base_anchor)
     want = set(windows_to_visit)
 
-    def script_key(script):
-        return tuple(str(s) for s in script)
-
-    candidates = []
-    seen = set()
-
-    def add(script):
-        key = script_key(script)
-        if key not in seen:
-            seen.add(key)
-            candidates.append(list(script))
-
     out = graph.out_edges(base_anchor)
-    hitters = [e for e in out if want <= set(e.windows_hit)]
-    loops = [e for e in out if e.target == base_anchor]
-    for e in hitters:
-        add(e.script)
-    add([])
-    for e in out:
-        add(e.script)
-    for e1 in loops:
-        for e2 in out:
-            add(list(e1.script) + list(e2.script))
+    scripts = [e.script for e in out if want <= set(e.windows_hit)] + [[]]
+    scripts += [e.script for e in out]
+    scripts += [list(e1.script) + list(e2.script)
+                for e1 in out if e1.target == base_anchor for e2 in out]
+    candidates = {}  # first occurrence of each distinct script, in order
+    for script in scripts:
+        candidates.setdefault(tuple(str(s) for s in script), list(script))
 
     records = []
-    for script in candidates[:budget]:
-        record = _revalidate_cycle(sys, graph, base, want, script, horizon, opts, tol)
+    for script in list(candidates.values())[:24]:
+        record = _revalidate_cycle(sys, graph, base, want, script, horizon, opts)
         if record is not None:
             records.append(record)
             if want:
@@ -632,21 +622,19 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
     return records
 
 
-def _revalidate_cycle(sys, graph, base, want, script, horizon, opts, tol):
+def _revalidate_cycle(sys, graph, base, want, script, horizon, opts):
     orbit = integrate_filippov(
         sys, base.point, horizon,
         policy=PolicyCursor(BranchPolicy.slide_on(), script),
         opts=opts, ride_targets=graph.ride_targets,
     )
-    window_times = {}
-    for wid in want:
-        node = graph.node(wid)
-        t_in = orbit_enters(orbit, Disk(node.point, node.radius), sys.domain)
-        if t_in is None:
-            return None
-        window_times[wid] = t_in
-    t_needed = max(window_times.values(), default=0.0)
-    for period, endpoint in _returns_to(sys, orbit, base.point, tol=tol):
+    trace = _trace(orbit)
+    entries = [_entry(sys.domain, trace, Disk(graph.node(wid).point, graph.node(wid).radius))
+               for wid in want]
+    if None in entries:
+        return None
+    t_needed = max(entries, default=0.0)
+    for period, endpoint in _returns_to(sys, trace, base.point):
         if period >= t_needed:
             gap = sys.domain.distance(endpoint, base.point)
             return ClosedOrbitRecord(orbit, period, base.point, sorted(want), gap)
@@ -683,9 +671,8 @@ def rescale_tangency_freeze(sys, sigma_resolution=512):
     The rescaled system's tangency points are equilibria; orbit traces away
     from them coincide with the originals as point sets.
     """
-    tangencies = []
-    for curve in sys.curves:
-        tangencies.extend(find_tangency_points(sys, curve.id, sigma_resolution))
+    tangencies = [tp for curve in sys.curves
+                  for tp in find_tangency_points(sys, curve.id, sigma_resolution)]
     if not tangencies:
         return sys
     positions = [t.position for t in tangencies]
@@ -730,14 +717,6 @@ class DiagnosticsConfig:
     cycle_horizon: float = 200.0
     dwell_grid: tuple = (0.0, 0.02)
     ms_interpretation: str = "sliding_and_escaping"  # or "sliding_only"
-
-    @staticmethod
-    def from_dict(data):
-        cfg = DiagnosticsConfig()
-        for key, value in (data or {}).items():
-            if hasattr(cfg, key):
-                setattr(cfg, key, tuple(value) if key == "dwell_grid" else value)
-        return cfg
 
     def to_dict(self):
         return {
@@ -817,7 +796,6 @@ def chaos_report(sys, config=None, opts=None):
         report["saturation"] = None
 
     trials = []
-    found_all = True
     for _ in range(cfg.transitivity_pairs):
         u = _random_disk(rng, domain, cfg.disk_radius)
         v = _random_disk(rng, domain, cfg.disk_radius)
@@ -826,12 +804,12 @@ def chaos_report(sys, config=None, opts=None):
             opts=opts, dwell_grid=cfg.dwell_grid,
         )
         ok = not isinstance(result, ProbeNotFound)
-        found_all = found_all and ok
         trials.append({
             "U": u.to_dict(), "V": v.to_dict(),
             "found": ok,
             "detail": None if ok else result.to_dict(),
         })
+    found_all = all(t["found"] for t in trials)
     report["transitivity"] = {
         "pairs": trials,
         "found": sum(1 for t in trials if t["found"]),
@@ -861,9 +839,8 @@ def chaos_report(sys, config=None, opts=None):
             sys, decs, windows=windows, horizon=cfg.graph_horizon, budget=cfg.graph_budget,
             opts=opts, dwell_grid=cfg.dwell_grid,
         )
-        cycle_results = []
-        if graph.nodes_of_kind("sliding_anchor"):
-            cycle_results = _window_cycles(graph, sys, cfg.cycle_horizon, opts)
+        cycle_results = (_window_cycles(graph, sys, cfg.cycle_horizon, opts)
+                         if graph.nodes_of_kind("sliding_anchor") else [])
         periodic_positive = bool(cycle_results) and all(c["found"] for c in cycle_results)
         report["dense_periodicity"] = {
             "graph": graph.to_dict(),

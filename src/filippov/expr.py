@@ -153,24 +153,20 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = Binary(value, node, self.term())
-            else:
-                return node
+        return self._left_assoc(self.term, "+-")
 
     def term(self):
-        node = self.factor()
+        return self._left_assoc(self.factor, "*/")
+
+    def _left_assoc(self, operand, ops):
+        """operand (op operand)* over the binary operators in ``ops``, left-associative."""
+        node = operand()
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = Binary(value, node, self.factor())
-            else:
+            if kind != "op" or value not in ops:
                 return node
+            self.advance()
+            node = Binary(value, node, operand())
 
     def factor(self):
         kind, value, _ = self.peek()
@@ -290,8 +286,13 @@ def variables(expression: Expression) -> set[str]:
 
 def evaluate(expression: Expression, binding: Mapping[str, float]) -> float:
     """Evaluate at a point; non-finite intermediate results raise."""
+    return _checked(_eval, expression, binding)
+
+
+def _checked(fn, *args):
+    """fn(*args), with arithmetic failures and non-finite results raised as EvaluationError."""
     try:
-        value = _eval(expression, binding)
+        value = fn(*args)
     except ZeroDivisionError:
         raise EvaluationError("division by zero") from None
     except (OverflowError, ValueError) as exc:
@@ -489,15 +490,7 @@ class ScalarField:
         self._fn = compile_expression(expression, self.parameters)
 
     def __call__(self, x: float, y: float) -> float:
-        try:
-            value = self._fn(x, y)
-        except ZeroDivisionError:
-            raise EvaluationError("division by zero") from None
-        except (OverflowError, ValueError) as exc:
-            raise EvaluationError(str(exc)) from None
-        if not math.isfinite(value):
-            raise EvaluationError("non-finite result")
-        return value
+        return _checked(self._fn, x, y)
 
     def raw(self) -> Callable[[float, float], float]:
         """Unchecked compiled callable for hot loops."""

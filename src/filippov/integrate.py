@@ -642,9 +642,9 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
         dist = domain.distance(a, b)
         n = max(1, int(math.ceil(dist / spacing)))
         t0 = times[-1]
+        dx, dy = domain.displacement(a, b)
         for j in range(1, n):
             w = j / n
-            dx, dy = domain.displacement(a, b)
             times.append(t0 + (t - t0) * w)
             pts.append(domain.canonical((a[0] + w * dx, a[1] + w * dy)))
         times.append(t)
@@ -672,7 +672,7 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
             seg = OrbitSegment("sliding_arc", 0.0, times[-1], times, pts, curve_id=curve_id)
             return seg, ("tangency", pts[-1], flipped)
 
-        zx, zy = rhs(q[0], q[1])
+        zx, zy = stepper.k1  # rhs(q), evaluated by restart_from
         znorm = math.hypot(zx, zy)
         if znorm <= PE_NORM_TOL or znorm * stepper.dt < 1e-14:
             emit_to(q, stepper.t)

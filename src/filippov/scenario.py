@@ -7,7 +7,7 @@ package's ``scenarios/`` directory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -77,6 +77,30 @@ def _number(value, path, kind=float):
         raise ConfigurationError(f"{path}: expected a number, got {value!r}") from None
 
 
+def _optional(data, key, default):
+    """data[key] checked to be of the default's type, or the default when absent."""
+    return _require(data, key, "scenario", type(default)) if key in data else default
+
+
+def _config(section):
+    """DiagnosticsConfig from the ``config`` object; every key must name one of its fields."""
+    defaults = {f.name: f.default for f in fields(DiagnosticsConfig)}
+    values = {}
+    for key in section:
+        if key not in defaults:
+            raise ConfigurationError(f"config.{key}: not a diagnostics setting")
+        kind = type(defaults[key])
+        values[key] = _require(section, key, "config", list if kind is tuple else kind)
+    if "dwell_grid" in values:
+        values["dwell_grid"] = tuple(
+            _number(v, f"config.dwell_grid[{i}]") for i, v in enumerate(values["dwell_grid"])
+        )
+    choices = ("sliding_and_escaping", "sliding_only")
+    if values.get("ms_interpretation", choices[0]) not in choices:
+        raise ConfigurationError(f"config.ms_interpretation: expected one of {list(choices)}")
+    return DiagnosticsConfig(**values)
+
+
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario file; failures report their field path."""
     path = Path(path)
@@ -90,9 +114,11 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_from_dict(data, source=None) -> Scenario:
+    if not isinstance(data, dict):
+        raise ConfigurationError("scenario: expected an object")
     if data.get("schema", SCHEMA) != SCHEMA:
         raise ConfigurationError(f"schema: unsupported value {data.get('schema')!r}")
-    name = data.get("name", "unnamed")
+    name = _optional(data, "name", "unnamed")
     dom = _require(data, "domain", "scenario", dict)
     kind = _require(dom, "kind", "domain", str)
     bounds = _require(dom, "bounds", "domain", list)
@@ -100,7 +126,7 @@ def scenario_from_dict(data, source=None) -> Scenario:
         raise ConfigurationError("domain.bounds: expected [x_min, x_max, y_min, y_max]")
     domain = Domain(kind, *[_number(b, f"domain.bounds[{i}]") for i, b in enumerate(bounds)])
     parameters = {
-        str(k): _number(v, f"parameters.{k}") for k, v in data.get("parameters", {}).items()
+        str(k): _number(v, f"parameters.{k}") for k, v in _optional(data, "parameters", {}).items()
     }
     curve_defs = []
     for i, cd in enumerate(_require(data, "curves", "scenario", list)):
@@ -124,13 +150,18 @@ def scenario_from_dict(data, source=None) -> Scenario:
                 for j, c in enumerate(_require(rd, "where", f"regions[{i}]", list))
             ],
         })
-    config = DiagnosticsConfig.from_dict(data.get("config", {}))
-    integ = data.get("integrator", {})
+    config = _config(_optional(data, "config", {}))
+    integ = _optional(data, "integrator", {})
+    steps = {}  # None keeps the domain-derived default
+    for key in ("max_step", "sample_spacing"):
+        if integ.get(key) is not None:
+            steps[key] = _number(integ[key], f"integrator.{key}")
+            if not steps[key] > 0:
+                raise ConfigurationError(f"integrator.{key}: expected a positive number")
     options = IntegratorOptions(
         rtol=_number(integ.get("rtol", 1e-10), "integrator.rtol"),
         atol=_number(integ.get("atol", 1e-12), "integrator.atol"),
-        max_step=integ.get("max_step"),
-        sample_spacing=integ.get("sample_spacing"),
+        **steps,
     )
     scenario = Scenario(
         name=name, domain=domain, parameters=parameters,

@@ -214,8 +214,10 @@ class CurveComponent:
         return (a[0] + w * (b[0] - a[0]), a[1] + w * (b[1] - a[1]))
 
 
-def _curve_seeds(sys, curve, grid=96):
+def _curve_seeds(sys, curve):
+    """Zero crossings of h along the lines of a 96 x 96 cell grid, projected onto the curve."""
     d = sys.domain
+    grid = 96
     h = curve.h.raw()
     seeds = []
     xs = [d.x_min + i * d.width / grid for i in range(grid + 1)]
@@ -245,7 +247,7 @@ def _curve_seeds(sys, curve, grid=96):
     return seeds
 
 
-def _trace_one(sys, curve, start, ds, direction=1.0, max_steps=200_000):
+def _trace_one(sys, curve, start, ds, direction=1.0):
     """Predictor-corrector walk along h = 0; returns (points, closed)."""
     d = sys.domain
     gx_fn, gy_fn = curve.grad[0].raw(), curve.grad[1].raw()
@@ -253,7 +255,7 @@ def _trace_one(sys, curve, start, ds, direction=1.0, max_steps=200_000):
     points = [d.canonical(p)]
     prev_dir = None
     travelled = 0.0
-    for _ in range(max_steps):
+    for _ in range(200_000):
         gx, gy = gx_fn(p[0], p[1]), gy_fn(p[0], p[1])
         norm = math.hypot(gx, gy)
         if norm < GRAD_MIN:
@@ -422,17 +424,12 @@ def _scan_tangencies(sys, curve_id, components, lies):
                 found.append((pos, side, component.index, s))
     merged: list[TangencyPoint] = []
     for pos, side, comp_idx, s in found:
-        hit = None
-        for i, t in enumerate(merged):
-            if sys.domain.distance(pos, t.position) < DEDUP_DIST:
-                hit = i
-                break
-        if hit is not None:
-            old = merged[hit]
-            if old.side != side:
-                merged[hit] = _make_tangency(sys, pos, curve_id, "both", comp_idx, s)
-            continue
-        merged.append(_make_tangency(sys, pos, curve_id, side, comp_idx, s))
+        hit = next((i for i, t in enumerate(merged)
+                    if sys.domain.distance(pos, t.position) < DEDUP_DIST), None)
+        if hit is None:
+            merged.append(_make_tangency(sys, pos, curve_id, side, comp_idx, s))
+        elif merged[hit].side != side:
+            merged[hit] = _make_tangency(sys, pos, curve_id, "both", comp_idx, s)
     merged.sort(key=lambda t: (t.component, t.param))
     return merged
 

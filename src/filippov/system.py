@@ -259,18 +259,19 @@ class FilippovSystem:
 
     # -- load-time validation --------------------------------------------------
 
-    def _sample_points(self, grid=256, extra=10_000, seed=0):
+    def _sample_points(self):
+        """A 256 x 256 cell-centre grid, then 10,000 seeded random points."""
         d = self.domain
-        rng = random.Random(seed)
-        for i in range(grid):
-            x = d.x_min + (i + 0.5) * d.width / grid
-            for j in range(grid):
-                yield (x, d.y_min + (j + 0.5) * d.height / grid)
-        for _ in range(extra):
+        rng = random.Random(0)
+        for i in range(256):
+            x = d.x_min + (i + 0.5) * d.width / 256
+            for j in range(256):
+                yield (x, d.y_min + (j + 0.5) * d.height / 256)
+        for _ in range(10_000):
             yield (d.x_min + rng.random() * d.width, d.y_min + rng.random() * d.height)
 
     @evaluation_boundary
-    def validate(self, grid=256, extra=10_000):
+    def validate(self):
         """Sampled disjointness / membership / regularity / periodicity checks.
 
         Samples that fall near a curve are projected onto it before the
@@ -286,7 +287,7 @@ class FilippovSystem:
         ]
         near_band = 1e-3 * max(self.domain.width, self.domain.height)
         seen_nonempty = {r.id: False for r in self.regions}
-        for x, y in self._sample_points(grid, extra):
+        for x, y in self._sample_points():
             values = [(cid, fn(x, y)) for cid, fn in h_fns]
             near = [cid for cid, v in values if abs(v) < near_band]
             for cid in near:
@@ -324,14 +325,15 @@ class FilippovSystem:
                 f"curves {sorted([cid] + clashing)} are not disjoint near ({x:.6g}, {y:.6g})"
             )
 
-    def _check_periodicity(self, samples=64):
+    def _check_periodicity(self):
+        """h and the fields repeat across both periods at 64 seeded random points."""
         d = self.domain
         fns = [(f"curve {c.id} h", c.h.raw()) for c in self.curves]
         for r in self.regions:
             fns.append((f"region {r.id} field x", r.field.component_x.raw()))
             fns.append((f"region {r.id} field y", r.field.component_y.raw()))
         rng = random.Random(1)
-        for _ in range(samples):
+        for _ in range(64):
             x = d.x_min + rng.random() * d.width
             y = d.y_min + rng.random() * d.height
             for name, fn in fns:

@@ -57,6 +57,22 @@ def test_load_reports_field_paths(tmp_path):
         (lambda d: d["parameters"].update(a="big"), r"parameters\.a: expected a number"),
         (lambda d: d["curves"][0].update(id=[0]), r"curves\[0\]\.id: expected a number"),
         (lambda d: d["regions"][1].update(id="two"), r"regions\[1\]\.id: expected a number"),
+        (lambda d: d.update(name=5), r"scenario\.name: expected str"),
+        (lambda d: d.update(parameters=[1]), r"scenario\.parameters: expected dict"),
+        (lambda d: d.update(config=[1]), r"scenario\.config: expected dict"),
+        (lambda d: d.update(integrator=[1]), r"scenario\.integrator: expected dict"),
+        (lambda d: d.update(integrator={"max_step": "big"}),
+         r"integrator\.max_step: expected a number, got 'big'"),
+        (lambda d: d.update(integrator={"sample_spacing": 0}),
+         r"integrator\.sample_spacing: expected a positive number"),
+        (lambda d: d.update(config={"to_dict": 1}), r"config\.to_dict: not a diagnostics setting"),
+        (lambda d: d.update(config={"grid_resolution": "fine"}),
+         r"config\.grid_resolution: expected a number, got 'fine'"),
+        (lambda d: d.update(config={"dwell_grid": 0.1}), r"config\.dwell_grid: expected list"),
+        (lambda d: d.update(config={"dwell_grid": [0.0, "long"]}),
+         r"config\.dwell_grid\[1\]: expected a number"),
+        (lambda d: d.update(config={"ms_interpretation": "both"}),
+         r"config\.ms_interpretation: expected one of \['sliding_and_escaping', 'sliding_only'\]"),
     ]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario()))
@@ -67,6 +83,9 @@ def test_load_reports_field_paths(tmp_path):
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigurationError, match=message):
             load_scenario(path)
+    path.write_text(json.dumps([scenario()]))
+    with pytest.raises(ConfigurationError, match=r"scenario: expected an object"):
+        load_scenario(path)
 
 
 def test_load_rejects_overlapping_curves(tmp_path):
@@ -234,3 +253,21 @@ def test_cli_unexpected_exception_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_classify", boom)
     assert main(["classify", "--scenario", "unused.json"]) == 2
     assert "error: RuntimeError: unexpected" in capsys.readouterr().err
+
+
+def test_cli_cycles_windows_lie_inside_plane_domain(tmp_path):
+    data = json.loads(shipped_path("fold_demo_plane").read_text())
+    data["config"].update(graph_budget=6, graph_horizon=5.0, cycle_horizon=5.0)
+    scenario = tmp_path / "fold.json"
+    scenario.write_text(json.dumps(data))
+    out = tmp_path / "cycles.json"
+    status = main(["cycles", "--scenario", str(scenario), "--windows", "6", "--radius", "0.4",
+                   "--json", str(out)])
+    assert status in (0, 1)
+    x_min, x_max, y_min, y_max = data["domain"]["bounds"]
+    windows = [n for n in json.loads(out.read_text())["graph"]["nodes"] if n["kind"] == "window_v"]
+    assert len(windows) == 6
+    for w in windows:
+        (x, y), r = w["point"], w["radius"]
+        assert r == 0.4
+        assert x_min + r <= x <= x_max - r and y_min + r <= y <= y_max - r
