@@ -18,9 +18,9 @@ from .diagnostics import (
     build_segment_graph,
     chaos_report,
     saturate,
-    sigma_seed_points,
     _random_disk,
     _saturate_policies,
+    _saturation_seeds,
     _window_cycles,
 )
 from .errors import FilippovError
@@ -120,7 +120,7 @@ def _cmd_saturate(args):
     sys_ = scenario.build_system()
     cfg = scenario.config
     decs = [sigma_decomposition(sys_, c.id, cfg.sigma_resolution) for c in sys_.curves]
-    seeds = sigma_seed_points(sys_, decs, per_arc=cfg.saturate_seeds_per_arc)
+    seeds = _saturation_seeds(sys_, decs, cfg)
     if not seeds:
         _dump_json({"error": "no sliding or escaping arcs to seed from"}, args.json)
         return EXIT_INCONCLUSIVE

@@ -102,8 +102,22 @@ def sigma_seed_points(sys, decompositions, per_arc=16, classes=(PointClass.SLIDI
     return seeds
 
 
+def _saturation_seeds(sys, decompositions, cfg):
+    """Seed points on the arcs that ``cfg.ms_interpretation`` puts in M_s."""
+    classes = (
+        (PointClass.SLIDING, PointClass.ESCAPING)
+        if cfg.ms_interpretation == "sliding_and_escaping"
+        else (PointClass.SLIDING,)
+    )
+    return sigma_seed_points(sys, decompositions, per_arc=cfg.saturate_seeds_per_arc, classes=classes)
+
+
 def saturate(sys, seeds, horizon, policies, grid_resolution=32, opts=None):
-    """Grid coverage of the union of orbits, both directions, from every seed under every policy."""
+    """Grid coverage of the union of orbits, both directions, from every seed under every policy.
+
+    A policy acts only at an escape choice, so an orbit that records none is
+    the orbit of every policy, and the remaining policies are skipped.
+    """
     if not seeds:
         raise FilippovError("saturate needs a nonempty seed set")
     opts = opts or IntegratorOptions()
@@ -115,6 +129,8 @@ def saturate(sys, seeds, horizon, policies, grid_resolution=32, opts=None):
                     sys, seed, horizon, direction=direction, policy=policy, opts=opts
                 )
                 cov.mark_orbit(orbit)
+                if not any(c.kind == "escape_exit" for c in orbit.choices):
+                    break
     return cov
 
 
@@ -772,12 +788,7 @@ def chaos_report(sys, config=None, opts=None):
 
     decs = [sigma_decomposition(sys, c.id, cfg.sigma_resolution) for c in sys.curves]
     report["sigma"] = [dec.to_dict() for dec in decs]
-    classes = (
-        (PointClass.SLIDING, PointClass.ESCAPING)
-        if cfg.ms_interpretation == "sliding_and_escaping"
-        else (PointClass.SLIDING,)
-    )
-    seeds = sigma_seed_points(sys, decs, per_arc=cfg.saturate_seeds_per_arc, classes=classes)
+    seeds = _saturation_seeds(sys, decs, cfg)
     hypothesis = bool(seeds)
     report["hypothesis"] = {
         "sliding_or_escaping_nonempty": hypothesis,

@@ -478,9 +478,9 @@ class ScalarField:
     instances are safe to share across concurrent evaluators.
     """
 
-    def __init__(self, expression, symbols=("x", "y"), parameters=None):
+    def __init__(self, expression, parameters=None):
         self.parameters = dict(parameters or {})
-        names = set(symbols) | set(self.parameters)
+        names = {"x", "y"} | set(self.parameters)
         if isinstance(expression, str):
             expression = parse_expression(expression, names)
         unknown = variables(expression) - names

@@ -36,6 +36,7 @@ from .system import FilippovSystem, OnSigma
 EVENT_H_TOL = 1e-10  # |h| at located non-sliding event endpoints
 POLISH_H_TOL = EVENT_H_TOL * 1e-3  # Newton polish onto a curve stops below this |h|
 ESCAPE_BAND = 1e-8  # hysteresis band: a curve re-arms once |h| leaves it
+CAPTURE_RADIUS = 1e-6  # a regular arc captured by a ride target passes this close to it
 
 
 # --------------------------------------------------------------------------- #
@@ -70,7 +71,6 @@ class IntegratorOptions:
     atol: float = 1e-12
     max_step: float | None = None  # default: min domain extent / 16
     sample_spacing: float | None = None  # default: min domain extent / 64
-    capture_radius: float = 1e-6
     max_segments: int = 200_000
 
     def resolved(self, domain):
@@ -83,7 +83,7 @@ class IntegratorOptions:
         return IntegratorOptions(
             rtol=self.rtol * factor, atol=self.atol * factor,
             max_step=self.max_step, sample_spacing=self.sample_spacing,
-            capture_radius=self.capture_radius, max_segments=self.max_segments,
+            max_segments=self.max_segments,
         )
 
 
@@ -339,9 +339,9 @@ class Orbit:
                 yield t, p, seg.kind, i
 
     def position_at(self, t, domain=None):
-        """Linear interpolation of the stored trace at time t."""
+        """Linear interpolation of the stored trace at time t (markers carry no interval)."""
         for seg in self.segments:
-            if seg.times and seg.t_start - 1e-12 <= t <= seg.t_end + 1e-12:
+            if len(seg.times) > 1 and seg.t_start - 1e-12 <= t <= seg.t_end + 1e-12:
                 times = seg.times
                 i = max(1, min(len(times) - 1, bisect_right(times, t)))
                 t0, t1 = times[i - 1], times[i]
@@ -379,7 +379,7 @@ class Orbit:
 # regular arcs
 # --------------------------------------------------------------------------- #
 
-_THETAS = (0.25, 0.5, 0.75)
+_THETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # event sampling points of each step
 
 
 @dataclass(eq=False)  # targets are told apart by identity
@@ -446,12 +446,11 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
     times = [0.0]
     pts = [p]
 
-    def emit(step, th_end, t_end, end_point=None):
-        # subdivide [previous sample, step end] so spacing stays bounded
+    def emit(step, th_end, b):
+        # subdivide [previous sample, b = the point at th_end] so spacing stays bounded
         t0 = times[-1]
         t1 = step.t0 + th_end * step.dt
         a = pts[-1]
-        b = end_point if end_point is not None else domain.canonical(step.at(th_end))
         dist = domain.distance(a, b)
         n = max(1, int(math.ceil(dist / spacing)))
         for j in range(1, n):
@@ -460,7 +459,7 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
                 continue
             times.append(t0 + (t1 - t0) * j / n)
             pts.append(domain.canonical(step.at(th)))
-        times.append(t_end)
+        times.append(t1)
         pts.append(b)
 
     while True:
@@ -468,9 +467,10 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
             seg = OrbitSegment("regular_arc", 0.0, times[-1], times, pts, region_id=region_id)
             return seg, ("t_max", pts[-1])
         step = stepper.propose(t_max - stepper.t)
-        # sample h on the dense grid, look for the earliest event
-        theta_grid = (0.0,) + _THETAS + (1.0,)
-        grid_pts = [step.at(th) for th in theta_grid]
+        # sample h on the dense grid, look for the earliest event; the step
+        # holds its start point, and its end point is evaluated once
+        end = step.at(1.0)
+        grid_pts = [(step.x0, step.y0)] + [step.at(th) for th in _THETA_GRID[1:-1]] + [end]
         best = None  # (theta, kind, payload)
 
         for cid, h in h_fns:
@@ -491,13 +491,13 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
                 va = vals[i] if vals[i] != 0 else s0 * 1e-300
                 vb = vals[i + 1]
                 if va * vb < 0:
-                    th = _refine_sign_change(h, step, theta_grid[i], theta_grid[i + 1], va, vb)
+                    th = _refine_sign_change(h, step, _THETA_GRID[i], _THETA_GRID[i + 1], va, vb)
                     if best is None or th < best[0]:
                         best = (th, "curve", cid)
                     break
 
         if domain.kind == "plane_rect":
-            for th, q in zip(theta_grid, grid_pts):
+            for th, q in zip(_THETA_GRID, grid_pts):
                 if not domain.contains(q):
                     th_exit = _refine_exit(domain, step, th)
                     if best is None or th_exit < best[0]:
@@ -505,22 +505,21 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
                     break
 
         for target in captures:
-            hit_th = _capture_theta(domain, step, theta_grid, grid_pts, target)
+            hit_th = _capture_theta(domain, step, grid_pts, target)
             if hit_th is not None and (best is None or hit_th < best[0]):
                 best = (hit_th, "capture", target)
 
         if best is None:
-            emit(step, 1.0, step.t0 + step.dt)
+            emit(step, 1.0, domain.canonical(end))
             continue
 
         th, kind, payload = best
-        t_event = step.t0 + th * step.dt
         if kind == "curve":
             point = domain.canonical(sys.curve(payload).project(step.at(th), 3, POLISH_H_TOL))
         else:
             point = domain.canonical(step.at(th))
-        emit(step, th, t_event, point)
-        seg = OrbitSegment("regular_arc", 0.0, t_event, times, pts, region_id=region_id)
+        emit(step, th, point)
+        seg = OrbitSegment("regular_arc", 0.0, times[-1], times, pts, region_id=region_id)
         return seg, ((kind, point) if kind == "left_domain" else (kind, payload, point))
 
 
@@ -535,7 +534,7 @@ def _refine_exit(domain, step, th_hint):
     return lo
 
 
-def _capture_theta(domain, step, theta_grid, grid_pts, target):
+def _capture_theta(domain, step, grid_pts, target):
     dists = [domain.distance(q, target.point) for q in grid_pts]
     best_i = min(range(len(dists)), key=lambda i: dists[i])
     # coarse gate: the dense grid spacing bounds how far the true minimum
@@ -543,8 +542,8 @@ def _capture_theta(domain, step, theta_grid, grid_pts, target):
     spacing = domain.distance(grid_pts[0], grid_pts[-1]) / max(1, len(grid_pts) - 1)
     if dists[best_i] > max(target.radius * 4.0, spacing, 1e-3):
         return None
-    lo = theta_grid[max(0, best_i - 1)]
-    hi = theta_grid[min(len(theta_grid) - 1, best_i + 1)]
+    lo = _THETA_GRID[max(0, best_i - 1)]
+    hi = _THETA_GRID[min(len(_THETA_GRID) - 1, best_i + 1)]
     for _ in range(70):  # golden-section on the (locally convex) distance
         m1 = lo + 0.381966 * (hi - lo)
         m2 = hi - 0.381966 * (hi - lo)
@@ -564,6 +563,11 @@ def _capture_theta(domain, step, theta_grid, grid_pts, target):
 
 
 def _make_sliding_rhs(sys, curve_id):
+    """(x, y) -> (Z_s, L1, L2): the sliding field and the Lie pair it is made from.
+
+    The stepper reads the first two entries; ``integrate_sliding`` reads the
+    Lie pair from the same evaluation.
+    """
     curve = sys.curve(curve_id)
     y1, y2 = sys.side_fields(curve_id)
     f1x, f1y = y1.raw_pair()
@@ -579,9 +583,8 @@ def _make_sliding_rhs(sys, curve_id):
         zx, zy = filippov_combination(l1, l2, v1, v2, curve_id, (x, y))
         if scale is not None:
             g = scale(canonical((x, y)))
-            zx *= g
-            zy *= g
-        return (zx, zy)
+            return (g * zx, g * zy, g * l1, g * l2)
+        return (zx, zy, l1, l2)
 
     return rhs
 
@@ -597,10 +600,6 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     max_step, spacing = opts.resolved(sys.domain)
     domain = sys.domain
     curve = sys.curve(curve_id)
-    gxf, gyf = curve.grad[0].raw(), curve.grad[1].raw()
-    y1, y2 = sys.side_fields(curve_id)
-    f1x, f1y = y1.raw_pair()
-    f2x, f2y = y2.raw_pair()
     p = domain.canonical(curve.project(domain.canonical(p), 3, POLISH_H_TOL))
 
     cls = classify_point(sys, curve_id, p)
@@ -615,22 +614,8 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     if cls.point_class is PointClass.ESCAPING and not allow_escaping:
         raise UndefinedSlidingError("escaping point reached integrate_sliding without policy")
 
-    rhs = _make_sliding_rhs(sys, curve_id)
-    stepper = _Stepper(rhs, p, opts, max_step)
-
-    def project(q):
-        return curve.project(q, 2)
-
-    def lies(q):
-        x, y = q
-        l1, l2 = lie_pair((gxf(x, y), gyf(x, y)), (f1x(x, y), f1y(x, y)), (f2x(x, y), f2y(x, y)))
-        if sys.velocity_scale is not None:
-            g = sys.velocity_scale(domain.canonical(q))
-            l1 *= g
-            l2 *= g
-        return l1, l2
-
-    l1_0, l2_0 = lies(p)
+    stepper = _Stepper(_make_sliding_rhs(sys, curve_id), p, opts, max_step)
+    l1_0, l2_0 = stepper.k1[2:]  # the Lie pair at p
     s1_0 = 1.0 if l1_0 > 0 else -1.0
     s2_0 = 1.0 if l2_0 > 0 else -1.0
     times = [0.0]
@@ -655,24 +640,23 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
             seg = OrbitSegment("sliding_arc", 0.0, times[-1], times, pts, curve_id=curve_id)
             return seg, ("t_max", pts[-1])
         step = stepper.propose(t_max - stepper.t)
-        q = project((stepper.x, stepper.y))
+        q = curve.project((stepper.x, stepper.y), 2)
         stepper.restart_from(stepper.t, q)
+        zx, zy, l1, l2 = stepper.k1  # at q
 
         if domain.kind == "plane_rect" and not domain.contains(q):
             emit_to(q, stepper.t)
             seg = OrbitSegment("sliding_arc", 0.0, times[-1], times, pts, curve_id=curve_id)
             return seg, ("left_domain", pts[-1])
 
-        l1, l2 = lies(q)
         if l1 * s1_0 < 0 or l2 * s2_0 < 0 or abs(l1) <= TAU_CLASS or abs(l2) <= TAU_CLASS:
             flipped = "positive" if (l1 * s1_0 < 0 or abs(l1) <= TAU_CLASS) else "negative"
-            th, point = _locate_slide_tangency(step, project, lies, flipped, s1_0, s2_0)
+            th, point = _locate_slide_tangency(step, curve, stepper.f, flipped, s1_0, s2_0)
             t_ev = step.t0 + th * step.dt
             emit_to(point, t_ev)
             seg = OrbitSegment("sliding_arc", 0.0, times[-1], times, pts, curve_id=curve_id)
             return seg, ("tangency", pts[-1], flipped)
 
-        zx, zy = stepper.k1  # rhs(q), evaluated by restart_from
         znorm = math.hypot(zx, zy)
         if znorm <= PE_NORM_TOL or znorm * stepper.dt < 1e-14:
             emit_to(q, stepper.t)
@@ -682,12 +666,12 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
         emit_to(q, stepper.t)
 
 
-def _locate_slide_tangency(step, project, lies, flipped, s1_0, s2_0):
-    idx = 0 if flipped == "positive" else 1
+def _locate_slide_tangency(step, curve, rhs, flipped, s1_0, s2_0):
+    idx = 2 if flipped == "positive" else 3  # L1 or L2 in the sliding kernel's output
     ref = s1_0 if flipped == "positive" else s2_0
 
     def value(th):
-        return lies(project(step.at(th)))[idx] * ref
+        return rhs(*curve.project(step.at(th), 2))[idx] * ref
 
     lo, hi = 0.0, 1.0
     v_lo = value(lo)
@@ -704,7 +688,7 @@ def _locate_slide_tangency(step, project, lies, flipped, s1_0, s2_0):
         if hi - lo < 1e-16:
             break
     th = 0.5 * (lo + hi)
-    return th, project(step.at(th))
+    return th, curve.project(step.at(th), 2)
 
 
 # --------------------------------------------------------------------------- #
@@ -834,7 +818,7 @@ class _Run:
         self.t = 0.0
         # replaced, never changed in place, so forks may share it
         self.captures = [
-            CaptureTarget(tp.position, self.opts.capture_radius, cid) for tp, cid in ride_targets
+            CaptureTarget(tp.position, CAPTURE_RADIUS, cid) for tp, cid in ride_targets
         ]
         where = self.sys.region_of(self.p)
         self.mode = ("sigma", where.curve_id) if isinstance(where, OnSigma) else ("region", where, None)

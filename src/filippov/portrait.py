@@ -33,7 +33,6 @@ class PortraitData:
     domain: object
     decompositions: list = field(default_factory=list)
     orbits: list = field(default_factory=list)
-    extra_points: list = field(default_factory=list)  # (point, label)
 
 
 def _fmt(v):
@@ -124,9 +123,6 @@ def render_portrait(spec: PortraitSpec, data: PortraitData) -> str:
             width = 2.2 if seg.kind == "sliding_arc" else 1.2
             for piece in _split_wraps(d, seg.points):
                 canvas.polyline(piece, color, width, cls=f"orbit-{seg.kind}")
-
-    for p, _label in data.extra_points:
-        canvas.circle(p, 3.0, "#ff7f0e", "#ff7f0e", cls="marker")
 
     if spec.show_legend:
         y0 = 16

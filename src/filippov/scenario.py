@@ -29,10 +29,9 @@ class Scenario:
     region_defs: list
     config: DiagnosticsConfig
     integrator: IntegratorOptions = field(default_factory=IntegratorOptions)
-    source_path: str | None = None
     _system: FilippovSystem | None = None
 
-    def build_system(self, validate=True) -> FilippovSystem:
+    def build_system(self) -> FilippovSystem:
         if self._system is not None:
             return self._system
         curves = []
@@ -49,9 +48,7 @@ class Scenario:
             conditions = [(c["curve"], +1 if c["sign"] in ("+", 1, "+1") else -1)
                           for c in rd["where"]]
             regions.append(RegionSpec(rd["id"], planar, conditions))
-        self._system = FilippovSystem(
-            self.domain, curves, regions, self.parameters, validate=validate
-        )
+        self._system = FilippovSystem(self.domain, curves, regions, self.parameters)
         return self._system
 
 
@@ -70,11 +67,21 @@ def _require(data, key, path, kind=None):
 
 
 def _number(value, path, kind=float):
-    """``kind(value)``, or a ConfigurationError that names the field path."""
+    """``value`` as a ``kind``, or a ConfigurationError that names the field path.
+
+    A boolean is not a number, and an int field takes only integral values.
+    """
     try:
-        return kind(value)
+        number = float(value)
     except (TypeError, ValueError):
-        raise ConfigurationError(f"{path}: expected a number, got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ConfigurationError(f"{path}: expected a number, got {value!r}")
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ConfigurationError(f"{path}: expected an integer, got {value!r}")
+    return value if isinstance(value, int) else int(number)
 
 
 def _optional(data, key, default):
@@ -110,10 +117,10 @@ def load_scenario(path) -> Scenario:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: not valid JSON ({exc})") from None
-    return scenario_from_dict(data, source=str(path))
+    return scenario_from_dict(data)
 
 
-def scenario_from_dict(data, source=None) -> Scenario:
+def scenario_from_dict(data) -> Scenario:
     if not isinstance(data, dict):
         raise ConfigurationError("scenario: expected an object")
     if data.get("schema", SCHEMA) != SCHEMA:
@@ -166,7 +173,7 @@ def scenario_from_dict(data, source=None) -> Scenario:
     scenario = Scenario(
         name=name, domain=domain, parameters=parameters,
         curve_defs=curve_defs, region_defs=region_defs,
-        config=config, integrator=options, source_path=source,
+        config=config, integrator=options,
     )
     try:
         scenario.build_system()

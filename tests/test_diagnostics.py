@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from filippov import diagnostics
 from filippov.diagnostics import (
     DiagnosticsConfig,
     Disk,
@@ -59,6 +60,28 @@ def test_saturate_monotone_in_seed_set(belt_system):
     large = saturate(belt_system, seeds, 10.0, policies, grid_resolution=16)
     assert large.covers(small)
     assert large.fraction() >= small.fraction()
+
+
+def test_saturate_integrates_a_policy_free_orbit_once(belt_system, monkeypatch):
+    # forward from the sliding belt the orbit slides with no escape choice;
+    # backward the belt is escaping, so every policy gives its own orbit
+    seed = (0.3, 0.0)
+    policies = diagnostics._saturate_policies((0.0, 0.02))
+    original = diagnostics.integrate_filippov
+    runs = []
+
+    def counting(system, p0, horizon, direction="forward", **kwargs):
+        runs.append(direction)
+        return original(system, p0, horizon, direction=direction, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "integrate_filippov", counting)
+    cov = saturate(belt_system, [seed], 2.0, policies, grid_resolution=16)
+    assert runs == ["forward"] + ["backward"] * len(policies)
+    reference = GridCoverage(belt_system.domain, 16)  # the union over every policy
+    for direction in ("forward", "backward"):
+        for policy in policies:
+            reference.mark_orbit(original(belt_system, seed, 2.0, direction=direction, policy=policy))
+    assert (cov.hits == reference.hits).all()
 
 
 def test_transitivity_found_on_straight_flow():

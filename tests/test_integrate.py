@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from filippov import diagnostics
+from filippov import diagnostics, integrate
 from filippov.errors import IntegrationError
 from filippov.expr import PlanarField, ScalarField
 from filippov.integrate import (
@@ -317,3 +317,39 @@ def test_position_at_interpolates(flat_system):
 def test_horizon_must_be_positive(flat_system):
     with pytest.raises(IntegrationError):
         integrate_filippov(flat_system, (0.0, 1.0), 0.0)
+
+
+def test_position_at_skips_marker_segments():
+    # the orbit opens with a one-sample escape_departure marker at t = 0
+    system = load_shipped("sliding_belt_torus").build_system()
+    orbit = integrate_filippov(system, (0.3, 0.5), 1.0, policy=BranchPolicy.exit_up())
+    assert orbit.segments[0].kind == "escape_departure"
+    assert orbit.position_at(0.0, system.domain) == pytest.approx(orbit.segments[0].start_point)
+
+
+def test_regular_steps_reuse_their_end_points(monkeypatch):
+    # theta = 0 is the step's own start point; theta = 1 is evaluated once per step
+    thetas, steps = [], []
+    at, propose = integrate._DenseStep.at, integrate._Stepper.propose
+
+    def counting_at(step, theta):
+        thetas.append(theta)
+        return at(step, theta)
+
+    def counting_propose(stepper, dt_cap):
+        steps.append(propose(stepper, dt_cap))
+        return steps[-1]
+
+    monkeypatch.setattr(integrate._DenseStep, "at", counting_at)
+    monkeypatch.setattr(integrate._Stepper, "propose", counting_propose)
+    s = build_plane_system(("1", "-1"), ("1", "1"))
+    _, hit = integrate_regular(s, (0.0, 0.5), 1, 0.3)  # y stays above the curve: no event
+    assert hit[0] == "t_max" and len(steps) > 3
+    assert thetas.count(0.0) == 0
+    assert thetas.count(1.0) == len(steps)
+    thetas.clear()
+    steps.clear()
+    _, hit = integrate_regular(s, (0.0, 0.5), 1, 2.0)  # ends on the curve at t = 0.5
+    assert hit[0] == "curve"
+    assert thetas.count(0.0) == 0
+    assert thetas.count(1.0) == len(steps)

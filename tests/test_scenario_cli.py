@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from filippov import cli
 from filippov.cli import main
+from filippov.diagnostics import GridCoverage
 from filippov.errors import ConfigurationError
 from filippov.scenario import list_shipped, load_scenario, load_shipped, shipped_path
+from filippov.sigma import PointClass, classify_point
 
 
 def test_shipped_scenarios_present():
@@ -57,6 +60,12 @@ def test_load_reports_field_paths(tmp_path):
         (lambda d: d["parameters"].update(a="big"), r"parameters\.a: expected a number"),
         (lambda d: d["curves"][0].update(id=[0]), r"curves\[0\]\.id: expected a number"),
         (lambda d: d["regions"][1].update(id="two"), r"regions\[1\]\.id: expected a number"),
+        (lambda d: d["curves"][0].update(id=0.7), r"curves\[0\]\.id: expected an integer, got 0\.7"),
+        (lambda d: d.update(config={"grid_resolution": 32.9}),
+         r"config\.grid_resolution: expected an integer, got 32\.9"),
+        (lambda d: d.update(config={"seed": True}), r"config\.seed: expected a number, got True"),
+        (lambda d: d.update(integrator={"rtol": True}),
+         r"integrator\.rtol: expected a number, got True"),
         (lambda d: d.update(name=5), r"scenario\.name: expected str"),
         (lambda d: d.update(parameters=[1]), r"scenario\.parameters: expected dict"),
         (lambda d: d.update(config=[1]), r"scenario\.config: expected dict"),
@@ -193,6 +202,24 @@ def test_cli_saturate(tmp_path):
     assert payload["resolution"] == 16
     assert 0 < payload["fraction"] <= 1
     assert csv_out.read_text().startswith("i,j,hit")
+
+
+def test_cli_saturate_seeds_follow_ms_interpretation(tmp_path, monkeypatch):
+    data = json.loads(shipped_path("sliding_belt_torus").read_text())
+    data["config"]["ms_interpretation"] = "sliding_only"
+    path = tmp_path / "belt.json"
+    path.write_text(json.dumps(data))
+    calls = []
+
+    def capture(system, seeds, *args, **kwargs):
+        calls.append((system, list(seeds)))
+        return GridCoverage(system.domain, 4)
+
+    monkeypatch.setattr(cli, "saturate", capture)
+    assert main(["saturate", "--scenario", str(path), "--json", str(tmp_path / "cov.json")]) == 0
+    [(system, seeds)] = calls
+    assert seeds
+    assert all(classify_point(system, 0, p).point_class is PointClass.SLIDING for p in seeds)
 
 
 def test_cli_diagnose_rotation_is_inconclusive_and_deterministic(tmp_path):

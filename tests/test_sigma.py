@@ -242,8 +242,12 @@ def test_convex_weight_in_unit_interval_and_forms_agree(sliding_samples):
         quotient = sliding_vector_field(s, 0, p)
         assert abs(combo[0] - quotient[0]) <= 1e-12
         assert abs(combo[1] - quotient[1]) <= 1e-12
-        # the integrator's unchecked form shares the kernel: exactly equal
-        assert _make_sliding_rhs(s, 0)(*p) == quotient
+        # the integrator's unchecked form shares the kernel: exactly equal,
+        # and the Lie pair it returns is the classification's
+        kernel = _make_sliding_rhs(s, 0)(*p)
+        assert kernel[:2] == quotient
+        cls = classify_point(s, 0, p)
+        assert kernel[2:] == (cls.lie_positive, cls.lie_negative)
 
 
 def test_classification_invariant_under_h_scaling():
