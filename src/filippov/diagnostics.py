@@ -30,7 +30,6 @@ from .sigma import (
     sigma_decomposition,
     sliding_vector_field,
 )
-from .system import FilippovSystem
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import json
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import IntegrationError, UndefinedSlidingError, evaluation_boundary
 from .sigma import (
@@ -80,11 +80,7 @@ class IntegratorOptions:
         return max_step, spacing
 
     def tightened(self, factor=0.1):
-        return IntegratorOptions(
-            rtol=self.rtol * factor, atol=self.atol * factor,
-            max_step=self.max_step, sample_spacing=self.sample_spacing,
-            max_segments=self.max_segments,
-        )
+        return replace(self, rtol=self.rtol * factor, atol=self.atol * factor)
 
 
 class _DenseStep:
@@ -671,7 +667,10 @@ def _locate_slide_tangency(step, curve, rhs, flipped, s1_0, s2_0):
     ref = s1_0 if flipped == "positive" else s2_0
 
     def value(th):
-        return rhs(*curve.project(step.at(th), 2))[idx] * ref
+        try:
+            return rhs(*curve.project(step.at(th), 2))[idx] * ref
+        except UndefinedSlidingError:  # |L2 - L1| <= TAU_CLASS: a two-fold, taken as the root
+            return 0.0
 
     lo, hi = 0.0, 1.0
     v_lo = value(lo)

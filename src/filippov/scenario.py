@@ -71,9 +71,11 @@ def _number(value, path, kind=float):
 
     A boolean is not a number, and an int field takes only integral values.
     """
+    if kind is int and type(value) is int:  # not a bool; exact, however large
+        return value
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or isinstance(value, bool):
         raise ConfigurationError(f"{path}: expected a number, got {value!r}")
@@ -81,7 +83,7 @@ def _number(value, path, kind=float):
         return number
     if not number.is_integer():
         raise ConfigurationError(f"{path}: expected an integer, got {value!r}")
-    return value if isinstance(value, int) else int(number)
+    return int(number)
 
 
 def _optional(data, key, default):

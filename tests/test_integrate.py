@@ -166,6 +166,16 @@ def test_double_tangency_stops():
     assert orbit.terminal == "double_tangency"
 
 
+def test_sliding_into_double_tangency_stops():
+    # slides at unit speed along y = 0 into the two-fold at x = 1, where
+    # L1 = x - 1 and L2 = 2 - 2x vanish together
+    s = build_plane_system(("1", "x - 1"), ("1", "2 - 2*x"))
+    orbit = integrate_filippov(s, (0.0, 0.0), 5.0)
+    assert orbit.terminal == "double_tangency"
+    assert [seg.kind for seg in orbit.segments] == ["sliding_arc", "terminal"]
+    assert orbit.segments[0].end_point == pytest.approx((1.0, 0.0), abs=1e-9)
+
+
 def test_no_tunneling_interior_samples(fold_system):
     h = fold_system.curve(0).h.raw()
     for x0, y0 in [(-1.8, 0.9), (-1.1, -0.6), (0.3, 0.9)]:

@@ -66,6 +66,7 @@ def test_load_reports_field_paths(tmp_path):
         (lambda d: d.update(config={"seed": True}), r"config\.seed: expected a number, got True"),
         (lambda d: d.update(integrator={"rtol": True}),
          r"integrator\.rtol: expected a number, got True"),
+        (lambda d: d.update(integrator={"rtol": 10 ** 400}), r"integrator\.rtol: expected a number"),
         (lambda d: d.update(name=5), r"scenario\.name: expected str"),
         (lambda d: d.update(parameters=[1]), r"scenario\.parameters: expected dict"),
         (lambda d: d.update(config=[1]), r"scenario\.config: expected dict"),
@@ -86,6 +87,10 @@ def test_load_reports_field_paths(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario()))
     load_scenario(path)  # the unedited scenario loads
+    data = scenario()
+    data["config"] = {"seed": 10 ** 400}  # JSON holds integers of any size
+    path.write_text(json.dumps(data))
+    assert load_scenario(path).config.seed == 10 ** 400
     for edit, message in cases:
         data = scenario()
         edit(data)
