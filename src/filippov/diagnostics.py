@@ -8,8 +8,11 @@ pairs; this implementation runs them sequentially for reproducibility.
 
 from __future__ import annotations
 
+import itertools
+import logging
 import math
 import random
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +33,8 @@ from .sigma import (
     sigma_decomposition,
     sliding_vector_field,
 )
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -115,21 +120,26 @@ def saturate(sys, seeds, horizon, policies, grid_resolution=32, opts=None):
     """Grid coverage of the union of orbits, both directions, from every seed under every policy.
 
     A policy acts only at an escape choice, so an orbit that records none is
-    the orbit of every policy, and the remaining policies are skipped.
+    the orbit of every policy, and the remaining policies are skipped.  Once every
+    cell is hit no later orbit can change the coverage: saturate returns there.
     """
     if not seeds:
         raise FilippovError("saturate needs a nonempty seed set")
     opts = opts or IntegratorOptions()
     cov = GridCoverage(sys.domain, grid_resolution)
-    for seed in seeds:
-        for direction in ("forward", "backward"):
-            for policy in policies:
-                orbit = integrate_filippov(
-                    sys, seed, horizon, direction=direction, policy=policy, opts=opts
-                )
-                cov.mark_orbit(orbit)
-                if not any(c.kind == "escape_exit" for c in orbit.choices):
-                    break
+    orbits = 0
+    for seed, direction in itertools.product(seeds, ("forward", "backward")):
+        for policy in policies:
+            orbit = integrate_filippov(sys, seed, horizon, direction=direction, policy=policy,
+                                       opts=opts)
+            cov.mark_orbit(orbit)
+            orbits += 1
+            if cov.hits.all() or not any(c.kind == "escape_exit" for c in orbit.choices):
+                break
+        if cov.hits.all():
+            break
+    log.info("saturate: %d of %d seed x direction x policy orbits integrated, %d of %d cells hit",
+             orbits, 2 * len(seeds) * len(policies), cov.hits.sum(), cov.hits.size)
     return cov
 
 
@@ -397,34 +407,6 @@ class SegmentGraph:
         }
 
 
-def probe_windows(sys, count, radius, rng, horizon=20.0, opts=None, kind="forward"):
-    """Window disks kept by the short-orbit criterion.
-
-    'forward' windows flow into the sliding region; 'backward' windows reach
-    the escaping region in backward time.
-    """
-    opts = opts or IntegratorOptions()
-    direction = "forward" if kind == "forward" else "backward"
-    want = PointClass.SLIDING if kind == "forward" else PointClass.ESCAPING
-    out = []
-    attempts = 0
-    d = sys.domain
-    while len(out) < count and attempts < count * 40:
-        attempts += 1
-        p = (d.x_min + rng.random() * d.width, d.y_min + rng.random() * d.height)
-        orbit = integrate_filippov(sys, p, horizon, direction=direction, opts=opts)
-        entered = next((seg for seg in orbit.segments if seg.kind == "sliding_arc"), None)
-        if entered is None:
-            continue
-        try:
-            cls = classify_point(sys, entered.curve_id, entered.start_point)
-        except FilippovError:
-            continue
-        if cls.point_class in (want, PointClass.PSEUDO_EQUILIBRIUM):
-            out.append(Disk(d.canonical(p), radius))
-    return out
-
-
 def _escape_entry_tangencies(sys, decompositions):
     """Escape-entry tangencies: the sliding flow points into an escaping arc.
 
@@ -600,7 +582,7 @@ def _returns_to(sys, trace, base):
 
 
 def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=200.0,
-                           opts=None):
+                           opts=None, runs=None):
     """Closed orbits through the base anchor visiting the requested windows.
 
     ``graph`` is a ``build_segment_graph`` result for ``sys``; candidate
@@ -611,12 +593,17 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
     end-to-end by a fresh integration from the anchor; a cycle is accepted
     only when some exact return (endpoint mismatch <= 1e-6) happens after the
     requested windows were visited.
+
+    ``runs`` (base anchor, script key) -> (orbit, trace) shares these
+    integrations between calls with the same graph, system, horizon and
+    options; without it every candidate is integrated afresh.
     """
     opts = opts or IntegratorOptions()
     if not graph.nodes:
         return []
     base = graph.node(base_anchor)
     want = set(windows_to_visit)
+    runs = {} if runs is None else runs
 
     out = graph.out_edges(base_anchor)
     scripts = [e.script for e in out if want <= set(e.windows_hit)] + [[]]
@@ -628,8 +615,13 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
         candidates.setdefault(tuple(str(s) for s in script), list(script))
 
     records = []
-    for script in list(candidates.values())[:24]:
-        record = _revalidate_cycle(sys, graph, base, want, script, horizon, opts)
+    for key, script in list(candidates.items())[:24]:
+        if (base_anchor, key) not in runs:
+            orbit = integrate_filippov(sys, base.point, horizon, opts=opts,
+                                       policy=PolicyCursor(BranchPolicy.slide_on(), script),
+                                       ride_targets=graph.ride_targets)
+            runs[base_anchor, key] = orbit, _trace(orbit)
+        record = _closed_record(sys, graph, base, want, *runs[base_anchor, key])
         if record is not None:
             records.append(record)
             if want:
@@ -637,13 +629,8 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
     return records
 
 
-def _revalidate_cycle(sys, graph, base, want, script, horizon, opts):
-    orbit = integrate_filippov(
-        sys, base.point, horizon,
-        policy=PolicyCursor(BranchPolicy.slide_on(), script),
-        opts=opts, ride_targets=graph.ride_targets,
-    )
-    trace = _trace(orbit)
+def _closed_record(sys, graph, base, want, orbit, trace):
+    """The candidate's first exact return after it entered every wanted window, else None."""
     entries = [_entry(sys.domain, trace, Disk(graph.node(wid).point, graph.node(wid).radius))
                for wid in want]
     if None in entries:
@@ -659,19 +646,17 @@ def _revalidate_cycle(sys, graph, base, want, script, horizon, opts):
 def _window_cycles(graph, sys, horizon, opts):
     """Per window node, the first closed orbit through it from any sliding anchor."""
     bases = [n.node_id for n in graph.nodes_of_kind("sliding_anchor")]
+    runs = {}  # shared by every window: each candidate is integrated once
     results = []
     for node in graph.nodes_of_kind("window_v"):
         recs = []
         for base in bases:
             recs = assemble_closed_orbits(graph, base, {node.node_id}, sys,
-                                          horizon=horizon, opts=opts)
+                                          horizon=horizon, opts=opts, runs=runs)
             if recs:
                 break
-        results.append({
-            "window": node.to_dict(),
-            "found": bool(recs),
-            "record": recs[0].to_dict() if recs else None,
-        })
+        results.append({"window": node.to_dict(), "found": bool(recs),
+                        "record": recs[0].to_dict() if recs else None})
     return results
 
 
@@ -773,12 +758,19 @@ def chaos_report(sys, config=None, opts=None):
     """Aggregate the transitivity / sensitivity / dense-periodicity probes.
 
     Returns a JSON-ready dict with per-ingredient evidence; inconclusive
-    probes are labeled as such and never upgraded to negatives.
+    probes are labeled as such and never upgraded to negatives.  Each phase
+    logs one INFO line with its wall time, which the report does not carry.
     """
     cfg = config or DiagnosticsConfig()
     opts = opts or IntegratorOptions()
     rng = random.Random(cfg.seed)
     domain = sys.domain
+    clock = [time.perf_counter()]
+
+    def phase_done(name, summary):
+        log.info("chaos_report %s: %.2f s, %s", name, time.perf_counter() - clock[0], summary)
+        clock[0] = time.perf_counter()
+
     report = {
         "schema": "filippov.report/1",
         "config": cfg.to_dict(),
@@ -795,6 +787,7 @@ def chaos_report(sys, config=None, opts=None):
         "sliding and escaping regions are empty: the dense-periodicity "
         "machinery does not apply; only transitivity probes run",
     }
+    phase_done("sigma", f"{len(decs)} curves, {len(seeds)} saturation seeds")
 
     if hypothesis:
         cov = saturate(
@@ -802,6 +795,7 @@ def chaos_report(sys, config=None, opts=None):
             grid_resolution=cfg.grid_resolution, opts=opts,
         )
         report["saturation"] = cov.to_dict()
+        phase_done("saturate", f"{report['saturation']['hit_cells']} of {cov.hits.size} cells hit")
     else:
         report["saturation"] = None
 
@@ -827,6 +821,7 @@ def chaos_report(sys, config=None, opts=None):
         "positive": found_all,
         "label": "positive" if found_all else "inconclusive at budget",
     }
+    phase_done("transitivity", f"{report['transitivity']['found']} of {len(trials)} pairs found")
 
     r = cfg.r_fraction * domain.diameter()
     disk = _random_disk(rng, domain, cfg.sensitivity_disk_radius)
@@ -842,6 +837,7 @@ def chaos_report(sys, config=None, opts=None):
         "positive": sensitive,
         "label": "positive" if sensitive else "inconclusive at budget",
     }
+    phase_done("sensitivity", "witness found" if sensitive else "no witness")
 
     if hypothesis:
         windows = [_random_disk(rng, domain, cfg.window_radius) for _ in range(cfg.cycle_windows)]
@@ -849,9 +845,11 @@ def chaos_report(sys, config=None, opts=None):
             sys, decs, windows=windows, horizon=cfg.graph_horizon, budget=cfg.graph_budget,
             opts=opts, dwell_grid=cfg.dwell_grid,
         )
+        phase_done("graph", f"{len(graph.nodes)} nodes, {len(graph.edges)} edges")
         cycle_results = (_window_cycles(graph, sys, cfg.cycle_horizon, opts)
                          if graph.nodes_of_kind("sliding_anchor") else [])
         periodic_positive = bool(cycle_results) and all(c["found"] for c in cycle_results)
+        phase_done("cycles", f"{sum(c['found'] for c in cycle_results)} windows closed")
         report["dense_periodicity"] = {
             "graph": graph.to_dict(),
             "windows": cycle_results,

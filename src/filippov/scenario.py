@@ -45,8 +45,7 @@ class Scenario:
                 ScalarField(fx, parameters=self.parameters),
                 ScalarField(fy, parameters=self.parameters),
             )
-            conditions = [(c["curve"], +1 if c["sign"] in ("+", 1, "+1") else -1)
-                          for c in rd["where"]]
+            conditions = [(c["curve"], c["sign"]) for c in rd["where"]]
             regions.append(RegionSpec(rd["id"], planar, conditions))
         self._system = FilippovSystem(self.domain, curves, regions, self.parameters)
         return self._system
@@ -84,6 +83,16 @@ def _number(value, path, kind=float):
     if not number.is_integer():
         raise ConfigurationError(f"{path}: expected an integer, got {value!r}")
     return int(number)
+
+
+_SIGNS = {"+": 1, "+1": 1, 1: 1, "-": -1, "-1": -1, -1: -1}
+
+
+def _sign(value, path):
+    """+1 or -1 for a ``where`` sign; True and 1.0 are not signs."""
+    if type(value) not in (int, str) or value not in _SIGNS:
+        raise ConfigurationError(f"{path}: expected one of {list(_SIGNS)}, got {value!r}")
+    return _SIGNS[value]
 
 
 def _optional(data, key, default):
@@ -155,7 +164,8 @@ def scenario_from_dict(data) -> Scenario:
             "field": [str(fd[0]), str(fd[1])],
             "where": [
                 {"curve": _require(c, "curve", f"regions[{i}].where[{j}]", int),
-                 "sign": _require(c, "sign", f"regions[{i}].where[{j}]")}
+                 "sign": _sign(_require(c, "sign", f"regions[{i}].where[{j}]"),
+                               f"regions[{i}].where[{j}].sign")}
                 for j, c in enumerate(_require(rd, "where", f"regions[{i}]", list))
             ],
         })

@@ -155,11 +155,6 @@ def lie_scalar_field(h: ScalarField, planar) -> ScalarField:
     return ScalarField(expr, parameters=h.parameters)
 
 
-def second_lie_field(h: ScalarField, planar) -> ScalarField:
-    """Symbolic second Lie derivative Y(Yh)."""
-    return lie_scalar_field(lie_scalar_field(h, planar), planar)
-
-
 def second_lie_value(sys: FilippovSystem, curve_id: int, side: str, p) -> float:
     """Y(Yh) at p for the side's field, compiled once per system and side.
 
@@ -170,7 +165,8 @@ def second_lie_value(sys: FilippovSystem, curve_id: int, side: str, p) -> float:
     fn = sys.second_lie_fields.get(key)
     if fn is None:
         planar = sys.side_fields(curve_id)[0 if side == "positive" else 1]
-        fn = sys.second_lie_fields[key] = second_lie_field(sys.curve(curve_id).h, planar)
+        yh = lie_scalar_field(sys.curve(curve_id).h, planar)
+        fn = sys.second_lie_fields[key] = lie_scalar_field(yh, planar)  # Y(Yh)
     value = fn(p[0], p[1])
     if sys.velocity_scale is not None:
         value *= sys.velocity_scale(p) ** 2

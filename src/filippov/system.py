@@ -34,20 +34,16 @@ class Domain:
     x_max: float
     y_min: float
     y_max: float
+    width: float = field(init=False, repr=False, compare=False)
+    height: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("plane_rect", "flat_torus"):
             raise ConfigurationError(f"unknown domain kind {self.kind!r}")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ConfigurationError("domain bounds must have positive extent")
-
-    @property
-    def width(self):
-        return self.x_max - self.x_min
-
-    @property
-    def height(self):
-        return self.y_max - self.y_min
+        object.__setattr__(self, "width", self.x_max - self.x_min)
+        object.__setattr__(self, "height", self.y_max - self.y_min)
 
     def canonical(self, p):
         """Map a point to canonical coordinates (wrap on the torus)."""

@@ -14,7 +14,6 @@ from filippov.diagnostics import (
     build_segment_graph,
     chaos_report,
     orbit_enters,
-    probe_windows,
     rescale_tangency_freeze,
     saturate,
     sensitivity_probe,
@@ -84,6 +83,44 @@ def test_saturate_integrates_a_policy_free_orbit_once(belt_system, monkeypatch):
     assert (cov.hits == reference.hits).all()
 
 
+def test_saturate_stops_at_full_coverage(belt_system, monkeypatch):
+    # the 4 x 4 grid is full after 12 orbits, long before the last seed
+    seeds = sigma_seed_points(belt_system, [sigma_decomposition(belt_system, 0, 256)], per_arc=3)
+    policies = diagnostics._saturate_policies((0.0, 0.02))
+    original = diagnostics.integrate_filippov
+    orbits = []
+
+    def counting(*args, **kwargs):
+        orbits.append(original(*args, **kwargs))
+        return orbits[-1]
+
+    monkeypatch.setattr(diagnostics, "integrate_filippov", counting)
+    cov = saturate(belt_system, seeds, 1.0, policies, grid_resolution=4)
+    seen = GridCoverage(belt_system.domain, 4)
+    for k, orbit in enumerate(orbits):
+        assert not seen.hits.all(), f"orbit {k} ran after every cell was hit"
+        seen.mark_orbit(orbit)
+    assert seen.hits.all()
+    reference = GridCoverage(belt_system.domain, 4)  # the full loop, every orbit
+    for seed in seeds:
+        for direction in ("forward", "backward"):
+            for policy in policies:
+                reference.mark_orbit(original(belt_system, seed, 1.0, direction=direction,
+                                              policy=policy))
+    assert (cov.hits == reference.hits).all()
+    assert cov.to_dict() == reference.to_dict()
+
+
+def test_saturate_logs_orbits_and_cells(belt_system, caplog):
+    seeds = [(0.3, 0.0)]
+    policies = [BranchPolicy.exit_up(), BranchPolicy.exit_down()]
+    with caplog.at_level("INFO", logger="filippov.diagnostics"):
+        cov = saturate(belt_system, seeds, 1.0, policies, grid_resolution=16)
+    [line] = [r.getMessage() for r in caplog.records if r.name == "filippov.diagnostics"]
+    assert line == (f"saturate: 3 of 4 seed x direction x policy orbits integrated, "
+                    f"{int(cov.hits.sum())} of 256 cells hit")
+
+
 def test_transitivity_found_on_straight_flow():
     s = build_plane_system(("1", "0"), ("1", "1"), bounds=(-2, 2, -1, 1))
     u = Disk((-1.5, 0.5), 0.1)
@@ -123,14 +160,6 @@ def test_sensitivity_not_found_for_isometric_rotation():
     disk = Disk((0.5, 0.3), 0.05)
     result = sensitivity_probe(s, disk, r=0.5, budget=10, horizon=25.0)
     assert isinstance(result, ProbeNotFound)
-
-
-def test_probe_windows_filter(belt_system):
-    rng = random.Random(3)
-    vs = probe_windows(belt_system, 5, 0.05, rng, horizon=5.0, kind="forward")
-    assert len(vs) == 5
-    ws = probe_windows(belt_system, 5, 0.05, rng, horizon=5.0, kind="backward")
-    assert len(ws) == 5
 
 
 def test_segment_graph_empty_when_no_sliding():
@@ -173,6 +202,47 @@ def test_no_cyctherough_anchor_gives_empty(fold_system):
     records = assemble_closed_orbits(graph, anchors[0].node_id, set(), fold_system,
                                      horizon=8.0)
     assert records == []  # orbits leave the plane, nothing returns
+
+
+@pytest.mark.parametrize("budget, graph_horizon, cycle_horizon, closed", [
+    (8, 20.0, 40.0, True),  # one candidate closes every window
+    (4, 10.0, 20.0, False),  # three candidates close none
+])
+def test_window_cycles_integrates_each_candidate_once(monkeypatch, budget, graph_horizon,
+                                                      cycle_horizon, closed):
+    from filippov.scenario import load_shipped
+
+    scenario = load_shipped("chaotic_torus")
+    system, opts = scenario.build_system(), scenario.integrator
+    rng = random.Random(0)
+    windows = [diagnostics._random_disk(rng, system.domain, 0.1) for _ in range(3)]
+    graph = build_segment_graph(system, decompose(system), windows=windows, horizon=graph_horizon,
+                                budget=budget, opts=opts, dwell_grid=(0.0, 0.02))
+    original = diagnostics.integrate_filippov
+    calls = []
+
+    def counting(sys_, p0, horizon, policy=None, **kwargs):
+        calls.append((p0, tuple(str(s) for s in policy.script)))
+        return original(sys_, p0, horizon, policy=policy, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "integrate_filippov", counting)
+    results = diagnostics._window_cycles(graph, system, cycle_horizon, opts)
+    shared = list(calls)
+    calls.clear()
+    reference = []  # each window on its own, every candidate integrated afresh
+    bases = [n.node_id for n in graph.nodes_of_kind("sliding_anchor")]
+    for node in graph.nodes_of_kind("window_v"):
+        recs = []
+        for base in bases:
+            recs = assemble_closed_orbits(graph, base, {node.node_id}, system,
+                                          horizon=cycle_horizon, opts=opts)
+            if recs:
+                break
+        reference.append({"window": node.to_dict(), "found": bool(recs),
+                          "record": recs[0].to_dict() if recs else None})
+    assert len(shared) == len(set(shared)) == len(set(calls)) < len(calls)
+    assert results == reference
+    assert [r["found"] for r in results] == [closed] * len(windows)
 
 
 def test_rescale_freezes_tangencies(fold_system):
@@ -269,6 +339,22 @@ def test_chaos_report_negative_labels_are_inconclusive(belt_system):
     if not report["transitivity"]["positive"]:
         assert report["transitivity"]["label"] == "inconclusive at budget"
         assert report["verdict"] != "chaotic at budget"
+
+
+def test_chaos_report_logs_one_line_per_phase(belt_system, caplog):
+    cfg = DiagnosticsConfig(seed=4, transitivity_pairs=2, transitivity_budget=2,
+                            probe_horizon=2.0, saturate_horizon=2.0, saturate_seeds_per_arc=1,
+                            sensitivity_budget=2, sensitivity_horizon=2.0, cycle_windows=2,
+                            graph_horizon=4.0, graph_budget=8, cycle_horizon=4.0,
+                            sigma_resolution=256)
+    with caplog.at_level("INFO", logger="filippov.diagnostics"):
+        report = chaos_report(belt_system, cfg)
+    lines = [r.getMessage() for r in caplog.records if r.name == "filippov.diagnostics"]
+    phases = [line.split(":")[0] for line in lines if line.startswith("chaos_report ")]
+    assert phases == [f"chaos_report {p}" for p in
+                      ("sigma", "saturate", "transitivity", "sensitivity", "graph", "cycles")]
+    assert sum(line.startswith("saturate: ") for line in lines) == 1
+    assert report == chaos_report(belt_system, cfg)  # timings stay out of the report
 
 
 def test_escape_entry_tangency_skipped_when_unclassifiable(monkeypatch):

@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +56,16 @@ def test_load_reports_field_paths(tmp_path):
          r"regions\[0\]\.where\[0\]: missing required field 'curve'"),
         (lambda d: d["regions"][1]["where"][0].pop("sign"),
          r"regions\[1\]\.where\[0\]: missing required field 'sign'"),
+        (lambda d: d["regions"][0]["where"][0].update(sign="positive"),
+         r"regions\[0\]\.where\[0\]\.sign: expected one of .*, got 'positive'"),
+        (lambda d: d["regions"][0]["where"][0].update(sign=True),
+         r"regions\[0\]\.where\[0\]\.sign: expected one of .*, got True"),
+        (lambda d: d["regions"][1]["where"][0].update(sign=False),
+         r"regions\[1\]\.where\[0\]\.sign: expected one of .*, got False"),
+        (lambda d: d["regions"][1]["where"][0].update(sign=-2),
+         r"regions\[1\]\.where\[0\]\.sign: expected one of .*, got -2"),
+        (lambda d: d["regions"][1]["where"][0].update(sign=None),
+         r"regions\[1\]\.where\[0\]\.sign: expected one of .*, got None"),
         (lambda d: d["regions"][1].update(where=["y < 0.5"]),
          r"regions\[1\]\.where\[0\]: expected an object"),
         (lambda d: d["regions"][0]["where"][0].update(curve="zero"),
@@ -87,6 +102,12 @@ def test_load_reports_field_paths(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario()))
     load_scenario(path)  # the unedited scenario loads
+    for plus, minus in ((1, -1), ("+1", "-1")):
+        data = scenario()
+        data["regions"][0]["where"][0]["sign"], data["regions"][1]["where"][0]["sign"] = plus, minus
+        path.write_text(json.dumps(data))
+        regions = load_scenario(path).build_system().regions
+        assert [r.conditions for r in regions] == [[(0, 1)], [(0, -1)]]
     data = scenario()
     data["config"] = {"seed": 10 ** 400}  # JSON holds integers of any size
     path.write_text(json.dumps(data))
@@ -207,6 +228,22 @@ def test_cli_saturate(tmp_path):
     assert payload["resolution"] == 16
     assert 0 < payload["fraction"] <= 1
     assert csv_out.read_text().startswith("i,j,hit")
+
+
+def test_cli_saturate_logs_progress_on_stderr_at_info():
+    import filippov
+
+    env = dict(os.environ, FILIPPOV_LOG="INFO",
+               PYTHONPATH=str(Path(filippov.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "filippov.cli", "saturate",
+         "--scenario", str(shipped_path("sliding_belt_torus")), "--grid", "4", "--horizon", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["resolution"] == 4  # stdout holds the JSON alone
+    assert re.search(r"^INFO filippov\.diagnostics: saturate: \d+ of \d+ seed x direction x "
+                     r"policy orbits integrated, 16 of 16 cells hit$", proc.stderr, re.M)
 
 
 def test_cli_saturate_seeds_follow_ms_interpretation(tmp_path, monkeypatch):
