@@ -13,7 +13,7 @@ import logging
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -719,20 +719,8 @@ class DiagnosticsConfig:
     ms_interpretation: str = "sliding_and_escaping"  # or "sliding_only"
 
     def to_dict(self):
-        return {
-            "seed": self.seed,
-            "grid_resolution": self.grid_resolution,
-            "sigma_resolution": self.sigma_resolution,
-            "saturate_horizon": self.saturate_horizon,
-            "probe_horizon": self.probe_horizon,
-            "transitivity_pairs": self.transitivity_pairs,
-            "disk_radius": self.disk_radius,
-            "r_fraction": self.r_fraction,
-            "cycle_windows": self.cycle_windows,
-            "window_radius": self.window_radius,
-            "dwell_grid": list(self.dwell_grid),
-            "ms_interpretation": self.ms_interpretation,
-        }
+        """Every setting, in the form a scenario's ``config`` object takes."""
+        return {**asdict(self), "dwell_grid": list(self.dwell_grid)}
 
 
 def _saturate_policies(dwell_grid):

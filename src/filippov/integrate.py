@@ -2,10 +2,12 @@
 
 The regular stepper is a hand-rolled Dormand-Prince 5(4) pair with the
 classical quartic dense output; events (sign changes of any h_i, domain
-exit, graze captures) are located on the dense output by a guarded
-bisection/secant hybrid and polished onto the curve with Newton steps.
-Sliding arcs integrate the Filippov convex combination constrained to the
-curve by per-step Newton projection.
+exit, graze captures) are located on the dense output and polished onto the
+curve with Newton steps.  Sliding arcs integrate the Filippov convex
+combination constrained to the curve by per-step Newton projection.  Curve
+crossings (a guarded bisection/secant hybrid), domain exits and the
+tangencies and domain exits of sliding arcs are all located by the one
+bracket kernel ``sigma.bracket``.
 
 One orbit is computed sequentially; distinct orbits may be computed
 concurrently against the shared immutable system.
@@ -25,6 +27,7 @@ from .sigma import (
     PE_NORM_TOL,
     PointClass,
     TAU_CLASS,
+    bracket,
     classify_point,
     filippov_combination,
     lie_pair,
@@ -334,19 +337,20 @@ class Orbit:
             for t, p in zip(seg.times, seg.points):
                 yield t, p, seg.kind, i
 
-    def position_at(self, t, domain=None):
-        """Linear interpolation of the stored trace at time t (markers carry no interval)."""
+    def position_at(self, t, domain):
+        """Wrap-aware linear interpolation of the stored trace at time t.
+
+        Marker segments carry no interval and are skipped.
+        """
         for seg in self.segments:
             if len(seg.times) > 1 and seg.t_start - 1e-12 <= t <= seg.t_end + 1e-12:
                 times = seg.times
                 i = max(1, min(len(times) - 1, bisect_right(times, t)))
                 t0, t1 = times[i - 1], times[i]
-                a, b = seg.points[i - 1], seg.points[i]
+                a = seg.points[i - 1]
                 w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-                if domain is not None:
-                    dx, dy = domain.displacement(a, b)
-                    return domain.canonical((a[0] + w * dx, a[1] + w * dy))
-                return (a[0] + w * (b[0] - a[0]), a[1] + w * (b[1] - a[1]))
+                dx, dy = domain.displacement(a, seg.points[i])
+                return domain.canonical((a[0] + w * dx, a[1] + w * dy))
         return self.end_point()
 
     def to_json_dict(self):
@@ -397,26 +401,6 @@ def _make_rhs(sys, planar):
         return (g * fx(x, y), g * fy(x, y))
 
     return rhs
-
-
-def _refine_sign_change(h, step, th_a, th_b, v_a, v_b):
-    """Bisection/secant hybrid on the dense output; guaranteed bracket."""
-    for _ in range(80):
-        if v_a != v_b:
-            th_m = th_a - v_a * (th_b - th_a) / (v_b - v_a)
-            if not (th_a < th_m < th_b):
-                th_m = 0.5 * (th_a + th_b)
-        else:
-            th_m = 0.5 * (th_a + th_b)
-        p = step.at(th_m)
-        v_m = h(p[0], p[1])
-        if abs(v_m) <= EVENT_H_TOL * 0.5 or (th_b - th_a) < 1e-16:
-            return th_m
-        if v_a * v_m <= 0:
-            th_b, v_b = th_m, v_m
-        else:
-            th_a, v_a = th_m, v_m
-    return 0.5 * (th_a + th_b)
 
 
 def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, captures=()):
@@ -487,7 +471,11 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
                 va = vals[i] if vals[i] != 0 else s0 * 1e-300
                 vb = vals[i + 1]
                 if va * vb < 0:
-                    th = _refine_sign_change(h, step, _THETA_GRID[i], _THETA_GRID[i + 1], va, vb)
+                    lo, hi = bracket(
+                        lambda th: h(*step.at(th)), _THETA_GRID[i], _THETA_GRID[i + 1],
+                        va, vb, tol=EVENT_H_TOL / 2, width=1e-16, secant=True,
+                    )
+                    th = 0.5 * (lo + hi)
                     if best is None or th < best[0]:
                         best = (th, "curve", cid)
                     break
@@ -495,7 +483,7 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
         if domain.kind == "plane_rect":
             for th, q in zip(_THETA_GRID, grid_pts):
                 if not domain.contains(q):
-                    th_exit = _refine_exit(domain, step, th)
+                    th_exit = _exit_theta(domain, step.at, th if th > 0 else 1.0)
                     if best is None or th_exit < best[0]:
                         best = (th_exit, "left_domain", None)
                     break
@@ -519,15 +507,10 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
         return seg, ((kind, point) if kind == "left_domain" else (kind, payload, point))
 
 
-def _refine_exit(domain, step, th_hint):
-    lo, hi = 0.0, th_hint if th_hint > 0 else 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if domain.contains(step.at(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _exit_theta(domain, point_at, hi):
+    """The last theta in [0, hi] that bisection finds with point_at(theta) in the rectangle."""
+    inside = lambda th: 1.0 if domain.contains(point_at(th)) else -1.0
+    return bracket(inside, 0.0, hi, 1.0)[0]
 
 
 def _capture_theta(domain, step, grid_pts, target):
@@ -641,7 +624,9 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
         zx, zy, l1, l2 = stepper.k1  # at q
 
         if domain.kind == "plane_rect" and not domain.contains(q):
-            emit_to(q, stepper.t)
+            on_curve = lambda th: curve.project(step.at(th), 2)
+            th = _exit_theta(domain, on_curve, 1.0)
+            emit_to(on_curve(th), step.t0 + th * step.dt)
             seg = OrbitSegment("sliding_arc", 0.0, times[-1], times, pts, curve_id=curve_id)
             return seg, ("left_domain", pts[-1])
 
@@ -672,20 +657,7 @@ def _locate_slide_tangency(step, curve, rhs, flipped, s1_0, s2_0):
         except UndefinedSlidingError:  # |L2 - L1| <= TAU_CLASS: a two-fold, taken as the root
             return 0.0
 
-    lo, hi = 0.0, 1.0
-    v_lo = value(lo)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        v_mid = value(mid)
-        if abs(v_mid) <= 1e-12:
-            lo = hi = mid
-            break
-        if v_lo * v_mid <= 0:
-            hi = mid
-        else:
-            lo, v_lo = mid, v_mid
-        if hi - lo < 1e-16:
-            break
+    lo, hi = bracket(value, 0.0, 1.0, value(0.0), tol=1e-12, width=1e-16)
     th = 0.5 * (lo + hi)
     return th, curve.project(step.at(th), 2)
 

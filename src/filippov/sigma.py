@@ -174,6 +174,38 @@ def second_lie_value(sys: FilippovSystem, curve_id: int, side: str, p) -> float:
 
 
 # --------------------------------------------------------------------------- #
+# bracketed 1-D root finding
+# --------------------------------------------------------------------------- #
+
+
+def bracket(fn, lo, hi, f_lo, f_hi=None, tol=-1.0, width=0.0, iterations=80, secant=False):
+    """Shrink a bracket [lo, hi] of a sign change of fn, with f_lo = fn(lo).
+
+    Each of ``iterations`` steps evaluates fn at the midpoint m, or with
+    ``secant`` (which needs f_hi = fn(hi)) at the secant root when it lies
+    strictly inside, and keeps [lo, m] if f_lo * fn(m) <= 0, else [m, hi].
+    Returns (m, m) once |fn(m)| <= ``tol`` or the bracket m came from is
+    narrower than ``width``, else the final (lo, hi); the defaults never stop
+    early.  Every root finder of the package calls this one kernel with its
+    own stopping rule.
+    """
+    for _ in range(iterations):
+        m = 0.5 * (lo + hi)
+        if secant and f_lo != f_hi:
+            s = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+            if lo < s < hi:
+                m = s
+        f_m = fn(m)
+        if abs(f_m) <= tol or hi - lo < width:
+            return m, m
+        if f_lo * f_m <= 0:
+            hi, f_hi = m, f_m
+        else:
+            lo, f_lo = m, f_m
+    return lo, hi
+
+
+# --------------------------------------------------------------------------- #
 # curve tracing
 # --------------------------------------------------------------------------- #
 
@@ -186,7 +218,7 @@ class CurveComponent:
     params: list  # cumulative arclength of each sample
     closed: bool
     length: float
-    domain: object = None  # wrap-aware interpolation on the torus
+    domain: object  # wrap-aware interpolation on the torus
 
     def point_at(self, s):
         """Linear interpolation along the polyline at arclength s."""
@@ -203,15 +235,17 @@ class CurveComponent:
                 hi = mid
         span = prm[hi] - prm[lo]
         w = 0.0 if span == 0.0 else (s - prm[lo]) / span
-        a, b = pts[lo], pts[hi]
-        if self.domain is not None:
-            dx, dy = self.domain.displacement(a, b)
-            return self.domain.canonical((a[0] + w * dx, a[1] + w * dy))
-        return (a[0] + w * (b[0] - a[0]), a[1] + w * (b[1] - a[1]))
+        a = pts[lo]
+        dx, dy = self.domain.displacement(a, pts[hi])
+        return self.domain.canonical((a[0] + w * dx, a[1] + w * dy))
 
 
 def _curve_seeds(sys, curve):
-    """Zero crossings of h along the lines of a 96 x 96 cell grid, projected onto the curve."""
+    """Zero crossings of h along the lines of a 96 x 96 cell grid, projected onto the curve.
+
+    A crossing is bisected in the coordinate that varies along its grid line;
+    the seed is the midpoint of the bracket left after 39 halvings.
+    """
     d = sys.domain
     grid = 96
     h = curve.h.raw()
@@ -219,17 +253,6 @@ def _curve_seeds(sys, curve):
     xs = [d.x_min + i * d.width / grid for i in range(grid + 1)]
     ys = [d.y_min + j * d.height / grid for j in range(grid + 1)]
     values = [[h(x, y) for y in ys] for x in xs]
-
-    def refine(p0, p1, v0, v1):
-        for _ in range(40):
-            xm = (0.5 * (p0[0] + p1[0]), 0.5 * (p0[1] + p1[1]))
-            vm = h(xm[0], xm[1])
-            if v0 * vm <= 0:
-                p1, v1 = xm, vm
-            else:
-                p0, v0 = xm, vm
-        return curve.project(xm, 3)
-
     for i in range(grid + 1):
         for j in range(grid + 1):
             v = values[i][j]
@@ -237,9 +260,11 @@ def _curve_seeds(sys, curve):
                 seeds.append(curve.project((xs[i], ys[j]), 3))
                 continue
             if i < grid and v * values[i + 1][j] < 0:
-                seeds.append(refine((xs[i], ys[j]), (xs[i + 1], ys[j]), v, values[i + 1][j]))
+                lo, hi = bracket(lambda x: h(x, ys[j]), xs[i], xs[i + 1], v, iterations=39)
+                seeds.append(curve.project((0.5 * (lo + hi), ys[j]), 3))
             if j < grid and v * values[i][j + 1] < 0:
-                seeds.append(refine((xs[i], ys[j]), (xs[i], ys[j + 1]), v, values[i][j + 1]))
+                lo, hi = bracket(lambda y: h(xs[i], y), ys[j], ys[j + 1], v, iterations=39)
+                seeds.append(curve.project((xs[i], 0.5 * (lo + hi)), 3))
     return seeds
 
 
@@ -350,13 +375,12 @@ def _resample(sys, curve, points, closed, resolution, index):
 
 
 def _lie_samples(sys, curve_id, components):
-    """Per component, the lists of L1 and L2 at its sample points."""
-    y1, y2 = sys.side_fields(curve_id)
+    """Per component, the lists of L1 and L2 at its sample points, one Lie pair each."""
+    canonical = sys.domain.canonical
     out = []
     for component in components:
-        l1s = [sys.lie_derivative(y1, curve_id, p) for p in component.points]
-        l2s = [sys.lie_derivative(y2, curve_id, p) for p in component.points]
-        out.append((l1s, l2s))
+        pairs = [lie_pair(*_side_values(sys, curve_id, canonical(p))) for p in component.points]
+        out.append(([l1 for l1, _ in pairs], [l2 for _, l2 in pairs]))
     return out
 
 
@@ -371,25 +395,18 @@ def _check_isolated(values, label, curve_id):
             )
 
 
-def _bisect_on_arc(component, fn, s_lo, s_hi, target=ROOT_L_TOL):
-    f_lo = fn(component.point_at(s_lo))
-    f_hi = fn(component.point_at(s_hi))
+def _bisect_on_arc(component, fn, s_lo, s_hi):
+    """Arclength of a root of fn on [s_lo, s_hi]; None without a sign change."""
+    at = lambda s: fn(component.point_at(s))
+    f_lo, f_hi = at(s_lo), at(s_hi)
     if f_lo == 0.0:
         return s_lo
     if f_hi == 0.0:
         return s_hi
     if f_lo * f_hi > 0:
         return None
-    for _ in range(80):
-        s_mid = 0.5 * (s_lo + s_hi)
-        f_mid = fn(component.point_at(s_mid))
-        if abs(f_mid) <= target:
-            return s_mid
-        if f_lo * f_mid <= 0:
-            s_hi, f_hi = s_mid, f_mid
-        else:
-            s_lo, f_lo = s_mid, f_mid
-    return 0.5 * (s_lo + s_hi)
+    lo, hi = bracket(at, s_lo, s_hi, f_lo, tol=ROOT_L_TOL)
+    return 0.5 * (lo + hi)
 
 
 def find_tangency_points(sys: FilippovSystem, curve_id: int, resolution: int) -> list[TangencyPoint]:

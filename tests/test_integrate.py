@@ -320,8 +320,24 @@ def test_segments_are_time_contiguous(fold_system):
 
 def test_position_at_interpolates(flat_system):
     orbit = integrate_filippov(flat_system, (0.0, 1.0), 3.0)
-    assert orbit.position_at(0.5) == pytest.approx((0.5, 0.5), abs=1e-7)
-    assert orbit.position_at(2.0) == pytest.approx((2.0, 0.0), abs=1e-7)
+    assert orbit.position_at(0.5, flat_system.domain) == pytest.approx((0.5, 0.5), abs=1e-7)
+    assert orbit.position_at(2.0, flat_system.domain) == pytest.approx((2.0, 0.0), abs=1e-7)
+
+
+def test_position_at_interpolates_across_the_torus_wrap():
+    system = load_shipped("chaotic_torus").build_system()
+    orbit = integrate_filippov(system, (0.3, 0.5), 1.0)
+    # t = 0.49475 lies between the samples at y = 0.9895 and y = 0.0 (after the wrap)
+    assert orbit.position_at(0.49475, system.domain)[1] == pytest.approx(0.99475, abs=1e-9)
+
+
+def test_sliding_arc_stops_at_the_rectangle_edge():
+    system = load_shipped("fold_demo_plane").build_system()
+    orbit = integrate_filippov(system, (-1.0, 0.0), 20.0, direction="backward")
+    assert orbit.terminal == "left_domain"
+    assert orbit.segments[-2].kind == "sliding_arc"
+    assert all(system.domain.contains(p) for _, p, _, _ in orbit.samples())
+    assert abs(orbit.end_point()[0] - system.domain.x_min) <= 1e-9
 
 
 def test_horizon_must_be_positive(flat_system):

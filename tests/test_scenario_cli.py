@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -7,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from filippov import cli
+from filippov import cli, scenario
 from filippov.cli import main
-from filippov.diagnostics import GridCoverage
+from filippov.diagnostics import DiagnosticsConfig, GridCoverage
 from filippov.errors import ConfigurationError
 from filippov.scenario import list_shipped, load_scenario, load_shipped, shipped_path
 from filippov.sigma import PointClass, classify_point
@@ -21,6 +22,20 @@ def test_shipped_scenarios_present():
     assert "chaotic_torus.json" in names
     assert "rotation_plane.json" in names
     assert "fold_demo_plane.json" in names
+
+
+def test_config_round_trips_every_setting():
+    # a report's config names every setting, so the run can be repeated from it
+    changed = {"int": lambda v: v + 3, "float": lambda v: 2.0 * v + 0.5,
+               "tuple": lambda v: (0.0, 0.1, 0.3), "str": lambda v: "sliding_only"}
+    cfg = DiagnosticsConfig(**{
+        f.name: changed[type(f.default).__name__](f.default)
+        for f in dataclasses.fields(DiagnosticsConfig)
+    })
+    assert cfg != DiagnosticsConfig()
+    assert len(cfg.to_dict()) == len(dataclasses.fields(DiagnosticsConfig)) == 20
+    assert scenario._config(cfg.to_dict()) == cfg
+    assert scenario._config(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_load_sliding_belt():
