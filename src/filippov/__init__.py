@@ -26,7 +26,6 @@ from .integrate import (
     Orbit,
     OrbitSegment,
     enumerate_branches,
-    handle_sigma_event,
     integrate_filippov,
     integrate_regular,
     integrate_sliding,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import random
 import sys
@@ -23,7 +24,7 @@ from .diagnostics import (
     _saturation_seeds,
     _window_cycles,
 )
-from .errors import FilippovError
+from .errors import ConfigurationError, FilippovError
 from .integrate import BranchPolicy, integrate_filippov
 from .portrait import PortraitData, PortraitSpec, render_portrait
 from .scenario import load_scenario
@@ -51,17 +52,26 @@ def _dump_json(payload, path):
             fh.write(text)
 
 
-def _parse_point(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise FilippovError(f"expected 'x,y', got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+def _parse_pair(text, flag, sep, convert, valid, expected):
+    """The two values of ``text`` split at ``sep``, or a ConfigurationError that names the flag."""
+    try:
+        a, b = (convert(v) for v in text.split(sep))
+        if valid(a) and valid(b):
+            return a, b
+    except ValueError:
+        pass
+    raise ConfigurationError(f"{flag}: expected {expected}, got {text!r}")
+
+
+def _parse_point(text, flag):
+    return _parse_pair(text, flag, ",", float, math.isfinite, "two finite numbers 'x,y'")
+
+
+_SIDES = {"up": "positive", "positive": "positive", "down": "negative", "negative": "negative"}
 
 
 def _parse_policy(text):
-    if text is None:
-        return BranchPolicy.slide_on()
-    name, _, arg = text.partition(":")
+    name, _, arg = (text or "slide_on").partition(":")
     if name in ("exit_immediately_up", "exit_up"):
         return BranchPolicy.exit_up()
     if name in ("exit_immediately_down", "exit_down"):
@@ -69,12 +79,16 @@ def _parse_policy(text):
     if name in ("slide_until_tangency", "slide_on"):
         return BranchPolicy.slide_on()
     if name in ("dwell_then_exit", "dwell"):
-        params = dict(p.split("=") for p in arg.split(",") if p)
-        return BranchPolicy.dwell_exit(
-            float(params.get("dwell", 0.0)),
-            "positive" if params.get("side", "up") in ("up", "positive") else "negative",
-        )
-    raise FilippovError(f"unknown policy {text!r}")
+        try:
+            params = dict(p.split("=") for p in arg.split(",") if p)
+            if params.keys() <= {"dwell", "side"}:
+                dwell = float(params.get("dwell", 0.0))
+                return BranchPolicy.dwell_exit(dwell, _SIDES[params.get("side", "up")])
+        except (ValueError, KeyError, ConfigurationError):
+            pass
+        raise ConfigurationError(
+            f"--policy: expected 'dwell:dwell=T,side=up|down' with a finite T >= 0, got {text!r}")
+    raise ConfigurationError(f"--policy: unknown policy {text!r}")
 
 
 def _cmd_classify(args):
@@ -89,7 +103,7 @@ def _cmd_orbit(args):
     scenario = load_scenario(args.scenario)
     sys_ = scenario.build_system()
     orbit = integrate_filippov(
-        sys_, _parse_point(args.start), args.horizon,
+        sys_, _parse_point(args.start, "--start"), args.horizon,
         direction=args.direction, policy=_parse_policy(args.policy),
         opts=scenario.integrator,
     )
@@ -104,10 +118,11 @@ def _cmd_portrait(args):
     scenario = load_scenario(args.scenario)
     sys_ = scenario.build_system()
     decs = [sigma_decomposition(sys_, c.id, args.resolution) for c in sys_.curves]
-    orbits = [integrate_filippov(sys_, _parse_point(start), args.horizon,
+    orbits = [integrate_filippov(sys_, _parse_point(start, "--orbit-start"), args.horizon,
                                  policy=_parse_policy(args.policy), opts=scenario.integrator)
               for start in args.orbit_start or []]
-    width, height = (int(v) for v in args.size.split("x"))
+    width, height = _parse_pair(args.size, "--size", "x", int, lambda v: v > 0,
+                                "two positive integers 'WxH'")
     spec = PortraitSpec(width=width, height=height, title=scenario.name)
     svg = render_portrait(spec, PortraitData(sys_.domain, decs, orbits))
     with open(args.svg, "w") as fh:

@@ -10,7 +10,7 @@ tangencies and domain exits of sliding arcs are all located by the one
 bracket kernel ``sigma.bracket``.
 
 One orbit is computed sequentially; distinct orbits may be computed
-concurrently against the shared immutable system.
+concurrently against the shared system.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .errors import IntegrationError, UndefinedSlidingError, evaluation_boundary
+from .errors import (
+    ConfigurationError, IntegrationError, UndefinedSlidingError, evaluation_boundary,
+)
 from .sigma import (
     PE_NORM_TOL,
     PointClass,
@@ -232,6 +234,10 @@ class BranchPolicy:
     dwell: float = 0.0
     side: str = "positive"
 
+    def __post_init__(self):
+        if not 0.0 <= self.dwell < math.inf:
+            raise ConfigurationError(f"dwell must be a finite number >= 0, got {self.dwell!r}")
+
     @staticmethod
     def exit_up():
         return BranchPolicy("exit_immediately_up")
@@ -269,21 +275,19 @@ class PolicyCursor:
         self.index = 0
 
     def next_escape(self):
-        if self._script_done("escape"):
-            return self.default
-        entry = self.script[self.index]
-        self.index += 1
-        if not isinstance(entry, BranchPolicy):
-            raise IntegrationError("policy script mismatch: expected a BranchPolicy")
-        return entry
+        return self._next("escape", self.default, lambda e: isinstance(e, BranchPolicy),
+                          "a BranchPolicy")
 
     def next_ride(self):
-        if self._script_done("ride"):
-            return "pass"
+        return self._next("ride", "pass", lambda e: e in ("ride", "pass"), "'ride' or 'pass'")
+
+    def _next(self, kind, default, fits, expected):
+        if self._script_done(kind):
+            return default
         entry = self.script[self.index]
         self.index += 1
-        if entry not in ("ride", "pass"):
-            raise IntegrationError("policy script mismatch: expected 'ride' or 'pass'")
+        if not fits(entry):
+            raise IntegrationError(f"policy script mismatch: expected {expected}")
         return entry
 
     def _script_done(self, kind):
@@ -385,7 +389,6 @@ _THETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # event sampling points of each step
 @dataclass(eq=False)  # targets are told apart by identity
 class CaptureTarget:
     point: tuple[float, float]
-    radius: float
     curve_id: int
 
 
@@ -519,7 +522,7 @@ def _capture_theta(domain, step, grid_pts, target):
     # coarse gate: the dense grid spacing bounds how far the true minimum
     # can hide between grid points
     spacing = domain.distance(grid_pts[0], grid_pts[-1]) / max(1, len(grid_pts) - 1)
-    if dists[best_i] > max(target.radius * 4.0, spacing, 1e-3):
+    if dists[best_i] > max(CAPTURE_RADIUS * 4.0, spacing, 1e-3):
         return None
     lo = _THETA_GRID[max(0, best_i - 1)]
     hi = _THETA_GRID[min(len(_THETA_GRID) - 1, best_i + 1)]
@@ -531,7 +534,7 @@ def _capture_theta(domain, step, grid_pts, target):
         else:
             lo = m1
     th = 0.5 * (lo + hi)
-    if domain.distance(step.at(th), target.point) <= target.radius:
+    if domain.distance(step.at(th), target.point) <= CAPTURE_RADIUS:
         return th
     return None
 
@@ -663,101 +666,8 @@ def _locate_slide_tangency(step, curve, rhs, flipped, s1_0, s2_0):
 
 
 # --------------------------------------------------------------------------- #
-# sigma-event handling and the orbit driver
+# the orbit driver
 # --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class _EnterRegion:
-    region_id: int
-    marker: str | None = None  # crossing_event | escape_departure | None
-    side: str | None = None
-    choice: BranchChoice | None = None
-
-
-@dataclass(frozen=True)
-class _EnterSliding:
-    curve_id: int
-    allow_escaping: bool = False
-    dwell: float | None = None
-    exit_side: str | None = None
-    choice: BranchChoice | None = None
-
-
-@dataclass(frozen=True)
-class _Stop:
-    reason: str
-    choice: BranchChoice | None = None
-
-
-def _side_region(curve, side):
-    return curve.positive_region if side == "positive" else curve.negative_region
-
-
-def _off_sigma(side, lie):
-    """Does a field on the given side move linearly off the manifold?"""
-    return lie > TAU_CLASS if side == "positive" else lie < -TAU_CLASS
-
-
-def _tangency_action(sys, curve_id, cls, p):
-    """Continuation at a regular tangency.
-
-    Preference order: the non-tangent field if it departs linearly; else the
-    tangent field if its fold is visible (quadratic departure); else the
-    point bounds a sliding arc and the orbit continues along the manifold.
-    """
-    curve = sys.curve(curve_id)
-    tangent_side = cls.tangent_side
-    other_side = "negative" if tangent_side == "positive" else "positive"
-    lie_other = cls.lie_negative if tangent_side == "positive" else cls.lie_positive
-    if _off_sigma(other_side, lie_other):
-        return _EnterRegion(_side_region(curve, other_side))
-    second = second_lie_value(sys, curve_id, tangent_side, p)
-    visible = second > TAU_CLASS if tangent_side == "positive" else second < -TAU_CLASS
-    if visible:
-        return _EnterRegion(_side_region(curve, tangent_side))
-    if abs(second) <= TAU_CLASS:
-        return _Stop("degenerate_tangency")
-    return _EnterSliding(curve_id)
-
-
-def _escape_action(sys, curve_id, p, t, cursor):
-    policy = cursor.next_escape()
-    if policy.kind in ("exit_immediately_up", "exit_immediately_down"):
-        side = "positive" if policy.kind == "exit_immediately_up" else "negative"
-        choice = BranchChoice(t, p, "escape_exit", side=side, dwell=0.0)
-        return _EnterRegion(
-            _side_region(sys.curve(curve_id), side),
-            marker="escape_departure", side=side, choice=choice,
-        )
-    if policy.kind == "dwell_then_exit":
-        choice = BranchChoice(t, p, "escape_exit", side=policy.side, dwell=policy.dwell)
-        return _EnterSliding(
-            curve_id, allow_escaping=True, dwell=policy.dwell,
-            exit_side=policy.side, choice=choice,
-        )
-    choice = BranchChoice(t, p, "escape_exit", side=None, dwell=None)
-    return _EnterSliding(curve_id, allow_escaping=True, choice=choice)
-
-
-def handle_sigma_event(sys, curve_id, p, cursor, t=0.0):
-    """Decide the continuation after the orbit touches a switching curve."""
-    cls = classify_point(sys, curve_id, p)
-    if cls.point_class is PointClass.CROSSING:
-        side = "positive" if cls.lie_positive > 0 else "negative"
-        return _EnterRegion(_side_region(sys.curve(curve_id), side), marker="crossing_event")
-    if cls.point_class is PointClass.SLIDING:
-        return _EnterSliding(curve_id)
-    if cls.point_class is PointClass.ESCAPING:
-        return _escape_action(sys, curve_id, p, t, cursor)
-    if cls.point_class is PointClass.PSEUDO_EQUILIBRIUM:
-        if cls.lie_positive < 0:  # rest point of the sliding flow
-            return _Stop("pseudo_equilibrium")
-        return _escape_action(sys, curve_id, p, t, cursor)
-    if cls.point_class is PointClass.TANGENCY_DOUBLE:
-        choice = BranchChoice(t, p, "double_tangency_stop")
-        return _Stop("double_tangency", choice=choice)
-    return _tangency_action(sys, curve_id, cls, p)
 
 
 def _nudge_into_arc(sys, curve_id, p, step=1e-5):
@@ -773,29 +683,28 @@ def _nudge_into_arc(sys, curve_id, p, step=1e-5):
 class _Run:
     """The state of one orbit between two driver steps.
 
-    ``mode`` is the next step (``_region``, ``_sigma``, ``_capture``, ``_escape``,
-    ``_action``) with its arguments, None at the end; each step counts against
-    ``max_segments``.  A step consults the cursor at most once, before it
-    changes anything, so one interrupted by ``_Fork`` can re-run on a ``fork``.
+    ``mode`` is the next step with its arguments, None at the end: ``_region``
+    flies a regular arc, ``_sigma`` classifies a point of Σ and applies its
+    continuation (one step per Σ event), ``_capture`` offers a ride at a graze
+    target and ``_escape`` applies the branch policy after a ride.  Each step
+    counts against ``max_segments`` and consults the cursor at most once, before
+    it changes anything, so one interrupted by ``_Fork`` can re-run on a ``fork``.
     """
 
     def __init__(self, sys, p0, horizon, direction, cursor, opts, ride_targets):
-        if horizon <= 0:
-            raise IntegrationError("horizon must be positive")
+        if not 0 < horizon < math.inf:
+            raise IntegrationError(f"horizon must be positive and finite, got {horizon!r}")
         self.sys = sys if direction == "forward" else sys.reversed()
         self.direction, self.horizon, self.cursor = direction, horizon, cursor
         self.opts = opts or IntegratorOptions()
         self.p0 = self.p = self.sys.domain.canonical(p0)
         self.t = 0.0
         # replaced, never changed in place, so forks may share it
-        self.captures = [
-            CaptureTarget(tp.position, CAPTURE_RADIUS, cid) for tp, cid in ride_targets
-        ]
+        self.captures = [CaptureTarget(tp.position, cid) for tp, cid in ride_targets]
         where = self.sys.region_of(self.p)
         self.mode = ("sigma", where.curve_id) if isinstance(where, OnSigma) else ("region", where, None)
         self.segments, self.choices = [], []
-        self.terminal = None
-        self.steps = 0
+        self.terminal, self.steps = None, 0
 
     def fork(self, entry):
         """A copy of this state whose cursor scripts the pending choice as ``entry``."""
@@ -837,7 +746,7 @@ class _Run:
         domain = self.sys.domain
         # a target we are departing from must not instantly re-capture
         arc_captures = [
-            c for c in self.captures if domain.distance(self.p, c.point) > 4.0 * c.radius
+            c for c in self.captures if domain.distance(self.p, c.point) > 4.0 * CAPTURE_RADIUS
         ]
         seg, hit = integrate_regular(
             self.sys, self.p, region_id, self.horizon - self.t, self.opts,
@@ -855,12 +764,49 @@ class _Run:
 
     def _sigma(self, curve_id):
         distance = self.sys.domain.distance
-        near = next((c for c in self.captures if distance(self.p, c.point) <= c.radius), None)
+        near = next((c for c in self.captures if distance(self.p, c.point) <= CAPTURE_RADIUS), None)
         if near is not None:
             self.mode = ("capture", near, ("sigma", curve_id))
             return
-        action = handle_sigma_event(self.sys, curve_id, self.p, self.cursor, t=self.t)
-        self.mode = ("action", action, curve_id)
+        cls = classify_point(self.sys, curve_id, self.p)
+        kind = cls.point_class
+        if kind is PointClass.PSEUDO_EQUILIBRIUM and cls.lie_positive < 0:  # sliding flow at rest
+            self._stop("pseudo_equilibrium")
+        elif kind is PointClass.CROSSING:
+            side = "positive" if cls.lie_positive > 0 else "negative"
+            self._enter(curve_id, side, "crossing_event")
+        elif kind is PointClass.SLIDING:
+            self._slide(curve_id)
+        elif kind in (PointClass.ESCAPING, PointClass.PSEUDO_EQUILIBRIUM):
+            self._escape(curve_id)
+        elif kind is PointClass.TANGENCY_DOUBLE:
+            self.choices.append(BranchChoice(self.t, self.p, "double_tangency_stop"))
+            self._stop("double_tangency")
+        else:
+            self._tangency(curve_id, cls)
+
+    def _tangency(self, curve_id, cls):
+        """Continue from a regular tangency.
+
+        Preference order: the non-tangent field if it departs linearly; else the
+        tangent field if its fold is visible (quadratic departure); else the
+        point bounds a sliding arc and the orbit continues along the manifold.
+        """
+        tangent = cls.tangent_side
+        if tangent == "positive":
+            other, departs, s = "negative", -cls.lie_negative, 1.0
+        else:
+            other, departs, s = "positive", cls.lie_positive, -1.0
+        if departs > TAU_CLASS:
+            self._enter(curve_id, other)
+            return
+        second = s * second_lie_value(self.sys, curve_id, tangent, self.p)
+        if second > TAU_CLASS:
+            self._enter(curve_id, tangent)
+        elif abs(second) <= TAU_CLASS:
+            self._stop("degenerate_tangency")
+        else:
+            self._slide(curve_id)
 
     def _capture(self, target, on_pass):
         # the policy may route the orbit onto the escaping arc that starts at the target
@@ -878,37 +824,43 @@ class _Run:
                 self.mode = ("escape", cid)
 
     def _escape(self, curve_id):
-        action = _escape_action(self.sys, curve_id, self.p, self.t, self.cursor)
-        self.mode = ("action", action, curve_id)
+        """Resolve the escaping-region freedom by the cursor's next policy."""
+        policy = self.cursor.next_escape()
+        if policy.kind in ("exit_immediately_up", "exit_immediately_down"):
+            side = "positive" if policy.kind == "exit_immediately_up" else "negative"
+            self.choices.append(BranchChoice(self.t, self.p, "escape_exit", side=side, dwell=0.0))
+            self._enter(curve_id, side, "escape_departure")
+        elif policy.kind == "dwell_then_exit":
+            side, dwell = policy.side, policy.dwell
+            self.choices.append(BranchChoice(self.t, self.p, "escape_exit", side, dwell))
+            self._slide(curve_id, escaping=True, dwell=dwell, exit_side=side)
+        else:
+            self.choices.append(BranchChoice(self.t, self.p, "escape_exit"))
+            self._slide(curve_id, escaping=True)
 
-    def _action(self, action, curve_id):
-        if action.choice is not None:
-            self.choices.append(action.choice)
-        if isinstance(action, _Stop):
-            self._stop(action.reason)
-            return
-        if isinstance(action, _EnterRegion):
-            if action.marker:
-                detail = {"side": action.side} if action.side else {}
-                detail["curve"] = curve_id
-                self._add_marker(action.marker, detail)
-            self.mode = ("region", action.region_id, curve_id)
-            return
+    def _enter(self, curve_id, side, marker=None):
+        """Leave the curve into the region on ``side``, after a marker segment if one is named."""
+        if marker == "crossing_event":
+            self._add_marker(marker, {"curve": curve_id})
+        elif marker == "escape_departure":
+            self._add_marker(marker, {"side": side, "curve": curve_id})
+        curve = self.sys.curve(curve_id)
+        region = curve.positive_region if side == "positive" else curve.negative_region
+        self.mode = ("region", region, curve_id)
+
+    def _slide(self, curve_id, escaping=False, dwell=None, exit_side=None):
+        """Slide along the curve; after a ``dwell`` the orbit leaves to ``exit_side``."""
         remaining = self.horizon - self.t
         seg, exit_info = integrate_sliding(
-            self.sys, curve_id, self.p,
-            remaining if action.dwell is None else min(action.dwell, remaining),
-            self.opts, allow_escaping=action.allow_escaping,
+            self.sys, curve_id, self.p, remaining if dwell is None else min(dwell, remaining),
+            self.opts, allow_escaping=escaping,
         )
-        seg.detail["escaping"] = action.allow_escaping
+        seg.detail["escaping"] = escaping
         self._add_segment(seg)
         if exit_info[0] == "t_max":
             self.mode = None
-            if action.dwell is not None and self.t < self.horizon - 1e-12:
-                # dwell elapsed: leave to the chosen side
-                side = action.exit_side or "positive"
-                self._add_marker("escape_departure", {"side": side, "curve": curve_id})
-                self.mode = ("region", _side_region(self.sys.curve(curve_id), side), curve_id)
+            if dwell is not None and self.t < self.horizon - 1e-12:
+                self._enter(curve_id, exit_side or "positive", "escape_departure")
         elif exit_info[0] in ("pseudo_eq", "left_domain"):
             self._stop("pseudo_equilibrium" if exit_info[0] == "pseudo_eq" else "left_domain")
         else:
@@ -927,7 +879,6 @@ def integrate_filippov(
     direction: str = "forward",
     policy=None,
     opts: IntegratorOptions | None = None,
-    script=None,
     ride_targets=(),
 ):
     """Produce one Filippov orbit under a deterministic branch policy.
@@ -937,7 +888,7 @@ def integrate_filippov(
     cursor decides 'pass' (keep flying) or 'ride' (enter the manifold there,
     which is how an orbit enters an escaping region through its tangency).
     """
-    cursor = policy if isinstance(policy, PolicyCursor) else PolicyCursor(policy, script)
+    cursor = policy if isinstance(policy, PolicyCursor) else PolicyCursor(policy)
     return _Run(sys, p0, horizon, direction, cursor, opts, ride_targets).run()
 
 
@@ -948,7 +899,6 @@ def enumerate_branches(
     horizon,
     budget: int,
     dwell_grid=(0.0,),
-    direction="forward",
     opts=None,
     ride_targets=(),
 ):
@@ -974,7 +924,7 @@ def enumerate_branches(
     ]
     escape_options.append(BranchPolicy.slide_on())
     cursor = _ForkingCursor(BranchPolicy.slide_on())
-    queue = deque([_Run(sys, p0, horizon, direction, cursor, opts, ride_targets)])
+    queue = deque([_Run(sys, p0, horizon, "forward", cursor, opts, ride_targets)])
     orbits = []
     while queue and len(orbits) < budget:
         run = queue.popleft()

@@ -7,6 +7,7 @@ package's ``scenarios/`` directory.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -68,7 +69,7 @@ def _require(data, key, path, kind=None):
 def _number(value, path, kind=float):
     """``value`` as a ``kind``, or a ConfigurationError that names the field path.
 
-    A boolean is not a number, and an int field takes only integral values.
+    A bool, Infinity or NaN is rejected, and an int field takes only integral values.
     """
     if kind is int and type(value) is int:  # not a bool; exact, however large
         return value
@@ -78,6 +79,8 @@ def _number(value, path, kind=float):
         number = None
     if number is None or isinstance(value, bool):
         raise ConfigurationError(f"{path}: expected a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
     if kind is float:
         return number
     if not number.is_integer():

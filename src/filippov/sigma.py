@@ -1,7 +1,8 @@
 """Classification of switching-manifold points and scans along curves.
 
-Every operation is a pure function over an immutable system; scans over
-distinct curves can run concurrently.
+Every operation is a pure function of the system, except that
+``second_lie_value`` compiles Y(Yh) on first use and keeps it in
+``sys.second_lie_fields``; scans over distinct curves can run concurrently.
 """
 
 from __future__ import annotations
@@ -524,8 +525,6 @@ class SigmaArc:
     start_point: tuple[float, float]
     end_point: tuple[float, float]
     samples: list = field(default_factory=list)
-    start_tangency: TangencyPoint | None = None
-    end_tangency: TangencyPoint | None = None
 
     @property
     def length(self):
@@ -606,18 +605,12 @@ def sigma_decomposition(sys: FilippovSystem, curve_id: int, resolution: int) -> 
                 )
             )
             continue
-        bounds = []
-        if component.closed:
-            for i, t in enumerate(t_here):
-                nxt = t_here[(i + 1) % len(t_here)]
-                s_end = nxt.param if i + 1 < len(t_here) else nxt.param + component.length
-                bounds.append((t.param, s_end, t, nxt))
+        params = [t.param for t in t_here]
+        if component.closed:  # the last arc runs through the seam to the first tangency
+            cuts = params + [params[0] + component.length]
         else:
-            cuts = [0.0] + [t.param for t in t_here] + [component.length]
-            tps = [None] + list(t_here) + [None]
-            for i in range(len(cuts) - 1):
-                bounds.append((cuts[i], cuts[i + 1], tps[i], tps[i + 1]))
-        for s0, s1, t0, t1 in bounds:
+            cuts = [0.0] + params + [component.length]
+        for s0, s1 in zip(cuts, cuts[1:]):
             if s1 - s0 < DEDUP_DIST:
                 continue
             mid = component.point_at(0.5 * (s0 + s1))
@@ -630,7 +623,7 @@ def sigma_decomposition(sys: FilippovSystem, curve_id: int, resolution: int) -> 
                     curve_id, component.index, cls, s0, s1,
                     component.point_at(s0 % component.length if component.closed else s0),
                     component.point_at(s1 % component.length if component.closed else s1),
-                    samples=samples, start_tangency=t0, end_tangency=t1,
+                    samples=samples,
                 )
             )
     return SigmaDecomposition(curve_id, components, arcs, tangencies, pes)

@@ -4,18 +4,17 @@ import math
 import pytest
 
 from filippov import diagnostics, integrate
-from filippov.errors import IntegrationError
+from filippov.errors import ConfigurationError, IntegrationError
 from filippov.expr import PlanarField, ScalarField
 from filippov.integrate import (
     BranchPolicy,
     IntegratorOptions,
     enumerate_branches,
-    handle_sigma_event,
     integrate_filippov,
     integrate_regular,
     integrate_sliding,
 )
-from filippov.integrate import PolicyCursor, _EnterRegion, _EnterSliding
+from filippov.integrate import PolicyCursor
 from filippov.scenario import load_shipped
 from filippov.sigma import PointClass, classify_point
 from filippov.system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
@@ -56,14 +55,17 @@ def test_event_endpoints_have_tiny_h(fold_system):
 
 def test_handle_crossing_continues_to_other_side():
     s = build_plane_system(("1", "-1"), ("1", "-1"))
-    action = handle_sigma_event(s, 0, (1.0, 0.0), PolicyCursor())
-    assert isinstance(action, _EnterRegion)
-    assert action.region_id == 2
+    orbit = integrate_filippov(s, (1.0, 0.0), 0.5)
+    assert [g.kind for g in orbit.segments] == ["crossing_event", "regular_arc"]
+    assert orbit.segments[0].detail == {"curve": 0}
+    assert orbit.segments[1].region_id == 2
 
 
 def test_handle_sliding_entry(flat_system):
-    action = handle_sigma_event(flat_system, 0, (1.0, 0.0), PolicyCursor())
-    assert isinstance(action, _EnterSliding)
+    orbit = integrate_filippov(flat_system, (1.0, 0.0), 0.5)
+    assert [g.kind for g in orbit.segments] == ["sliding_arc"]
+    assert orbit.segments[0].detail == {"escaping": False}
+    assert orbit.choices == []
 
 
 def test_handle_visible_fold_ejects_tangent_side(fold_system):
@@ -77,9 +79,45 @@ def test_handle_visible_fold_ejects_tangent_side(fold_system):
         x += dt * vx
         y += dt * vy
     assert y > 0  # moves off into the h > 0 side
-    action = handle_sigma_event(fold_system, 0, p, PolicyCursor())
-    assert isinstance(action, _EnterRegion)
-    assert action.region_id == 1
+    orbit = integrate_filippov(fold_system, p, 0.5)
+    assert [g.kind for g in orbit.segments] == ["regular_arc"]
+    assert orbit.segments[0].region_id == 1
+
+
+@pytest.mark.parametrize("y1, y2, policy, kinds, end", [
+    # crossing: both fields point down
+    (("1", "-1"), ("1", "-1"), None, ["crossing_event", "regular_arc"], 2),
+    # sliding: the fields point at each other
+    (("1", "-1"), ("1", "1"), None, ["sliding_arc"], None),
+    # escaping: the fields point away from each other; the policy picks the lower side
+    (("1", "1"), ("1", "-1"), BranchPolicy.exit_down(), ["escape_departure", "regular_arc"], 2),
+    # regular tangency of Y1 whose other field departs linearly
+    (("1", "-x"), ("1", "-1"), None, ["regular_arc"], 2),
+    # visible fold of Y1: Y1(Y1 h) = 1 > 0 lifts the orbit off into region 1
+    (("1", "x"), ("1", "1"), None, ["regular_arc"], 1),
+    # invisible fold of Y1: Y1(Y1 h) = -1 < 0 bounds a sliding arc
+    (("1", "-x"), ("1", "1"), None, ["sliding_arc"], None),
+    # degenerate fold of Y1: Y1(Y1 h) = -2x vanishes at the tangency
+    (("1", "-x^2"), ("1", "1"), None, ["terminal"], "degenerate_tangency"),
+    # pseudo-equilibrium in the escaping region: the policy leaves upwards
+    (("-x", "1"), ("-x", "-1"), BranchPolicy.exit_up(), ["escape_departure", "regular_arc"], 1),
+    # pseudo-equilibrium of the sliding flow: a rest point
+    (("-x", "-1"), ("-x", "1"), None, ["terminal"], "pseudo_equilibrium"),
+    # double tangency: both fields are tangent
+    (("1", "x"), ("1", "x"), None, ["terminal"], "double_tangency"),
+])
+def test_sigma_continuation_from_the_origin(y1, y2, policy, kinds, end):
+    # h = y; ``end`` is the region of the last arc, or the terminal reason
+    orbit = integrate_filippov(build_plane_system(y1, y2), (0.0, 0.0), 0.5, policy=policy)
+    assert [g.kind for g in orbit.segments] == kinds
+    last = orbit.segments[-1]
+    if last.kind == "terminal":
+        assert orbit.terminal == last.detail["reason"] == end
+    else:
+        assert orbit.terminal is None and orbit.duration() == pytest.approx(0.5)
+        assert last.region_id == end
+    escapes = [c.side for c in orbit.choices if c.kind == "escape_exit"]
+    assert escapes == ([] if policy is None else ["positive" if end == 1 else "negative"])
 
 
 def test_sliding_to_horizon():
@@ -268,8 +306,8 @@ def test_enumeration_integrates_each_arc_once(belt_system, monkeypatch):
 
 
 def test_segment_budget_terminal():
-    # crossings at y = 0.5 and y = 0 (mod 1); each arc, sigma touch and
-    # crossing is one driver step
+    # crossings at y = 0.5 and y = 0 (mod 1); each arc is one driver step,
+    # and so is each sigma touch with the crossing it decides
     domain = Domain("flat_torus", 0, 1, 0, 1)
     curve = SwitchingCurve(0, ScalarField("sin(2*pi*y)"), 1, 2)
     regions = [
@@ -277,7 +315,7 @@ def test_segment_budget_terminal():
         RegionSpec(2, PlanarField("1", "2"), [(0, -1)]),
     ]
     system = FilippovSystem(domain, [curve], regions, validate=False)
-    orbit = integrate_filippov(system, (0.1, 0.25), 50.0, opts=IntegratorOptions(max_segments=7))
+    orbit = integrate_filippov(system, (0.1, 0.25), 50.0, opts=IntegratorOptions(max_segments=5))
     assert orbit.terminal == "segment_budget"
     assert [s.kind for s in orbit.segments] == [
         "regular_arc", "crossing_event", "regular_arc", "crossing_event", "regular_arc",
@@ -341,8 +379,16 @@ def test_sliding_arc_stops_at_the_rectangle_edge():
 
 
 def test_horizon_must_be_positive(flat_system):
-    with pytest.raises(IntegrationError):
-        integrate_filippov(flat_system, (0.0, 1.0), 0.0)
+    for horizon in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(IntegrationError, match="horizon must be positive and finite"):
+            integrate_filippov(flat_system, (0.0, 1.0), horizon)
+
+
+def test_dwell_must_be_finite_and_not_negative():
+    for dwell in (-1.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="dwell must be a finite number >= 0"):
+            BranchPolicy.dwell_exit(dwell, "positive")
+    assert BranchPolicy.dwell_exit(0.0, "negative").dwell == 0.0
 
 
 def test_position_at_skips_marker_segments():

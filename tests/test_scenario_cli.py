@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -113,6 +114,22 @@ def test_load_reports_field_paths(tmp_path):
          r"config\.dwell_grid\[1\]: expected a number"),
         (lambda d: d.update(config={"ms_interpretation": "both"}),
          r"config\.ms_interpretation: expected one of \['sliding_and_escaping', 'sliding_only'\]"),
+        # json.dumps writes these as Infinity, -Infinity and NaN, which json.loads reads back
+        (lambda d: d["domain"].update(bounds=[0, math.inf, 0, 1]),
+         r"domain\.bounds\[1\]: expected a finite number, got inf"),
+        (lambda d: d["parameters"].update(a=math.nan), r"parameters\.a: expected a finite number, got nan"),
+        (lambda d: d.update(config={"probe_horizon": math.inf}),
+         r"config\.probe_horizon: expected a finite number, got inf"),
+        (lambda d: d.update(config={"disk_radius": math.nan}),
+         r"config\.disk_radius: expected a finite number, got nan"),
+        (lambda d: d.update(config={"grid_resolution": math.inf}),
+         r"config\.grid_resolution: expected a finite number, got inf"),
+        (lambda d: d.update(config={"dwell_grid": [0.0, -math.inf]}),
+         r"config\.dwell_grid\[1\]: expected a finite number, got -inf"),
+        (lambda d: d.update(integrator={"max_step": math.inf}),
+         r"integrator\.max_step: expected a finite number, got inf"),
+        (lambda d: d.update(integrator={"rtol": math.nan}),
+         r"integrator\.rtol: expected a finite number, got nan"),
     ]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario()))
@@ -305,6 +322,55 @@ def test_cli_bad_policy_errors(tmp_path):
         "--start", "0,0.5", "--horizon", "1", "--policy", "bogus",
     ])
     assert status == 2
+
+
+def _orbit_argv(name, start, horizon, *more):
+    return ["orbit", "--scenario", str(shipped_path(name)), "--start", start,
+            "--horizon", horizon, *more]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a horizon or dwell of inf or nan is never reached: the orbit runs forever or not at all
+    (_orbit_argv("rotation_plane", "0.3,0.2", "inf"), "horizon must be positive and finite, got inf"),
+    (_orbit_argv("rotation_plane", "0.3,0.2", "nan"), "horizon must be positive and finite, got nan"),
+    (_orbit_argv("sliding_belt_torus", "0.3,0.5", "2", "--policy", "dwell:dwell=nan,side=up"),
+     "--policy: expected 'dwell:dwell=T,side=up|down' with a finite T >= 0, got 'dwell:dwell=nan,side=up'"),
+    # a negative dwell has no meaning
+    (_orbit_argv("sliding_belt_torus", "0.3,0.5", "2", "--policy", "dwell:dwell=-1"),
+     "--policy: expected 'dwell:dwell=T,side=up|down' with a finite T >= 0, got 'dwell:dwell=-1'"),
+])
+def test_cli_non_finite_or_negative_time_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_scenario_with_infinite_bound_exits_2(tmp_path, capsys):
+    data = json.loads(shipped_path("rotation_plane").read_text())
+    data["domain"]["bounds"][1] = math.inf
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(data))
+    assert "Infinity" in path.read_text()
+    assert main(["orbit", "--scenario", str(path), "--start", "0.3,0.2", "--horizon", "2"]) == 2
+    assert capsys.readouterr().err == "error: domain.bounds[1]: expected a finite number, got inf\n"
+
+
+@pytest.mark.parametrize("flag, bad, message", [
+    ("--start", "a,0.2", "--start: expected two finite numbers 'x,y', got 'a,0.2'"),
+    ("--start", "0.3,inf", "--start: expected two finite numbers 'x,y', got '0.3,inf'"),
+    ("--orbit-start", "0.3,0.2,0", "--orbit-start: expected two finite numbers 'x,y', got '0.3,0.2,0'"),
+    ("--policy", "dwell:foo", "--policy: expected 'dwell:dwell=T,side=up|down' with a finite T >= 0, "
+                              "got 'dwell:foo'"),
+    ("--size", "640", "--size: expected two positive integers 'WxH', got '640'"),
+])
+def test_cli_argument_errors_name_the_flag(flag, bad, message, tmp_path, capsys):
+    argv = {
+        "--start": _orbit_argv("rotation_plane", bad, "1"),
+        "--policy": _orbit_argv("rotation_plane", "0.3,0.2", "1", "--policy", bad),
+    }.get(flag, ["portrait", "--scenario", str(shipped_path("rotation_plane")),
+                 "--svg", str(tmp_path / "p.svg"), flag, bad])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "p.svg").exists()
 
 
 def test_cli_raw_evaluation_error_exits_2(tmp_path, capsys, caplog):

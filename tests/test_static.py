@@ -1,9 +1,12 @@
-"""Static check of the package sources, with the standard library only.
+"""Static checks of the package sources, with the standard library only.
 
 A module that reads a global name it never defines, imports or gets from
 builtins fails only when that line runs; this finds such names up front.
+A function parameter that the body never reads is dead code that callers
+still have to pass; this finds those too.
 """
 
+import ast
 import builtins
 import symtable
 from pathlib import Path
@@ -55,3 +58,62 @@ def test_check_accepts_bound_names():
 def test_module_reads_no_unbound_global(module):
     path = PACKAGE / module
     assert undefined_globals(path.read_text(), str(path)) == set()
+
+
+# (qualified function name, parameter) -> why the parameter stays unread
+UNREAD_ALLOWED = {
+    ("sigma_seed_points", "sys"): "benchmarks/workloads.py passes it positionally",
+    ("PolicyCursor._script_done", "kind"): "the _ForkingCursor override reads it",
+}
+
+
+def unread_parameters(source, filename="<source>"):
+    """(qualified function name, parameter) for each parameter its function never reads.
+
+    Methods are named ``Class.method``, nested functions ``outer.inner`` and
+    lambdas ``<lambda>``.  A read inside a nested function or lambda counts for
+    the enclosing function, even where the nested one rebinds the name.
+    """
+    unread = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+                visit(child, scope)
+                continue
+            name = scope + getattr(child, "name", "<lambda>")
+            if not isinstance(child, ast.ClassDef):
+                a = child.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread.update((name, p) for p in params if p not in read)
+            visit(child, name + ".")
+
+    visit(ast.parse(source, filename), "")
+    return unread
+
+
+def test_unread_check_finds_unread_parameters():
+    source = ("class C:\n    def m(self, used, unused, *args, key=None, **extra):\n"
+              "        return used, args, key\n\n"
+              "def f(a, b):\n    def g(c):\n        return a\n    return g, lambda d, e: d\n")
+    assert unread_parameters(source) == {
+        ("C.m", "self"), ("C.m", "unused"), ("C.m", "extra"),
+        ("f", "b"), ("f.g", "c"), ("f.<lambda>", "e"),
+    }
+
+
+def test_unread_check_accepts_read_parameters():
+    # reads in nested scopes, comprehensions, f-strings and keyword arguments all count
+    source = ("def f(a, b, c, *d, e, **g):\n    def h():\n        return a\n"
+              "    return h, [b for _ in d], f'{c}', dict(k=e), g\n")
+    assert unread_parameters(source) == set()
+
+
+def test_package_parameters_are_read():
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        unread |= unread_parameters(path.read_text(), str(path))
+    assert unread == set(UNREAD_ALLOWED)
