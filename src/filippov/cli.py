@@ -67,6 +67,18 @@ def _parse_point(text, flag):
     return _parse_pair(text, flag, ",", float, math.isfinite, "two finite numbers 'x,y'")
 
 
+_POSITIVE = (lambda v: 0 < v < math.inf, "a finite number > 0")
+_COUNT = (lambda v: v >= 1, "an integer >= 1")
+
+
+def _flag(value, default, flag, check):
+    """``value`` when the flag was given, checked by ``check``; else ``default``."""
+    valid, expected = check
+    if value is not None and not valid(value):
+        raise ConfigurationError(f"{flag}: expected {expected}, got {value!r}")
+    return default if value is None else value
+
+
 _SIDES = {"up": "positive", "positive": "positive", "down": "negative", "negative": "negative"}
 
 
@@ -134,13 +146,13 @@ def _cmd_saturate(args):
     scenario = load_scenario(args.scenario)
     sys_ = scenario.build_system()
     cfg = scenario.config
+    grid = _flag(args.grid, cfg.grid_resolution, "--grid", _COUNT)
+    horizon = _flag(args.horizon, cfg.saturate_horizon, "--horizon", _POSITIVE)
     decs = [sigma_decomposition(sys_, c.id, cfg.sigma_resolution) for c in sys_.curves]
     seeds = _saturation_seeds(sys_, decs, cfg)
     if not seeds:
         _dump_json({"error": "no sliding or escaping arcs to seed from"}, args.json)
         return EXIT_INCONCLUSIVE
-    grid = args.grid or cfg.grid_resolution
-    horizon = args.horizon or cfg.saturate_horizon
     cov = saturate(sys_, seeds, horizon, _saturate_policies(cfg.dwell_grid),
                    grid_resolution=grid, opts=scenario.integrator)
     if args.csv:
@@ -167,10 +179,10 @@ def _cmd_cycles(args):
     cfg = scenario.config
     if args.seed is not None:
         cfg.seed = args.seed
+    radius = _flag(args.radius, cfg.window_radius, "--radius", _POSITIVE)
+    count = _flag(args.windows, cfg.cycle_windows, "--windows", _COUNT)
     rng = random.Random(cfg.seed)
-    radius = args.radius or cfg.window_radius
-    windows = [_random_disk(rng, sys_.domain, radius)
-               for _ in range(args.windows or cfg.cycle_windows)]
+    windows = [_random_disk(rng, sys_.domain, radius) for _ in range(count)]
     decs = [sigma_decomposition(sys_, c.id, cfg.sigma_resolution) for c in sys_.curves]
     graph = build_segment_graph(
         sys_, decs, windows=windows, horizon=cfg.graph_horizon, budget=cfg.graph_budget,

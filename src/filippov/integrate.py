@@ -1,12 +1,15 @@
 """Event-driven integration of Filippov orbits.
 
 The regular stepper is a hand-rolled Dormand-Prince 5(4) pair with the
-classical quartic dense output; events (sign changes of any h_i, domain
-exit, graze captures) are located on the dense output and polished onto the
-curve with Newton steps.  Sliding arcs integrate the Filippov convex
-combination constrained to the curve by per-step Newton projection.  Curve
-crossings (a guarded bisection/secant hybrid), domain exits and the
-tangencies and domain exits of sliding arcs are all located by the one
+classical quartic dense output.  Its step, dense output and event-grid
+evaluator are straight-line code that ``_kernels`` generates at import from
+the tableau ``_A``, ``_E``, ``_P``; they return the bits of the tableau loops,
+which ``tests/test_dormand_prince.py`` keeps as the reference.  Events (sign
+changes of any h_i, domain exit, graze captures) are located on the dense
+output and polished onto the curve with Newton steps.  Sliding arcs integrate
+the Filippov convex combination constrained to the curve by per-step Newton
+projection.  Curve crossings (a guarded bisection/secant hybrid), domain exits
+and the tangencies and domain exits of sliding arcs are all located by the one
 bracket kernel ``sigma.bracket``.
 
 One orbit is computed sequentially; distinct orbits may be computed
@@ -57,7 +60,6 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 _P = (
     (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
@@ -68,6 +70,7 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
+_THETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # event sampling points of each step
 
 
 @dataclass
@@ -88,8 +91,67 @@ class IntegratorOptions:
         return replace(self, rtol=self.rtol * factor, atol=self.atol * factor)
 
 
+def _kernels():
+    """``_rk_step``, ``_DenseStep.at`` and ``_DenseStep.grid`` as straight-line code.
+
+    The source is written out from ``_A``, ``_E`` and ``_P`` and compiled in a
+    closed namespace, as ``expr.compile_expression`` compiles fields.  Each sum
+    keeps the operation order of the tableau loop it unrolls: ``x + dt * a * k``
+    associates left, the error and dense-output sums start at ``0.0 +``, and
+    zero coefficients stay, so the kernels return the loops' bits.  ``f``
+    returns a tuple whose first two entries are the velocity; the stages read
+    those, and ``ks`` holds the tuples whole.
+    """
+    ks = ", ".join(f"k{j}" for j in range(1, 8))
+    kx = [f"k{j}x" for j in range(1, 8)]
+    ky = [f"k{j}y" for j in range(1, 8)]
+    unpack = [f"    {k} = k{j}[{i}]" for j, pair in enumerate(zip(kx, ky), 1) for i, k in enumerate(pair)]
+
+    def dot(coefficients, components):
+        return "".join(f" + {c} * {k}" for c, k in zip(coefficients, components))
+
+    def horner(theta, p):
+        return f"{theta} * ({p[0]!r} + {theta} * ({p[1]!r} + {theta} * ({p[2]!r} + {theta} * {p[3]!r})))"
+
+    def point(weights, kx, ky):
+        return f"(x0 + dt * (0.0{dot(kx, weights)}), y0 + dt * (0.0{dot(ky, weights)}))"
+
+    rk = ["def rk_step(f, x, y, k1, dt):"] + unpack[:2]
+    for i in range(1, 7):
+        rk += [
+            f"    ax = x{dot([f'dt * {a!r}' for a in _A[i]], kx)}",
+            f"    ay = y{dot([f'dt * {a!r}' for a in _A[i]], ky)}",
+            f"    k{i + 1} = f(ax, ay)",
+        ] + unpack[2 * i:2 * i + 2]
+    rk += [
+        f"    ex = 0.0{dot(map(repr, _E), kx)}",
+        f"    ey = 0.0{dot(map(repr, _E), ky)}",
+        f"    return ax, ay, [{ks}], ex * dt, ey * dt",
+    ]
+
+    head = [f"    {ks} = self.ks", "    x0 = self.x0", "    y0 = self.y0", "    dt = self.dt"]
+    at = ["def at(self, theta):"] + head
+    at += [f"    q{j} = {horner('theta', p)}" for j, p in enumerate(_P, 1)]
+    qs = [f"q{j}" for j in range(1, 8)]
+    at.append(f"    return {point(qs, [f'k{j}[0]' for j in range(1, 8)], [f'k{j}[1]' for j in range(1, 8)])}")
+
+    # the grid's weights q_j(theta), once, by the Horner expression ``at`` evaluates
+    weights = [[repr(eval(horner(repr(th), p), {"__builtins__": {}})) for p in _P]  # noqa: S307
+               for th in _THETA_GRID[1:]]
+    grid = ["def grid(self):"] + head + unpack
+    grid.append(f"    return [(x0, y0), {', '.join(point(w, kx, ky) for w in weights)}]")
+
+    env = {"__builtins__": {}}
+    exec("\n".join(rk + at + grid) + "\n", env)  # noqa: S102 - generated from the tableau
+    return env["rk_step"], env["at"], env["grid"]
+
+
 class _DenseStep:
-    """One accepted RK step with its quartic interpolant."""
+    """One accepted RK step with its quartic interpolant.
+
+    ``at(theta)`` is the point at ``t0 + theta * dt``; ``grid()`` the points at
+    ``_THETA_GRID``, the start point first.
+    """
 
     __slots__ = ("t0", "dt", "x0", "y0", "ks")
 
@@ -100,34 +162,8 @@ class _DenseStep:
         self.y0 = y0
         self.ks = ks
 
-    def at(self, theta):
-        x = 0.0
-        y = 0.0
-        for k, p in zip(self.ks, _P):
-            q = theta * (p[0] + theta * (p[1] + theta * (p[2] + theta * p[3])))
-            x += k[0] * q
-            y += k[1] * q
-        return (self.x0 + self.dt * x, self.y0 + self.dt * y)
 
-
-def _rk_step(f, x, y, k1, dt):
-    ks = [k1]
-    for i in range(1, 7):
-        ax = x
-        ay = y
-        row = _A[i]
-        for a, k in zip(row, ks):
-            ax += dt * a * k[0]
-            ay += dt * a * k[1]
-        ks.append(f(ax, ay))
-    x1 = ax  # stage 7 uses the 5th-order solution weights
-    y1 = ay
-    ex = 0.0
-    ey = 0.0
-    for e, k in zip(_E, ks):
-        ex += e * k[0]
-        ey += e * k[1]
-    return x1, y1, ks, ex * dt, ey * dt
+_rk_step, _DenseStep.at, _DenseStep.grid = _kernels()
 
 
 class _Stepper:
@@ -383,9 +419,6 @@ class Orbit:
 # regular arcs
 # --------------------------------------------------------------------------- #
 
-_THETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # event sampling points of each step
-
-
 @dataclass(eq=False)  # targets are told apart by identity
 class CaptureTarget:
     point: tuple[float, float]
@@ -450,10 +483,9 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
             seg = OrbitSegment("regular_arc", 0.0, times[-1], times, pts, region_id=region_id)
             return seg, ("t_max", pts[-1])
         step = stepper.propose(t_max - stepper.t)
-        # sample h on the dense grid, look for the earliest event; the step
-        # holds its start point, and its end point is evaluated once
-        end = step.at(1.0)
-        grid_pts = [(step.x0, step.y0)] + [step.at(th) for th in _THETA_GRID[1:-1]] + [end]
+        # sample h on the dense grid, look for the earliest event
+        grid_pts = step.grid()
+        end = grid_pts[-1]
         best = None  # (theta, kind, payload)
 
         for cid, h in h_fns:

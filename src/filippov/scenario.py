@@ -174,17 +174,14 @@ def scenario_from_dict(data) -> Scenario:
         })
     config = _config(_optional(data, "config", {}))
     integ = _optional(data, "integrator", {})
-    steps = {}  # None keeps the domain-derived default
-    for key in ("max_step", "sample_spacing"):
-        if integ.get(key) is not None:
-            steps[key] = _number(integ[key], f"integrator.{key}")
-            if not steps[key] > 0:
-                raise ConfigurationError(f"integrator.{key}: expected a positive number")
-    options = IntegratorOptions(
-        rtol=_number(integ.get("rtol", 1e-10), "integrator.rtol"),
-        atol=_number(integ.get("atol", 1e-12), "integrator.atol"),
-        **steps,
-    )
+    settings = {"rtol": integ.get("rtol", 1e-10), "atol": integ.get("atol", 1e-12)}
+    # a null step setting keeps its domain-derived default
+    settings.update((k, integ[k]) for k in ("max_step", "sample_spacing") if integ.get(k) is not None)
+    for key, value in settings.items():
+        settings[key] = _number(value, f"integrator.{key}")
+        if not settings[key] > 0:
+            raise ConfigurationError(f"integrator.{key}: expected a positive number")
+    options = IntegratorOptions(**settings)
     scenario = Scenario(
         name=name, domain=domain, parameters=parameters,
         curve_defs=curve_defs, region_defs=region_defs,

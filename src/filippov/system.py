@@ -152,6 +152,7 @@ class FilippovSystem:
         self.velocity_scale = velocity_scale
         self.frozen_tangencies = ()
         self.second_lie_fields = {}
+        self._reversed = None
         self._regions_by_id = {r.id: r for r in self.regions}
         self._curves_by_id = {c.id: c for c in self.curves}
         if len(self._regions_by_id) != len(self.regions):
@@ -231,14 +232,21 @@ class FilippovSystem:
     # -- derived systems -------------------------------------------------------
 
     def reversed(self) -> "FilippovSystem":
-        """Time-reversed system: all fields negated (sliding <-> escaping)."""
-        regions = [RegionSpec(r.id, r.field.negated(), r.conditions) for r in self.regions]
-        rev = FilippovSystem(
-            self.domain, self.curves, regions, self.parameters,
-            velocity_scale=self.velocity_scale, validate=False,
-        )
-        rev.frozen_tangencies = self.frozen_tangencies
-        return rev
+        """Time-reversed system: all fields negated (sliding <-> escaping).
+
+        Built on the first call and returned by later ones: a system does not
+        change once built, and ``rescale_tangency_freeze`` sets
+        ``frozen_tangencies`` before any reversal.
+        """
+        if self._reversed is None:
+            regions = [RegionSpec(r.id, r.field.negated(), r.conditions) for r in self.regions]
+            rev = FilippovSystem(
+                self.domain, self.curves, regions, self.parameters,
+                velocity_scale=self.velocity_scale, validate=False,
+            )
+            rev.frozen_tangencies = self.frozen_tangencies
+            self._reversed = rev
+        return self._reversed
 
     def with_velocity_scale(self, g) -> "FilippovSystem":
         """The system with every field multiplied by g(p); frozen tangencies carry over."""

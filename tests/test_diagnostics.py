@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from filippov import diagnostics
+from filippov import diagnostics, integrate
 from filippov.diagnostics import (
     DiagnosticsConfig,
     Disk,
@@ -256,6 +256,20 @@ def test_rescale_freezes_tangencies(fold_system):
     assert math.hypot(vx, vy) <= 1e-12
 
 
+def test_rescaled_reversal_is_built_once_and_keeps_frozen_tangencies(fold_system):
+    rescaled = rescale_tangency_freeze(fold_system)
+    rev = rescaled.reversed()
+    assert rev is rescaled.reversed()
+    assert rev.frozen_tangencies == rescaled.frozen_tangencies and len(rev.frozen_tangencies) == 1
+    assert rev.velocity_scale is rescaled.velocity_scale
+    p = (-1.5, 0.5)
+    vx, vy = rescaled.field_value(rescaled.region(1).field, p)
+    assert rev.field_value(rev.region(1).field, p) == (-vx, -vy)
+    # every backward orbit runs on that one reversal
+    run = integrate._Run(rescaled, p, 0.5, "backward", integrate.PolicyCursor(), None, ())
+    assert run.sys is rev
+
+
 def test_rescale_identity_without_tangencies(belt_system):
     rescaled = rescale_tangency_freeze(belt_system)
     assert rescaled is belt_system
@@ -358,7 +372,7 @@ def test_chaos_report_logs_one_line_per_phase(belt_system, caplog):
 
 
 def test_escape_entry_tangency_skipped_when_unclassifiable(monkeypatch):
-    from filippov import diagnostics
+    from filippov import diagnostics, integrate
     from filippov.errors import UndefinedSlidingError
 
     # h = y: escaping for x > 0, crossing for x < 0, the sliding flow at the

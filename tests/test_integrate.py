@@ -400,28 +400,35 @@ def test_position_at_skips_marker_segments():
 
 
 def test_regular_steps_reuse_their_end_points(monkeypatch):
-    # theta = 0 is the step's own start point; theta = 1 is evaluated once per step
-    thetas, steps = [], []
-    at, propose = integrate._DenseStep.at, integrate._Stepper.propose
+    # each accepted step evaluates its event grid once; theta = 0 is the step's
+    # own start point and theta = 1 comes from the grid, never from ``at``
+    thetas, grids, steps = [], [], []
+    at, grid, propose = integrate._DenseStep.at, integrate._DenseStep.grid, integrate._Stepper.propose
 
     def counting_at(step, theta):
         thetas.append(theta)
         return at(step, theta)
+
+    def counting_grid(step):
+        grids.append(step)
+        return grid(step)
 
     def counting_propose(stepper, dt_cap):
         steps.append(propose(stepper, dt_cap))
         return steps[-1]
 
     monkeypatch.setattr(integrate._DenseStep, "at", counting_at)
+    monkeypatch.setattr(integrate._DenseStep, "grid", counting_grid)
     monkeypatch.setattr(integrate._Stepper, "propose", counting_propose)
     s = build_plane_system(("1", "-1"), ("1", "1"))
     _, hit = integrate_regular(s, (0.0, 0.5), 1, 0.3)  # y stays above the curve: no event
     assert hit[0] == "t_max" and len(steps) > 3
-    assert thetas.count(0.0) == 0
-    assert thetas.count(1.0) == len(steps)
+    assert grids == steps
+    assert thetas.count(0.0) == thetas.count(1.0) == 0
     thetas.clear()
+    grids.clear()
     steps.clear()
     _, hit = integrate_regular(s, (0.0, 0.5), 1, 2.0)  # ends on the curve at t = 0.5
-    assert hit[0] == "curve"
-    assert thetas.count(0.0) == 0
-    assert thetas.count(1.0) == len(steps)
+    assert hit[0] == "curve" and len(steps) > 3
+    assert grids == steps
+    assert thetas and thetas.count(0.0) == thetas.count(1.0) == 0

@@ -106,6 +106,13 @@ def test_load_reports_field_paths(tmp_path):
          r"integrator\.max_step: expected a number, got 'big'"),
         (lambda d: d.update(integrator={"sample_spacing": 0}),
          r"integrator\.sample_spacing: expected a positive number"),
+        (lambda d: d.update(integrator={"rtol": 0, "atol": 0}),
+         r"integrator\.rtol: expected a positive number"),
+        (lambda d: d.update(integrator={"atol": 0}), r"integrator\.atol: expected a positive number"),
+        (lambda d: d.update(integrator={"rtol": -1}), r"integrator\.rtol: expected a positive number"),
+        (lambda d: d.update(integrator={"atol": -1}), r"integrator\.atol: expected a positive number"),
+        (lambda d: d.update(integrator={"atol": math.nan}),
+         r"integrator\.atol: expected a finite number, got nan"),
         (lambda d: d.update(config={"to_dict": 1}), r"config\.to_dict: not a diagnostics setting"),
         (lambda d: d.update(config={"grid_resolution": "fine"}),
          r"config\.grid_resolution: expected a number, got 'fine'"),
@@ -371,6 +378,24 @@ def test_cli_argument_errors_name_the_flag(flag, bad, message, tmp_path, capsys)
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "p.svg").exists()
+
+
+@pytest.mark.parametrize("command, flag, bad, expected", [
+    ("cycles", "--radius", ("-0.4", "0", "nan", "inf"), "a finite number > 0"),
+    ("cycles", "--windows", ("0", "-1"), "an integer >= 1"),
+    ("saturate", "--grid", ("0", "-3"), "an integer >= 1"),
+    ("saturate", "--horizon", ("0", "-1", "nan", "inf"), "a finite number > 0"),
+])
+def test_cli_budget_flags_are_checked(command, flag, bad, expected, tmp_path, capsys):
+    # a given value is checked, not replaced by the config's when it is falsy
+    out = tmp_path / "out.json"
+    for text in bad:
+        argv = [command, "--scenario", str(shipped_path("fold_demo_plane")), "--json", str(out),
+                f"{flag}={text}"]
+        assert main(argv) == 2
+        value = int(text) if expected.startswith("an integer") else float(text)
+        assert capsys.readouterr().err == f"error: {flag}: expected {expected}, got {value!r}\n"
+        assert not out.exists()
 
 
 def test_cli_raw_evaluation_error_exits_2(tmp_path, capsys, caplog):
