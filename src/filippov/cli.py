@@ -16,6 +16,8 @@ import random
 import sys
 
 from .diagnostics import (
+    COUNT,
+    POSITIVE,
     build_segment_graph,
     chaos_report,
     saturate,
@@ -65,10 +67,6 @@ def _parse_pair(text, flag, sep, convert, valid, expected):
 
 def _parse_point(text, flag):
     return _parse_pair(text, flag, ",", float, math.isfinite, "two finite numbers 'x,y'")
-
-
-_POSITIVE = (lambda v: 0 < v < math.inf, "a finite number > 0")
-_COUNT = (lambda v: v >= 1, "an integer >= 1")
 
 
 def _flag(value, default, flag, check):
@@ -146,8 +144,8 @@ def _cmd_saturate(args):
     scenario = load_scenario(args.scenario)
     sys_ = scenario.build_system()
     cfg = scenario.config
-    grid = _flag(args.grid, cfg.grid_resolution, "--grid", _COUNT)
-    horizon = _flag(args.horizon, cfg.saturate_horizon, "--horizon", _POSITIVE)
+    grid = _flag(args.grid, cfg.grid_resolution, "--grid", COUNT)
+    horizon = _flag(args.horizon, cfg.saturate_horizon, "--horizon", POSITIVE)
     decs = [sigma_decomposition(sys_, c.id, cfg.sigma_resolution) for c in sys_.curves]
     seeds = _saturation_seeds(sys_, decs, cfg)
     if not seeds:
@@ -179,8 +177,8 @@ def _cmd_cycles(args):
     cfg = scenario.config
     if args.seed is not None:
         cfg.seed = args.seed
-    radius = _flag(args.radius, cfg.window_radius, "--radius", _POSITIVE)
-    count = _flag(args.windows, cfg.cycle_windows, "--windows", _COUNT)
+    radius = _flag(args.radius, cfg.window_radius, "--radius", POSITIVE)
+    count = _flag(args.windows, cfg.cycle_windows, "--windows", COUNT)
     rng = random.Random(cfg.seed)
     windows = [_random_disk(rng, sys_.domain, radius) for _ in range(count)]
     decs = [sigma_decomposition(sys_, c.id, cfg.sigma_resolution) for c in sys_.curves]

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import FilippovError
+from .errors import ConfigurationError, FilippovError
 from .integrate import (
     BranchPolicy,
     IntegratorOptions,
@@ -301,11 +301,11 @@ def sensitivity_probe(sys, disk, r, budget, horizon, opts=None, rng=None):
         tried += 1
         try:
             ox = integrate_filippov(sys, x, horizon, policy=pol_x, opts=opts)
+            if x == y and not any(c.kind == "escape_exit" for c in ox.choices):
+                continue  # no policy was consulted, so oy would repeat ox: separation 0
             oy = integrate_filippov(sys, y, horizon, policy=pol_y, opts=opts)
         except FilippovError:
             continue
-        if x == y and not ox.choices and not oy.choices:
-            continue  # identical deterministic orbits, no freedom used
         t, d = _pair_separation(sys, ox, oy, horizon)
         if d > r:
             witness = SensitivityWitness(x, y, pol_x, pol_y, t, d, horizon)
@@ -695,6 +695,30 @@ def rescale_tangency_freeze(sys, sigma_resolution=512):
 # --------------------------------------------------------------------------- #
 
 
+POSITIVE = (lambda v: 0 < v < math.inf, "a finite number > 0")
+COUNT = (lambda v: v >= 1, "an integer >= 1")
+# the range of every numeric setting but ``seed`` and ``dwell_grid``
+CONFIG_RANGES = {
+    "grid_resolution": COUNT,
+    "sigma_resolution": (lambda v: v >= 2, "an integer >= 2"),
+    "saturate_horizon": POSITIVE,
+    "saturate_seeds_per_arc": COUNT,
+    "probe_horizon": POSITIVE,
+    "transitivity_pairs": COUNT,
+    "transitivity_budget": COUNT,
+    "disk_radius": POSITIVE,
+    "sensitivity_disk_radius": POSITIVE,
+    "sensitivity_budget": COUNT,
+    "sensitivity_horizon": POSITIVE,
+    "r_fraction": POSITIVE,
+    "cycle_windows": COUNT,
+    "window_radius": POSITIVE,
+    "graph_horizon": POSITIVE,
+    "graph_budget": COUNT,
+    "cycle_horizon": POSITIVE,
+}
+
+
 @dataclass
 class DiagnosticsConfig:
     seed: int = 0
@@ -721,6 +745,20 @@ class DiagnosticsConfig:
     def to_dict(self):
         """Every setting, in the form a scenario's ``config`` object takes."""
         return {**asdict(self), "dwell_grid": list(self.dwell_grid)}
+
+    def check(self):
+        """Raise a ConfigurationError that names ``config.<key>`` for a setting out of range."""
+        for key, (valid, expected) in CONFIG_RANGES.items():
+            value = getattr(self, key)
+            if not valid(value):
+                raise ConfigurationError(f"config.{key}: expected {expected}, got {value!r}")
+        for i, dwell in enumerate(self.dwell_grid):
+            if not 0 <= dwell < math.inf:
+                raise ConfigurationError(
+                    f"config.dwell_grid[{i}]: expected a finite number >= 0, got {dwell!r}")
+        choices = ["sliding_and_escaping", "sliding_only"]
+        if self.ms_interpretation not in choices:
+            raise ConfigurationError(f"config.ms_interpretation: expected one of {choices}")
 
 
 def _saturate_policies(dwell_grid):
@@ -750,6 +788,7 @@ def chaos_report(sys, config=None, opts=None):
     logs one INFO line with its wall time, which the report does not carry.
     """
     cfg = config or DiagnosticsConfig()
+    cfg.check()
     opts = opts or IntegratorOptions()
     rng = random.Random(cfg.seed)
     domain = sys.domain

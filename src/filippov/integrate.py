@@ -450,6 +450,11 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
     max_step, spacing = opts.resolved(sys.domain)
     domain = sys.domain
     p = domain.canonical(p)
+    # the domain's geometry, bound once per arc
+    torus = domain.kind == "flat_torus"
+    canonical = domain.canonical if torus else _same_point
+    x_min, x_max, y_min, y_max = domain.x_min, domain.x_max, domain.y_min, domain.y_max
+    width, height = domain.width, domain.height
     rhs = _make_rhs(sys, sys.region(region_id).field)
     stepper = _Stepper(rhs, p, opts, max_step)
     h_fns = [(c.id, c.h.raw()) for c in sys.curves]
@@ -467,14 +472,18 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
         t0 = times[-1]
         t1 = step.t0 + th_end * step.dt
         a = pts[-1]
-        dist = domain.distance(a, b)
-        n = max(1, int(math.ceil(dist / spacing)))
+        dx = b[0] - a[0]
+        dy = b[1] - a[1]
+        if torus:  # Domain.displacement
+            dx -= round(dx / width) * width
+            dy -= round(dy / height) * height
+        n = max(1, int(math.ceil(math.hypot(dx, dy) / spacing)))
         for j in range(1, n):
             th = ((t0 + (t1 - t0) * j / n) - step.t0) / step.dt
             if th <= 0:
                 continue
             times.append(t0 + (t1 - t0) * j / n)
-            pts.append(domain.canonical(step.at(th)))
+            pts.append(canonical(step.at(th)))
         times.append(t1)
         pts.append(b)
 
@@ -515,9 +524,9 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
                         best = (th, "curve", cid)
                     break
 
-        if domain.kind == "plane_rect":
-            for th, q in zip(_THETA_GRID, grid_pts):
-                if not domain.contains(q):
+        if not torus:
+            for th, (qx, qy) in zip(_THETA_GRID, grid_pts):
+                if not (x_min <= qx <= x_max and y_min <= qy <= y_max):
                     th_exit = _exit_theta(domain, step.at, th if th > 0 else 1.0)
                     if best is None or th_exit < best[0]:
                         best = (th_exit, "left_domain", None)
@@ -529,17 +538,22 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
                 best = (hit_th, "capture", target)
 
         if best is None:
-            emit(step, 1.0, domain.canonical(end))
+            emit(step, 1.0, canonical(end))
             continue
 
         th, kind, payload = best
         if kind == "curve":
-            point = domain.canonical(sys.curve(payload).project(step.at(th), 3, POLISH_H_TOL))
+            point = canonical(sys.curve(payload).project(step.at(th), 3, POLISH_H_TOL))
         else:
-            point = domain.canonical(step.at(th))
+            point = canonical(step.at(th))
         emit(step, th, point)
         seg = OrbitSegment("regular_arc", 0.0, times[-1], times, pts, region_id=region_id)
         return seg, ((kind, point) if kind == "left_domain" else (kind, payload, point))
+
+
+def _same_point(p):
+    """``Domain.canonical`` of a plane rectangle, for the tuples the kernels return."""
+    return p
 
 
 def _exit_theta(domain, point_at, hi):

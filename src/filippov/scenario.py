@@ -116,10 +116,9 @@ def _config(section):
         values["dwell_grid"] = tuple(
             _number(v, f"config.dwell_grid[{i}]") for i, v in enumerate(values["dwell_grid"])
         )
-    choices = ("sliding_and_escaping", "sliding_only")
-    if values.get("ms_interpretation", choices[0]) not in choices:
-        raise ConfigurationError(f"config.ms_interpretation: expected one of {list(choices)}")
-    return DiagnosticsConfig(**values)
+    config = DiagnosticsConfig(**values)
+    config.check()
+    return config
 
 
 def load_scenario(path) -> Scenario:

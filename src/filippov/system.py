@@ -7,6 +7,7 @@ read-only and safe for concurrent use.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -264,15 +265,20 @@ class FilippovSystem:
     # -- load-time validation --------------------------------------------------
 
     def _sample_points(self):
-        """A 256 x 256 cell-centre grid, then 10,000 seeded random points."""
+        """A 256 x 256 cell-centre grid, then 10,000 seeded random points.
+
+        Yields (xs, ys) blocks of at most 256 samples: one per grid row, then
+        the random points 256 at a time, each point's x drawn before its y.
+        """
         d = self.domain
-        rng = random.Random(0)
+        ys = [d.y_min + (j + 0.5) * d.height / 256 for j in range(256)]
         for i in range(256):
-            x = d.x_min + (i + 0.5) * d.width / 256
-            for j in range(256):
-                yield (x, d.y_min + (j + 0.5) * d.height / 256)
-        for _ in range(10_000):
-            yield (d.x_min + rng.random() * d.width, d.y_min + rng.random() * d.height)
+            yield [d.x_min + (i + 0.5) * d.width / 256] * 256, ys
+        rng = random.Random(0)
+        for start in range(0, 10_000, 256):
+            block = [(d.x_min + rng.random() * d.width, d.y_min + rng.random() * d.height)
+                     for _ in range(min(256, 10_000 - start))]
+            yield [x for x, _ in block], [y for _, y in block]
 
     @evaluation_boundary
     def validate(self):
@@ -280,36 +286,70 @@ class FilippovSystem:
 
         Samples that fall near a curve are projected onto it before the
         disjointness and regular-value checks, so even hairline overlaps
-        between curves are caught.
+        between curves are caught.  The first failing sample, in grid-then-
+        random order, is the one reported.
         """
         if self.domain.kind == "flat_torus":
             self._check_periodicity()
         h_fns = [(c.id, c.h.raw()) for c in self.curves]
+        column = {c.id: k for k, c in enumerate(self.curves)}
         region_conds = [
-            (r.id, [(self._curves_by_id[cid].h.raw(), sign) for cid, sign in r.conditions])
-            for r in self.regions
+            (r.id, [(column[cid], sign) for cid, sign in r.conditions]) for r in self.regions
         ]
         near_band = 1e-3 * max(self.domain.width, self.domain.height)
         seen_nonempty = {r.id: False for r in self.regions}
-        for x, y in self._sample_points():
-            values = [(cid, fn(x, y)) for cid, fn in h_fns]
-            near = [cid for cid, v in values if abs(v) < near_band]
-            for cid in near:
-                self._check_on_curve(cid, (x, y), h_fns)
-            if any(abs(v) < DISJOINT_EPS for _, v in values):
-                continue  # too close to the manifold for a region call
-            owners = []
-            for rid, conds in region_conds:
-                if all(sign * fn(x, y) > 0 for fn, sign in conds):
-                    owners.append(rid)
-            if len(owners) != 1:
-                raise ConfigurationError(
-                    f"point ({x:.6g}, {y:.6g}) belongs to regions {owners}; expected exactly one"
-                )
-            seen_nonempty[owners[0]] = True
+        for xs, ys in self._sample_points():
+            self._check_block(xs, ys, h_fns, region_conds, near_band, seen_nonempty)
         empty = [rid for rid, seen in seen_nonempty.items() if not seen]
         if empty:
             raise ConfigurationError(f"regions {empty} are empty on the domain")
+
+    def _check_block(self, xs, ys, h_fns, region_conds, near_band, seen_nonempty):
+        """Check one block of samples, evaluating each h once per sample.
+
+        The block's first failing sample raises, after the near-curve checks
+        of every sample up to and including it, as a sample-by-sample pass
+        would.  Marks the regions that own a sample in ``seen_nonempty``.
+        """
+        try:
+            cols = [list(map(fn, xs, ys)) for _, fn in h_fns]
+        except (ValueError, ZeroDivisionError, OverflowError):
+            # check the samples before the first one some h fails on, then fail there
+            fail = next(i for i in range(len(xs)) if _fails(h_fns, xs[i], ys[i]))
+            self._check_block(xs[:fail], ys[:fail], h_fns, region_conds, near_band, seen_nonempty)
+            for _, fn in h_fns:
+                fn(xs[fail], ys[fail])
+            raise
+        n = len(xs)
+        close = [False] * n  # too close to the manifold for a region call
+        for col in cols:
+            close = [c or abs(v) < DISJOINT_EPS for c, v in zip(close, col)]
+        owners = [0] * n
+        members = []
+        for _, conds in region_conds:
+            (k, sign), *rest = conds
+            member = [sign * v > 0 for v in cols[k]]
+            for k, sign in rest:
+                member = [m and sign * v > 0 for m, v in zip(member, cols[k])]
+            members.append(member)
+            owners = list(map(operator.add, owners, member))
+        bad = [not c and count != 1 for c, count in zip(close, owners)]
+        first_bad = bad.index(True) if True in bad else n
+        near = sorted(
+            (i, k) for k, col in enumerate(cols) for i, v in enumerate(col[:first_bad + 1])
+            if abs(v) < near_band
+        )
+        for i, k in near:
+            self._check_on_curve(h_fns[k][0], (xs[i], ys[i]), h_fns)
+        if first_bad < n:
+            x, y = xs[first_bad], ys[first_bad]
+            found = [rid for (rid, _), member in zip(region_conds, members) if member[first_bad]]
+            raise ConfigurationError(
+                f"point ({x:.6g}, {y:.6g}) belongs to regions {found}; expected exactly one"
+            )
+        for (rid, _), member in zip(region_conds, members):
+            if not seen_nonempty[rid]:
+                seen_nonempty[rid] = any(m and not c for m, c in zip(member, close))
 
     def _check_on_curve(self, cid, p, h_fns):
         curve = self._curves_by_id[cid]
@@ -347,3 +387,13 @@ class FilippovSystem:
                     raise ConfigurationError(
                         f"{name} is not periodic on the flat torus (checked at ({x:.6g}, {y:.6g}))"
                     )
+
+
+def _fails(fns, x, y):
+    """Does some (id, h) of ``fns`` raise an arithmetic error at (x, y)?"""
+    try:
+        for _, fn in fns:
+            fn(x, y)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return True
+    return False

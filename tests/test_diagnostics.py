@@ -149,6 +149,25 @@ def test_sensitivity_witness_on_escaping_belt(belt_system):
     assert witness.revalidate(belt_system)
 
 
+@pytest.mark.parametrize("centre, calls, found", [
+    ((0.5, 0.5), 4, True),  # escaping belt: the pair differs, and revalidation runs it again
+    ((0.5, 0.0), 1, False),  # sliding belt: no policy is asked, the twin orbit is skipped
+    ((0.5, 0.25), 1, False),  # off the curve
+])
+def test_sensitivity_centre_twin_runs_only_when_a_policy_acts(belt_system, monkeypatch,
+                                                              centre, calls, found):
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(args[1])
+        return integrate_filippov(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "integrate_filippov", counting)
+    result = sensitivity_probe(belt_system, Disk(centre, 0.02), r=0.3, budget=1, horizon=40.0)
+    assert made == [centre] * calls
+    assert isinstance(result, SensitivityWitness if found else ProbeNotFound)
+
+
 def test_sensitivity_not_found_for_isometric_rotation():
     domain = Domain("plane_rect", -1, 1, -1, 1)
     curve = SwitchingCurve(0, ScalarField("y"), 1, 2)

@@ -11,7 +11,7 @@ import pytest
 
 from filippov import cli, scenario
 from filippov.cli import main
-from filippov.diagnostics import DiagnosticsConfig, GridCoverage
+from filippov.diagnostics import DiagnosticsConfig, GridCoverage, chaos_report
 from filippov.errors import ConfigurationError
 from filippov.scenario import list_shipped, load_scenario, load_shipped, shipped_path
 from filippov.sigma import PointClass, classify_point
@@ -446,3 +446,41 @@ def test_cli_cycles_windows_lie_inside_plane_domain(tmp_path):
         (x, y), r = w["point"], w["radius"]
         assert r == 0.4
         assert x_min + r <= x <= x_max - r and y_min + r <= y <= y_max - r
+
+
+@pytest.mark.parametrize("key, bad, expected", [
+    ("grid_resolution", 0, "an integer >= 1"),
+    ("sigma_resolution", 1, "an integer >= 2"),
+    ("saturate_horizon", 0.0, "a finite number > 0"),
+    ("saturate_seeds_per_arc", 0, "an integer >= 1"),
+    ("probe_horizon", -1.0, "a finite number > 0"),
+    ("transitivity_pairs", 0, "an integer >= 1"),
+    ("transitivity_budget", 0, "an integer >= 1"),
+    ("disk_radius", -0.05, "a finite number > 0"),
+    ("sensitivity_disk_radius", 0.0, "a finite number > 0"),
+    ("sensitivity_budget", -3, "an integer >= 1"),
+    ("sensitivity_horizon", 0.0, "a finite number > 0"),
+    ("r_fraction", 0.0, "a finite number > 0"),
+    ("cycle_windows", 0, "an integer >= 1"),
+    ("window_radius", 0.0, "a finite number > 0"),
+    ("graph_horizon", -2.0, "a finite number > 0"),
+    ("graph_budget", 0, "an integer >= 1"),
+    ("cycle_horizon", 0.0, "a finite number > 0"),
+    ("dwell_grid", [0.0, -0.02], "a finite number >= 0"),
+])
+def test_config_ranges_name_the_key(key, bad, expected, tmp_path, capsys):
+    # a count of 0 or a radius <= 0 once made a vacuous verdict, an IndexError or a
+    # false "inconclusive"; now loading and chaos_report both refuse it
+    name = f"{key}[1]" if key == "dwell_grid" else key
+    message = f"config.{name}: expected {expected}, got {bad[1] if key == 'dwell_grid' else bad!r}"
+    data = json.loads(shipped_path("fold_demo_plane").read_text())
+    data.setdefault("config", {})[key] = bad
+    path, out = tmp_path / "bad.json", tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    assert main(["diagnose", "--scenario", str(path), "--json", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    system = load_shipped("fold_demo_plane").build_system()
+    value = tuple(bad) if key == "dwell_grid" else bad
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        chaos_report(system, dataclasses.replace(DiagnosticsConfig(), **{key: value}))

@@ -1,11 +1,17 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filippov.errors import ConfigurationError, OutsideDomainError
+from filippov.errors import (
+    ConfigurationError, FilippovError, OutsideDomainError, evaluation_boundary,
+)
 from filippov.expr import PlanarField, ScalarField
-from filippov.system import Domain, FilippovSystem, OnSigma, RegionSpec, SwitchingCurve
+from filippov.scenario import load_shipped
+from filippov.system import (
+    DISJOINT_EPS, Domain, FilippovSystem, OnSigma, RegionSpec, SwitchingCurve,
+)
 
 from conftest import build_plane_system
 
@@ -176,3 +182,203 @@ def test_project_stops_below_tolerance():
     assert curve.project((1.0, 0.0), 3, stop_below=0.0) == (1.0, 0.0)
     # one Newton step from radius 2 gives radius 1.25, |h| = 0.5625
     assert curve.project((2.0, 0.0), 3, stop_below=0.6) == (1.25, 0.0)
+
+
+# -- validate: the block pass against the sample-by-sample reference ----------
+
+
+def _reference_points(domain):
+    """The validation samples one at a time: 256 x 256 cell centres, then 10,000 seeded points."""
+    rng = random.Random(0)
+    for i in range(256):
+        x = domain.x_min + (i + 0.5) * domain.width / 256
+        for j in range(256):
+            yield (x, domain.y_min + (j + 0.5) * domain.height / 256)
+    for _ in range(10_000):
+        yield (domain.x_min + rng.random() * domain.width,
+               domain.y_min + rng.random() * domain.height)
+
+
+@evaluation_boundary
+def validate(system):
+    """``FilippovSystem.validate`` as a per-sample loop: the reference for the block pass.
+
+    Named ``validate`` so that its EvaluationError message reads like the block pass's.
+    """
+    if system.domain.kind == "flat_torus":
+        system._check_periodicity()
+    h_fns = [(c.id, c.h.raw()) for c in system.curves]
+    curves = {c.id: c for c in system.curves}
+    region_conds = [
+        (r.id, [(curves[cid].h.raw(), sign) for cid, sign in r.conditions])
+        for r in system.regions
+    ]
+    near_band = 1e-3 * max(system.domain.width, system.domain.height)
+    seen_nonempty = {r.id: False for r in system.regions}
+    for x, y in _reference_points(system.domain):
+        values = [(cid, fn(x, y)) for cid, fn in h_fns]
+        near = [cid for cid, v in values if abs(v) < near_band]
+        for cid in near:
+            system._check_on_curve(cid, (x, y), h_fns)
+        if any(abs(v) < DISJOINT_EPS for _, v in values):
+            continue  # too close to the manifold for a region call
+        owners = []
+        for rid, conds in region_conds:
+            if all(sign * fn(x, y) > 0 for fn, sign in conds):
+                owners.append(rid)
+        if len(owners) != 1:
+            raise ConfigurationError(
+                f"point ({x:.6g}, {y:.6g}) belongs to regions {owners}; expected exactly one"
+            )
+        seen_nonempty[owners[0]] = True
+    empty = [rid for rid, seen in seen_nonempty.items() if not seen]
+    if empty:
+        raise ConfigurationError(f"regions {empty} are empty on the domain")
+
+
+def _outcome(check):
+    """(exception type, message) of ``check()``, or None when it passes."""
+    try:
+        check()
+    except FilippovError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _system(kind, hs, sides, conditions, fields):
+    """Unvalidated system on [-1, 1]^2 (plane) or [0, 1]^2 (torus); region ids count from 1."""
+    domain = Domain(kind, *((-1, 1, -1, 1) if kind == "plane_rect" else (0, 1, 0, 1)))
+    curves = [SwitchingCurve(i, ScalarField(h), *side) for i, (h, side) in enumerate(zip(hs, sides))]
+    regions = [RegionSpec(i + 1, PlanarField(*f), conds)
+               for i, (conds, f) in enumerate(zip(conditions, fields))]
+    return FilippovSystem(domain, curves, regions, validate=False)
+
+
+SPLIT = {1: [[(0, +1)], [(0, -1)]],
+         2: [[(0, +1), (1, +1)], [(0, +1), (1, -1)], [(0, -1), (1, +1)], [(0, -1), (1, -1)]]}
+PLANE_H = [
+    "y", "x - 0.25", "x^2 + y^2 - 0.25", "y - x^2", "y - 0.75",
+    "(y - 0.00390625)^2",  # degenerate gradient, zero at a grid point
+    "x*y",  # degenerate gradient where the two lines cross
+    "y - 5",  # no curve in the domain: one side is empty
+    "y - 1e-7",  # touches y
+    "sqrt(x + 0.5) - 0.5",  # ValueError at the first sample
+    "1/(y - 0.00390625)",  # ZeroDivisionError at the 129th sample of every row
+    "exp(800*y) - 1",  # OverflowError late in every row
+]
+TORUS_H = [
+    "sin(2*pi*y)", "cos(2*pi*x)", "sin(2*pi*y) - 0.5*cos(2*pi*x)", "sin(2*pi*(x + y))",
+    "sin(2*pi*(y - 0.001953125))^2",  # degenerate gradient, zero at a grid point
+    "cos(2*pi*y) + 2",  # empty negative side
+    "sin(2*pi*y) - 1e-7",  # touches sin(2*pi*y)
+    "y - 0.5",  # not periodic
+]
+PLANE_FIELDS = ["1", "-1", "x", "y", "x - y"]
+TORUS_FIELDS = ["1", "-1", "sin(2*pi*y)", "cos(2*pi*x)", "x"]  # x is not periodic
+
+
+@st.composite
+def _systems(draw):
+    kind = draw(st.sampled_from(["plane_rect", "flat_torus"]))
+    pool, field_pool = (PLANE_H, PLANE_FIELDS) if kind == "plane_rect" else (TORUS_H, TORUS_FIELDS)
+    hs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+    if draw(st.booleans()):
+        conditions = SPLIT[len(hs)]
+    else:  # any nonempty sign pattern per region: overlaps, gaps and empty regions
+        condition = st.lists(st.tuples(st.integers(0, len(hs) - 1), st.sampled_from([1, -1])),
+                             min_size=1, max_size=len(hs), unique_by=lambda c: c[0])
+        conditions = draw(st.lists(condition, min_size=2, max_size=4))
+    ids = range(1, len(conditions) + 1)
+    sides = [draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+             for _ in hs]
+    field = st.tuples(st.sampled_from(field_pool), st.sampled_from(field_pool))
+    fields = [draw(field) for _ in conditions]
+    return _system(kind, hs, sides, conditions, fields)
+
+
+_EXAMPLES = [
+    _system("plane_rect", ["y - 0.75", "x^2 + y^2 - 0.25"], [(1, 2), (2, 3)],
+            [[(0, +1)], [(0, -1), (1, +1)], [(1, -1)]], [("1", "0")] * 3),
+    _system("plane_rect", ["y"], [(1, 2)], [[(0, +1)], [(0, +1)]], [("1", "0")] * 2),
+    _system("plane_rect", ["y", "y - 1e-7"], [(1, 2), (1, 2)], SPLIT[2][::3], [("1", "0")] * 2),
+    _system("plane_rect", ["(y - 0.00390625)^2"], [(1, 2)], SPLIT[1], [("1", "0")] * 2),
+    _system("plane_rect", ["y - 5"], [(1, 2)], SPLIT[1], [("1", "0")] * 2),
+    # a membership failure at sample 0 comes before the ZeroDivisionError at sample 128
+    _system("plane_rect", ["x", "1/(y - 0.00390625)"], [(1, 2), (1, 2)],
+            [[(0, +1)], [(1, +1)]], [("1", "0")] * 2),
+    _system("plane_rect", ["exp(800*y) - 1"], [(1, 2)], SPLIT[1], [("1", "0")] * 2),
+    # at sample 0 the clash of two near curves comes before its membership failure
+    _system("plane_rect", ["x + y + 1.9911875", "x + y + 1.991188"], [(1, 2), (1, 2)],
+            [[(0, +1)], [(1, +1)]], [("1", "0")] * 2),
+    # region 1 holds only samples within DISJOINT_EPS of the curve: it counts as empty
+    _system("plane_rect", ["1e-7 - y^2"], [(1, 2)], SPLIT[1], [("1", "0")] * 2),
+    _system("flat_torus", ["sin(2*pi*y)"], [(1, 2)], SPLIT[1], [("x", "1"), ("1", "1")]),
+    _system("flat_torus", ["sin(2*pi*y)", "cos(2*pi*x)"], [(1, 2), (3, 4)], SPLIT[2],
+            [("1", "1")] * 4),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_systems())
+def test_block_validation_matches_the_per_sample_reference(system):
+    assert _outcome(system.validate) == _outcome(lambda: validate(system))
+
+
+@pytest.mark.parametrize("index", range(len(_EXAMPLES)))
+def test_block_validation_matches_the_reference_on_chosen_cases(index):
+    system = _EXAMPLES[index]
+    assert _outcome(system.validate) == _outcome(lambda: validate(system))
+
+
+@pytest.mark.parametrize("name", ["chaotic_torus", "fold_demo_plane", "rotation_plane",
+                                  "sliding_belt_torus"])
+def test_shipped_systems_pass_both_validations(name):
+    system = load_shipped(name).build_system()
+    assert _outcome(system.validate) is None
+    assert _outcome(lambda: validate(system)) is None
+
+
+def test_sample_blocks_hold_the_reference_points_in_order():
+    for domain in (Domain("plane_rect", -1, 3, -2, 0.5), Domain("flat_torus", 0, 1, 0, 2)):
+        system = FilippovSystem(domain, [SwitchingCurve(0, ScalarField("y"), 1, 2)],
+                                [RegionSpec(1, PlanarField("1", "0"), [(0, 1)]),
+                                 RegionSpec(2, PlanarField("1", "0"), [(0, -1)])],
+                                validate=False)
+        blocks = list(system._sample_points())
+        assert all(len(xs) == len(ys) <= 256 for xs, ys in blocks)
+        points = [p for xs, ys in blocks for p in zip(xs, ys)]
+        assert points == list(_reference_points(domain))
+
+
+def test_each_h_is_evaluated_once_per_sample(monkeypatch):
+    system = _EXAMPLES[0]
+    calls = {}
+    depth = [0]
+    raw = ScalarField.raw
+
+    def counting_raw(field):
+        fn = raw(field)
+
+        def counted(x, y):
+            key = (id(field), depth[0] > 0)
+            calls[key] = calls.get(key, 0) + 1
+            return fn(x, y)
+
+        return counted
+
+    check_on_curve = FilippovSystem._check_on_curve
+
+    def projecting(self, *args):
+        depth[0] += 1
+        try:
+            return check_on_curve(self, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ScalarField, "raw", counting_raw)
+    monkeypatch.setattr(FilippovSystem, "_check_on_curve", projecting)
+    system.validate()
+    samples = 256 * 256 + 10_000
+    for curve in system.curves:
+        assert calls[(id(curve.h), False)] == samples
+        assert calls[(id(curve.h), True)] > 0  # near-curve projections
