@@ -110,6 +110,8 @@ def _tokenize(source):
                 value = float(text)
             except ValueError:
                 raise ExpressionError(f"malformed number {text!r}", position=i)
+            if not math.isfinite(value):
+                raise ExpressionError(f"number {text!r} is not finite", position=i)
             tokens.append(("num", value, i))
             i = j
             continue
@@ -285,8 +287,16 @@ def variables(expression: Expression) -> set[str]:
 
 
 def evaluate(expression: Expression, binding: Mapping[str, float]) -> float:
-    """Evaluate at a point; non-finite intermediate results raise."""
-    return _checked(_eval, expression, binding)
+    """Evaluate at a point through the compiled form fields run, ``binding`` inlined.
+
+    Arithmetic failures and non-finite results raise EvaluationError, and so
+    does the first variable, left to right, that ``binding`` lacks.
+    """
+    code = _codegen(expression, binding)
+    try:
+        return _checked(eval, code, dict(_COMPILE_ENV))  # noqa: S307 - closed grammar
+    except NameError as exc:
+        raise EvaluationError(f"missing binding for {exc.name!r}") from None
 
 
 def _checked(fn, *args):
@@ -300,38 +310,6 @@ def _checked(fn, *args):
     if not math.isfinite(value):
         raise EvaluationError("non-finite result")
     return value
-
-
-def _eval(node, binding):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return binding[node.name]
-        except KeyError:
-            raise EvaluationError(f"missing binding for {node.name!r}") from None
-    if isinstance(node, Unary):
-        v = _eval(node.arg, binding)
-        if node.op == "neg":
-            return -v
-        if node.op == "sin":
-            return math.sin(v)
-        if node.op == "cos":
-            return math.cos(v)
-        if node.op == "exp":
-            return math.exp(v)
-        return math.sqrt(v)
-    if isinstance(node, Power):
-        return _eval(node.base, binding) ** node.exponent
-    a = _eval(node.left, binding)
-    b = _eval(node.right, binding)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    return a / b
 
 
 # --------------------------------------------------------------------------- #
@@ -400,7 +378,7 @@ def fold(node: Expression) -> Expression:
         if node.exponent == 1:
             return base
         if isinstance(base, Const):
-            return Const(base.value**node.exponent)
+            return Const(evaluate(Power(base, node.exponent), {}))
         return Power(base, node.exponent)
     if isinstance(node, Binary):
         a = fold(node.left)
@@ -446,12 +424,17 @@ _COMPILE_ENV = {
 }
 
 
+def _literal(value):
+    """Source text of a float; inf and nan, which have no literal, overflow from 1e999."""
+    return repr(float(value)).replace("inf", "1e999").replace("nan", "(1e999 - 1e999)")
+
+
 def _codegen(node, parameters):
     if isinstance(node, Const):
-        return repr(node.value)
+        return _literal(node.value)
     if isinstance(node, Var):
         if node.name in parameters:
-            return repr(float(parameters[node.name]))
+            return _literal(parameters[node.name])
         return node.name
     if isinstance(node, Unary):
         inner = _codegen(node.arg, parameters)

@@ -305,6 +305,8 @@ class PolicyCursor:
     encounters and graze captures are passed.
     """
 
+    fork_depth = 0  # an unscripted choice raises _Fork while the script is shorter
+
     def __init__(self, policy=None, script=None):
         self.default = policy if policy is not None else BranchPolicy.slide_on()
         self.script = list(script or [])
@@ -318,17 +320,15 @@ class PolicyCursor:
         return self._next("ride", "pass", lambda e: e in ("ride", "pass"), "'ride' or 'pass'")
 
     def _next(self, kind, default, fits, expected):
-        if self._script_done(kind):
+        if self.index == len(self.script) < self.fork_depth:
+            raise _Fork(kind)
+        if self.index == len(self.script):
             return default
         entry = self.script[self.index]
         self.index += 1
         if not fits(entry):
             raise IntegrationError(f"policy script mismatch: expected {expected}")
         return entry
-
-    def _script_done(self, kind):
-        """Is the script used up at this choice of ``kind`` ('escape' | 'ride')?"""
-        return self.index == len(self.script)
 
     def describe(self):
         parts = [e.describe() if isinstance(e, BranchPolicy) else e for e in self.script]
@@ -345,10 +345,7 @@ _MAX_FORK_DEPTH = 8  # scripts this long continue on the default policy
 class _ForkingCursor(PolicyCursor):
     """Raises _Fork at the first unscripted choice while the script is short."""
 
-    def _script_done(self, kind):
-        if self.index == len(self.script) < _MAX_FORK_DEPTH:
-            raise _Fork(kind)
-        return super()._script_done(kind)
+    fork_depth = _MAX_FORK_DEPTH
 
 
 @dataclass
@@ -652,10 +649,9 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     def emit_to(q, t):
         a = pts[-1]
         b = domain.canonical(q)
-        dist = domain.distance(a, b)
-        n = max(1, int(math.ceil(dist / spacing)))
-        t0 = times[-1]
         dx, dy = domain.displacement(a, b)
+        n = max(1, int(math.ceil(math.hypot(dx, dy) / spacing)))
+        t0 = times[-1]
         for j in range(1, n):
             w = j / n
             times.append(t0 + (t - t0) * w)

@@ -98,6 +98,14 @@ def _sign(value, path):
     return _SIGNS[value]
 
 
+def _curve_ref(condition, path, curve_ids):
+    """The ``curve`` of a ``where`` entry, which must be the id of a curve."""
+    curve_id = _require(condition, "curve", path, int)
+    if curve_id not in curve_ids:
+        raise ConfigurationError(f"{path}.curve: no curve has id {curve_id}")
+    return curve_id
+
+
 def _optional(data, key, default):
     """data[key] checked to be of the default's type, or the default when absent."""
     return _require(data, key, "scenario", type(default)) if key in data else default
@@ -156,6 +164,7 @@ def scenario_from_dict(data) -> Scenario:
             "positive_region": _require(cd, "positive_region", f"curves[{i}]", int),
             "negative_region": _require(cd, "negative_region", f"curves[{i}]", int),
         })
+    curve_ids = {cd["id"] for cd in curve_defs}
     region_defs = []
     for i, rd in enumerate(_require(data, "regions", "scenario", list)):
         fd = _require(rd, "field", f"regions[{i}]", list)
@@ -165,7 +174,7 @@ def scenario_from_dict(data) -> Scenario:
             "id": _require(rd, "id", f"regions[{i}]", int),
             "field": [str(fd[0]), str(fd[1])],
             "where": [
-                {"curve": _require(c, "curve", f"regions[{i}].where[{j}]", int),
+                {"curve": _curve_ref(c, f"regions[{i}].where[{j}]", curve_ids),
                  "sign": _sign(_require(c, "sign", f"regions[{i}].where[{j}]"),
                                f"regions[{i}].where[{j}].sign")}
                 for j, c in enumerate(_require(rd, "where", f"regions[{i}]", list))

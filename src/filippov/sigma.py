@@ -8,6 +8,7 @@ Every operation is a pure function of the system, except that
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -227,16 +228,10 @@ class CurveComponent:
         if self.closed:
             s = s % self.length
         s = min(max(s, 0.0), prm[-1])
-        lo, hi = 0, len(prm) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if prm[mid] <= s:
-                lo = mid
-            else:
-                hi = mid
-        span = prm[hi] - prm[lo]
-        w = 0.0 if span == 0.0 else (s - prm[lo]) / span
-        a = pts[lo]
+        hi = max(1, min(len(prm) - 1, bisect_right(prm, s)))
+        span = prm[hi] - prm[hi - 1]
+        w = 0.0 if span == 0.0 else (s - prm[hi - 1]) / span
+        a = pts[hi - 1]
         dx, dy = self.domain.displacement(a, pts[hi])
         return self.domain.canonical((a[0] + w * dx, a[1] + w * dy))
 

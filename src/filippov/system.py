@@ -164,6 +164,10 @@ class FilippovSystem:
             for rid in (c.positive_region, c.negative_region):
                 if rid not in self._regions_by_id:
                     raise ConfigurationError(f"curve {c.id}: unknown side region {rid}")
+        for r in self.regions:
+            for cid, _ in r.conditions:
+                if cid not in self._curves_by_id:
+                    raise ConfigurationError(f"region {r.id}: condition on unknown curve {cid}")
         if validate:
             self.validate()
 

@@ -12,6 +12,7 @@ from filippov.expr import (
     ScalarField,
     Unary,
     Var,
+    _checked,
     differentiate,
     evaluate,
     fold,
@@ -85,6 +86,30 @@ def test_evaluate_pole_is_an_error():
 def test_evaluate_missing_binding():
     with pytest.raises(EvaluationError, match="missing binding"):
         evaluate(parse_expression("x + y", XY), {"x": 1.0})
+
+
+def test_non_finite_literal_is_rejected():
+    with pytest.raises(ExpressionError, match=r"number '1e999' is not finite \(at position 4\)"):
+        parse_expression("x + 1e999*0", XY)
+    with pytest.raises(ExpressionError, match="not finite"):
+        ScalarField("2.5E+400")
+    assert parse_expression("1e308", XY) == Const(1e308)
+
+
+def test_fold_failure_is_an_evaluation_error():
+    # d/dx folds (1e200)^2, which overflows
+    with pytest.raises(EvaluationError, match="Numerical result out of range"):
+        ScalarField("x * (1e200)^2").derivative("x")
+    with pytest.raises(EvaluationError, match="math range error"):
+        fold(parse_expression("exp(1000)", XY))
+
+
+def test_evaluate_inlines_non_finite_bindings():
+    # inf and nan have no literal, yet a binding may hold them
+    e = parse_expression("exp(-x) + y^0", XY)
+    assert evaluate(e, {"x": math.inf, "y": math.nan}) == 1.0
+    with pytest.raises(EvaluationError, match="non-finite result"):
+        evaluate(e, {"x": -math.inf, "y": 0.0})
 
 
 def test_evaluate_is_pure():
@@ -246,3 +271,72 @@ def test_scalar_field_gradient_matches_symbolic():
     f = ScalarField("sin(2*x)*y", parameters={})
     dfx = f.derivative("x")
     assert dfx(0.25, 3.0) == pytest.approx(2 * math.cos(0.5) * 3.0, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the compiled form against a tree-walking reference
+# ---------------------------------------------------------------------------
+
+
+def _walk(node, binding):
+    """Reference semantics of an AST: evaluate each node in turn, left before right."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        try:
+            return binding[node.name]
+        except KeyError:
+            raise EvaluationError(f"missing binding for {node.name!r}") from None
+    if isinstance(node, Unary):
+        v = _walk(node.arg, binding)
+        if node.op == "neg":
+            return -v
+        return {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt}[node.op](v)
+    if isinstance(node, Power):
+        return _walk(node.base, binding) ** node.exponent
+    a = _walk(node.left, binding)
+    b = _walk(node.right, binding)
+    if node.op == "+":
+        return a + b
+    if node.op == "-":
+        return a - b
+    if node.op == "*":
+        return a * b
+    return a / b
+
+
+def _outcome(fn, *args):
+    """float.hex of fn's value, or the class and message of what it raised."""
+    try:
+        return fn(*args).hex()
+    except Exception as exc:  # noqa: BLE001 - the failure is the outcome compared
+        return type(exc).__name__, str(exc)
+
+
+_wider_trees = st.recursive(
+    _leaf,
+    lambda children: st.one_of(
+        _tree(children), st.builds(Unary, st.sampled_from(["exp", "sqrt"]), children)
+    ),
+    max_leaves=20,
+)
+_values = st.one_of(
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.sampled_from([0.0, -0.0, 1e200, -1e-300, math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(expression_trees, _wider_trees),
+    st.fixed_dictionaries({}, optional={"x": _values, "y": _values, "a": _values}),
+)
+def test_compiled_evaluation_matches_the_tree_walk(tree, binding):
+    want = _outcome(_checked, _walk, tree, binding)  # the checks evaluate and fields apply
+    assert _outcome(evaluate, tree, binding) == want
+    if {"x", "y", "a"} <= binding.keys():
+        field = ScalarField(tree, parameters={"a": binding["a"]})
+        assert _outcome(field, binding["x"], binding["y"]) == want
+        if isinstance(want, str):
+            assert field.raw()(binding["x"], binding["y"]).hex() == want

@@ -86,6 +86,8 @@ def test_load_reports_field_paths(tmp_path):
          r"regions\[1\]\.where\[0\]: expected an object"),
         (lambda d: d["regions"][0]["where"][0].update(curve="zero"),
          r"regions\[0\]\.where\[0\]\.curve: expected a number"),
+        (lambda d: d["regions"][1]["where"].append({"curve": 5, "sign": "+"}),
+         r"regions\[1\]\.where\[1\]\.curve: no curve has id 5"),
         (lambda d: d["domain"].update(bounds=[0, 1, "low", 1]),
          r"domain\.bounds\[2\]: expected a number"),
         (lambda d: d["parameters"].update(a="big"), r"parameters\.a: expected a number"),
@@ -396,6 +398,17 @@ def test_cli_budget_flags_are_checked(command, flag, bad, expected, tmp_path, ca
         value = int(text) if expected.startswith("an integer") else float(text)
         assert capsys.readouterr().err == f"error: {flag}: expected {expected}, got {value!r}\n"
         assert not out.exists()
+
+
+def test_cli_non_finite_literal_exits_2(tmp_path, capsys):
+    # 1e999 overflows to inf, which has no place in an expression
+    data = json.loads(shipped_path("rotation_plane").read_text())
+    data["regions"][0]["field"][0] = "1e999*0+1"
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    assert main(["orbit", "--scenario", str(path), "--start", "0.3,0.2", "--horizon", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: expression error: number '1e999' is not finite (at position 0)\n")
 
 
 def test_cli_raw_evaluation_error_exits_2(tmp_path, capsys, caplog):

@@ -5,6 +5,7 @@ import pytest
 from filippov.errors import NonIsolatedTangencyError, UndefinedSlidingError
 from filippov.expr import PlanarField, ScalarField
 from filippov.integrate import _make_sliding_rhs
+from filippov.scenario import list_shipped, load_shipped
 from filippov.sigma import (
     PointClass,
     classify_point,
@@ -367,3 +368,42 @@ def test_sigma_decomposition_traces_the_curve_once(monkeypatch, fold_system):
     # the shared samples give what the stand-alone scans find
     assert dec.tangencies == find_tangency_points(fold_system, 0, 256)
     assert dec.pseudo_equilibria == find_pseudo_equilibria(fold_system, 0, 256)
+
+
+def _point_at_reference(comp, s):
+    """CurveComponent.point_at with its own binary search over ``params``."""
+    pts, prm = comp.points, comp.params
+    if comp.closed:
+        s = s % comp.length
+    s = min(max(s, 0.0), prm[-1])
+    lo, hi = 0, len(prm) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if prm[mid] <= s:
+            lo = mid
+        else:
+            hi = mid
+    span = prm[hi] - prm[lo]
+    w = 0.0 if span == 0.0 else (s - prm[lo]) / span
+    a = pts[lo]
+    dx, dy = comp.domain.displacement(a, pts[hi])
+    return comp.domain.canonical((a[0] + w * dx, a[1] + w * dy))
+
+
+@pytest.mark.parametrize("name", list_shipped())
+def test_point_at_matches_the_reference_search(name):
+    system = load_shipped(name).build_system()
+    checked = 0
+    for curve in system.curves:
+        for comp in trace_curve(system, curve.id, 128):
+            prm, length = comp.params, comp.length
+            assert all(a < b for a, b in zip(prm, prm[1:]))
+            probes = list(prm) + [0.5 * (a + b) for a, b in zip(prm, prm[1:])]
+            probes += [0.0, length, -1e-9, -0.25 * length, length + 1e-9, 1.75 * length]
+            probes += [s + k * length for s in prm[1:4] for k in (-2, -1, 1, 3)]  # closed wrap
+            for s in probes:
+                got = comp.point_at(s)
+                want = _point_at_reference(comp, s)
+                assert [v.hex() for v in got] == [v.hex() for v in want], (comp.curve_id, s)
+                checked += 1
+    assert checked > 0

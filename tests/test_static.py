@@ -63,7 +63,6 @@ def test_module_reads_no_unbound_global(module):
 # (qualified function name, parameter) -> why the parameter stays unread
 UNREAD_ALLOWED = {
     ("sigma_seed_points", "sys"): "benchmarks/workloads.py passes it positionally",
-    ("PolicyCursor._script_done", "kind"): "the _ForkingCursor override reads it",
 }
 
 

@@ -147,6 +147,19 @@ def test_validation_ambiguous_membership():
         FilippovSystem(dom, [c0], regions)
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_region_condition_on_unknown_curve_is_rejected(validate):
+    # without the check, validate() or region_of() met it as a bare KeyError
+    dom = Domain("plane_rect", -1, 1, -1, 1)
+    c0 = SwitchingCurve(0, ScalarField("y"), 1, 2)
+    regions = [
+        RegionSpec(1, PlanarField("1", "0"), [(0, +1), (5, +1)]),
+        RegionSpec(2, PlanarField("1", "0"), [(0, -1)]),
+    ]
+    with pytest.raises(ConfigurationError, match="region 1: condition on unknown curve 5"):
+        FilippovSystem(dom, [c0], regions, validate=validate)
+
+
 def test_curve_side_regions_must_differ():
     with pytest.raises(ConfigurationError):
         SwitchingCurve(0, ScalarField("y"), 1, 1)
