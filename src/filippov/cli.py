@@ -16,6 +16,7 @@ import random
 import sys
 
 from .diagnostics import (
+    CONFIG_RANGES,
     COUNT,
     POSITIVE,
     build_segment_graph,
@@ -104,7 +105,8 @@ def _parse_policy(text):
 def _cmd_classify(args):
     scenario = load_scenario(args.scenario)
     sys_ = scenario.build_system()
-    dec = sigma_decomposition(sys_, args.curve, args.resolution)
+    resolution = _flag(args.resolution, None, "--resolution", CONFIG_RANGES["sigma_resolution"])
+    dec = sigma_decomposition(sys_, args.curve, resolution)
     _dump_json(dec.to_dict(), args.json)
     return EXIT_OK
 
@@ -127,7 +129,8 @@ def _cmd_orbit(args):
 def _cmd_portrait(args):
     scenario = load_scenario(args.scenario)
     sys_ = scenario.build_system()
-    decs = [sigma_decomposition(sys_, c.id, args.resolution) for c in sys_.curves]
+    resolution = _flag(args.resolution, None, "--resolution", CONFIG_RANGES["sigma_resolution"])
+    decs = [sigma_decomposition(sys_, c.id, resolution) for c in sys_.curves]
     orbits = [integrate_filippov(sys_, _parse_point(start, "--orbit-start"), args.horizon,
                                  policy=_parse_policy(args.policy), opts=scenario.integrator)
               for start in args.orbit_start or []]

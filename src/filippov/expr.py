@@ -29,6 +29,7 @@ from .errors import EvaluationError, ExpressionError
 UNARY_FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 FORBIDDEN_FUNCTIONS = ("abs", "sign", "min", "max", "floor", "ceil", "mod", "tan")
 BUILTIN_CONSTANTS = {"pi": math.pi, "e": math.e}
+RESERVED_NAMES = ("x", "y", *BUILTIN_CONSTANTS, *UNARY_FUNCTIONS)  # no parameter takes these
 
 
 @dataclass(frozen=True)
@@ -229,10 +230,13 @@ class _Parser:
 
 
 def parse_expression(source: str, symbols: Iterable[str]) -> Expression:
-    """Parse ``source`` into an AST over the given symbol set."""
+    """Parse ``source`` into an AST over a symbol set with no builtin's name in it."""
     symbols = set(symbols)
     if not symbols:
         raise ExpressionError("symbol set must be nonempty")
+    clash = sorted(symbols & {*BUILTIN_CONSTANTS, *UNARY_FUNCTIONS})
+    if clash:
+        raise ExpressionError(f"symbol {clash[0]!r} is the name of a builtin constant or function")
     return _Parser(_tokenize(source), symbols).parse()
 
 
@@ -463,6 +467,9 @@ class ScalarField:
 
     def __init__(self, expression, parameters=None):
         self.parameters = dict(parameters or {})
+        clash = sorted({"x", "y"} & set(self.parameters))
+        if clash:
+            raise ExpressionError(f"parameter {clash[0]!r} is the name of a coordinate")
         names = {"x", "y"} | set(self.parameters)
         if isinstance(expression, str):
             expression = parse_expression(expression, names)

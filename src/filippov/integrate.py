@@ -21,7 +21,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -381,13 +380,7 @@ class Orbit:
         """
         for seg in self.segments:
             if len(seg.times) > 1 and seg.t_start - 1e-12 <= t <= seg.t_end + 1e-12:
-                times = seg.times
-                i = max(1, min(len(times) - 1, bisect_right(times, t)))
-                t0, t1 = times[i - 1], times[i]
-                a = seg.points[i - 1]
-                w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-                dx, dy = domain.displacement(a, seg.points[i])
-                return domain.canonical((a[0] + w * dx, a[1] + w * dy))
+                return domain.along(seg.times, seg.points, t)
         return self.end_point()
 
     def to_json_dict(self):

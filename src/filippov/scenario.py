@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .diagnostics import DiagnosticsConfig
 from .errors import ConfigurationError, ExpressionError
-from .expr import PlanarField, ScalarField
+from .expr import RESERVED_NAMES, PlanarField, ScalarField
 from .integrate import IntegratorOptions
 from .system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
@@ -48,7 +48,7 @@ class Scenario:
             )
             conditions = [(c["curve"], c["sign"]) for c in rd["where"]]
             regions.append(RegionSpec(rd["id"], planar, conditions))
-        self._system = FilippovSystem(self.domain, curves, regions, self.parameters)
+        self._system = FilippovSystem(self.domain, curves, regions)
         return self._system
 
 
@@ -156,6 +156,9 @@ def scenario_from_dict(data) -> Scenario:
     parameters = {
         str(k): _number(v, f"parameters.{k}") for k, v in _optional(data, "parameters", {}).items()
     }
+    taken = [name for name in parameters if name in RESERVED_NAMES]
+    if taken:  # the parameter would replace a coordinate or lose to a builtin
+        raise ConfigurationError(f"parameters.{taken[0]}: reserved name (taken: {', '.join(RESERVED_NAMES)})")
     curve_defs = []
     for i, cd in enumerate(_require(data, "curves", "scenario", list)):
         curve_defs.append({

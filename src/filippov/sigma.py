@@ -8,7 +8,6 @@ Every operation is a pure function of the system, except that
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -100,6 +99,11 @@ def _side_values(sys, curve_id, p):
     return sys.curve(curve_id).gradient_at(p), sys.field_value(y1, p), sys.field_value(y2, p)
 
 
+def lie_pair_at(sys: FilippovSystem, curve_id: int, p) -> tuple[float, float]:
+    """(L1, L2) at the canonical form of p, from one evaluation of grad h, Y1 and Y2."""
+    return lie_pair(*_side_values(sys, curve_id, sys.domain.canonical(p)))
+
+
 def classify_point(sys: FilippovSystem, curve_id: int, p) -> Classification:
     """Classify a manifold point per the five-way sign table.
 
@@ -138,9 +142,8 @@ def sliding_vector_field(sys: FilippovSystem, curve_id: int, p) -> tuple[float, 
 
 def convex_weight(sys: FilippovSystem, curve_id: int, p) -> float:
     """The weight lambda with Z_s = lambda Y1 + (1 - lambda) Y2."""
-    p = sys.domain.canonical(p)
-    l1, l2 = lie_pair(*_side_values(sys, curve_id, p))
-    return l2 / _sliding_denominator(l1, l2, curve_id, p)
+    l1, l2 = lie_pair_at(sys, curve_id, p)
+    return l2 / _sliding_denominator(l1, l2, curve_id, sys.domain.canonical(p))
 
 
 def lie_scalar_field(h: ScalarField, planar) -> ScalarField:
@@ -223,17 +226,10 @@ class CurveComponent:
     domain: object  # wrap-aware interpolation on the torus
 
     def point_at(self, s):
-        """Linear interpolation along the polyline at arclength s."""
-        pts, prm = self.points, self.params
+        """The polyline's point at arclength s, wrapped on a closed component and clamped."""
         if self.closed:
             s = s % self.length
-        s = min(max(s, 0.0), prm[-1])
-        hi = max(1, min(len(prm) - 1, bisect_right(prm, s)))
-        span = prm[hi] - prm[hi - 1]
-        w = 0.0 if span == 0.0 else (s - prm[hi - 1]) / span
-        a = pts[hi - 1]
-        dx, dy = self.domain.displacement(a, pts[hi])
-        return self.domain.canonical((a[0] + w * dx, a[1] + w * dy))
+        return self.domain.along(self.params, self.points, min(max(s, 0.0), self.params[-1]))
 
 
 def _curve_seeds(sys, curve):
@@ -345,20 +341,8 @@ def _resample(sys, curve, points, closed, resolution, index):
     if length <= 0:
         raise ConfigurationError(f"curve {curve.id}: degenerate component")
     n = resolution if closed else resolution + 1
-    targets = [length * k / resolution for k in range(n)]
-    out_pts, out_par = [], []
-    j = 0
-    for s in targets:
-        while j < len(cum) - 2 and cum[j + 1] < s:
-            j += 1
-        span = cum[j + 1] - cum[j]
-        w = 0.0 if span == 0 else (s - cum[j]) / span
-        a, b = points[j], points[j + 1]
-        dx, dy = d.displacement(a, b)
-        q = d.canonical((a[0] + w * dx, a[1] + w * dy))
-        q = d.canonical(curve.project(q, 3))
-        out_pts.append(q)
-        out_par.append(s)
+    out_par = [length * k / resolution for k in range(n)]
+    out_pts = [d.canonical(curve.project(d.along(cum, points, s), 3)) for s in out_par]
     if closed:
         out_pts.append(out_pts[0])
         out_par.append(length)
@@ -372,10 +356,9 @@ def _resample(sys, curve, points, closed, resolution, index):
 
 def _lie_samples(sys, curve_id, components):
     """Per component, the lists of L1 and L2 at its sample points, one Lie pair each."""
-    canonical = sys.domain.canonical
     out = []
     for component in components:
-        pairs = [lie_pair(*_side_values(sys, curve_id, canonical(p))) for p in component.points]
+        pairs = [lie_pair_at(sys, curve_id, p) for p in component.points]
         out.append(([l1 for l1, _ in pairs], [l2 for _, l2 in pairs]))
     return out
 
@@ -413,12 +396,11 @@ def find_tangency_points(sys: FilippovSystem, curve_id: int, resolution: int) ->
 
 def _scan_tangencies(sys, curve_id, components, lies):
     curve = sys.curve(curve_id)
-    y1, y2 = sys.side_fields(curve_id)
     found = []
     for component, pair in zip(components, lies):
-        for side, planar, values in (("positive", y1, pair[0]), ("negative", y2, pair[1])):
+        for i, (side, values) in enumerate(zip(("positive", "negative"), pair)):
             _check_isolated(values, f"L({side})", curve_id)
-            fn = lambda p, _pl=planar: sys.lie_derivative(_pl, curve_id, p)
+            fn = lambda p, _i=i: lie_pair_at(sys, curve_id, p)[_i]
             for k in range(len(values) - 1):
                 s = None
                 if values[k] * values[k + 1] < 0:
@@ -459,10 +441,15 @@ def _make_tangency(sys, pos, curve_id, side, comp_idx, s):
     )
 
 
-def _tangent_at(sys, curve_id, p):
-    gx, gy = sys.curve(curve_id).gradient_at(p)
+def _sigma_dot(sys, curve_id, p):
+    """Z_s . t at p, t = (-gy, gx) / ||grad h||, with Z_s and t from one evaluation."""
+    p = sys.domain.canonical(p)
+    grad, v1, v2 = _side_values(sys, curve_id, p)
+    gx, gy = grad
     norm = math.hypot(gx, gy)
-    return (-gy / norm, gx / norm)
+    tx, ty = -gy / norm, gx / norm
+    zx, zy = filippov_combination(*lie_pair(grad, v1, v2), v1, v2, curve_id, p)
+    return zx * tx + zy * ty
 
 
 def find_pseudo_equilibria(sys: FilippovSystem, curve_id: int, resolution: int) -> list[tuple[float, float]]:
@@ -474,12 +461,7 @@ def find_pseudo_equilibria(sys: FilippovSystem, curve_id: int, resolution: int) 
 
 def _scan_pseudo_equilibria(sys, curve_id, components, lies):
     curve = sys.curve(curve_id)
-
-    def sigma_dot(p):
-        tx, ty = _tangent_at(sys, curve_id, p)
-        zx, zy = sliding_vector_field(sys, curve_id, p)
-        return zx * tx + zy * ty
-
+    sigma_dot = lambda p: _sigma_dot(sys, curve_id, p)  # noqa: E731
     points = []
     for component, (l1s, l2s) in zip(components, lies):
         values = []
@@ -586,9 +568,7 @@ def sigma_decomposition(sys: FilippovSystem, curve_id: int, resolution: int) -> 
     pes = _scan_pseudo_equilibria(sys, curve_id, components, lies)
     arcs = []
     for component in components:
-        t_here = sorted(
-            [t for t in tangencies if t.component == component.index], key=lambda t: t.param
-        )
+        t_here = [t for t in tangencies if t.component == component.index]  # sorted by param
         if not t_here:
             mid = component.point_at(0.5 * component.length)
             cls = _class_of_open_point(sys, curve_id, mid)
@@ -616,8 +596,7 @@ def sigma_decomposition(sys: FilippovSystem, curve_id: int, resolution: int) -> 
             arcs.append(
                 SigmaArc(
                     curve_id, component.index, cls, s0, s1,
-                    component.point_at(s0 % component.length if component.closed else s0),
-                    component.point_at(s1 % component.length if component.closed else s1),
+                    component.point_at(s0), component.point_at(s1),
                     samples=samples,
                 )
             )

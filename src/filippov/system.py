@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, OutsideDomainError, evaluation_boundary
@@ -79,6 +80,19 @@ class Domain:
         dx, dy = self.displacement(a, b)
         return math.hypot(dx, dy)
 
+    def along(self, params, points, s):
+        """Wrap-aware linear interpolation at s of ``points`` sampled at ascending ``params``.
+
+        The end chords extend past either end; at a stored parameter other than the last,
+        the stored point itself is returned.
+        """
+        i = max(1, min(len(params) - 1, bisect_right(params, s)))
+        s0, s1 = params[i - 1], params[i]
+        w = 0.0 if s1 == s0 else (s - s0) / (s1 - s0)
+        a = points[i - 1]
+        dx, dy = self.displacement(a, points[i])
+        return self.canonical((a[0] + w * dx, a[1] + w * dy))
+
     def diameter(self):
         if self.kind == "flat_torus":
             return math.hypot(self.width / 2.0, self.height / 2.0)
@@ -145,11 +159,10 @@ class FilippovSystem:
     (curve id, side) for ``sigma.second_lie_value``.
     """
 
-    def __init__(self, domain, curves, regions, parameters=None, velocity_scale=None, validate=True):
+    def __init__(self, domain, curves, regions, *, velocity_scale=None, validate=True):
         self.domain = domain
         self.curves = list(curves)
         self.regions = list(regions)
-        self.parameters = dict(parameters or {})
         self.velocity_scale = velocity_scale
         self.frozen_tangencies = ()
         self.second_lie_fields = {}
@@ -206,13 +219,6 @@ class FilippovSystem:
             raise ConfigurationError(f"point {p} matches regions {matches}: inconsistent model")
         return matches[0]
 
-    def lie_derivative(self, planar_field, curve_id, p):
-        """grad h (p) . Y(p), with the symbolic gradient of h."""
-        p = self.domain.canonical(p)
-        gx, gy = self.curve(curve_id).gradient_at(p)
-        vx, vy = self.field_value(planar_field, p)
-        return gx * vx + gy * vy
-
     def side_fields(self, curve_id):
         """(Y1, Y2): fields on the h>0 and h<0 sides of the curve."""
         c = self.curve(curve_id)
@@ -246,7 +252,7 @@ class FilippovSystem:
         if self._reversed is None:
             regions = [RegionSpec(r.id, r.field.negated(), r.conditions) for r in self.regions]
             rev = FilippovSystem(
-                self.domain, self.curves, regions, self.parameters,
+                self.domain, self.curves, regions,
                 velocity_scale=self.velocity_scale, validate=False,
             )
             rev.frozen_tangencies = self.frozen_tangencies
@@ -260,7 +266,7 @@ class FilippovSystem:
             old = self.velocity_scale
             scale = lambda p, _old=old, _g=g: _old(p) * _g(p)  # noqa: E731
         scaled = FilippovSystem(
-            self.domain, self.curves, self.regions, self.parameters,
+            self.domain, self.curves, self.regions,
             velocity_scale=scale, validate=False,
         )
         scaled.frozen_tangencies = self.frozen_tangencies

@@ -260,6 +260,24 @@ def test_scalar_field_rejects_unknown_symbols():
         ScalarField("q + x")
 
 
+@pytest.mark.parametrize("name", ["pi", "e", "sin", "cos", "exp", "sqrt"])
+def test_a_symbol_may_not_take_a_builtin_name(name):
+    # the constant would win over the symbol, and a function name would find the function
+    message = f"symbol '{name}' is the name of a builtin constant or function"
+    with pytest.raises(ExpressionError, match=message):
+        parse_expression(f"{name} + x", {name, "x"})
+    with pytest.raises(ExpressionError, match=message):
+        ScalarField("x", parameters={name: 0.5})
+
+
+@pytest.mark.parametrize("name", ["x", "y"])
+def test_a_parameter_may_not_take_a_coordinate_name(name):
+    # the parameter's value would replace the coordinate
+    for expression in ("x + y", Binary("+", Var("x"), Var("y"))):
+        with pytest.raises(ExpressionError, match=f"parameter '{name}' is the name of a coordinate"):
+            ScalarField(expression, parameters={name: 0.5})
+
+
 def test_planar_field_requires_shared_parameters():
     fx = ScalarField("a*x", parameters={"a": 1.0})
     fy = ScalarField("x", parameters={"b": 2.0})

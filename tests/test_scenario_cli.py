@@ -139,6 +139,11 @@ def test_load_reports_field_paths(tmp_path):
          r"integrator\.max_step: expected a finite number, got inf"),
         (lambda d: d.update(integrator={"rtol": math.nan}),
          r"integrator\.rtol: expected a finite number, got nan"),
+        # a constant or function would win over the parameter, and x or y would replace
+        # the coordinate (h = y then reads as a constant)
+        *[(lambda d, _n=name: d["parameters"].update({_n: 0.5}),
+           rf"parameters\.{name}: reserved name \(taken: x, y, pi, e, sin, cos, exp, sqrt\)")
+          for name in ("x", "y", "pi", "e", "sin", "cos", "exp", "sqrt")],
     ]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario()))
@@ -370,16 +375,22 @@ def test_cli_scenario_with_infinite_bound_exits_2(tmp_path, capsys):
     ("--policy", "dwell:foo", "--policy: expected 'dwell:dwell=T,side=up|down' with a finite T >= 0, "
                               "got 'dwell:foo'"),
     ("--size", "640", "--size: expected two positive integers 'WxH', got '640'"),
+    ("--resolution", "1", "--resolution: expected an integer >= 2, got 1"),
 ])
 def test_cli_argument_errors_name_the_flag(flag, bad, message, tmp_path, capsys):
-    argv = {
-        "--start": _orbit_argv("rotation_plane", bad, "1"),
-        "--policy": _orbit_argv("rotation_plane", "0.3,0.2", "1", "--policy", bad),
-    }.get(flag, ["portrait", "--scenario", str(shipped_path("rotation_plane")),
-                 "--svg", str(tmp_path / "p.svg"), flag, bad])
-    assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "p.svg").exists()
+    out = tmp_path / "out"
+    scenario = str(shipped_path("rotation_plane"))
+    portrait = ["portrait", "--scenario", scenario, "--svg", str(out), flag, bad]
+    runs = {
+        "--start": [_orbit_argv("rotation_plane", bad, "1")],
+        "--policy": [_orbit_argv("rotation_plane", "0.3,0.2", "1", "--policy", bad)],
+        # classify and portrait both decompose Σ at --resolution
+        "--resolution": [["classify", "--scenario", scenario, "--json", str(out), flag, bad], portrait],
+    }.get(flag, [portrait])
+    for argv in runs:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag, bad, expected", [
@@ -409,6 +420,16 @@ def test_cli_non_finite_literal_exits_2(tmp_path, capsys):
     assert main(["orbit", "--scenario", str(path), "--start", "0.3,0.2", "--horizon", "2"]) == 2
     assert capsys.readouterr().err == (
         "error: expression error: number '1e999' is not finite (at position 0)\n")
+
+
+def test_cli_reserved_parameter_name_exits_2(tmp_path, capsys):
+    data = json.loads(shipped_path("rotation_plane").read_text())
+    data["parameters"] = {"e": 2.0}
+    path = tmp_path / "reserved.json"
+    path.write_text(json.dumps(data))
+    assert main(["orbit", "--scenario", str(path), "--start", "0.3,0.2", "--horizon", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: parameters.e: reserved name (taken: x, y, pi, e, sin, cos, exp, sqrt)\n")
 
 
 def test_cli_raw_evaluation_error_exits_2(tmp_path, capsys, caplog):

@@ -8,10 +8,12 @@ from filippov.integrate import _make_sliding_rhs
 from filippov.scenario import list_shipped, load_shipped
 from filippov.sigma import (
     PointClass,
+    _sigma_dot,
     classify_point,
     convex_weight,
     find_pseudo_equilibria,
     find_tangency_points,
+    lie_pair_at,
     sigma_decomposition,
     sliding_vector_field,
     trace_curve,
@@ -119,6 +121,65 @@ def test_pseudo_equilibria_single_root(pe_system):
     assert pes[0] == pytest.approx((0.0, 0.0), abs=1e-9)
     zs = sliding_vector_field(pe_system, 0, pes[0])
     assert math.hypot(*zs) <= 1e-10
+
+
+def _sigma_dot_reference(sys, curve_id, p):
+    """The deleted form of Z_s . t: the unit tangent from `_tangent_at`, then `sliding_vector_field`."""
+    gx, gy = sys.curve(curve_id).gradient_at(p)
+    norm = math.hypot(gx, gy)
+    tx, ty = -gy / norm, gx / norm
+    zx, zy = sliding_vector_field(sys, curve_id, p)
+    return zx * tx + zy * ty
+
+
+def _lie_derivative_reference(sys, planar, curve_id, p):
+    """The deleted `FilippovSystem.lie_derivative`."""
+    p = sys.domain.canonical(p)
+    gx, gy = sys.curve(curve_id).gradient_at(p)
+    vx, vy = sys.field_value(planar, p)
+    return gx * vx + gy * vy
+
+
+def _outcome(fn, *args):
+    """fn(*args) as float.hex strings, or the class and message of what it raised."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return [v.hex() for v in value] if isinstance(value, tuple) else value.hex()
+
+
+def _shipped_cases(resolution):
+    """(system, curve id, arc) for each arc of each curve of the shipped scenarios."""
+    for name in list_shipped():
+        system = load_shipped(name).build_system()
+        for curve in system.curves:
+            for arc in sigma_decomposition(system, curve.id, resolution).arcs:
+                yield system, curve.id, arc
+
+
+def test_sigma_dot_matches_the_two_call_form(pe_system):
+    cases = [(pe_system, 0, (-1.0 + k / 64.0, 0.0)) for k in range(129)]
+    # L1 = L2: the sliding field is undefined, and both forms must say so alike
+    equal = build_plane_system(("1", "-1"), ("2", "-1"))
+    cases += [(equal, 0, (x, 0.0)) for x in (-0.5, 0.0, 0.25)]
+    cases += [(system, cid, p) for system, cid, arc in _shipped_cases(256)
+              if arc.point_class in (PointClass.SLIDING, PointClass.ESCAPING) for p in arc.samples]
+    assert len(cases) > 500
+    for system, cid, p in cases:
+        assert _outcome(_sigma_dot, system, cid, p) == _outcome(_sigma_dot_reference, system, cid, p)
+
+
+def test_lie_pair_at_matches_the_one_field_form():
+    checked = 0
+    for system, cid, arc in _shipped_cases(128):
+        y1, y2 = system.side_fields(cid)
+        for x, y in arc.samples:
+            for p in ((x, y), (x + 0.37, y - 1.9)):
+                want = tuple(_lie_derivative_reference(system, planar, cid, p) for planar in (y1, y2))
+                assert _outcome(lie_pair_at, system, cid, p) == _outcome(lambda: want)
+                checked += 1
+    assert checked > 1000
 
 
 def test_pseudo_equilibria_none(flat_system):

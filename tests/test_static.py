@@ -3,7 +3,9 @@
 A module that reads a global name it never defines, imports or gets from
 builtins fails only when that line runs; this finds such names up front.
 A function parameter that the body never reads is dead code that callers
-still have to pass; this finds those too.
+still have to pass; this finds those too.  A module that imports another
+module's private name leans on that module's internals; each such import is
+listed with its reason.
 """
 
 import ast
@@ -116,3 +118,46 @@ def test_package_parameters_are_read():
     for path in sorted(PACKAGE.glob("*.py")):
         unread |= unread_parameters(path.read_text(), str(path))
     assert unread == set(UNREAD_ALLOWED)
+
+
+# ("module._name" imported, importing module) -> why the private import stays
+PRIVATE_IMPORTS_ALLOWED = {
+    ("diagnostics._random_disk", "cli"): "cycles draws its windows as chaos_report does",
+    ("diagnostics._saturate_policies", "cli"):
+        "saturate runs chaos_report's policy set; benchmarks/workloads.py calls it too",
+    ("diagnostics._saturation_seeds", "cli"): "saturate seeds from Σ as chaos_report does",
+    ("diagnostics._window_cycles", "cli"): "cycles closes orbits through windows as chaos_report does",
+    ("integrate._nudge_into_arc", "diagnostics"):
+        "escape-entry tangencies are classified a step off, as the integrator leaves one",
+}
+
+
+def private_imports(source, filename="<source>"):
+    """``module._name`` for each private name the source imports from a package module."""
+    found = set()
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.partition(".")[0] != PACKAGE.name:
+            continue
+        base = module.rpartition(".")[2]
+        found.update(f"{base}.{a.name}".lstrip(".") for a in node.names if a.name.startswith("_"))
+    return found
+
+
+def test_private_import_check_finds_private_names():
+    source = ("from __future__ import annotations\nimport os\nfrom os import _exit\n"
+              "from .diagnostics import chaos_report, _window_cycles\n"
+              "from filippov.integrate import _Run as Run\nfrom . import _helpers, sigma\n\n"
+              "def f():\n    from .sigma import _side_values\n    return _side_values\n")
+    assert private_imports(source) == {
+        "diagnostics._window_cycles", "integrate._Run", "_helpers", "sigma._side_values",
+    }
+
+
+def test_package_modules_import_no_private_names():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= {(name, path.stem) for name in private_imports(path.read_text(), str(path))}
+    assert found == set(PRIVATE_IMPORTS_ALLOWED)

@@ -9,6 +9,7 @@ from filippov.errors import (
 )
 from filippov.expr import PlanarField, ScalarField
 from filippov.scenario import load_shipped
+from filippov.sigma import lie_pair_at
 from filippov.system import (
     DISJOINT_EPS, Domain, FilippovSystem, OnSigma, RegionSpec, SwitchingCurve,
 )
@@ -30,7 +31,7 @@ def test_region_of_on_sigma(flat_system):
 def test_lie_derivative_examples():
     s = build_plane_system(("2", "3"), ("1", "1"))
     # h = y: grad (0,1), so the Lie derivative is the y-component
-    assert s.lie_derivative(s.region(1).field, 0, (0.2, 0.0)) == 3.0
+    assert lie_pair_at(s, 0, (0.2, 0.0))[0] == 3.0
 
     dom = Domain("plane_rect", -2, 2, -2, 2)
     curve = SwitchingCurve(0, ScalarField("x^2 + y^2 - 1"), 1, 2)
@@ -39,9 +40,8 @@ def test_lie_derivative_examples():
         RegionSpec(2, PlanarField("1", "0"), [(0, -1)]),
     ]
     s2 = FilippovSystem(dom, [curve], regions, validate=False)
-    # rotational field is tangent to the circle
-    assert s2.lie_derivative(s2.region(1).field, 0, (1.0, 0.0)) == 0.0
-    assert s2.lie_derivative(s2.region(2).field, 0, (1.0, 0.0)) == 2.0
+    # rotational field (region 1, the h > 0 side) is tangent to the circle
+    assert lie_pair_at(s2, 0, (1.0, 0.0)) == (0.0, 2.0)
 
 
 def test_field_at(flat_system):
@@ -83,17 +83,14 @@ def test_torus_periodicity_exact_on_dyadic_points(i, j, kx, ky):
     p = (i / 64.0, j / 64.0)
     q = (p[0] + kx, p[1] + ky)
     assert _TORUS.region_of(p) == _TORUS.region_of(q)
-    y1 = _TORUS.region(1).field
-    assert _TORUS.lie_derivative(y1, 0, p) == _TORUS.lie_derivative(y1, 0, q)
+    # L1 is the Lie derivative of region 1's field, the h > 0 side
+    assert lie_pair_at(_TORUS, 0, p)[0] == lie_pair_at(_TORUS, 0, q)[0]
 
 
 def test_torus_periodicity_approximate_in_general():
     p = (0.137, 0.291)
     q = (p[0] + 1.0, p[1] - 1.0)
-    y1 = _TORUS.region(1).field
-    assert _TORUS.lie_derivative(y1, 0, p) == pytest.approx(
-        _TORUS.lie_derivative(y1, 0, q), abs=1e-12
-    )
+    assert lie_pair_at(_TORUS, 0, p)[0] == pytest.approx(lie_pair_at(_TORUS, 0, q)[0], abs=1e-12)
 
 
 def test_torus_distance_is_quotient_metric():
