@@ -105,6 +105,10 @@ def _parse_policy(text):
 def _cmd_classify(args):
     scenario = load_scenario(args.scenario)
     sys_ = scenario.build_system()
+    ids = [c.id for c in sys_.curves]
+    if args.curve not in ids:
+        raise ConfigurationError(
+            f"--curve: no curve has id {args.curve} (ids: {', '.join(map(str, ids))})")
     resolution = _flag(args.resolution, None, "--resolution", CONFIG_RANGES["sigma_resolution"])
     dec = sigma_decomposition(sys_, args.curve, resolution)
     _dump_json(dec.to_dict(), args.json)
@@ -114,8 +118,9 @@ def _cmd_classify(args):
 def _cmd_orbit(args):
     scenario = load_scenario(args.scenario)
     sys_ = scenario.build_system()
+    horizon = _flag(args.horizon, None, "--horizon", POSITIVE)
     orbit = integrate_filippov(
-        sys_, _parse_point(args.start, "--start"), args.horizon,
+        sys_, _parse_point(args.start, "--start"), horizon,
         direction=args.direction, policy=_parse_policy(args.policy),
         opts=scenario.integrator,
     )
@@ -130,8 +135,9 @@ def _cmd_portrait(args):
     scenario = load_scenario(args.scenario)
     sys_ = scenario.build_system()
     resolution = _flag(args.resolution, None, "--resolution", CONFIG_RANGES["sigma_resolution"])
+    horizon = _flag(args.horizon, None, "--horizon", POSITIVE)
     decs = [sigma_decomposition(sys_, c.id, resolution) for c in sys_.curves]
-    orbits = [integrate_filippov(sys_, _parse_point(start, "--orbit-start"), args.horizon,
+    orbits = [integrate_filippov(sys_, _parse_point(start, "--orbit-start"), horizon,
                                  policy=_parse_policy(args.policy), opts=scenario.integrator)
               for start in args.orbit_start or []]
     width, height = _parse_pair(args.size, "--size", "x", int, lambda v: v > 0,

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConfigurationError, FilippovError
 from .integrate import (
     BranchPolicy,
-    IntegratorOptions,
     PolicyCursor,
     enumerate_branches,
     integrate_filippov,
@@ -125,7 +124,6 @@ def saturate(sys, seeds, horizon, policies, grid_resolution=32, opts=None):
     """
     if not seeds:
         raise FilippovError("saturate needs a nonempty seed set")
-    opts = opts or IntegratorOptions()
     cov = GridCoverage(sys.domain, grid_resolution)
     orbits = 0
     for seed, direction in itertools.product(seeds, ("forward", "backward")):
@@ -204,7 +202,6 @@ def orbit_enters(orbit, disk, domain, t_max=None):
 
 def transitivity_probe(sys, u_disk, v_disk, budget, horizon, opts=None, dwell_grid=(0.0,)):
     """Search for one Filippov orbit meeting both disks (forward, budgeted)."""
-    opts = opts or IntegratorOptions()
     n_seeds = max(1, min(budget, 16))
     spent = 0
     for seed in _disk_seeds(u_disk, n_seeds, sys.domain):
@@ -249,7 +246,6 @@ class SensitivityWitness:
 
     def revalidate(self, sys, opts=None):
         """Re-integrate both records; the separation at t must reproduce to 1e-6."""
-        opts = opts or IntegratorOptions()
         ox = integrate_filippov(sys, self.x, self.horizon, policy=self.policy_x, opts=opts)
         oy = integrate_filippov(sys, self.y, self.horizon, policy=self.policy_y, opts=opts)
         d = sys.domain.distance(
@@ -280,7 +276,6 @@ def sensitivity_probe(sys, disk, r, budget, horizon, opts=None, rng=None):
     """
     if r <= 0:
         raise FilippovError("sensitivity radius r must be positive")
-    opts = opts or IntegratorOptions()
     rng = rng or random.Random(0)
     domain = sys.domain
     slide = BranchPolicy.slide_on()
@@ -441,7 +436,6 @@ def build_segment_graph(sys, decompositions, windows=None, horizon=60.0, budget=
     each edge stores its orbit, its first-passage flight time and the windows
     its orbit entered by then.
     """
-    opts = opts or IntegratorOptions()
     domain = sys.domain
     decs = decompositions
     slide_arcs = [(dec, arc) for dec in decs for arc in dec.arcs_of_class(PointClass.SLIDING)]
@@ -598,7 +592,6 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
     integrations between calls with the same graph, system, horizon and
     options; without it every candidate is integrated afresh.
     """
-    opts = opts or IntegratorOptions()
     if not graph.nodes:
         return []
     base = graph.node(base_anchor)
@@ -789,7 +782,6 @@ def chaos_report(sys, config=None, opts=None):
     """
     cfg = config or DiagnosticsConfig()
     cfg.check()
-    opts = opts or IntegratorOptions()
     rng = random.Random(cfg.seed)
     domain = sys.domain
     clock = [time.perf_counter()]

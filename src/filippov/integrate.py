@@ -214,13 +214,19 @@ class _Stepper:
 @dataclass
 class OrbitSegment:
     kind: str  # regular_arc | sliding_arc | crossing_event | escape_departure | terminal
-    t_start: float
-    t_end: float
-    times: list = field(default_factory=list)
-    points: list = field(default_factory=list)
+    times: list
+    points: list
     region_id: int | None = None
     curve_id: int | None = None
     detail: dict = field(default_factory=dict)
+
+    @property
+    def t_start(self):
+        return self.times[0]
+
+    @property
+    def t_end(self):
+        return self.times[-1]
 
     @property
     def start_point(self):
@@ -379,8 +385,9 @@ class Orbit:
         Marker segments carry no interval and are skipped.
         """
         for seg in self.segments:
-            if len(seg.times) > 1 and seg.t_start - 1e-12 <= t <= seg.t_end + 1e-12:
-                return domain.along(seg.times, seg.points, t)
+            times = seg.times
+            if len(times) > 1 and times[0] - 1e-12 <= t <= times[-1] + 1e-12:
+                return domain.along(times, seg.points, t)
         return self.end_point()
 
     def to_json_dict(self):
@@ -479,7 +486,7 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
 
     while True:
         if stepper.t >= t_max - 1e-14:
-            seg = OrbitSegment("regular_arc", 0.0, times[-1], times, pts, region_id=region_id)
+            seg = OrbitSegment("regular_arc", times, pts, region_id=region_id)
             return seg, ("t_max", pts[-1])
         step = stepper.propose(t_max - stepper.t)
         # sample h on the dense grid, look for the earliest event
@@ -537,7 +544,7 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
         else:
             point = canonical(step.at(th))
         emit(step, th, point)
-        seg = OrbitSegment("regular_arc", 0.0, times[-1], times, pts, region_id=region_id)
+        seg = OrbitSegment("regular_arc", times, pts, region_id=region_id)
         return seg, ((kind, point) if kind == "left_domain" else (kind, payload, point))
 
 
@@ -654,7 +661,7 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
 
     while True:
         if stepper.t >= t_max - 1e-14:
-            seg = OrbitSegment("sliding_arc", 0.0, times[-1], times, pts, curve_id=curve_id)
+            seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
             return seg, ("t_max", pts[-1])
         step = stepper.propose(t_max - stepper.t)
         q = curve.project((stepper.x, stepper.y), 2)
@@ -665,7 +672,7 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
             on_curve = lambda th: curve.project(step.at(th), 2)
             th = _exit_theta(domain, on_curve, 1.0)
             emit_to(on_curve(th), step.t0 + th * step.dt)
-            seg = OrbitSegment("sliding_arc", 0.0, times[-1], times, pts, curve_id=curve_id)
+            seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
             return seg, ("left_domain", pts[-1])
 
         if l1 * s1_0 < 0 or l2 * s2_0 < 0 or abs(l1) <= TAU_CLASS or abs(l2) <= TAU_CLASS:
@@ -673,13 +680,13 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
             th, point = _locate_slide_tangency(step, curve, stepper.f, flipped, s1_0, s2_0)
             t_ev = step.t0 + th * step.dt
             emit_to(point, t_ev)
-            seg = OrbitSegment("sliding_arc", 0.0, times[-1], times, pts, curve_id=curve_id)
+            seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
             return seg, ("tangency", pts[-1], flipped)
 
         znorm = math.hypot(zx, zy)
         if znorm <= PE_NORM_TOL or znorm * stepper.dt < 1e-14:
             emit_to(q, stepper.t)
-            seg = OrbitSegment("sliding_arc", 0.0, times[-1], times, pts, curve_id=curve_id)
+            seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
             return seg, ("pseudo_eq", pts[-1])
 
         emit_to(q, stepper.t)
@@ -762,11 +769,9 @@ class _Run:
         )
 
     def _add_marker(self, kind, detail):
-        self.segments.append(OrbitSegment(kind, self.t, self.t, [self.t], [self.p], detail=detail))
+        self.segments.append(OrbitSegment(kind, [self.t], [self.p], detail=detail))
 
     def _add_segment(self, seg):
-        seg.t_start += self.t
-        seg.t_end += self.t
         seg.times = [tt + self.t for tt in seg.times]
         self.t = seg.t_end
         self.p = seg.end_point

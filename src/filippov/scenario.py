@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 from .diagnostics import DiagnosticsConfig
-from .errors import ConfigurationError, ExpressionError
+from .errors import ConfigurationError, EvaluationError, ExpressionError
 from .expr import RESERVED_NAMES, PlanarField, ScalarField
 from .integrate import IntegratorOptions
 from .system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
@@ -24,31 +24,12 @@ SCHEMA = "filippov.scenario/1"
 @dataclass
 class Scenario:
     name: str
-    domain: Domain
-    parameters: dict
-    curve_defs: list
-    region_defs: list
     config: DiagnosticsConfig
-    integrator: IntegratorOptions = field(default_factory=IntegratorOptions)
-    _system: FilippovSystem | None = None
+    integrator: IntegratorOptions
+    _system: FilippovSystem
 
     def build_system(self) -> FilippovSystem:
-        if self._system is not None:
-            return self._system
-        curves = []
-        for cd in self.curve_defs:
-            h = ScalarField(cd["h"], parameters=self.parameters)
-            curves.append(SwitchingCurve(cd["id"], h, cd["positive_region"], cd["negative_region"]))
-        regions = []
-        for rd in self.region_defs:
-            fx, fy = rd["field"]
-            planar = PlanarField(
-                ScalarField(fx, parameters=self.parameters),
-                ScalarField(fy, parameters=self.parameters),
-            )
-            conditions = [(c["curve"], c["sign"]) for c in rd["where"]]
-            regions.append(RegionSpec(rd["id"], planar, conditions))
-        self._system = FilippovSystem(self.domain, curves, regions)
+        """The checked system the loader built."""
         return self._system
 
 
@@ -106,6 +87,14 @@ def _curve_ref(condition, path, curve_ids):
     return curve_id
 
 
+def _expression(path, build):
+    """build(), with a parse or folding failure raised as a ConfigurationError that names ``path``."""
+    try:
+        return build()
+    except (ExpressionError, EvaluationError) as exc:
+        raise ConfigurationError(f"{path}: expression error: {exc}") from exc
+
+
 def _optional(data, key, default):
     """data[key] checked to be of the default's type, or the default when absent."""
     return _require(data, key, "scenario", type(default)) if key in data else default
@@ -159,30 +148,34 @@ def scenario_from_dict(data) -> Scenario:
     taken = [name for name in parameters if name in RESERVED_NAMES]
     if taken:  # the parameter would replace a coordinate or lose to a builtin
         raise ConfigurationError(f"parameters.{taken[0]}: reserved name (taken: {', '.join(RESERVED_NAMES)})")
-    curve_defs = []
+    curves = []
     for i, cd in enumerate(_require(data, "curves", "scenario", list)):
-        curve_defs.append({
-            "id": _require(cd, "id", f"curves[{i}]", int),
-            "h": str(_require(cd, "h", f"curves[{i}]")),
-            "positive_region": _require(cd, "positive_region", f"curves[{i}]", int),
-            "negative_region": _require(cd, "negative_region", f"curves[{i}]", int),
-        })
-    curve_ids = {cd["id"] for cd in curve_defs}
-    region_defs = []
+        path = f"curves[{i}]"
+        curve_id = _require(cd, "id", path, int)
+        h = str(_require(cd, "h", path))
+        positive = _require(cd, "positive_region", path, int)
+        negative = _require(cd, "negative_region", path, int)
+        # building the curve folds grad h, which can overflow
+        curves.append(_expression(f"{path}.h", lambda: SwitchingCurve(
+            curve_id, ScalarField(h, parameters=parameters), positive, negative)))
+    curve_ids = {c.id for c in curves}
+    regions = []
     for i, rd in enumerate(_require(data, "regions", "scenario", list)):
-        fd = _require(rd, "field", f"regions[{i}]", list)
+        path = f"regions[{i}]"
+        fd = _require(rd, "field", path, list)
         if len(fd) != 2:
-            raise ConfigurationError(f"regions[{i}].field: expected [fx, fy]")
-        region_defs.append({
-            "id": _require(rd, "id", f"regions[{i}]", int),
-            "field": [str(fd[0]), str(fd[1])],
-            "where": [
-                {"curve": _curve_ref(c, f"regions[{i}].where[{j}]", curve_ids),
-                 "sign": _sign(_require(c, "sign", f"regions[{i}].where[{j}]"),
-                               f"regions[{i}].where[{j}].sign")}
-                for j, c in enumerate(_require(rd, "where", f"regions[{i}]", list))
-            ],
-        })
+            raise ConfigurationError(f"{path}.field: expected [fx, fy]")
+        region_id = _require(rd, "id", path, int)
+        conditions = [
+            (_curve_ref(c, f"{path}.where[{j}]", curve_ids),
+             _sign(_require(c, "sign", f"{path}.where[{j}]"), f"{path}.where[{j}].sign"))
+            for j, c in enumerate(_require(rd, "where", path, list))
+        ]
+        fx, fy = (
+            _expression(f"{path}.field[{j}]", lambda: ScalarField(str(fd[j]), parameters=parameters))
+            for j in (0, 1)
+        )
+        regions.append(RegionSpec(region_id, PlanarField(fx, fy), conditions))
     config = _config(_optional(data, "config", {}))
     integ = _optional(data, "integrator", {})
     settings = {"rtol": integ.get("rtol", 1e-10), "atol": integ.get("atol", 1e-12)}
@@ -193,16 +186,7 @@ def scenario_from_dict(data) -> Scenario:
         if not settings[key] > 0:
             raise ConfigurationError(f"integrator.{key}: expected a positive number")
     options = IntegratorOptions(**settings)
-    scenario = Scenario(
-        name=name, domain=domain, parameters=parameters,
-        curve_defs=curve_defs, region_defs=region_defs,
-        config=config, integrator=options,
-    )
-    try:
-        scenario.build_system()
-    except ExpressionError as exc:
-        raise ConfigurationError(f"expression error: {exc}") from exc
-    return scenario
+    return Scenario(name, config, options, FilippovSystem(domain, curves, regions))
 
 
 def shipped_path(name: str) -> Path:

@@ -549,7 +549,11 @@ class SigmaDecomposition:
 
 
 def _class_of_open_point(sys, curve_id, p):
-    cls = classify_point(sys, curve_id, p)
+    """Class of the open arc through p, read at p projected onto the curve.
+
+    p may be a chord point of the traced curve, which lies off a curved Σ.
+    """
+    cls = classify_point(sys, curve_id, sys.curve(curve_id).project(p, 3))
     if cls.point_class is PointClass.PSEUDO_EQUILIBRIUM:
         return PointClass.SLIDING if cls.lie_positive < 0 else PointClass.ESCAPING
     return cls.point_class

@@ -42,8 +42,6 @@ def test_config_round_trips_every_setting():
 def test_load_sliding_belt():
     scenario = load_shipped("sliding_belt_torus")
     assert scenario.name == "sliding_belt_torus"
-    assert len(scenario.curve_defs) == 1
-    assert len(scenario.region_defs) == 2
     system = scenario.build_system()
     assert len(system.curves) == 1 and len(system.regions) == 2
 
@@ -139,6 +137,14 @@ def test_load_reports_field_paths(tmp_path):
          r"integrator\.max_step: expected a finite number, got inf"),
         (lambda d: d.update(integrator={"rtol": math.nan}),
          r"integrator\.rtol: expected a finite number, got nan"),
+        # an expression error names its field; building a curve folds grad h, which can overflow
+        (lambda d: d["regions"][1]["field"].__setitem__(1, "1 + z"),
+         r"regions\[1\]\.field\[1\]: expression error: unknown identifier 'z' \(at position 4\)"),
+        (lambda d: d["curves"][0].update(h="abs(y - 0.5)"),
+         r"curves\[0\]\.h: expression error: 'abs' is not a smooth primitive and is not allowed "
+         r"\(at position 0\)"),
+        (lambda d: d["curves"][0].update(h="y * (1e200)^2"),
+         r"curves\[0\]\.h: expression error: .*out of range"),
         # a constant or function would win over the parameter, and x or y would replace
         # the coordinate (h = y then reads as a constant)
         *[(lambda d, _n=name: d["parameters"].update({_n: 0.5}),
@@ -218,6 +224,25 @@ def test_cli_classify_writes_report(tmp_path):
     assert payload["schema"] == "filippov.sigma/1"
     assert payload["arcs"]
     assert payload["tangencies"]
+
+
+def test_cli_classify_curved_sigma(tmp_path):
+    # a circle: each arc's class is read on the curve, not at a chord midpoint off it
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({
+        "name": "circle",
+        "domain": {"kind": "plane_rect", "bounds": [-1, 1, -1, 1]},
+        "curves": [{"id": 0, "h": "x^2 + y^2 - 0.25", "positive_region": 1, "negative_region": 2}],
+        "regions": [
+            {"id": 1, "field": ["1", "0"], "where": [{"curve": 0, "sign": "+"}]},
+            {"id": 2, "field": ["0.3", "1"], "where": [{"curve": 0, "sign": "-"}]},
+        ],
+    }))
+    out = tmp_path / "report.json"
+    assert main(["classify", "--scenario", str(path), "--resolution", "300", "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert [a["class"] for a in payload["arcs"]] == ["escaping", "crossing", "sliding", "crossing"]
+    assert len(payload["tangencies"]) == 4
 
 
 def test_cli_orbit_writes_csv_and_json(tmp_path):
@@ -345,8 +370,8 @@ def _orbit_argv(name, start, horizon, *more):
 
 @pytest.mark.parametrize("argv, message", [
     # a horizon or dwell of inf or nan is never reached: the orbit runs forever or not at all
-    (_orbit_argv("rotation_plane", "0.3,0.2", "inf"), "horizon must be positive and finite, got inf"),
-    (_orbit_argv("rotation_plane", "0.3,0.2", "nan"), "horizon must be positive and finite, got nan"),
+    (_orbit_argv("rotation_plane", "0.3,0.2", "inf"), "--horizon: expected a finite number > 0, got inf"),
+    (_orbit_argv("rotation_plane", "0.3,0.2", "nan"), "--horizon: expected a finite number > 0, got nan"),
     (_orbit_argv("sliding_belt_torus", "0.3,0.5", "2", "--policy", "dwell:dwell=nan,side=up"),
      "--policy: expected 'dwell:dwell=T,side=up|down' with a finite T >= 0, got 'dwell:dwell=nan,side=up'"),
     # a negative dwell has no meaning
@@ -376,6 +401,9 @@ def test_cli_scenario_with_infinite_bound_exits_2(tmp_path, capsys):
                               "got 'dwell:foo'"),
     ("--size", "640", "--size: expected two positive integers 'WxH', got '640'"),
     ("--resolution", "1", "--resolution: expected an integer >= 2, got 1"),
+    ("--horizon", "nan", "--horizon: expected a finite number > 0, got nan"),
+    ("--horizon", "-1", "--horizon: expected a finite number > 0, got -1.0"),
+    ("--curve", "7", "--curve: no curve has id 7 (ids: 0)"),
 ])
 def test_cli_argument_errors_name_the_flag(flag, bad, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -386,6 +414,8 @@ def test_cli_argument_errors_name_the_flag(flag, bad, message, tmp_path, capsys)
         "--policy": [_orbit_argv("rotation_plane", "0.3,0.2", "1", "--policy", bad)],
         # classify and portrait both decompose Σ at --resolution
         "--resolution": [["classify", "--scenario", scenario, "--json", str(out), flag, bad], portrait],
+        "--horizon": [_orbit_argv("rotation_plane", "0.3,0.2", bad, "--json", str(out)), portrait],
+        "--curve": [["classify", "--scenario", scenario, "--json", str(out), flag, bad]],
     }.get(flag, [portrait])
     for argv in runs:
         assert main(argv) == 2
@@ -419,7 +449,7 @@ def test_cli_non_finite_literal_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["orbit", "--scenario", str(path), "--start", "0.3,0.2", "--horizon", "2"]) == 2
     assert capsys.readouterr().err == (
-        "error: expression error: number '1e999' is not finite (at position 0)\n")
+        "error: regions[0].field[0]: expression error: number '1e999' is not finite (at position 0)\n")
 
 
 def test_cli_reserved_parameter_name_exits_2(tmp_path, capsys):

@@ -227,6 +227,22 @@ def test_sigma_decomposition_all_crossing():
     assert dec.arcs[0].point_class is PointClass.CROSSING
 
 
+@pytest.mark.parametrize("resolution", [64, 300, 512, 2000])
+def test_sigma_decomposition_of_a_circle(resolution):
+    # an arc's midpoint on a chord of the traced circle is about 9e-6 off Σ, far
+    # outside EPS_SIGMA; it is projected onto the curve before it is classified
+    s = build_plane_system(("1", "0"), ("0.3", "1"), bounds=(-1, 1, -1, 1), h="x^2 + y^2 - 0.25")
+    dec = sigma_decomposition(s, 0, resolution)
+    assert [a.point_class for a in dec.arcs] == [
+        PointClass.ESCAPING, PointClass.CROSSING, PointClass.SLIDING, PointClass.CROSSING]
+    # L1 = 2x vanishes at (0, ±0.5); L2 = 0.6x + 2y on the line y = -0.3x
+    xn = 0.5 / math.sqrt(1.09)
+    expected = {"positive": [(0.0, -0.5), (0.0, 0.5)], "negative": [(-xn, 0.3 * xn), (xn, -0.3 * xn)]}
+    for side, points in expected.items():
+        found = sorted((tuple(t.position) for t in dec.tangencies if t.side == side), key=sum)
+        assert found == [pytest.approx(p, abs=1e-8) for p in points]
+
+
 def test_sigma_decomposition_orientation_swap(fold_system):
     # h -> -h with sides swapped must give the same decomposition
     domain = Domain("plane_rect", -2, 2, -1, 1)
