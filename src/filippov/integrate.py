@@ -1,16 +1,24 @@
 """Event-driven integration of Filippov orbits.
 
 The regular stepper is a hand-rolled Dormand-Prince 5(4) pair with the
-classical quartic dense output.  Its step, dense output and event-grid
-evaluator are straight-line code that ``_kernels`` generates at import from
-the tableau ``_A``, ``_E``, ``_P``; they return the bits of the tableau loops,
-which ``tests/test_dormand_prince.py`` keeps as the reference.  Events (sign
-changes of any h_i, domain exit, graze captures) are located on the dense
-output and polished onto the curve with Newton steps.  Sliding arcs integrate
-the Filippov convex combination constrained to the curve by per-step Newton
-projection.  Curve crossings (a guarded bisection/secant hybrid), domain exits
-and the tangencies and domain exits of sliding arcs are all located by the one
-bracket kernel ``sigma.bracket``.
+classical quartic dense output.  Its step, dense output and regular-arc loop
+are straight-line code that ``_kernels`` generates at import from the tableau
+``_A``, ``_E``, ``_P``; they return the bits of the tableau loops, which
+``tests/test_dormand_prince.py`` keeps as the reference.  The regular-arc loop
+runs whole accepted steps with its state in locals: the seven stages, which
+call the region's raw ``fx`` and ``fy``, error control, the five-point event
+grid with every curve's h on it, and the samples.  It hands a step back to
+``integrate_regular`` only when its grid may hold an event: a sign change of an
+armed curve, an unarmed curve leaving ``ESCAPE_BAND``, a grid point outside the
+rectangle or a capture target inside the coarse gate.  It may hand back more
+steps than have events, never fewer; ``tests/test_regular_loop.py`` checks it
+bit for bit against the step loop it replaced.  Events (sign changes of any
+h_i, domain exit, graze captures) are located on the dense output and polished
+onto the curve with Newton steps.  Sliding arcs integrate the Filippov convex
+combination constrained to the curve by per-step Newton projection.  Curve
+crossings (a guarded bisection/secant hybrid), domain exits and the
+tangencies and domain exits of sliding arcs are all located by the one bracket
+kernel ``sigma.bracket``.
 
 One orbit is computed sequentially; distinct orbits may be computed
 concurrently against the shared system.
@@ -70,6 +78,7 @@ _P = (
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
 _THETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # event sampling points of each step
+_UNDERFLOW = "step size underflow (degenerate point?)"
 
 
 @dataclass
@@ -91,20 +100,24 @@ class IntegratorOptions:
 
 
 def _kernels():
-    """``_rk_step``, ``_DenseStep.at`` and ``_DenseStep.grid`` as straight-line code.
+    """``_rk_step``, ``_DenseStep.at`` and the regular-arc loop with its ``emit``, as straight-line code.
 
     The source is written out from ``_A``, ``_E`` and ``_P`` and compiled in a
     closed namespace, as ``expr.compile_expression`` compiles fields.  Each sum
     keeps the operation order of the tableau loop it unrolls: ``x + dt * a * k``
     associates left, the error and dense-output sums start at ``0.0 +``, and
-    zero coefficients stay, so the kernels return the loops' bits.  ``f``
-    returns a tuple whose first two entries are the velocity; the stages read
-    those, and ``ks`` holds the tuples whole.
+    zero coefficients stay, so the kernels return the loops' bits.  ``_rk_step``
+    takes an ``f`` that returns a tuple whose first two entries are the
+    velocity, and ``ks`` holds those tuples whole; the regular-arc loop calls
+    the region's two raw components.  The loop and ``emit`` come in a plane and
+    a torus form, the loop also with and without a velocity scale; all are
+    compiled here, once.
     """
     ks = ", ".join(f"k{j}" for j in range(1, 8))
     kx = [f"k{j}x" for j in range(1, 8)]
     ky = [f"k{j}y" for j in range(1, 8)]
-    unpack = [f"    {k} = k{j}[{i}]" for j, pair in enumerate(zip(kx, ky), 1) for i, k in enumerate(pair)]
+    unpack = [f"{k} = k{j}[{i}]" for j, pair in enumerate(zip(kx, ky), 1) for i, k in enumerate(pair)]
+    qs = [f"q{j}" for j in range(1, 8)]
 
     def dot(coefficients, components):
         return "".join(f" + {c} * {k}" for c, k in zip(coefficients, components))
@@ -112,45 +125,221 @@ def _kernels():
     def horner(theta, p):
         return f"{theta} * ({p[0]!r} + {theta} * ({p[1]!r} + {theta} * ({p[2]!r} + {theta} * {p[3]!r})))"
 
+    def coordinate(origin, weights, k):
+        return f"{origin} + dt * (0.0{dot(k, weights)})"
+
     def point(weights, kx, ky):
-        return f"(x0 + dt * (0.0{dot(kx, weights)}), y0 + dt * (0.0{dot(ky, weights)}))"
+        return f"({coordinate('x0', weights, kx)}, {coordinate('y0', weights, ky)})"
 
-    rk = ["def rk_step(f, x, y, k1, dt):"] + unpack[:2]
-    for i in range(1, 7):
-        rk += [
-            f"    ax = x{dot([f'dt * {a!r}' for a in _A[i]], kx)}",
-            f"    ay = y{dot([f'dt * {a!r}' for a in _A[i]], ky)}",
-            f"    k{i + 1} = f(ax, ay)",
-        ] + unpack[2 * i:2 * i + 2]
-    rk += [
-        f"    ex = 0.0{dot(map(repr, _E), kx)}",
-        f"    ey = 0.0{dot(map(repr, _E), ky)}",
-        f"    return ax, ay, [{ks}], ex * dt, ey * dt",
-    ]
+    def indent(lines, depth=1):
+        return ["    " * depth + line for line in lines]
 
-    head = [f"    {ks} = self.ks", "    x0 = self.x0", "    y0 = self.y0", "    dt = self.dt"]
-    at = ["def at(self, theta):"] + head
-    at += [f"    q{j} = {horner('theta', p)}" for j, p in enumerate(_P, 1)]
-    qs = [f"q{j}" for j in range(1, 8)]
-    at.append(f"    return {point(qs, [f'k{j}[0]' for j in range(1, 8)], [f'k{j}[1]' for j in range(1, 8)])}")
+    def stages(rhs):
+        """Stages 2 to 7 from x, y, k1 and dt; ``rhs(j)`` evaluates k_j at (ax, ay)."""
+        lines = []
+        for i in range(1, 7):
+            lines += [
+                f"ax = x{dot([f'dt * {a!r}' for a in _A[i]], kx)}",
+                f"ay = y{dot([f'dt * {a!r}' for a in _A[i]], ky)}",
+            ] + rhs(i + 1)
+        return lines
 
-    # the grid's weights q_j(theta), once, by the Horner expression ``at`` evaluates
+    rk = ["def rk_step(f, x, y, k1, dt):"] + indent(unpack[:2] + stages(
+        lambda j: [f"k{j} = f(ax, ay)"] + unpack[2 * j - 2:2 * j]) + [
+        f"ex = 0.0{dot(map(repr, _E), kx)}",
+        f"ey = 0.0{dot(map(repr, _E), ky)}",
+        f"return ax, ay, [{ks}], ex * dt, ey * dt",
+    ])
+
+    def head(step):
+        return [f"{ks} = {step}.ks", f"x0 = {step}.x0", f"y0 = {step}.y0", f"dt = {step}.dt"]
+
+    at = ["def at(self, theta):"] + indent(
+        head("self") + [f"{q} = {horner('theta', p)}" for q, p in zip(qs, _P)]
+        + [f"return {point(qs, [f'k{j}[0]' for j in range(1, 8)], [f'k{j}[1]' for j in range(1, 8)])}"])
+
+    # the event grid's weights q_j(theta), once, by the Horner expression ``at`` evaluates
     weights = [[repr(eval(horner(repr(th), p), {"__builtins__": {}})) for p in _P]  # noqa: S307
                for th in _THETA_GRID[1:]]
-    grid = ["def grid(self):"] + head + unpack
-    grid.append(f"    return [(x0, y0), {', '.join(point(w, kx, ky) for w in weights)}]")
+    grid = [(f"g{i}x", f"g{i}y") for i in range(1, 5)]
+    points = [("x0", "y0")] + grid
 
-    env = {"__builtins__": {}}
-    exec("\n".join(rk + at + grid) + "\n", env)  # noqa: S102 - generated from the tableau
-    return env["rk_step"], env["at"], env["grid"]
+    def wrap(dx, dy, torus):
+        """``Domain.displacement``'s wrap of the vector (dx, dy) on the torus."""
+        return [f"{dx} -= round({dx} / width) * width", f"{dy} -= round({dy} / height) * height"] if torus else []
+
+    torus_geometry = ["canonical = domain.canonical", "width = domain.width", "height = domain.height"]
+
+    def emission(th_end, torus):
+        """Samples from the last one to ``b``, the point at ``th_end``: the chord is cut so spacing stays bounded."""
+        sample = point(qs, kx, ky)
+        return [
+            f"t1 = t0 + {th_end} * dt",
+            "ta = times[-1]",
+            "a = pts[-1]",
+            "dx = b[0] - a[0]",
+            "dy = b[1] - a[1]",
+            *wrap("dx", "dy", torus),
+            "n = ceil(hypot(dx, dy) / spacing)",  # the chord's pieces: no cut below two
+            "if n > 1:",
+            "    for j in range(1, n):",
+            "        tj = ta + (t1 - ta) * j / n",
+            "        th = (tj - t0) / dt",
+            "        if th <= 0:",
+            "            continue",
+            "        times.append(tj)",
+            *[f"        {q} = {horner('th', p)}" for q, p in zip(qs, _P)],
+            f"        pts.append({f'canonical({sample})' if torus else sample})",
+            "times.append(t1)",
+            "pts.append(b)",
+        ]
+
+    def emit_source(torus):
+        """``emit``: the samples of ``step`` up to ``b``, its point at ``th_end``."""
+        return ["def emit(step, th_end, b, times, pts, spacing, domain):"] + indent(
+            ["t0 = step.t0"] + head("step") + unpack
+            + (torus_geometry if torus else []) + emission("th_end", torus))
+
+    def regular_source(torus, scaled):
+        """``regular_steps``: a generator over the accepted steps of one regular arc.
+
+        The arc starts at (x, y) at t = 0 with first stage (k1x, k1y) and first
+        trial step ``dt_next``, and ends at ``t_max``.  A step whose grid cannot
+        hold an event is emitted into ``times`` and ``pts``; any other step is
+        yielded as (``_DenseStep``, its five grid points, each curve's five h
+        values on them), and the caller emits it.  ``signs[i]`` is the sign of
+        ``hs[i]`` where that curve armed, 0.0 while it is unarmed; the caller
+        arms curves.  ``targets`` holds the points of the capture targets.
+        """
+        def rhs(j):
+            if not scaled:
+                return [f"k{j}x = fx(ax, ay)", f"k{j}y = fy(ax, ay)"]
+            return [f"g = scale({'canonical((ax, ay))' if torus else '(ax, ay)'})",
+                    f"k{j}x = g * fx(ax, ay)", f"k{j}y = g * fy(ax, ay)"]
+
+        step = stages(rhs) + [
+            "if not (isfinite(ax) and isfinite(ay)):",
+            "    dt *= 0.25",
+            "    continue",
+            # max(u, v) is u unless v > u: the builtins' choices, spelt inline
+            "ux = abs(x)",
+            "vx = abs(ax)",
+            "uy = abs(y)",
+            "vy = abs(ay)",
+            "sx = atol + rtol * (vx if vx > ux else ux)",
+            "sy = atol + rtol * (vy if vy > uy else uy)",
+            f"ex = (0.0{dot(map(repr, _E), kx)}) * dt",
+            f"ey = (0.0{dot(map(repr, _E), ky)}) * dt",
+            "err = sqrt(0.5 * ((ex / sx) ** 2 + (ey / sy) ** 2))",
+            "if err <= 1.0:",
+            "    break",
+            "dt *= max(0.2, 0.9 * err ** -0.2)",
+            "if dt < 1e-15:",
+            f"    raise IntegrationError({_UNDERFLOW!r})",
+        ]
+        screen = [
+            "vals = []",
+            "cand = False",
+            "for h, s0 in zip(hs, signs):",
+            *[f"    v{i} = h({px}, {py})" for i, (px, py) in enumerate(points)],
+            "    vals.append((v0, v1, v2, v3, v4))",
+            "    if s0:",
+            "        if ({}):".format(" or ".join(
+                f"(v{i} if v{i} != 0 else s0 * 1e-300) * v{i + 1} < 0" for i in range(4))),
+            "            cand = True",
+            "    elif {}:".format(" or ".join(f"abs(v{i}) >= {ESCAPE_BAND!r}" for i in range(5))),
+            "        cand = True",
+        ]
+        if not torus:
+            screen += [
+                "if not ({}):".format(" and ".join(
+                    f"x_min <= {px} <= x_max and y_min <= {py} <= y_max" for px, py in points)),
+                "    cand = True",
+            ]
+        screen += [
+            "if targets:",
+            "    dx = g4x - x0",
+            "    dy = g4y - y0",
+            *indent(wrap("dx", "dy", torus)),
+            f"    gate = max({CAPTURE_RADIUS * 4.0!r}, hypot(dx, dy) / 4, 1e-3)",
+            "    for px, py in targets:",
+            "        for qx, qy in ({}):".format(", ".join(f"({a}, {b})" for a, b in points)),
+            "            dx = px - qx",
+            "            dy = py - qy",
+            *indent(wrap("dx", "dy", torus), 3),
+            "            if not hypot(dx, dy) > gate:",
+            "                cand = True",
+        ]
+        geometry = (torus_geometry if torus
+                    else [f"{b} = domain.{b}" for b in ("x_min", "x_max", "y_min", "y_max")])
+        return [
+            "def regular_steps(fx, fy, scale, hs, signs, targets, domain, rtol, atol, max_step,",
+            "                  spacing, t_max, x, y, k1x, k1y, dt_next, times, pts):",
+        ] + indent(geometry + [
+            "t = 0.0",
+            "t_end = t_max - 1e-14",
+            "while True:",
+            "    if t >= t_end:",
+            "        return",
+            "    dt = dt_next",  # min(dt_next, t_max - t, max_step)
+            "    if t_max - t < dt:",
+            "        dt = t_max - t",
+            "    if max_step < dt:",
+            "        dt = max_step",
+            "    for _ in range(60):",
+            *indent(step, 2),
+            "    else:",
+            f"        raise IntegrationError({_UNDERFLOW!r})",
+            "    t0 = t",
+            "    x0 = x",
+            "    y0 = y",
+            "    t = t0 + dt",
+            "    x = ax",
+            "    y = ay",
+            # min(max_step, dt * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))))
+            "    factor = 5.0",
+            "    if err != 0.0:",
+            "        factor = 0.9 * err ** -0.2",
+            "        if not factor > 0.2:",
+            "            factor = 0.2",
+            "        if not factor < 5.0:",
+            "            factor = 5.0",
+            "    dt_next = dt * factor",
+            "    if not dt_next < max_step:",
+            "        dt_next = max_step",
+            *[f"    {g} = {coordinate(o, w, k)}"
+              for (gx, gy), w in zip(grid, weights) for g, o, k in ((gx, "x0", kx), (gy, "y0", ky))],
+            *indent(screen),
+            "    if cand:",
+            "        yield (_DenseStep(t0, dt, x0, y0, ({})),".format(
+                ", ".join(f"({a}, {b})" for a, b in zip(kx, ky))),
+            "               [{}], vals)".format(", ".join(f"({a}, {b})" for a, b in points)),
+            "    else:",
+            f"        b = {'canonical((g4x, g4y))' if torus else '(g4x, g4y)'}",
+            *indent(emission("1.0", torus), 2),
+            "    k1x = k7x",
+            "    k1y = k7y",
+        ])
+
+    namespace = {
+        "__builtins__": {}, "abs": abs, "max": max, "range": range, "round": round,
+        "zip": zip, "ceil": math.ceil, "hypot": math.hypot, "isfinite": math.isfinite,
+        "sqrt": math.sqrt, "IntegrationError": IntegrationError, "_DenseStep": _DenseStep,
+    }
+
+    def compiled(lines, name):
+        env = dict(namespace)
+        exec("\n".join(lines) + "\n", env)  # noqa: S102 - generated from the tableau
+        return env[name]
+
+    steps = {(torus, scaled): compiled(regular_source(torus, scaled), "regular_steps")
+             for torus in (False, True) for scaled in (False, True)}
+    emits = {torus: compiled(emit_source(torus), "emit") for torus in (False, True)}
+    return compiled(rk, "rk_step"), compiled(at, "at"), steps, emits
 
 
 class _DenseStep:
-    """One accepted RK step with its quartic interpolant.
-
-    ``at(theta)`` is the point at ``t0 + theta * dt``; ``grid()`` the points at
-    ``_THETA_GRID``, the start point first.
-    """
+    """One accepted RK step with its quartic interpolant; ``at(theta)`` is the point at ``t0 + theta * dt``."""
 
     __slots__ = ("t0", "dt", "x0", "y0", "ks")
 
@@ -162,7 +351,8 @@ class _DenseStep:
         self.ks = ks
 
 
-_rk_step, _DenseStep.at, _DenseStep.grid = _kernels()
+# ``_REGULAR_STEPS[torus, scaled]`` and ``_EMIT[torus]``: see ``integrate_regular``
+_rk_step, _DenseStep.at, _REGULAR_STEPS, _EMIT = _kernels()
 
 
 class _Stepper:
@@ -198,7 +388,7 @@ class _Stepper:
             dt *= max(0.2, 0.9 * err ** -0.2)
             if dt < 1e-15:
                 break
-        raise IntegrationError("step size underflow (degenerate point?)")
+        raise IntegrationError(_UNDERFLOW)
 
     def restart_from(self, t, p):
         self.t = t
@@ -422,95 +612,56 @@ class CaptureTarget:
     curve_id: int
 
 
-def _make_rhs(sys, planar):
-    fx, fy = planar.raw_pair()
-    scale = sys.velocity_scale
-    if scale is None:
-        return lambda x, y: (fx(x, y), fy(x, y))
-    canonical = sys.domain.canonical
-
-    def rhs(x, y):
-        g = scale(canonical((x, y)))
-        return (g * fx(x, y), g * fy(x, y))
-
-    return rhs
-
-
 def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, captures=()):
     """Integrate the region's smooth field until an event.
 
-    Returns (OrbitSegment, hit) with hit one of
-    ('curve', id, point) | ('t_max', point) | ('left_domain', point) |
-    ('capture', target, point).
+    The steps run in the generated loop ``_REGULAR_STEPS``; each step it hands
+    back is searched here for its earliest event.  Returns (OrbitSegment, hit)
+    with hit one of ('curve', id, point) | ('t_max', point) |
+    ('left_domain', point) | ('capture', target, point).
     """
     opts = opts or IntegratorOptions()
     max_step, spacing = opts.resolved(sys.domain)
     domain = sys.domain
     p = domain.canonical(p)
-    # the domain's geometry, bound once per arc
+    x, y = p
     torus = domain.kind == "flat_torus"
     canonical = domain.canonical if torus else _same_point
-    x_min, x_max, y_min, y_max = domain.x_min, domain.x_max, domain.y_min, domain.y_max
-    width, height = domain.width, domain.height
-    rhs = _make_rhs(sys, sys.region(region_id).field)
-    stepper = _Stepper(rhs, p, opts, max_step)
+    fx, fy = sys.region(region_id).field.raw_pair()
+    scale = sys.velocity_scale
+    if scale is None:
+        k1x, k1y = fx(x, y), fy(x, y)
+    else:
+        g = scale(domain.canonical(p))
+        k1x, k1y = g * fx(x, y), g * fy(x, y)
     h_fns = [(c.id, c.h.raw()) for c in sys.curves]
-    armed = {}
-    sign = {}
+    signs = []  # per curve: the sign of h where the curve armed, 0.0 while it is unarmed
     for cid, h in h_fns:
-        v = h(p[0], p[1])
-        armed[cid] = abs(v) >= ESCAPE_BAND and cid != entry_curve
-        sign[cid] = 1.0 if v > 0 else (-1.0 if v < 0 else 0.0)
+        v = h(x, y)
+        armed = abs(v) >= ESCAPE_BAND and cid != entry_curve
+        signs.append((1.0 if v > 0 else -1.0) if armed else 0.0)
     times = [0.0]
     pts = [p]
-
-    def emit(step, th_end, b):
-        # subdivide [previous sample, b = the point at th_end] so spacing stays bounded
-        t0 = times[-1]
-        t1 = step.t0 + th_end * step.dt
-        a = pts[-1]
-        dx = b[0] - a[0]
-        dy = b[1] - a[1]
-        if torus:  # Domain.displacement
-            dx -= round(dx / width) * width
-            dy -= round(dy / height) * height
-        n = max(1, int(math.ceil(math.hypot(dx, dy) / spacing)))
-        for j in range(1, n):
-            th = ((t0 + (t1 - t0) * j / n) - step.t0) / step.dt
-            if th <= 0:
-                continue
-            times.append(t0 + (t1 - t0) * j / n)
-            pts.append(canonical(step.at(th)))
-        times.append(t1)
-        pts.append(b)
-
-    while True:
-        if stepper.t >= t_max - 1e-14:
-            seg = OrbitSegment("regular_arc", times, pts, region_id=region_id)
-            return seg, ("t_max", pts[-1])
-        step = stepper.propose(t_max - stepper.t)
-        # sample h on the dense grid, look for the earliest event
-        grid_pts = step.grid()
-        end = grid_pts[-1]
+    emit = _EMIT[torus]
+    steps = _REGULAR_STEPS[torus, scale is not None](
+        fx, fy, scale, [h for _, h in h_fns], signs, [c.point for c in captures], domain,
+        opts.rtol, opts.atol, max_step, spacing, t_max, x, y, k1x, k1y, min(max_step, 1e-3),
+        times, pts,
+    )
+    for step, grid_pts, vals in steps:  # the steps whose grid may hold an event
         best = None  # (theta, kind, payload)
-
-        for cid, h in h_fns:
-            vals = [h(q[0], q[1]) for q in grid_pts]
+        for k, (cid, h) in enumerate(h_fns):
+            hv = vals[k]
             arm_index = 0
-            if not armed[cid]:
-                arm_index = None
-                for i, v in enumerate(vals):
-                    if abs(v) >= ESCAPE_BAND:
-                        armed[cid] = True
-                        sign[cid] = 1.0 if v > 0 else -1.0
-                        arm_index = i
-                        break
+            if not signs[k]:
+                arm_index = next((i for i, v in enumerate(hv) if abs(v) >= ESCAPE_BAND), None)
                 if arm_index is None:
                     continue
-            s0 = sign[cid]
-            for i in range(arm_index, len(vals) - 1):
-                va = vals[i] if vals[i] != 0 else s0 * 1e-300
-                vb = vals[i + 1]
+                signs[k] = 1.0 if hv[arm_index] > 0 else -1.0
+            s0 = signs[k]
+            for i in range(arm_index, len(hv) - 1):
+                va = hv[i] if hv[i] != 0 else s0 * 1e-300
+                vb = hv[i + 1]
                 if va * vb < 0:
                     lo, hi = bracket(
                         lambda th: h(*step.at(th)), _THETA_GRID[i], _THETA_GRID[i + 1],
@@ -522,8 +673,8 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
                     break
 
         if not torus:
-            for th, (qx, qy) in zip(_THETA_GRID, grid_pts):
-                if not (x_min <= qx <= x_max and y_min <= qy <= y_max):
+            for th, q in zip(_THETA_GRID, grid_pts):
+                if not domain.contains(q):
                     th_exit = _exit_theta(domain, step.at, th if th > 0 else 1.0)
                     if best is None or th_exit < best[0]:
                         best = (th_exit, "left_domain", None)
@@ -535,7 +686,7 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
                 best = (hit_th, "capture", target)
 
         if best is None:
-            emit(step, 1.0, canonical(end))
+            emit(step, 1.0, canonical(grid_pts[-1]), times, pts, spacing, domain)
             continue
 
         th, kind, payload = best
@@ -543,9 +694,10 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
             point = canonical(sys.curve(payload).project(step.at(th), 3, POLISH_H_TOL))
         else:
             point = canonical(step.at(th))
-        emit(step, th, point)
+        emit(step, th, point, times, pts, spacing, domain)
         seg = OrbitSegment("regular_arc", times, pts, region_id=region_id)
         return seg, ((kind, point) if kind == "left_domain" else (kind, payload, point))
+    return OrbitSegment("regular_arc", times, pts, region_id=region_id), ("t_max", pts[-1])
 
 
 def _same_point(p):
@@ -560,11 +712,12 @@ def _exit_theta(domain, point_at, hi):
 
 
 def _capture_theta(domain, step, grid_pts, target):
-    dists = [domain.distance(q, target.point) for q in grid_pts]
+    distance = domain.distance
+    dists = [distance(q, target.point) for q in grid_pts]
     best_i = min(range(len(dists)), key=lambda i: dists[i])
     # coarse gate: the dense grid spacing bounds how far the true minimum
     # can hide between grid points
-    spacing = domain.distance(grid_pts[0], grid_pts[-1]) / max(1, len(grid_pts) - 1)
+    spacing = distance(grid_pts[0], grid_pts[-1]) / max(1, len(grid_pts) - 1)
     if dists[best_i] > max(CAPTURE_RADIUS * 4.0, spacing, 1e-3):
         return None
     lo = _THETA_GRID[max(0, best_i - 1)]
@@ -572,12 +725,12 @@ def _capture_theta(domain, step, grid_pts, target):
     for _ in range(70):  # golden-section on the (locally convex) distance
         m1 = lo + 0.381966 * (hi - lo)
         m2 = hi - 0.381966 * (hi - lo)
-        if domain.distance(step.at(m1), target.point) <= domain.distance(step.at(m2), target.point):
+        if distance(step.at(m1), target.point) <= distance(step.at(m2), target.point):
             hi = m2
         else:
             lo = m1
     th = 0.5 * (lo + hi)
-    if domain.distance(step.at(th), target.point) <= CAPTURE_RADIUS:
+    if distance(step.at(th), target.point) <= CAPTURE_RADIUS:
         return th
     return None
 
@@ -645,17 +798,25 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     s2_0 = 1.0 if l2_0 > 0 else -1.0
     times = [0.0]
     pts = [p]
+    # the domain's geometry, bound once per arc
+    torus = domain.kind == "flat_torus"
+    canonical = domain.canonical if torus else _same_point
+    width, height = domain.width, domain.height
 
     def emit_to(q, t):
         a = pts[-1]
-        b = domain.canonical(q)
-        dx, dy = domain.displacement(a, b)
+        b = canonical(q)
+        dx = b[0] - a[0]
+        dy = b[1] - a[1]
+        if torus:  # Domain.displacement
+            dx -= round(dx / width) * width
+            dy -= round(dy / height) * height
         n = max(1, int(math.ceil(math.hypot(dx, dy) / spacing)))
         t0 = times[-1]
         for j in range(1, n):
             w = j / n
             times.append(t0 + (t - t0) * w)
-            pts.append(domain.canonical((a[0] + w * dx, a[1] + w * dy)))
+            pts.append(canonical((a[0] + w * dx, a[1] + w * dy)))
         times.append(t)
         pts.append(b)
 

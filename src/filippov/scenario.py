@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .diagnostics import DiagnosticsConfig
 from .errors import ConfigurationError, EvaluationError, ExpressionError
-from .expr import RESERVED_NAMES, PlanarField, ScalarField
+from .expr import RESERVED_NAMES, PlanarField, ScalarField, fold
 from .integrate import IntegratorOptions
 from .system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
@@ -95,6 +95,14 @@ def _expression(path, build):
         raise ConfigurationError(f"{path}: expression error: {exc}") from exc
 
 
+def _field_component(source, parameters):
+    """A region field component, compiled as written; folding a copy of its constants
+    raises where one overflows, as building a curve's gradient does for h."""
+    component = ScalarField(source, parameters=parameters)
+    fold(component.expression)
+    return component
+
+
 def _optional(data, key, default):
     """data[key] checked to be of the default's type, or the default when absent."""
     return _require(data, key, "scenario", type(default)) if key in data else default
@@ -172,7 +180,7 @@ def scenario_from_dict(data) -> Scenario:
             for j, c in enumerate(_require(rd, "where", path, list))
         ]
         fx, fy = (
-            _expression(f"{path}.field[{j}]", lambda: ScalarField(str(fd[j]), parameters=parameters))
+            _expression(f"{path}.field[{j}]", lambda: _field_component(str(fd[j]), parameters))
             for j in (0, 1)
         )
         regions.append(RegionSpec(region_id, PlanarField(fx, fy), conditions))

@@ -1,62 +1,33 @@
 """The generated Dormand-Prince kernels against the tableau loops they unroll.
 
-``reference_rk_step`` and ``reference_at`` below are ``_rk_step`` and
-``_DenseStep.at`` as they were before the kernels were generated as straight
-lines.  On seeded random points and step sizes, for the regular field of every
-region of the shipped scenarios, the sliding kernel and a velocity-scaled
-field, each kernel must return exactly their bits: the step's end point, all
-seven stages, the error estimate, the dense output at random theta and the
-points of the event grid.
+``reference_rk_step`` and ``reference_at`` (in ``regular_reference``) are
+``_rk_step`` and ``_DenseStep.at`` as they were before the kernels were
+generated as straight lines, and ``ReferenceStepper.propose`` is the step
+control the regular-arc loop unrolls.  On seeded random points and step
+sizes, for the regular field of every region of the shipped scenarios, the
+sliding kernel and velocity-scaled fields, each kernel must return exactly
+their bits: the step's end point, all seven stages, the error estimate, the
+dense output at random theta, and the accepted steps of the regular-arc loop
+with the points of their event grid.
 """
 
+import itertools
 import math
 import random
 
 import pytest
 
 from filippov.diagnostics import rescale_tangency_freeze
-from filippov.errors import UndefinedSlidingError
+from filippov.errors import IntegrationError, UndefinedSlidingError
 from filippov.integrate import (
-    _A, _E, _P, _THETA_GRID, _DenseStep, _make_rhs, _make_sliding_rhs, _rk_step,
+    _REGULAR_STEPS, _THETA_GRID, IntegratorOptions, _DenseStep, _make_sliding_rhs, _rk_step,
 )
 from filippov.scenario import list_shipped, load_shipped
+from filippov.system import Domain
+
+from regular_reference import ReferenceStepper, reference_at, reference_rhs, reference_rk_step
 
 SAMPLES = 500  # random (point, step size) pairs per right-hand side
-
-
-# --------------------------------------------------------------------------- #
-# reference loops, as they were before the generated kernels
-# --------------------------------------------------------------------------- #
-
-
-def reference_at(step, theta):
-    x = 0.0
-    y = 0.0
-    for k, p in zip(step.ks, _P):
-        q = theta * (p[0] + theta * (p[1] + theta * (p[2] + theta * p[3])))
-        x += k[0] * q
-        y += k[1] * q
-    return (step.x0 + step.dt * x, step.y0 + step.dt * y)
-
-
-def reference_rk_step(f, x, y, k1, dt):
-    ks = [k1]
-    for i in range(1, 7):
-        ax = x
-        ay = y
-        row = _A[i]
-        for a, k in zip(row, ks):
-            ax += dt * a * k[0]
-            ay += dt * a * k[1]
-        ks.append(f(ax, ay))
-    x1 = ax  # stage 7 uses the 5th-order solution weights
-    y1 = ay
-    ex = 0.0
-    ey = 0.0
-    for e, k in zip(_E, ks):
-        ex += e * k[0]
-        ey += e * k[1]
-    return x1, y1, ks, ex * dt, ey * dt
 
 
 # --------------------------------------------------------------------------- #
@@ -71,15 +42,22 @@ def _bits(value):
     return value.hex() if isinstance(value, float) else value
 
 
-def _regular_rhs():
+def _regular_fields():
     for name in list_shipped():
         sys_ = load_shipped(name).build_system()
         for region in sys_.regions:
-            yield f"{name}:region{region.id}", sys_, _make_rhs(sys_, region.field)
-    sys_ = rescale_tangency_freeze(load_shipped("fold_demo_plane").build_system())
-    assert sys_.velocity_scale is not None
-    for region in sys_.regions:
-        yield f"fold_demo_plane:scaled:region{region.id}", sys_, _make_rhs(sys_, region.field)
+            yield f"{name}:region{region.id}", sys_, region
+    for name, sys_ in (
+        ("fold_demo_plane", rescale_tangency_freeze(load_shipped("fold_demo_plane").build_system())),
+        ("chaotic_torus", load_shipped("chaotic_torus").build_system().with_velocity_scale(
+            lambda p: 0.75 + 0.5 * math.sin(2.0 * math.pi * p[0]) ** 2)),
+    ):
+        assert sys_.velocity_scale is not None
+        for region in sys_.regions:
+            yield f"{name}:scaled:region{region.id}", sys_, region
+
+
+REGULAR = list(_regular_fields())
 
 
 def _sliding_rhs():
@@ -88,7 +66,8 @@ def _sliding_rhs():
         yield f"{name}:sliding", sys_, _make_sliding_rhs(sys_, 0)
 
 
-CASES = list(_regular_rhs()) + list(_sliding_rhs())
+CASES = [(name, sys_, reference_rhs(sys_, region.field)) for name, sys_, region in REGULAR]
+CASES += list(_sliding_rhs())
 
 
 def _inputs(sys_, rng, on_curve):
@@ -147,9 +126,6 @@ def test_dense_output_matches_the_tableau_loop(name, sys_, rhs):
         step = _DenseStep(rng.uniform(0.0, 10.0), dt, x, y, ks)
         for theta in [rng.random() for _ in range(4)] + list(_THETA_GRID):
             assert _bits(step.at(theta)) == _bits(reference_at(step, theta))
-        grid = step.grid()
-        assert _bits(grid) == _bits([(x, y)] + [step.at(th) for th in _THETA_GRID[1:]])
-        assert _bits(grid) == _bits([(x, y)] + [reference_at(step, th) for th in _THETA_GRID[1:]])
         checked += 1
     assert checked > SAMPLES // 2
 
@@ -161,8 +137,15 @@ _ZEROS = (0.0, -0.0)  # every sum of signed zeros is -0.0 only without its leadi
 def _special_field(values, seed):
     """A right-hand side that returns ``values`` in a seeded order, where a
     dropped ``0.0 +`` or zero coefficient shows."""
+    component = _special_component(values, seed)
+    return lambda x, y: (component(x, y), component(x, y))
+
+
+def _special_component(values, seed):
+    """The components of ``_special_field(values, seed)`` as one callable: the
+    loop calls it as fx, then fy, taking the values in the same order."""
     rng = random.Random(seed)
-    return lambda x, y: (rng.choice(values), rng.choice(values))
+    return lambda x, y: rng.choice(values)
 
 
 def test_kernels_match_the_loops_on_signed_zeros_and_non_finite_values():
@@ -177,7 +160,9 @@ def test_kernels_match_the_loops_on_signed_zeros_and_non_finite_values():
         step = _DenseStep(0.0, dt, x, y, got[2])
         for theta in _THETA_GRID[1:-1] + (rng.random(),):
             assert _bits(step.at(theta)) == _bits(reference_at(step, theta))
-        assert _bits(step.grid()) == _bits([(x, y)] + [reference_at(step, th) for th in _THETA_GRID[1:]])
+        component = _special_component(values, seed)
+        assert loop_steps(_PLANE, component, component, None, x, y, k1, dt) == \
+            stepper_steps(_special_field(values, seed), x, y, k1, dt)
 
 
 def test_ks_holds_the_tuples_the_field_returns():
@@ -186,3 +171,49 @@ def test_ks_holds_the_tuples_the_field_returns():
     x, y, dt, k1 = _steps("sliding_belt_torus:sliding", sys_, rhs)[0]
     _, _, ks, _, _ = _rk_step(rhs, x, y, k1, dt)
     assert len(ks) == 7 and ks[0] is k1 and all(len(k) == 4 for k in ks)
+
+
+# --------------------------------------------------------------------------- #
+# the regular-arc loop's steps and event grid against the stepper loop
+# --------------------------------------------------------------------------- #
+
+_OPTS = IntegratorOptions()
+_PLANE = Domain("plane_rect", -1.0, 1.0, -1.0, 1.0)
+
+
+def _image(step, grid):
+    return _bits((step.t0, step.dt, step.x0, step.y0, tuple(tuple(k) for k in step.ks), tuple(grid)))
+
+
+def loop_steps(domain, fx, fy, scale, x, y, k1, dt, count=2):
+    """The first ``count`` steps the regular-arc loop accepts from (x, y), trying dt first.
+
+    An unarmed curve with h = 1 everywhere makes every step a candidate, so the
+    loop hands back each step with its event grid.
+    """
+    steps = _REGULAR_STEPS[domain.kind == "flat_torus", scale is not None](
+        fx, fy, scale, [lambda x, y: 1.0], [0.0], [], domain, _OPTS.rtol, _OPTS.atol,
+        math.inf, 1.0, math.inf, x, y, k1[0], k1[1], dt, [0.0], [(x, y)])
+    try:
+        return [_image(step, grid) for step, grid, _ in itertools.islice(steps, count)]
+    except IntegrationError as exc:
+        return ("raises", str(exc))
+
+
+def stepper_steps(rhs, x, y, k1, dt, count=2):
+    """``loop_steps`` from the stepper: each accepted step and ``[start] + at(theta)`` on the grid."""
+    stepper = ReferenceStepper(lambda x, y: k1, (x, y), _OPTS, math.inf)
+    stepper.f, stepper.dt = rhs, dt
+    try:
+        return [_image(step, step.grid()) for step in (stepper.propose(math.inf) for _ in range(count))]
+    except IntegrationError as exc:
+        return ("raises", str(exc))
+
+
+@pytest.mark.parametrize("name, sys_, region", REGULAR, ids=[c[0] for c in REGULAR])
+def test_loop_steps_and_grid_match_the_stepper(name, sys_, region):
+    rhs = reference_rhs(sys_, region.field)
+    fx, fy = region.field.raw_pair()
+    for x, y, dt, k1 in _steps(name, sys_, rhs)[:SAMPLES // 5]:
+        got = loop_steps(sys_.domain, fx, fy, sys_.velocity_scale, x, y, k1, dt)
+        assert got == stepper_steps(rhs, x, y, k1, dt)

@@ -400,35 +400,45 @@ def test_position_at_skips_marker_segments():
 
 
 def test_regular_steps_reuse_their_end_points(monkeypatch):
-    # each accepted step evaluates its event grid once; theta = 0 is the step's
-    # own start point and theta = 1 comes from the grid, never from ``at``
-    thetas, grids, steps = [], [], []
-    at, grid, propose = integrate._DenseStep.at, integrate._DenseStep.grid, integrate._Stepper.propose
+    # each accepted step evaluates h once at each point of its event grid: theta = 0 is
+    # the step's own start point and theta = 1 the sample the arc emits at its end; an
+    # event step's theta = 0 and theta = 1 never come from ``at``
+    s = build_plane_system(("1", "-1"), ("1", "1"))
+    log = []  # ("h", point) per evaluation of the curve's h, ("at", theta) per dense output
+    at, raw, h_field = integrate._DenseStep.at, ScalarField.raw, s.curves[0].h
 
-    def counting_at(step, theta):
-        thetas.append(theta)
+    def logging_at(step, theta):
+        log.append(("at", theta))
         return at(step, theta)
 
-    def counting_grid(step):
-        grids.append(step)
-        return grid(step)
+    def logging_raw(field):
+        fn = raw(field)
+        if field is not h_field:
+            return fn
 
-    def counting_propose(stepper, dt_cap):
-        steps.append(propose(stepper, dt_cap))
-        return steps[-1]
+        def logged(x, y):
+            log.append(("h", (x, y)))
+            return fn(x, y)
 
-    monkeypatch.setattr(integrate._DenseStep, "at", counting_at)
-    monkeypatch.setattr(integrate._DenseStep, "grid", counting_grid)
-    monkeypatch.setattr(integrate._Stepper, "propose", counting_propose)
-    s = build_plane_system(("1", "-1"), ("1", "1"))
-    _, hit = integrate_regular(s, (0.0, 0.5), 1, 0.3)  # y stays above the curve: no event
-    assert hit[0] == "t_max" and len(steps) > 3
-    assert grids == steps
-    assert thetas.count(0.0) == thetas.count(1.0) == 0
-    thetas.clear()
-    grids.clear()
-    steps.clear()
-    _, hit = integrate_regular(s, (0.0, 0.5), 1, 2.0)  # ends on the curve at t = 0.5
-    assert hit[0] == "curve" and len(steps) > 3
-    assert grids == steps
-    assert thetas and thetas.count(0.0) == thetas.count(1.0) == 0
+        return logged
+
+    monkeypatch.setattr(integrate._DenseStep, "at", logging_at)
+    monkeypatch.setattr(ScalarField, "raw", logging_raw)
+    opts = IntegratorOptions(sample_spacing=1e9)  # one sample per step, at its end
+    for t_max, kind in ((0.3, "t_max"), (2.0, "curve")):  # the arc ends on the curve at t = 0.5
+        log.clear()
+        seg, hit = integrate_regular(s, (0.0, 0.5), 1, t_max, opts)
+        steps = len(seg.times) - 1
+        assert hit[0] == kind and steps > 3
+        screen = next((i for i, (what, _) in enumerate(log) if what == "at"), len(log))
+        assert all(what == "h" for what, _ in log[:screen])
+        assert screen == 1 + 5 * steps  # the start, then one grid per accepted step
+        grids = [[q for _, q in log[1 + 5 * i:6 + 5 * i]] for i in range(steps)]
+        assert grids[0][0] == seg.points[0]
+        ends = [grid[-1] for grid in grids]
+        assert ends[:steps - (kind == "curve")] == seg.points[1:1 + steps - (kind == "curve")]
+        for before, grid in zip(ends, grids[1:]):  # the stepper's end point, not the grid's
+            assert math.dist(before, grid[0]) < 1e-12
+        thetas = [theta for what, theta in log if what == "at"]
+        assert thetas.count(0.0) == thetas.count(1.0) == 0
+        assert bool(thetas) == (kind == "curve")

@@ -452,6 +452,32 @@ def test_cli_non_finite_literal_exits_2(tmp_path, capsys):
         "error: regions[0].field[0]: expression error: number '1e999' is not finite (at position 0)\n")
 
 
+def test_cli_overflowing_constant_in_a_field_exits_2(tmp_path, capsys):
+    # the field is compiled as written, so only folding its constants finds the overflow
+    data = json.loads(shipped_path("rotation_plane").read_text())
+    data["regions"][0]["field"][0] = "x * (1e200)^2"
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    assert main(["orbit", "--scenario", str(path), "--start", "0.3,0.2", "--horizon", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: regions[0].field[0]: expression error: (34, 'Numerical result out of range')\n")
+
+
+def test_region_field_constants_fold_at_load_and_run_as_written():
+    for j, source, message in ((0, "x * (1e200)^2", "out of range"), (1, "exp(1000) * y", "math range error")):
+        data = json.loads(shipped_path("rotation_plane").read_text())
+        data["regions"][1]["field"][j] = source
+        with pytest.raises(ConfigurationError,
+                           match=rf"regions\[1\]\.field\[{j}\]: expression error: .*{message}"):
+            scenario.scenario_from_dict(data)
+    # folding would turn x * 1 + 0 * y into x, which is -0.0 at x = -0.0
+    data = json.loads(shipped_path("rotation_plane").read_text())
+    data["regions"][1]["field"][1] = "x * 1 + 0 * y"
+    component = scenario.scenario_from_dict(data).build_system().region(2).field.component_y
+    assert component.source() == "x * 1 + 0 * y"
+    assert math.copysign(1.0, component.raw()(-0.0, 1.0)) == 1.0
+
+
 def test_cli_reserved_parameter_name_exits_2(tmp_path, capsys):
     data = json.loads(shipped_path("rotation_plane").read_text())
     data["parameters"] = {"e": 2.0}
