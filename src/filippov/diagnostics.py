@@ -29,6 +29,7 @@ from .sigma import (
     PointClass,
     classify_point,
     find_tangency_points,
+    onto_curve,
     sigma_decomposition,
     sliding_vector_field,
 )
@@ -101,7 +102,7 @@ def sigma_seed_points(sys, decompositions, per_arc=16, classes=(PointClass.SLIDI
             comp = dec.component_obj(arc)
             for k in range(per_arc):
                 w = (k + 0.5) / per_arc
-                seeds.append(comp.point_at(arc.s_start + w * arc.length))
+                seeds.append(onto_curve(sys, arc.curve_id, comp.point_at(arc.s_start + w * arc.length)))
     return seeds
 
 
@@ -454,14 +455,14 @@ def build_segment_graph(sys, decompositions, windows=None, horizon=60.0, budget=
         """Point a given fraction of the way along the sliding flow direction."""
         comp = dec.component_obj(arc)
         if comp.closed and arc.length >= comp.length - 1e-9:
-            return comp.point_at(arc.s_start + fraction * arc.length)
+            return onto_curve(sys, arc.curve_id, comp.point_at(arc.s_start + fraction * arc.length))
         mid = comp.point_at(arc.s_start + 0.5 * arc.length)
         ahead = comp.point_at(arc.s_start + 0.5 * arc.length + 1e-4)
         zx, zy = sliding_vector_field(sys, arc.curve_id, mid)
         dx, dy = domain.displacement(mid, ahead)
         along = zx * dx + zy * dy  # does the flow run with increasing s?
         w = fraction if along > 0 else 1.0 - fraction
-        return comp.point_at(arc.s_start + w * arc.length)
+        return onto_curve(sys, arc.curve_id, comp.point_at(arc.s_start + w * arc.length))
 
     for dec, arc in slide_arcs:
         add_node("sliding_anchor", flow_fraction(dec, arc, 0.8))

@@ -1,10 +1,11 @@
 """Event-driven integration of Filippov orbits.
 
-The regular stepper is a hand-rolled Dormand-Prince 5(4) pair with the
-classical quartic dense output.  Its step, dense output and regular-arc loop
-are straight-line code that ``_kernels`` generates at import from the tableau
-``_A``, ``_E``, ``_P``; they return the bits of the tableau loops, which
-``tests/test_dormand_prince.py`` keeps as the reference.  The regular-arc loop
+Regular and sliding arcs step with one hand-rolled Dormand-Prince 5(4) pair
+with the classical quartic dense output.  Its step control, dense output,
+sliding step ``_slide_step`` and regular-arc loop are straight-line code that
+``_kernels`` generates at import from the tableau ``_A``, ``_E``, ``_P``; they
+return the bits of the tableau loops, which ``tests/test_dormand_prince.py``
+keeps as the reference.  The regular-arc loop
 runs whole accepted steps with its state in locals: the seven stages, which
 call the region's raw ``fx`` and ``fy``, error control, the five-point event
 grid with every curve's h on it, and the samples.  It hands a step back to
@@ -15,7 +16,8 @@ steps than have events, never fewer; ``tests/test_regular_loop.py`` checks it
 bit for bit against the step loop it replaced.  Events (sign changes of any
 h_i, domain exit, graze captures) are located on the dense output and polished
 onto the curve with Newton steps.  Sliding arcs integrate the Filippov convex
-combination constrained to the curve by per-step Newton projection.  Curve
+combination constrained to the curve: each ``_slide_step`` is followed by a
+Newton projection onto the curve and a restart there.  Curve
 crossings (a guarded bisection/secant hybrid), domain exits and the
 tangencies and domain exits of sliding arcs are all located by the one bracket
 kernel ``sigma.bracket``.
@@ -100,17 +102,18 @@ class IntegratorOptions:
 
 
 def _kernels():
-    """``_rk_step``, ``_DenseStep.at`` and the regular-arc loop with its ``emit``, as straight-line code.
+    """``_slide_step``, ``_DenseStep.at`` and the regular-arc loop with its ``emit``, as straight-line code.
 
     The source is written out from ``_A``, ``_E`` and ``_P`` and compiled in a
     closed namespace, as ``expr.compile_expression`` compiles fields.  Each sum
     keeps the operation order of the tableau loop it unrolls: ``x + dt * a * k``
     associates left, the error and dense-output sums start at ``0.0 +``, and
-    zero coefficients stay, so the kernels return the loops' bits.  ``_rk_step``
-    takes an ``f`` that returns a tuple whose first two entries are the
-    velocity, and ``ks`` holds those tuples whole; the regular-arc loop calls
-    the region's two raw components.  The loop and ``emit`` come in a plane and
-    a torus form, the loop also with and without a velocity scale; all are
+    zero coefficients stay, so the kernels return the loops' bits.  The step
+    control is one piece, ``accepted_step``, that both the regular-arc loop and
+    ``_slide_step`` inline.  ``_slide_step`` takes an ``f`` that returns a tuple
+    whose first two entries are the velocity; the regular-arc loop calls the
+    region's two raw components.  The loop and ``emit`` come in a plane and a
+    torus form, the loop also with and without a velocity scale; all are
     compiled here, once.
     """
     ks = ", ".join(f"k{j}" for j in range(1, 8))
@@ -144,12 +147,67 @@ def _kernels():
             ] + rhs(i + 1)
         return lines
 
-    rk = ["def rk_step(f, x, y, k1, dt):"] + indent(unpack[:2] + stages(
-        lambda j: [f"k{j} = f(ax, ay)"] + unpack[2 * j - 2:2 * j]) + [
-        f"ex = 0.0{dot(map(repr, _E), kx)}",
-        f"ey = 0.0{dot(map(repr, _E), ky)}",
-        f"return ax, ay, [{ks}], ex * dt, ey * dt",
-    ])
+    def accepted_step(rhs):
+        """One accepted step: error control, accept or reject and the step-size update.
+
+        Hairer–Nørsett–Wanner, *Solving ODEs I*, §II.4.  The step starts at (x, y)
+        at t with first stage (k1x, k1y) and tries ``dt_next`` capped by
+        ``t_max - t`` and ``max_step``.  It leaves the start in t0, x0, y0, the
+        size in dt, the end in t, x, y, the stages in k1x ... k7y and the next
+        trial step in dt_next.
+        """
+        return [
+            "dt = dt_next",  # min(dt_next, t_max - t, max_step)
+            "if t_max - t < dt:",
+            "    dt = t_max - t",
+            "if max_step < dt:",
+            "    dt = max_step",
+            "for _ in range(60):",
+            *indent(stages(rhs) + [
+                "if not (isfinite(ax) and isfinite(ay)):",
+                "    dt *= 0.25",
+                "    continue",
+                # max(u, v) is u unless v > u: the builtins' choices, spelt inline
+                "ux = abs(x)",
+                "vx = abs(ax)",
+                "uy = abs(y)",
+                "vy = abs(ay)",
+                "sx = atol + rtol * (vx if vx > ux else ux)",
+                "sy = atol + rtol * (vy if vy > uy else uy)",
+                f"ex = (0.0{dot(map(repr, _E), kx)}) * dt",
+                f"ey = (0.0{dot(map(repr, _E), ky)}) * dt",
+                "err = sqrt(0.5 * ((ex / sx) ** 2 + (ey / sy) ** 2))",
+                "if err <= 1.0:",
+                "    break",
+                "dt *= max(0.2, 0.9 * err ** -0.2)",
+                "if dt < 1e-15:",
+                f"    raise IntegrationError({_UNDERFLOW!r})",
+            ]),
+            "else:",
+            f"    raise IntegrationError({_UNDERFLOW!r})",
+            "t0 = t",
+            "x0 = x",
+            "y0 = y",
+            "t = t0 + dt",
+            "x = ax",
+            "y = ay",
+            # min(max_step, dt * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))))
+            "factor = 5.0",
+            "if err != 0.0:",
+            "    factor = 0.9 * err ** -0.2",
+            "    if not factor > 0.2:",
+            "        factor = 0.2",
+            "    if not factor < 5.0:",
+            "        factor = 5.0",
+            "dt_next = dt * factor",
+            "if not dt_next < max_step:",
+            "    dt_next = max_step",
+        ]
+
+    pairs = ", ".join(f"({a}, {b})" for a, b in zip(kx, ky))  # the stages as _DenseStep.ks
+    slide = ["def slide_step(f, t, x, y, k1x, k1y, dt_next, t_max, max_step, rtol, atol):"] + indent(
+        accepted_step(lambda j: [f"k{j} = f(ax, ay)"] + unpack[2 * j - 2:2 * j])
+        + [f"return _DenseStep(t0, dt, x0, y0, ({pairs})), (x, y), dt_next"])
 
     def head(step):
         return [f"{ks} = {step}.ks", f"x0 = {step}.x0", f"y0 = {step}.y0", f"dt = {step}.dt"]
@@ -217,26 +275,6 @@ def _kernels():
             return [f"g = scale({'canonical((ax, ay))' if torus else '(ax, ay)'})",
                     f"k{j}x = g * fx(ax, ay)", f"k{j}y = g * fy(ax, ay)"]
 
-        step = stages(rhs) + [
-            "if not (isfinite(ax) and isfinite(ay)):",
-            "    dt *= 0.25",
-            "    continue",
-            # max(u, v) is u unless v > u: the builtins' choices, spelt inline
-            "ux = abs(x)",
-            "vx = abs(ax)",
-            "uy = abs(y)",
-            "vy = abs(ay)",
-            "sx = atol + rtol * (vx if vx > ux else ux)",
-            "sy = atol + rtol * (vy if vy > uy else uy)",
-            f"ex = (0.0{dot(map(repr, _E), kx)}) * dt",
-            f"ey = (0.0{dot(map(repr, _E), ky)}) * dt",
-            "err = sqrt(0.5 * ((ex / sx) ** 2 + (ey / sy) ** 2))",
-            "if err <= 1.0:",
-            "    break",
-            "dt *= max(0.2, 0.9 * err ** -0.2)",
-            "if dt < 1e-15:",
-            f"    raise IntegrationError({_UNDERFLOW!r})",
-        ]
         screen = [
             "vals = []",
             "cand = False",
@@ -281,38 +319,12 @@ def _kernels():
             "while True:",
             "    if t >= t_end:",
             "        return",
-            "    dt = dt_next",  # min(dt_next, t_max - t, max_step)
-            "    if t_max - t < dt:",
-            "        dt = t_max - t",
-            "    if max_step < dt:",
-            "        dt = max_step",
-            "    for _ in range(60):",
-            *indent(step, 2),
-            "    else:",
-            f"        raise IntegrationError({_UNDERFLOW!r})",
-            "    t0 = t",
-            "    x0 = x",
-            "    y0 = y",
-            "    t = t0 + dt",
-            "    x = ax",
-            "    y = ay",
-            # min(max_step, dt * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))))
-            "    factor = 5.0",
-            "    if err != 0.0:",
-            "        factor = 0.9 * err ** -0.2",
-            "        if not factor > 0.2:",
-            "            factor = 0.2",
-            "        if not factor < 5.0:",
-            "            factor = 5.0",
-            "    dt_next = dt * factor",
-            "    if not dt_next < max_step:",
-            "        dt_next = max_step",
+            *indent(accepted_step(rhs)),
             *[f"    {g} = {coordinate(o, w, k)}"
               for (gx, gy), w in zip(grid, weights) for g, o, k in ((gx, "x0", kx), (gy, "y0", ky))],
             *indent(screen),
             "    if cand:",
-            "        yield (_DenseStep(t0, dt, x0, y0, ({})),".format(
-                ", ".join(f"({a}, {b})" for a, b in zip(kx, ky))),
+            f"        yield (_DenseStep(t0, dt, x0, y0, ({pairs})),",
             "               [{}], vals)".format(", ".join(f"({a}, {b})" for a, b in points)),
             "    else:",
             f"        b = {'canonical((g4x, g4y))' if torus else '(g4x, g4y)'}",
@@ -335,7 +347,7 @@ def _kernels():
     steps = {(torus, scaled): compiled(regular_source(torus, scaled), "regular_steps")
              for torus in (False, True) for scaled in (False, True)}
     emits = {torus: compiled(emit_source(torus), "emit") for torus in (False, True)}
-    return compiled(rk, "rk_step"), compiled(at, "at"), steps, emits
+    return compiled(slide, "slide_step"), compiled(at, "at"), steps, emits
 
 
 class _DenseStep:
@@ -351,49 +363,9 @@ class _DenseStep:
         self.ks = ks
 
 
-# ``_REGULAR_STEPS[torus, scaled]`` and ``_EMIT[torus]``: see ``integrate_regular``
-_rk_step, _DenseStep.at, _REGULAR_STEPS, _EMIT = _kernels()
-
-
-class _Stepper:
-    def __init__(self, f, p0, opts, max_step):
-        self.f = f
-        self.t = 0.0
-        self.x, self.y = p0
-        self.k1 = f(self.x, self.y)
-        self.rtol = opts.rtol
-        self.atol = opts.atol
-        self.max_step = max_step
-        self.dt = min(max_step, 1e-3)
-
-    def propose(self, dt_cap):
-        """Advance one accepted step of size <= dt_cap; returns a _DenseStep."""
-        dt = min(self.dt, dt_cap, self.max_step)
-        for _ in range(60):
-            x1, y1, ks, ex, ey = _rk_step(self.f, self.x, self.y, self.k1, dt)
-            if not (math.isfinite(x1) and math.isfinite(y1)):
-                dt *= 0.25
-                continue
-            sx = self.atol + self.rtol * max(abs(self.x), abs(x1))
-            sy = self.atol + self.rtol * max(abs(self.y), abs(y1))
-            err = math.sqrt(0.5 * ((ex / sx) ** 2 + (ey / sy) ** 2))
-            if err <= 1.0:
-                step = _DenseStep(self.t, dt, self.x, self.y, ks)
-                self.t += dt
-                self.x, self.y = x1, y1
-                self.k1 = ks[6]  # FSAL
-                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                self.dt = min(self.max_step, dt * factor)
-                return step
-            dt *= max(0.2, 0.9 * err ** -0.2)
-            if dt < 1e-15:
-                break
-        raise IntegrationError(_UNDERFLOW)
-
-    def restart_from(self, t, p):
-        self.t = t
-        self.x, self.y = p
-        self.k1 = self.f(self.x, self.y)
+# ``_slide_step``: see ``integrate_sliding``; ``_REGULAR_STEPS[torus, scaled]``, ``_EMIT[torus]``: see
+# ``integrate_regular``
+_slide_step, _DenseStep.at, _REGULAR_STEPS, _EMIT = _kernels()
 
 
 # --------------------------------------------------------------------------- #
@@ -461,11 +433,17 @@ class BranchChoice:
 class BranchPolicy:
     """Deterministic resolution of the escaping-region freedom."""
 
-    kind: str  # exit_immediately_up | exit_immediately_down | slide_until_tangency | dwell_then_exit
+    kind: str  # one of KINDS
     dwell: float = 0.0
     side: str = "positive"
 
+    KINDS = ("exit_immediately_up", "exit_immediately_down", "slide_until_tangency", "dwell_then_exit")
+
     def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ConfigurationError(f"unknown branch policy kind {self.kind!r}, expected one of {self.KINDS}")
+        if self.side not in ("positive", "negative"):
+            raise ConfigurationError(f"branch policy side must be 'positive' or 'negative', got {self.side!r}")
         if not 0.0 <= self.dwell < math.inf:
             raise ConfigurationError(f"dwell must be a finite number >= 0, got {self.dwell!r}")
 
@@ -743,8 +721,8 @@ def _capture_theta(domain, step, grid_pts, target):
 def _make_sliding_rhs(sys, curve_id):
     """(x, y) -> (Z_s, L1, L2): the sliding field and the Lie pair it is made from.
 
-    The stepper reads the first two entries; ``integrate_sliding`` reads the
-    Lie pair from the same evaluation.
+    ``_slide_step`` reads the first two entries; ``integrate_sliding`` reads
+    the Lie pair from the same evaluation.
     """
     curve = sys.curve(curve_id)
     y1, y2 = sys.side_fields(curve_id)
@@ -792,8 +770,12 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     if cls.point_class is PointClass.ESCAPING and not allow_escaping:
         raise UndefinedSlidingError("escaping point reached integrate_sliding without policy")
 
-    stepper = _Stepper(_make_sliding_rhs(sys, curve_id), p, opts, max_step)
-    l1_0, l2_0 = stepper.k1[2:]  # the Lie pair at p
+    rhs = _make_sliding_rhs(sys, curve_id)
+    t = 0.0
+    x, y = p
+    zx, zy, l1_0, l2_0 = rhs(x, y)  # the first stage and the Lie pair at p
+    dt_next = min(max_step, 1e-3)
+    rtol, atol = opts.rtol, opts.atol
     s1_0 = 1.0 if l1_0 > 0 else -1.0
     s2_0 = 1.0 if l2_0 > 0 else -1.0
     times = [0.0]
@@ -803,7 +785,7 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     canonical = domain.canonical if torus else _same_point
     width, height = domain.width, domain.height
 
-    def emit_to(q, t):
+    def emit_to(q, t_q):
         a = pts[-1]
         b = canonical(q)
         dx = b[0] - a[0]
@@ -815,19 +797,21 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
         t0 = times[-1]
         for j in range(1, n):
             w = j / n
-            times.append(t0 + (t - t0) * w)
+            times.append(t0 + (t_q - t0) * w)
             pts.append(canonical((a[0] + w * dx, a[1] + w * dy)))
-        times.append(t)
+        times.append(t_q)
         pts.append(b)
 
     while True:
-        if stepper.t >= t_max - 1e-14:
+        if t >= t_max - 1e-14:
             seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
             return seg, ("t_max", pts[-1])
-        step = stepper.propose(t_max - stepper.t)
-        q = curve.project((stepper.x, stepper.y), 2)
-        stepper.restart_from(stepper.t, q)
-        zx, zy, l1, l2 = stepper.k1  # at q
+        step, end, dt_next = _slide_step(rhs, t, x, y, zx, zy, dt_next, t_max, max_step, rtol, atol)
+        t = step.t0 + step.dt
+        # restart on the curve: project the end point, and evaluate the stage and Lie pair there
+        q = curve.project(end, 2)
+        x, y = q
+        zx, zy, l1, l2 = rhs(x, y)
 
         if domain.kind == "plane_rect" and not domain.contains(q):
             on_curve = lambda th: curve.project(step.at(th), 2)
@@ -838,19 +822,19 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
 
         if l1 * s1_0 < 0 or l2 * s2_0 < 0 or abs(l1) <= TAU_CLASS or abs(l2) <= TAU_CLASS:
             flipped = "positive" if (l1 * s1_0 < 0 or abs(l1) <= TAU_CLASS) else "negative"
-            th, point = _locate_slide_tangency(step, curve, stepper.f, flipped, s1_0, s2_0)
+            th, point = _locate_slide_tangency(step, curve, rhs, flipped, s1_0, s2_0)
             t_ev = step.t0 + th * step.dt
             emit_to(point, t_ev)
             seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
             return seg, ("tangency", pts[-1], flipped)
 
         znorm = math.hypot(zx, zy)
-        if znorm <= PE_NORM_TOL or znorm * stepper.dt < 1e-14:
-            emit_to(q, stepper.t)
+        if znorm <= PE_NORM_TOL or znorm * dt_next < 1e-14:
+            emit_to(q, t)
             seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
             return seg, ("pseudo_eq", pts[-1])
 
-        emit_to(q, stepper.t)
+        emit_to(q, t)
 
 
 def _locate_slide_tangency(step, curve, rhs, flipped, s1_0, s2_0):

@@ -548,6 +548,14 @@ class SigmaDecomposition:
         }
 
 
+def onto_curve(sys, curve_id, p):
+    """p, a point of the traced polyline, projected onto the curve: a chord point lies off a curved Σ.
+
+    Newton stops once |h| <= 1e-13, so the points of a straight Σ keep their bits.
+    """
+    return sys.domain.canonical(sys.curve(curve_id).project(p, 3, 1e-13))
+
+
 def _class_of_open_point(sys, curve_id, p):
     """Class of the open arc through p, read at p projected onto the curve.
 
@@ -573,7 +581,7 @@ def sigma_decomposition(sys: FilippovSystem, curve_id: int, resolution: int) -> 
     arcs = []
     for component in components:
         t_here = [t for t in tangencies if t.component == component.index]  # sorted by param
-        if not t_here:
+        if not t_here:  # one arc through the traced points, which lie on the curve
             mid = component.point_at(0.5 * component.length)
             cls = _class_of_open_point(sys, curve_id, mid)
             arcs.append(
@@ -594,13 +602,11 @@ def sigma_decomposition(sys: FilippovSystem, curve_id: int, resolution: int) -> 
                 continue
             mid = component.point_at(0.5 * (s0 + s1))
             cls = _class_of_open_point(sys, curve_id, mid)
-            samples = [
-                component.point_at(s0 + (s1 - s0) * k / 32.0) for k in range(33)
-            ]
+            point_at = lambda s: onto_curve(sys, curve_id, component.point_at(s))
+            samples = [point_at(s0 + (s1 - s0) * k / 32.0) for k in range(33)]
             arcs.append(
                 SigmaArc(
-                    curve_id, component.index, cls, s0, s1,
-                    component.point_at(s0), component.point_at(s1),
+                    curve_id, component.index, cls, s0, s1, point_at(s0), point_at(s1),
                     samples=samples,
                 )
             )

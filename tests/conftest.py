@@ -51,6 +51,25 @@ def count_arc_calls(monkeypatch):
 
 
 @pytest.fixture
+def calls(monkeypatch):
+    """Call counts per field of every raw callable ``ScalarField.raw`` hands out."""
+    counts = {}
+    raw = ScalarField.raw
+
+    def counting_raw(field):
+        fn = raw(field)
+
+        def counted(x, y):
+            counts[id(field)] = counts.get(id(field), 0) + 1
+            return fn(x, y)
+
+        return counted
+
+    monkeypatch.setattr(ScalarField, "raw", counting_raw)
+    return counts
+
+
+@pytest.fixture
 def flat_system():
     """h = y, sliding everywhere: Y1 = (1,-1) above, Y2 = (1,1) below."""
     return build_plane_system(("1", "-1"), ("1", "1"))

@@ -1,22 +1,27 @@
-"""The regular-arc step loop as it ran before it was generated as one loop.
+"""The regular-arc and sliding-arc step loops as they ran before they were generated.
 
 ``reference_integrate_regular`` is ``integrate_regular`` as it was when each
 step made one call each to the stepper, the five-point event grid, the h scan,
-the rectangle test, the capture test and the sample emission.  Its Runge-Kutta
-step and dense output are the tableau loops ``reference_rk_step`` and
-``reference_at``, which the generated kernels unroll.  The event location it
-shares with the program (``sigma.bracket``, ``integrate._exit_theta``) has its
-own references in ``tests/test_bracket.py``.
+the rectangle test, the capture test and the sample emission.
+``reference_integrate_sliding`` is ``integrate_sliding`` as it was when each
+step was a ``propose`` of the stepper, followed by the projection and a
+``restart_from``.  Both step with ``ReferenceStepper``, whose Runge-Kutta step
+and dense output are the tableau loops ``reference_rk_step`` and
+``reference_at``, which the generated kernels unroll.  The event location they
+share with the program (``sigma.bracket``, ``integrate._exit_theta``,
+``integrate._locate_slide_tangency``) has its own references in
+``tests/test_bracket.py``.
 """
 
 import math
 
-from filippov.errors import IntegrationError
+from filippov.errors import IntegrationError, UndefinedSlidingError
 from filippov.integrate import (
     _A, _E, _P, _THETA_GRID, CAPTURE_RADIUS, ESCAPE_BAND, EVENT_H_TOL, POLISH_H_TOL,
-    IntegratorOptions, OrbitSegment, _exit_theta,
+    IntegratorOptions, OrbitSegment, _exit_theta, _locate_slide_tangency, _make_sliding_rhs,
+    _nudge_into_arc,
 )
-from filippov.sigma import bracket
+from filippov.sigma import PE_NORM_TOL, TAU_CLASS, PointClass, bracket, classify_point
 
 
 def reference_at(step, theta):
@@ -115,6 +120,11 @@ class ReferenceStepper:
             if dt < 1e-15:
                 break
         raise IntegrationError("step size underflow (degenerate point?)")
+
+    def restart_from(self, t, p):
+        self.t = t
+        self.x, self.y = p
+        self.k1 = self.f(self.x, self.y)
 
 
 def reference_capture_theta(domain, step, grid_pts, target):
@@ -238,3 +248,73 @@ def reference_integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve
         emit(step, th, point)
         seg = OrbitSegment("regular_arc", times, pts, region_id=region_id)
         return seg, ((kind, point) if kind == "left_domain" else (kind, payload, point))
+
+
+def reference_integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
+    opts = opts or IntegratorOptions()
+    max_step, spacing = opts.resolved(sys.domain)
+    domain = sys.domain
+    curve = sys.curve(curve_id)
+    p = domain.canonical(curve.project(domain.canonical(p), 3, POLISH_H_TOL))
+
+    cls = classify_point(sys, curve_id, p)
+    if cls.point_class is PointClass.TANGENCY_REGULAR:
+        p = _nudge_into_arc(sys, curve_id, p)
+        cls = classify_point(sys, curve_id, p)
+    if cls.point_class not in (
+        PointClass.SLIDING, PointClass.ESCAPING, PointClass.PSEUDO_EQUILIBRIUM,
+    ):
+        raise UndefinedSlidingError(f"cannot slide from a {cls.point_class.value} point")
+    if cls.point_class is PointClass.ESCAPING and not allow_escaping:
+        raise UndefinedSlidingError("escaping point reached integrate_sliding without policy")
+
+    stepper = ReferenceStepper(_make_sliding_rhs(sys, curve_id), p, opts, max_step)
+    l1_0, l2_0 = stepper.k1[2:]
+    s1_0 = 1.0 if l1_0 > 0 else -1.0
+    s2_0 = 1.0 if l2_0 > 0 else -1.0
+    times = [0.0]
+    pts = [p]
+
+    def emit_to(q, t):
+        a = pts[-1]
+        b = domain.canonical(q)
+        dx, dy = domain.displacement(a, b)
+        n = max(1, int(math.ceil(math.hypot(dx, dy) / spacing)))
+        t0 = times[-1]
+        for j in range(1, n):
+            w = j / n
+            times.append(t0 + (t - t0) * w)
+            pts.append(domain.canonical((a[0] + w * dx, a[1] + w * dy)))
+        times.append(t)
+        pts.append(b)
+
+    while True:
+        if stepper.t >= t_max - 1e-14:
+            seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
+            return seg, ("t_max", pts[-1])
+        step = stepper.propose(t_max - stepper.t)
+        q = curve.project((stepper.x, stepper.y), 2)
+        stepper.restart_from(stepper.t, q)
+        zx, zy, l1, l2 = stepper.k1
+
+        if domain.kind == "plane_rect" and not domain.contains(q):
+            on_curve = lambda th: curve.project(step.at(th), 2)
+            th = _exit_theta(domain, on_curve, 1.0)
+            emit_to(on_curve(th), step.t0 + th * step.dt)
+            seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
+            return seg, ("left_domain", pts[-1])
+
+        if l1 * s1_0 < 0 or l2 * s2_0 < 0 or abs(l1) <= TAU_CLASS or abs(l2) <= TAU_CLASS:
+            flipped = "positive" if (l1 * s1_0 < 0 or abs(l1) <= TAU_CLASS) else "negative"
+            th, point = _locate_slide_tangency(step, curve, stepper.f, flipped, s1_0, s2_0)
+            emit_to(point, step.t0 + th * step.dt)
+            seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
+            return seg, ("tangency", pts[-1], flipped)
+
+        znorm = math.hypot(zx, zy)
+        if znorm <= PE_NORM_TOL or znorm * stepper.dt < 1e-14:
+            emit_to(q, stepper.t)
+            seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
+            return seg, ("pseudo_eq", pts[-1])
+
+        emit_to(q, stepper.t)

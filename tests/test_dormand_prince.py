@@ -1,14 +1,15 @@
 """The generated Dormand-Prince kernels against the tableau loops they unroll.
 
-``reference_rk_step`` and ``reference_at`` (in ``regular_reference``) are
-``_rk_step`` and ``_DenseStep.at`` as they were before the kernels were
+``reference_rk_step`` and ``reference_at`` (in ``regular_reference``) are the
+Runge-Kutta step and ``_DenseStep.at`` as they were before the kernels were
 generated as straight lines, and ``ReferenceStepper.propose`` is the step
-control the regular-arc loop unrolls.  On seeded random points and step
-sizes, for the regular field of every region of the shipped scenarios, the
-sliding kernel and velocity-scaled fields, each kernel must return exactly
-their bits: the step's end point, all seven stages, the error estimate, the
-dense output at random theta, and the accepted steps of the regular-arc loop
-with the points of their event grid.
+control that both the sliding step ``_slide_step`` and the regular-arc loop
+unroll.  On seeded random points and step sizes, for the regular field of
+every region of the shipped scenarios, the sliding kernel and velocity-scaled
+fields, each kernel must return exactly their bits: each accepted step with
+all seven stages, its end point and the next trial step, the dense output at
+random theta, and the accepted steps of the regular-arc loop with the points
+of their event grid.
 """
 
 import itertools
@@ -20,7 +21,7 @@ import pytest
 from filippov.diagnostics import rescale_tangency_freeze
 from filippov.errors import IntegrationError, UndefinedSlidingError
 from filippov.integrate import (
-    _REGULAR_STEPS, _THETA_GRID, IntegratorOptions, _DenseStep, _make_sliding_rhs, _rk_step,
+    _REGULAR_STEPS, _THETA_GRID, IntegratorOptions, _DenseStep, _make_sliding_rhs, _slide_step,
 )
 from filippov.scenario import list_shipped, load_shipped
 from filippov.system import Domain
@@ -108,10 +109,39 @@ def _steps(name, sys_, rhs):
 # --------------------------------------------------------------------------- #
 
 
+def slide_step(rhs, t, x, y, k1, dt, t_max=math.inf, max_step=math.inf):
+    """One ``_slide_step``: its step with the seven stages, end point and next trial step, or its error."""
+    try:
+        step, end, dt_next = _slide_step(rhs, t, x, y, k1[0], k1[1], dt, t_max, max_step,
+                                         _OPTS.rtol, _OPTS.atol)
+        return _bits((step.t0, step.dt, step.x0, step.y0, step.ks, step.t0 + step.dt, end, dt_next))
+    except (IntegrationError, UndefinedSlidingError) as exc:
+        return ("raises", type(exc).__name__, str(exc))
+
+
+def stepper_step(rhs, t, x, y, k1, dt, t_max=math.inf, max_step=math.inf):
+    """``slide_step`` from ``ReferenceStepper.propose``, each stage cut to its velocity."""
+    stepper = ReferenceStepper(lambda x, y: k1, (x, y), _OPTS, max_step)
+    stepper.f, stepper.t, stepper.dt = rhs, t, dt
+    try:
+        step = stepper.propose(t_max - t)
+        ks = tuple((k[0], k[1]) for k in step.ks)
+        return _bits((step.t0, step.dt, step.x0, step.y0, ks, stepper.t, (stepper.x, stepper.y), stepper.dt))
+    except (IntegrationError, UndefinedSlidingError) as exc:
+        return ("raises", type(exc).__name__, str(exc))
+
+
 @pytest.mark.parametrize("name, sys_, rhs", CASES, ids=[c[0] for c in CASES])
 def test_rk_step_matches_the_tableau_loop(name, sys_, rhs):
+    # the sliding step against the stepper's tableau loop, with the trial step capped by
+    # t_max - t or by max_step in a third of the cases each
+    rng = random.Random(name + ":caps")
     for x, y, dt, k1 in _steps(name, sys_, rhs):
-        assert _outcome(_rk_step, rhs, x, y, k1, dt) == _outcome(reference_rk_step, rhs, x, y, k1, dt)
+        t = rng.uniform(0.0, 10.0)
+        cap = rng.choice((math.inf, dt * rng.uniform(0.1, 2.0)))
+        limits = rng.choice(((t + cap, math.inf), (math.inf, cap), (math.inf, math.inf)))
+        got = slide_step(rhs, t, x, y, k1, dt, *limits)
+        assert got == stepper_step(rhs, t, x, y, k1, dt, *limits)
 
 
 @pytest.mark.parametrize("name, sys_, rhs", CASES, ids=[c[0] for c in CASES])
@@ -155,22 +185,15 @@ def test_kernels_match_the_loops_on_signed_zeros_and_non_finite_values():
         x, y = rng.choice(values), rng.choice(values)
         k1 = (rng.choice(values), rng.choice(values))
         dt = rng.choice((1e-3, 0.0, -0.0, 1.0))
-        got = _rk_step(_special_field(values, seed), x, y, k1, dt)
-        assert _bits(got) == _bits(reference_rk_step(_special_field(values, seed), x, y, k1, dt))
-        step = _DenseStep(0.0, dt, x, y, got[2])
+        assert slide_step(_special_field(values, seed), 0.0, x, y, k1, dt) == \
+            stepper_step(_special_field(values, seed), 0.0, x, y, k1, dt)
+        ks = reference_rk_step(_special_field(values, seed), x, y, k1, dt)[2]
+        step = _DenseStep(0.0, dt, x, y, ks)
         for theta in _THETA_GRID[1:-1] + (rng.random(),):
             assert _bits(step.at(theta)) == _bits(reference_at(step, theta))
         component = _special_component(values, seed)
         assert loop_steps(_PLANE, component, component, None, x, y, k1, dt) == \
             stepper_steps(_special_field(values, seed), x, y, k1, dt)
-
-
-def test_ks_holds_the_tuples_the_field_returns():
-    # the sliding kernel returns (Z_s, L1, L2); the stepper reads the Lie pair from ks[6]
-    _, sys_, rhs = next(c for c in CASES if c[0] == "sliding_belt_torus:sliding")
-    x, y, dt, k1 = _steps("sliding_belt_torus:sliding", sys_, rhs)[0]
-    _, _, ks, _, _ = _rk_step(rhs, x, y, k1, dt)
-    assert len(ks) == 7 and ks[0] is k1 and all(len(k) == 4 for k in ks)
 
 
 # --------------------------------------------------------------------------- #

@@ -391,6 +391,18 @@ def test_dwell_must_be_finite_and_not_negative():
     assert BranchPolicy.dwell_exit(0.0, "negative").dwell == 0.0
 
 
+def test_policy_kind_and_side_must_be_known():
+    # an unknown kind ran as slide_until_tangency, and an unknown side left to the negative side
+    with pytest.raises(ConfigurationError, match="unknown branch policy kind 'bogus'"):
+        BranchPolicy("bogus")
+    for side in ("sideways", "up", None):
+        with pytest.raises(ConfigurationError, match="branch policy side must be 'positive' or 'negative'"):
+            BranchPolicy("dwell_then_exit", 0.1, side=side)
+    for kind in BranchPolicy.KINDS:
+        for side in ("positive", "negative"):
+            assert BranchPolicy(kind, side=side).kind == kind
+
+
 def test_position_at_skips_marker_segments():
     # the orbit opens with a one-sample escape_departure marker at t = 0
     system = load_shipped("sliding_belt_torus").build_system()

@@ -37,25 +37,6 @@ def _bits(value, captures=()):
     return value.hex() if isinstance(value, float) else value
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Call counts per field of every raw callable ``ScalarField.raw`` hands out."""
-    counts = {}
-    raw = ScalarField.raw
-
-    def counting_raw(field):
-        fn = raw(field)
-
-        def counted(x, y):
-            counts[id(field)] = counts.get(id(field), 0) + 1
-            return fn(x, y)
-
-        return counted
-
-    monkeypatch.setattr(ScalarField, "raw", counting_raw)
-    return counts
-
-
 def _run(fn, calls, sys_, case, opts):
     p, region, t_max, entry, captures = case
     calls.clear()

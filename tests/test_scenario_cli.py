@@ -463,6 +463,25 @@ def test_cli_overflowing_constant_in_a_field_exits_2(tmp_path, capsys):
         "error: regions[0].field[0]: expression error: (34, 'Numerical result out of range')\n")
 
 
+def test_cli_overflowing_parameter_exits_2(tmp_path, capsys):
+    # the compiled code inlines a parameter's value, so folding with the values bound finds
+    # the overflow at load, in a field and in a curve, and names the expression
+    for edit, where in (
+        (lambda d: d["regions"][0]["field"].__setitem__(0, "x * a^2"), "regions[0].field[0]"),
+        (lambda d: d["curves"][0].update(h="y * a^2"), "curves[0].h"),
+    ):
+        data = json.loads(shipped_path("rotation_plane").read_text())
+        data["parameters"] = {"a": 1e200}
+        edit(data)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data))
+        assert main(["orbit", "--scenario", str(path), "--start", "0.3,0.2", "--horizon", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {where}: expression error: (34, 'Numerical result out of range')\n")
+        with pytest.raises(ConfigurationError, match=re.escape(where)):
+            scenario.scenario_from_dict(data)
+
+
 def test_region_field_constants_fold_at_load_and_run_as_written():
     for j, source, message in ((0, "x * (1e200)^2", "out of range"), (1, "exp(1000) * y", "math range error")):
         data = json.loads(shipped_path("rotation_plane").read_text())

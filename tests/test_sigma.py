@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from filippov.diagnostics import build_segment_graph, sigma_seed_points
 from filippov.errors import NonIsolatedTangencyError, UndefinedSlidingError
 from filippov.expr import PlanarField, ScalarField
 from filippov.integrate import _make_sliding_rhs
@@ -20,7 +21,7 @@ from filippov.sigma import (
 )
 from filippov.system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
-from conftest import build_plane_system, count_trace_calls
+from conftest import build_plane_system, count_trace_calls, decompose
 
 
 def test_classify_crossing():
@@ -241,6 +242,20 @@ def test_sigma_decomposition_of_a_circle(resolution):
     for side, points in expected.items():
         found = sorted((tuple(t.position) for t in dec.tangencies if t.side == side), key=sum)
         assert found == [pytest.approx(p, abs=1e-8) for p in points]
+
+
+def test_points_handed_out_on_a_curved_sigma_lie_on_it():
+    # chord points of the traced circle lie up to |h| = 9e-6 off it; arc ends and samples,
+    # saturation seeds and graph anchors are projected onto the curve
+    s = build_plane_system(("1", "0"), ("0.3", "1"), bounds=(-1, 1, -1, 1), h="x^2 + y^2 - 0.25")
+    h = s.curve(0).h.raw()
+    decs = decompose(s, 512)
+    points = [p for arc in decs[0].arcs for p in (arc.start_point, arc.end_point, *arc.samples)]
+    points += sigma_seed_points(s, decs)
+    graph = build_segment_graph(s, decs, horizon=0.5, budget=1)
+    anchors = [node.point for node in graph.nodes if node.kind.endswith("_anchor")]
+    assert len(anchors) == 2 and len(points) == 4 * 35 + 32
+    assert max(abs(h(*p)) for p in points + anchors) <= 1e-12
 
 
 def test_sigma_decomposition_orientation_swap(fold_system):

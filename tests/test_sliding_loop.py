@@ -1,0 +1,120 @@
+"""Sliding arcs through the generated step against the stepper loop they replaced.
+
+``integrate_sliding`` steps with ``integrate._slide_step``, the step control
+the regular-arc loop inlines too; ``regular_reference.reference_integrate_sliding``
+is the loop it replaced, which stepped with ``ReferenceStepper.propose`` and
+restarted the stepper at each projected point.  On seeded starts on the
+sliding and escaping arcs of the shipped scenarios, and on cases that end in
+each exit, both must return the same segment times and points and the same
+exit, bit for bit through ``float.hex`` (so -0.0 is not 0.0), or fail with the
+same error; and both must call every raw field callable equally often.
+"""
+
+import math
+import random
+
+import pytest
+
+from filippov.errors import FilippovError
+from filippov.integrate import IntegratorOptions, integrate_sliding
+from filippov.scenario import load_shipped
+from filippov.sigma import PointClass, sigma_decomposition
+
+from conftest import build_plane_system
+from regular_reference import reference_integrate_sliding
+
+STARTS = 6  # seeded starts per arc and option set
+OPTIONS = (None, IntegratorOptions(rtol=1e-7, atol=1e-9, sample_spacing=0.005))
+
+
+def _bits(value):
+    """A comparable image of nested tuples and lists of floats that tells -0.0 from 0.0."""
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__, tuple(_bits(v) for v in value))
+    return value.hex() if isinstance(value, float) else value
+
+
+def _run(fn, calls, case, opts):
+    sys_, curve_id, p, t_max, escaping = case
+    calls.clear()
+    try:
+        seg, exit_info = fn(sys_, curve_id, p, t_max, opts, allow_escaping=escaping)
+        out = (seg.kind, seg.curve_id, _bits(seg.times), _bits(seg.points), _bits(exit_info))
+    except (FilippovError, ArithmeticError, ValueError) as exc:
+        out = ("raises", type(exc).__name__, str(exc))
+    return out, dict(calls)
+
+
+def check(cases, calls, options=OPTIONS):
+    """Each case (system, curve, start, t_max, allow_escaping) under each option set; the exit kinds."""
+    kinds = []
+    for opts in options:
+        for case in cases:
+            got = _run(integrate_sliding, calls, case, opts)
+            assert got == _run(reference_integrate_sliding, calls, case, opts), (case[1:], opts)
+            assert got[1], case[1:]  # the counters saw the calls
+            kinds.append(got[0][0] if got[0][0] == "raises" else got[0][-1][1][0])
+    return kinds
+
+
+def _scaled_torus():
+    system = load_shipped("chaotic_torus").build_system()
+    return system.with_velocity_scale(lambda p: 0.75 + 0.5 * math.sin(2.0 * math.pi * p[0]) ** 2)
+
+
+SYSTEMS = {
+    "sliding_belt_torus": lambda: load_shipped("sliding_belt_torus").build_system(),
+    "chaotic_torus": lambda: load_shipped("chaotic_torus").build_system(),
+    "fold_demo_plane": lambda: load_shipped("fold_demo_plane").build_system(),
+    "chaotic_torus:scaled": _scaled_torus,
+}
+
+
+def arc_starts(sys_, rng, count=STARTS, t_max=(0.2, 3.0)):
+    """``count`` seeded cases on each sliding and escaping arc of every curve."""
+    cases = []
+    for curve in sys_.curves:
+        dec = sigma_decomposition(sys_, curve.id, 512)
+        for arc in dec.arcs_of_class(PointClass.SLIDING, PointClass.ESCAPING):
+            component = dec.component_obj(arc)
+            for _ in range(count):
+                p = component.point_at(arc.s_start + rng.uniform(0.05, 0.95) * arc.length)
+                cases.append((sys_, curve.id, p, rng.uniform(*t_max),
+                              arc.point_class is PointClass.ESCAPING))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_arcs_of_shipped_scenarios(name, calls):
+    sys_ = SYSTEMS[name]()
+    cases = arc_starts(sys_, random.Random(name))
+    kinds = check(cases, calls)
+    assert "raises" not in kinds
+    assert {"t_max", "tangency"} & set(kinds)
+
+
+def test_every_exit(calls, pe_system):
+    fold = load_shipped("fold_demo_plane").build_system()
+    cases = [
+        # a sliding arc of the belt runs to t_max, an escaping one too when allowed
+        (SYSTEMS["sliding_belt_torus"](), 0, (0.3, 0.0), 2.0, False),
+        (SYSTEMS["sliding_belt_torus"](), 0, (0.3, 0.5), 2.0, True),
+        # ... and fails when not
+        (SYSTEMS["sliding_belt_torus"](), 0, (0.3, 0.5), 2.0, False),
+        # the fold at the origin ends the arc
+        (fold, 0, (-1.0, 0.0), 5.0, False),
+        # anti-parallel fields meet at a pseudo-equilibrium
+        (pe_system, 0, (1.0, 0.0), 60.0, False),
+        # backward, the fold's sliding arc escapes through the rectangle's left edge
+        (fold.reversed(), 0, (-1.0, 0.0), 20.0, True),
+        # L1 = x - 1 and L2 = 2 - 2x vanish together at the two-fold x = 1
+        (build_plane_system(("1", "x - 1"), ("1", "2 - 2*x")), 0, (0.0, 0.0), 5.0, False),
+        # a crossing point cannot slide
+        (fold, 0, (1.0, 0.0), 1.0, False),
+    ]
+    kinds = check(cases, calls)
+    assert kinds[:len(cases)] == ["t_max", "t_max", "raises", "tangency", "pseudo_eq", "left_domain",
+                                  "tangency", "raises"]
+    # with a small max_step, the arc stops at |Z_s| * dt_next < 1e-14 before |Z_s| <= PE_NORM_TOL
+    assert check([(pe_system, 0, (1.5e-10, 0.0), 1.0, False)], calls,
+                 options=(IntegratorOptions(max_step=5e-5),)) == ["pseudo_eq"]

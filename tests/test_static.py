@@ -63,9 +63,7 @@ def test_module_reads_no_unbound_global(module):
 
 
 # (qualified function name, parameter) -> why the parameter stays unread
-UNREAD_ALLOWED = {
-    ("sigma_seed_points", "sys"): "benchmarks/workloads.py passes it positionally",
-}
+UNREAD_ALLOWED = {}
 
 
 def unread_parameters(source, filename="<source>"):
