@@ -23,12 +23,12 @@ from .integrate import (
     PolicyCursor,
     enumerate_branches,
     integrate_filippov,
-    _nudge_into_arc,
 )
 from .sigma import (
     PointClass,
     classify_point,
     find_tangency_points,
+    nudge_into_arc,
     onto_curve,
     sigma_decomposition,
     sliding_vector_field,
@@ -106,7 +106,7 @@ def sigma_seed_points(sys, decompositions, per_arc=16, classes=(PointClass.SLIDI
     return seeds
 
 
-def _saturation_seeds(sys, decompositions, cfg):
+def saturation_seeds(sys, decompositions, cfg):
     """Seed points on the arcs that ``cfg.ms_interpretation`` puts in M_s."""
     classes = (
         (PointClass.SLIDING, PointClass.ESCAPING)
@@ -416,7 +416,7 @@ def _escape_entry_tangencies(sys, decompositions):
             if tp.kind != "regular":
                 continue
             try:
-                probe = _nudge_into_arc(sys, dec.curve_id, tp.position, step=1e-4)
+                probe = nudge_into_arc(sys, dec.curve_id, tp.position, step=1e-4)
                 pcls = classify_point(sys, dec.curve_id, probe)
             except FilippovError:
                 continue
@@ -637,23 +637,6 @@ def _closed_record(sys, graph, base, want, orbit, trace):
     return None
 
 
-def _window_cycles(graph, sys, horizon, opts):
-    """Per window node, the first closed orbit through it from any sliding anchor."""
-    bases = [n.node_id for n in graph.nodes_of_kind("sliding_anchor")]
-    runs = {}  # shared by every window: each candidate is integrated once
-    results = []
-    for node in graph.nodes_of_kind("window_v"):
-        recs = []
-        for base in bases:
-            recs = assemble_closed_orbits(graph, base, {node.node_id}, sys,
-                                          horizon=horizon, opts=opts, runs=runs)
-            if recs:
-                break
-        results.append({"window": node.to_dict(), "found": bool(recs),
-                        "record": recs[0].to_dict() if recs else None})
-    return results
-
-
 # --------------------------------------------------------------------------- #
 # tangency-freezing rescale
 # --------------------------------------------------------------------------- #
@@ -711,6 +694,13 @@ CONFIG_RANGES = {
     "graph_budget": COUNT,
     "cycle_horizon": POSITIVE,
 }
+DISK_RADII = ("disk_radius", "sensitivity_disk_radius", "window_radius")  # the radii of drawn disks
+
+
+def disk_fit(domain):
+    """The check that a disk of radius r fits inside ``domain``: 2r <= a rectangle's shorter side."""
+    side = min(domain.width, domain.height) if domain.kind == "plane_rect" else math.inf
+    return (lambda r: not 2 * r > side, f"at most {side / 2!r}, half the shorter side of the domain")
 
 
 @dataclass
@@ -740,9 +730,13 @@ class DiagnosticsConfig:
         """Every setting, in the form a scenario's ``config`` object takes."""
         return {**asdict(self), "dwell_grid": list(self.dwell_grid)}
 
-    def check(self):
-        """Raise a ConfigurationError that names ``config.<key>`` for a setting out of range."""
-        for key, (valid, expected) in CONFIG_RANGES.items():
+    def check(self, domain):
+        """Raise a ConfigurationError that names ``config.<key>`` for a setting out of range.
+
+        Every disk the probes draw must also fit inside ``domain`` (``disk_fit``).
+        """
+        fit = disk_fit(domain)
+        for key, (valid, expected) in [*CONFIG_RANGES.items(), *((key, fit) for key in DISK_RADII)]:
             value = getattr(self, key)
             if not valid(value):
                 raise ConfigurationError(f"config.{key}: expected {expected}, got {value!r}")
@@ -765,13 +759,48 @@ def _saturate_policies(dwell_grid):
 
 
 def _random_disk(rng, domain, radius):
-    # keep plane-domain disks fully inside the rectangle
+    # keep plane-domain disks fully inside the rectangle (``disk_fit`` holds)
     pad = radius if domain.kind == "plane_rect" else 0.0
     return Disk(
         (domain.x_min + pad + rng.random() * (domain.width - 2 * pad),
          domain.y_min + pad + rng.random() * (domain.height - 2 * pad)),
         radius,
     )
+
+
+def sigma_phase(sys, cfg):
+    """The Σ decomposition of every curve of ``sys`` at ``cfg.sigma_resolution``."""
+    return [sigma_decomposition(sys, c.id, cfg.sigma_resolution) for c in sys.curves]
+
+
+def saturate_phase(sys, seeds, cfg, opts=None):
+    """Coverage of the orbits from ``saturation_seeds`` at the horizon, policies and grid of ``cfg``."""
+    return saturate(sys, seeds, cfg.saturate_horizon, _saturate_policies(cfg.dwell_grid),
+                    grid_resolution=cfg.grid_resolution, opts=opts)
+
+
+def graph_phase(sys, decompositions, cfg, rng, opts=None):
+    """The segment graph through ``cfg.cycle_windows`` windows drawn from ``rng``."""
+    windows = [_random_disk(rng, sys.domain, cfg.window_radius) for _ in range(cfg.cycle_windows)]
+    return build_segment_graph(sys, decompositions, windows=windows, horizon=cfg.graph_horizon,
+                               budget=cfg.graph_budget, opts=opts, dwell_grid=cfg.dwell_grid)
+
+
+def cycles_phase(graph, sys, cfg, opts=None):
+    """Per window node of ``graph``, the first closed orbit through it from any sliding anchor."""
+    bases = [n.node_id for n in graph.nodes_of_kind("sliding_anchor")]
+    runs = {}  # shared by every window: each candidate is integrated once
+    results = []
+    for node in graph.nodes_of_kind("window_v"):
+        recs = []
+        for base in bases:
+            recs = assemble_closed_orbits(graph, base, {node.node_id}, sys,
+                                          horizon=cfg.cycle_horizon, opts=opts, runs=runs)
+            if recs:
+                break
+        results.append({"window": node.to_dict(), "found": bool(recs),
+                        "record": recs[0].to_dict() if recs else None})
+    return results
 
 
 def chaos_report(sys, config=None, opts=None):
@@ -782,7 +811,7 @@ def chaos_report(sys, config=None, opts=None):
     logs one INFO line with its wall time, which the report does not carry.
     """
     cfg = config or DiagnosticsConfig()
-    cfg.check()
+    cfg.check(sys.domain)
     rng = random.Random(cfg.seed)
     domain = sys.domain
     clock = [time.perf_counter()]
@@ -797,9 +826,9 @@ def chaos_report(sys, config=None, opts=None):
         "domain": {"kind": domain.kind, "diameter": domain.diameter()},
     }
 
-    decs = [sigma_decomposition(sys, c.id, cfg.sigma_resolution) for c in sys.curves]
+    decs = sigma_phase(sys, cfg)
     report["sigma"] = [dec.to_dict() for dec in decs]
-    seeds = _saturation_seeds(sys, decs, cfg)
+    seeds = saturation_seeds(sys, decs, cfg)
     hypothesis = bool(seeds)
     report["hypothesis"] = {
         "sliding_or_escaping_nonempty": hypothesis,
@@ -810,10 +839,7 @@ def chaos_report(sys, config=None, opts=None):
     phase_done("sigma", f"{len(decs)} curves, {len(seeds)} saturation seeds")
 
     if hypothesis:
-        cov = saturate(
-            sys, seeds, cfg.saturate_horizon, _saturate_policies(cfg.dwell_grid),
-            grid_resolution=cfg.grid_resolution, opts=opts,
-        )
+        cov = saturate_phase(sys, seeds, cfg, opts)
         report["saturation"] = cov.to_dict()
         phase_done("saturate", f"{report['saturation']['hit_cells']} of {cov.hits.size} cells hit")
     else:
@@ -860,13 +886,10 @@ def chaos_report(sys, config=None, opts=None):
     phase_done("sensitivity", "witness found" if sensitive else "no witness")
 
     if hypothesis:
-        windows = [_random_disk(rng, domain, cfg.window_radius) for _ in range(cfg.cycle_windows)]
-        graph = build_segment_graph(
-            sys, decs, windows=windows, horizon=cfg.graph_horizon, budget=cfg.graph_budget,
-            opts=opts, dwell_grid=cfg.dwell_grid,
-        )
+        graph = graph_phase(sys, decs, cfg, rng, opts)
         phase_done("graph", f"{len(graph.nodes)} nodes, {len(graph.edges)} edges")
-        cycle_results = (_window_cycles(graph, sys, cfg.cycle_horizon, opts)
+        # with no sliding anchor the report lists no windows (``filippov cycles`` lists them unfound)
+        cycle_results = (cycles_phase(graph, sys, cfg, opts)
                          if graph.nodes_of_kind("sliding_anchor") else [])
         periodic_positive = bool(cycle_results) and all(c["found"] for c in cycle_results)
         phase_done("cycles", f"{sum(c['found'] for c in cycle_results)} windows closed")

@@ -20,7 +20,9 @@ combination constrained to the curve: each ``_slide_step`` is followed by a
 Newton projection onto the curve and a restart there.  Curve
 crossings (a guarded bisection/secant hybrid), domain exits and the
 tangencies and domain exits of sliding arcs are all located by the one bracket
-kernel ``sigma.bracket``.
+kernel ``sigma.bracket``.  An arc that takes ``MAX_ARC_STEPS`` accepted steps
+more than it needs at ``max_step`` fails with ``IntegrationError``: its steps
+have shrunk to nothing, as past a finite-time blow-up.
 
 One orbit is computed sequentially; distinct orbits may be computed
 concurrently against the shared system.
@@ -45,15 +47,17 @@ from .sigma import (
     classify_point,
     filippov_combination,
     lie_pair,
+    nudge_into_arc,
+    onto_curve,
     second_lie_value,
-    sliding_vector_field,
 )
 from .system import FilippovSystem, OnSigma
 
 EVENT_H_TOL = 1e-10  # |h| at located non-sliding event endpoints
-POLISH_H_TOL = EVENT_H_TOL * 1e-3  # Newton polish onto a curve stops below this |h|
 ESCAPE_BAND = 1e-8  # hysteresis band: a curve re-arms once |h| leaves it
 CAPTURE_RADIUS = 1e-6  # a regular arc captured by a ride target passes this close to it
+# accepted steps one arc may take beyond the t_max / max_step it needs at full step size
+MAX_ARC_STEPS = 100_000
 
 
 # --------------------------------------------------------------------------- #
@@ -81,6 +85,15 @@ _P = (
 )
 _THETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # event sampling points of each step
 _UNDERFLOW = "step size underflow (degenerate point?)"
+
+
+def _arc_step_limit(t_max, max_step):
+    """The accepted steps an arc to ``t_max`` may take: an arc past it creeps, as past a blow-up."""
+    return MAX_ARC_STEPS + t_max / max_step
+
+
+def _creeping(steps, t, t_max):
+    return IntegrationError(f"arc took {steps} accepted steps and reached only t = {t!r} of {t_max!r}")
 
 
 @dataclass
@@ -316,9 +329,14 @@ def _kernels():
         ] + indent(geometry + [
             "t = 0.0",
             "t_end = t_max - 1e-14",
+            "limit = arc_step_limit(t_max, max_step)",
+            "steps = 0",
             "while True:",
             "    if t >= t_end:",
             "        return",
+            "    if steps >= limit:",
+            "        raise creeping(steps, t, t_max)",
+            "    steps += 1",
             *indent(accepted_step(rhs)),
             *[f"    {g} = {coordinate(o, w, k)}"
               for (gx, gy), w in zip(grid, weights) for g, o, k in ((gx, "x0", kx), (gy, "y0", ky))],
@@ -337,6 +355,7 @@ def _kernels():
         "__builtins__": {}, "abs": abs, "max": max, "range": range, "round": round,
         "zip": zip, "ceil": math.ceil, "hypot": math.hypot, "isfinite": math.isfinite,
         "sqrt": math.sqrt, "IntegrationError": IntegrationError, "_DenseStep": _DenseStep,
+        "arc_step_limit": _arc_step_limit, "creeping": _creeping,
     }
 
     def compiled(lines, name):
@@ -669,7 +688,7 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
 
         th, kind, payload = best
         if kind == "curve":
-            point = canonical(sys.curve(payload).project(step.at(th), 3, POLISH_H_TOL))
+            point = onto_curve(sys, payload, step.at(th))
         else:
             point = canonical(step.at(th))
         emit(step, th, point, times, pts, spacing, domain)
@@ -756,12 +775,12 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     max_step, spacing = opts.resolved(sys.domain)
     domain = sys.domain
     curve = sys.curve(curve_id)
-    p = domain.canonical(curve.project(domain.canonical(p), 3, POLISH_H_TOL))
+    p = onto_curve(sys, curve_id, domain.canonical(p))
 
     cls = classify_point(sys, curve_id, p)
     if cls.point_class is PointClass.TANGENCY_REGULAR:
         # arc boundary: step along the sliding flow into the arc proper
-        p = _nudge_into_arc(sys, curve_id, p)
+        p = nudge_into_arc(sys, curve_id, p)
         cls = classify_point(sys, curve_id, p)
     if cls.point_class not in (
         PointClass.SLIDING, PointClass.ESCAPING, PointClass.PSEUDO_EQUILIBRIUM,
@@ -784,6 +803,8 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     torus = domain.kind == "flat_torus"
     canonical = domain.canonical if torus else _same_point
     width, height = domain.width, domain.height
+    limit = _arc_step_limit(t_max, max_step)
+    steps = 0
 
     def emit_to(q, t_q):
         a = pts[-1]
@@ -806,6 +827,9 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
         if t >= t_max - 1e-14:
             seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
             return seg, ("t_max", pts[-1])
+        if steps >= limit:
+            raise _creeping(steps, t, t_max)
+        steps += 1
         step, end, dt_next = _slide_step(rhs, t, x, y, zx, zy, dt_next, t_max, max_step, rtol, atol)
         t = step.t0 + step.dt
         # restart on the curve: project the end point, and evaluate the stage and Lie pair there
@@ -855,16 +879,6 @@ def _locate_slide_tangency(step, curve, rhs, flipped, s1_0, s2_0):
 # --------------------------------------------------------------------------- #
 # the orbit driver
 # --------------------------------------------------------------------------- #
-
-
-def _nudge_into_arc(sys, curve_id, p, step=1e-5):
-    """Displace a tangency point slightly along Z_s so it classifies cleanly."""
-    zx, zy = sliding_vector_field(sys, curve_id, p)
-    norm = math.hypot(zx, zy)
-    if norm == 0.0:
-        return p
-    q = (p[0] + step * zx / norm, p[1] + step * zy / norm)
-    return sys.domain.canonical(sys.curve(curve_id).project(q, 3, POLISH_H_TOL))
 
 
 class _Run:
@@ -1000,8 +1014,7 @@ class _Run:
         self.mode = on_pass
         if decision == "ride":
             cid = target.curve_id
-            q = self.sys.domain.canonical(self.sys.curve(cid).project(self.p, 3, POLISH_H_TOL))
-            q = _nudge_into_arc(self.sys, cid, q)
+            q = nudge_into_arc(self.sys, cid, onto_curve(self.sys, cid, self.p))
             entered = classify_point(self.sys, cid, q).point_class
             if entered in (PointClass.ESCAPING, PointClass.PSEUDO_EQUILIBRIUM):
                 self.p = q

@@ -146,9 +146,7 @@ def _config(section):
         values["dwell_grid"] = tuple(
             _number(v, f"config.dwell_grid[{i}]") for i, v in enumerate(values["dwell_grid"])
         )
-    config = DiagnosticsConfig(**values)
-    config.check()
-    return config
+    return DiagnosticsConfig(**values)
 
 
 def load_scenario(path) -> Scenario:
@@ -208,6 +206,7 @@ def scenario_from_dict(data) -> Scenario:
         )
         regions.append(RegionSpec(region_id, PlanarField(fx, fy), conditions))
     config = _config(_optional(data, "config", {}))
+    config.check(domain)
     integ = _optional(data, "integrator", {})
     settings = {"rtol": integ.get("rtol", 1e-10), "atol": integ.get("atol", 1e-12)}
     # a null step setting keeps its domain-derived default

@@ -556,6 +556,15 @@ def onto_curve(sys, curve_id, p):
     return sys.domain.canonical(sys.curve(curve_id).project(p, 3, 1e-13))
 
 
+def nudge_into_arc(sys, curve_id, p, step=1e-5):
+    """Displace a tangency point slightly along Z_s so it classifies cleanly."""
+    zx, zy = sliding_vector_field(sys, curve_id, p)
+    norm = math.hypot(zx, zy)
+    if norm == 0.0:
+        return p
+    return onto_curve(sys, curve_id, (p[0] + step * zx / norm, p[1] + step * zy / norm))
+
+
 def _class_of_open_point(sys, curve_id, p):
     """Class of the open arc through p, read at p projected onto the curve.
 

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import pytest
 
@@ -16,6 +18,21 @@ def build_plane_system(fields_pos, fields_neg, bounds=(-2, 2, -1, 1), h="y", val
         RegionSpec(2, PlanarField(*fields_neg), [(0, -1)]),
     ]
     return FilippovSystem(domain, [curve], regions, validate=validate)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def decompose(system, resolution=512):

@@ -17,11 +17,12 @@ import math
 
 from filippov.errors import IntegrationError, UndefinedSlidingError
 from filippov.integrate import (
-    _A, _E, _P, _THETA_GRID, CAPTURE_RADIUS, ESCAPE_BAND, EVENT_H_TOL, POLISH_H_TOL,
+    _A, _E, _P, _THETA_GRID, CAPTURE_RADIUS, ESCAPE_BAND, EVENT_H_TOL,
     IntegratorOptions, OrbitSegment, _exit_theta, _locate_slide_tangency, _make_sliding_rhs,
-    _nudge_into_arc,
 )
-from filippov.sigma import PE_NORM_TOL, TAU_CLASS, PointClass, bracket, classify_point
+from filippov.sigma import PE_NORM_TOL, TAU_CLASS, PointClass, bracket, classify_point, nudge_into_arc
+
+POLISH_H_TOL = EVENT_H_TOL * 1e-3  # the Newton polish of an event point onto its curve
 
 
 def reference_at(step, theta):
@@ -259,7 +260,7 @@ def reference_integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escapi
 
     cls = classify_point(sys, curve_id, p)
     if cls.point_class is PointClass.TANGENCY_REGULAR:
-        p = _nudge_into_arc(sys, curve_id, p)
+        p = nudge_into_arc(sys, curve_id, p)
         cls = classify_point(sys, curve_id, p)
     if cls.point_class not in (
         PointClass.SLIDING, PointClass.ESCAPING, PointClass.PSEUDO_EQUILIBRIUM,

@@ -245,7 +245,8 @@ def test_window_cycles_integrates_each_candidate_once(monkeypatch, budget, graph
         return original(sys_, p0, horizon, policy=policy, **kwargs)
 
     monkeypatch.setattr(diagnostics, "integrate_filippov", counting)
-    results = diagnostics._window_cycles(graph, system, cycle_horizon, opts)
+    cfg = DiagnosticsConfig(cycle_horizon=cycle_horizon)
+    results = diagnostics.cycles_phase(graph, system, cfg, opts)
     shared = list(calls)
     calls.clear()
     reference = []  # each window on its own, every candidate integrated afresh

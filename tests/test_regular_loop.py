@@ -15,13 +15,13 @@ import pytest
 
 from filippov import integrate
 from filippov.diagnostics import rescale_tangency_freeze
-from filippov.errors import FilippovError
+from filippov.errors import FilippovError, IntegrationError
 from filippov.expr import PlanarField, ScalarField
 from filippov.integrate import ESCAPE_BAND, CaptureTarget, IntegratorOptions, integrate_regular
 from filippov.scenario import list_shipped, load_shipped
 from filippov.system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
-from conftest import build_plane_system
+from conftest import build_plane_system, time_limit
 from regular_reference import reference_integrate_regular
 
 STARTS = 6  # seeded starts per region and option set
@@ -203,6 +203,15 @@ def test_capture_targets(name, start, region, calls, monkeypatch):
 def test_failing_fields(field, start, calls):
     sys_ = build_plane_system(field, field, h="y + 5")  # no curve in the rectangle
     # default options only: at rtol = 1e-7 the last case creeps on past x = 0.5 with
-    # steps near 1e-11 instead of failing, on both sides
+    # steps near 1e-11, and the reference loop has no step limit to end it
     outcomes = check(sys_, [(start, 1, 4.0, None, ())], calls, options=(None,))
     assert hit_kind(outcomes[0]) in ("raises", "left_domain")
+
+
+def test_creeping_arc_fails_at_its_step_limit():
+    # past x = 0.5 the steps shrink to about 1e-11 and t stalls near 0.125
+    field = ("1 / (0.5 - x)", "0.1")
+    sys_ = build_plane_system(field, field, h="y + 5")
+    opts = IntegratorOptions(rtol=1e-7, atol=1e-9, sample_spacing=0.005)
+    with time_limit(30), pytest.raises(IntegrationError, match="accepted steps and reached only"):
+        integrate_regular(sys_, (0.0, 0.5), 1, 4.0, opts)

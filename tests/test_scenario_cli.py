@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from filippov import cli, scenario
+from filippov import diagnostics, scenario
 from filippov.cli import main
 from filippov.diagnostics import DiagnosticsConfig, GridCoverage, chaos_report
 from filippov.errors import ConfigurationError
-from filippov.scenario import list_shipped, load_scenario, load_shipped, shipped_path
+from filippov.scenario import list_shipped, load_scenario, load_shipped, scenario_from_dict, shipped_path
 from filippov.sigma import PointClass, classify_point
 
 
@@ -301,6 +301,24 @@ def test_cli_saturate(tmp_path):
     assert csv_out.read_text().startswith("i,j,hit")
 
 
+def test_cli_saturate_is_the_report_saturation(tmp_path):
+    # `filippov saturate` runs the saturation phase of chaos_report, on the same config
+    data = json.loads(shipped_path("sliding_belt_torus").read_text())
+    data["config"].update(transitivity_pairs=1, transitivity_budget=1, probe_horizon=1.0,
+                          sensitivity_budget=1, sensitivity_horizon=1.0, graph_budget=2,
+                          graph_horizon=1.0, cycle_windows=1, cycle_horizon=1.0,
+                          saturate_horizon=0.5, saturate_seeds_per_arc=2, grid_resolution=8,
+                          sigma_resolution=256)
+    path, out = tmp_path / "belt.json", tmp_path / "cov.json"
+    path.write_text(json.dumps(data))
+    assert main(["saturate", "--scenario", str(path), "--json", str(out)]) == 0
+    loaded = load_scenario(path)
+    report = chaos_report(loaded.build_system(), loaded.config, opts=loaded.integrator)
+    saturation = json.loads(out.read_text())
+    assert saturation == report["saturation"]
+    assert 0 < saturation["hit_cells"] < 64  # the horizon and the policies decide the cells
+
+
 def test_cli_saturate_logs_progress_on_stderr_at_info():
     import filippov
 
@@ -328,7 +346,7 @@ def test_cli_saturate_seeds_follow_ms_interpretation(tmp_path, monkeypatch):
         calls.append((system, list(seeds)))
         return GridCoverage(system.domain, 4)
 
-    monkeypatch.setattr(cli, "saturate", capture)
+    monkeypatch.setattr(diagnostics, "saturate", capture)
     assert main(["saturate", "--scenario", str(path), "--json", str(tmp_path / "cov.json")]) == 0
     [(system, seeds)] = calls
     assert seeds
@@ -555,6 +573,42 @@ def test_cli_cycles_windows_lie_inside_plane_domain(tmp_path):
         (x, y), r = w["point"], w["radius"]
         assert r == 0.4
         assert x_min + r <= x <= x_max - r and y_min + r <= y <= y_max - r
+
+
+FIT = "expected at most 1.0, half the shorter side of the domain"  # fold_demo_plane is 4 x 2
+
+
+@pytest.mark.parametrize("key", ["disk_radius", "sensitivity_disk_radius", "window_radius"])
+def test_plane_disk_radius_must_fit_the_domain(key, tmp_path, capsys):
+    # a disk wider than the rectangle was drawn partly outside it, and at radius 5
+    # a probe failed with "point (-2.07, -2.06) left the domain", which named no setting
+    data = json.loads(shipped_path("fold_demo_plane").read_text())
+    path, out = tmp_path / "fold.json", tmp_path / "report.json"
+    for radius in (1.5, 5.0):
+        data["config"][key] = radius
+        path.write_text(json.dumps(data))
+        assert main(["diagnose", "--scenario", str(path), "--json", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config.{key}: {FIT}, got {radius!r}\n"
+        assert not out.exists()
+        system = load_shipped("fold_demo_plane").build_system()
+        with pytest.raises(ConfigurationError, match=re.escape(f"config.{key}: {FIT}")):
+            chaos_report(system, dataclasses.replace(DiagnosticsConfig(), **{key: radius}))
+    data["config"][key] = 1.0  # a disk as tall as the rectangle still fits
+    assert getattr(scenario_from_dict(data).config, key) == 1.0
+    torus = json.loads(shipped_path("chaotic_torus").read_text())
+    torus["config"][key] = 5.0  # a disk on the torus wraps, whatever its radius
+    assert getattr(scenario_from_dict(torus).config, key) == 5.0
+
+
+@pytest.mark.parametrize("radius", ["1.5", "5"])
+def test_cli_cycles_radius_must_fit_a_plane_domain(radius, tmp_path, capsys):
+    # 1.5 exited 1 with windows that stuck out of the rectangle, 5 exited 2 naming no flag
+    out = tmp_path / "cycles.json"
+    argv = ["cycles", "--scenario", str(shipped_path("fold_demo_plane")), "--json", str(out),
+            "--radius", radius]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --radius: {FIT}, got {float(radius)!r}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, bad, expected", [

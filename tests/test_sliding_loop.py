@@ -15,12 +15,12 @@ import random
 
 import pytest
 
-from filippov.errors import FilippovError
+from filippov.errors import FilippovError, IntegrationError
 from filippov.integrate import IntegratorOptions, integrate_sliding
 from filippov.scenario import load_shipped
 from filippov.sigma import PointClass, sigma_decomposition
 
-from conftest import build_plane_system
+from conftest import build_plane_system, time_limit
 from regular_reference import reference_integrate_sliding
 
 STARTS = 6  # seeded starts per arc and option set
@@ -118,3 +118,12 @@ def test_every_exit(calls, pe_system):
     # with a small max_step, the arc stops at |Z_s| * dt_next < 1e-14 before |Z_s| <= PE_NORM_TOL
     assert check([(pe_system, 0, (1.5e-10, 0.0), 1.0, False)], calls,
                  options=(IntegratorOptions(max_step=5e-5),)) == ["pseudo_eq"]
+
+
+def test_creeping_sliding_arc_fails_at_its_step_limit():
+    # h = y slides on Z_s = (1 / (0.5 - x), 0), which reaches x = 0.5 at infinite speed;
+    # past it the steps shrink to about 1e-11 and t stalls near 0.125
+    sys_ = build_plane_system(("1 / (0.5 - x)", "-1"), ("1 / (0.5 - x)", "1"))
+    opts = IntegratorOptions(rtol=1e-7, atol=1e-9, sample_spacing=0.005)
+    with time_limit(30), pytest.raises(IntegrationError, match="accepted steps and reached only"):
+        integrate_sliding(sys_, 0, (0.0, 0.0), 4.0, opts)

@@ -119,15 +119,7 @@ def test_package_parameters_are_read():
 
 
 # ("module._name" imported, importing module) -> why the private import stays
-PRIVATE_IMPORTS_ALLOWED = {
-    ("diagnostics._random_disk", "cli"): "cycles draws its windows as chaos_report does",
-    ("diagnostics._saturate_policies", "cli"):
-        "saturate runs chaos_report's policy set; benchmarks/workloads.py calls it too",
-    ("diagnostics._saturation_seeds", "cli"): "saturate seeds from Σ as chaos_report does",
-    ("diagnostics._window_cycles", "cli"): "cycles closes orbits through windows as chaos_report does",
-    ("integrate._nudge_into_arc", "diagnostics"):
-        "escape-entry tangencies are classified a step off, as the integrator leaves one",
-}
+PRIVATE_IMPORTS_ALLOWED = {}
 
 
 def private_imports(source, filename="<source>"):
