@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 inconclusive diagnostics, 2 errors.  All randomness
 flows from the scenario seed (or --seed override) so that identical argv and
 scenario produce byte-identical artifacts.
+
+``FILIPPOV_LOG`` sets the level of the log on stderr: a level name of the
+``logging`` module in any case (DEBUG, INFO, WARNING or WARN, ERROR, CRITICAL or
+FATAL, NOTSET).  It is WARNING when the variable is unset or empty; any other
+value is an error (exit code 2).
 """
 
 from __future__ import annotations
@@ -42,9 +47,11 @@ EXIT_ERROR = 2
 
 
 def _setup_logging():
-    level = os.environ.get("FILIPPOV_LOG", "WARNING").upper()
-    logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    name = os.environ.get("FILIPPOV_LOG") or "WARNING"
+    level = getattr(logging, name.upper(), None)
+    if type(level) is not int:  # logging.BASIC_FORMAT is a string, not a level
+        raise ConfigurationError(f"FILIPPOV_LOG: expected a logging level name such as INFO, got {name!r}")
+    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _dump_json(payload, path):
@@ -255,13 +262,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
+        _setup_logging()
         return args.fn(args)
     except (FilippovError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

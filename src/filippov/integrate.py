@@ -8,7 +8,9 @@ return the bits of the tableau loops, which ``tests/test_dormand_prince.py``
 keeps as the reference.  The regular-arc loop
 runs whole accepted steps with its state in locals: the seven stages, which
 call the region's raw ``fx`` and ``fy``, error control, the five-point event
-grid with every curve's h on it, and the samples.  It hands a step back to
+grid with every curve's h on it, and the samples.  A velocity scale g is
+applied outside the loop: ``_regular_pair`` multiplies each field component by
+g where it is evaluated.  The loop hands a step back to
 ``integrate_regular`` only when its grid may hold an event: a sign change of an
 armed curve, an unarmed curve leaving ``ESCAPE_BAND``, a grid point outside the
 rectangle or a capture target inside the coarse gate.  It may hand back more
@@ -34,7 +36,7 @@ import copy
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     ConfigurationError, IntegrationError, UndefinedSlidingError, evaluation_boundary,
@@ -58,6 +60,7 @@ ESCAPE_BAND = 1e-8  # hysteresis band: a curve re-arms once |h| leaves it
 CAPTURE_RADIUS = 1e-6  # a regular arc captured by a ride target passes this close to it
 # accepted steps one arc may take beyond the t_max / max_step it needs at full step size
 MAX_ARC_STEPS = 100_000
+MAX_SEGMENTS = 200_000  # driver steps of one orbit; an orbit that reaches it ends "segment_budget"
 
 
 # --------------------------------------------------------------------------- #
@@ -102,16 +105,12 @@ class IntegratorOptions:
     atol: float = 1e-12
     max_step: float | None = None  # default: min domain extent / 16
     sample_spacing: float | None = None  # default: min domain extent / 64
-    max_segments: int = 200_000
 
     def resolved(self, domain):
         extent = min(domain.width, domain.height)
         max_step = self.max_step if self.max_step is not None else extent / 16.0
         spacing = self.sample_spacing if self.sample_spacing is not None else extent / 64.0
         return max_step, spacing
-
-    def tightened(self, factor=0.1):
-        return replace(self, rtol=self.rtol * factor, atol=self.atol * factor)
 
 
 def _kernels():
@@ -125,9 +124,9 @@ def _kernels():
     control is one piece, ``accepted_step``, that both the regular-arc loop and
     ``_slide_step`` inline.  ``_slide_step`` takes an ``f`` that returns a tuple
     whose first two entries are the velocity; the regular-arc loop calls the
-    region's two raw components.  The loop and ``emit`` come in a plane and a
-    torus form, the loop also with and without a velocity scale; all are
-    compiled here, once.
+    region's two raw components, which ``_regular_pair`` has already
+    multiplied by the velocity scale, if any.  The loop and ``emit`` come in a
+    plane and a torus form; all are compiled here, once.
     """
     ks = ", ".join(f"k{j}" for j in range(1, 8))
     kx = [f"k{j}x" for j in range(1, 8)]
@@ -271,7 +270,7 @@ def _kernels():
             ["t0 = step.t0"] + head("step") + unpack
             + (torus_geometry if torus else []) + emission("th_end", torus))
 
-    def regular_source(torus, scaled):
+    def regular_source(torus):
         """``regular_steps``: a generator over the accepted steps of one regular arc.
 
         The arc starts at (x, y) at t = 0 with first stage (k1x, k1y) and first
@@ -282,12 +281,6 @@ def _kernels():
         ``hs[i]`` where that curve armed, 0.0 while it is unarmed; the caller
         arms curves.  ``targets`` holds the points of the capture targets.
         """
-        def rhs(j):
-            if not scaled:
-                return [f"k{j}x = fx(ax, ay)", f"k{j}y = fy(ax, ay)"]
-            return [f"g = scale({'canonical((ax, ay))' if torus else '(ax, ay)'})",
-                    f"k{j}x = g * fx(ax, ay)", f"k{j}y = g * fy(ax, ay)"]
-
         screen = [
             "vals = []",
             "cand = False",
@@ -324,7 +317,7 @@ def _kernels():
         geometry = (torus_geometry if torus
                     else [f"{b} = domain.{b}" for b in ("x_min", "x_max", "y_min", "y_max")])
         return [
-            "def regular_steps(fx, fy, scale, hs, signs, targets, domain, rtol, atol, max_step,",
+            "def regular_steps(fx, fy, hs, signs, targets, domain, rtol, atol, max_step,",
             "                  spacing, t_max, x, y, k1x, k1y, dt_next, times, pts):",
         ] + indent(geometry + [
             "t = 0.0",
@@ -337,7 +330,7 @@ def _kernels():
             "    if steps >= limit:",
             "        raise creeping(steps, t, t_max)",
             "    steps += 1",
-            *indent(accepted_step(rhs)),
+            *indent(accepted_step(lambda j: [f"k{j}x = fx(ax, ay)", f"k{j}y = fy(ax, ay)"])),
             *[f"    {g} = {coordinate(o, w, k)}"
               for (gx, gy), w in zip(grid, weights) for g, o, k in ((gx, "x0", kx), (gy, "y0", ky))],
             *indent(screen),
@@ -363,8 +356,7 @@ def _kernels():
         exec("\n".join(lines) + "\n", env)  # noqa: S102 - generated from the tableau
         return env[name]
 
-    steps = {(torus, scaled): compiled(regular_source(torus, scaled), "regular_steps")
-             for torus in (False, True) for scaled in (False, True)}
+    steps = {torus: compiled(regular_source(torus), "regular_steps") for torus in (False, True)}
     emits = {torus: compiled(emit_source(torus), "emit") for torus in (False, True)}
     return compiled(slide, "slide_step"), compiled(at, "at"), steps, emits
 
@@ -382,7 +374,7 @@ class _DenseStep:
         self.ks = ks
 
 
-# ``_slide_step``: see ``integrate_sliding``; ``_REGULAR_STEPS[torus, scaled]``, ``_EMIT[torus]``: see
+# ``_slide_step``: see ``integrate_sliding``; ``_REGULAR_STEPS[torus]``, ``_EMIT[torus]``: see
 # ``integrate_regular``
 _slide_step, _DenseStep.at, _REGULAR_STEPS, _EMIT = _kernels()
 
@@ -528,16 +520,10 @@ class PolicyCursor:
 
 
 class _Fork(Exception):
-    """A forking cursor met an unscripted choice; ``args[0]`` is 'escape' or 'ride'."""
+    """A cursor with a ``fork_depth`` met an unscripted choice; ``args[0]`` is 'escape' or 'ride'."""
 
 
 _MAX_FORK_DEPTH = 8  # scripts this long continue on the default policy
-
-
-class _ForkingCursor(PolicyCursor):
-    """Raises _Fork at the first unscripted choice while the script is short."""
-
-    fork_depth = _MAX_FORK_DEPTH
 
 
 @dataclass
@@ -624,13 +610,8 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
     x, y = p
     torus = domain.kind == "flat_torus"
     canonical = domain.canonical if torus else _same_point
-    fx, fy = sys.region(region_id).field.raw_pair()
-    scale = sys.velocity_scale
-    if scale is None:
-        k1x, k1y = fx(x, y), fy(x, y)
-    else:
-        g = scale(domain.canonical(p))
-        k1x, k1y = g * fx(x, y), g * fy(x, y)
+    fx, fy = _regular_pair(sys, region_id)
+    k1x, k1y = fx(x, y), fy(x, y)
     h_fns = [(c.id, c.h.raw()) for c in sys.curves]
     signs = []  # per curve: the sign of h where the curve armed, 0.0 while it is unarmed
     for cid, h in h_fns:
@@ -640,8 +621,8 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
     times = [0.0]
     pts = [p]
     emit = _EMIT[torus]
-    steps = _REGULAR_STEPS[torus, scale is not None](
-        fx, fy, scale, [h for _, h in h_fns], signs, [c.point for c in captures], domain,
+    steps = _REGULAR_STEPS[torus](
+        fx, fy, [h for _, h in h_fns], signs, [c.point for c in captures], domain,
         opts.rtol, opts.atol, max_step, spacing, t_max, x, y, k1x, k1y, min(max_step, 1e-3),
         times, pts,
     )
@@ -695,6 +676,17 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
         seg = OrbitSegment("regular_arc", times, pts, region_id=region_id)
         return seg, ((kind, point) if kind == "left_domain" else (kind, payload, point))
     return OrbitSegment("regular_arc", times, pts, region_id=region_id), ("t_max", pts[-1])
+
+
+def _regular_pair(sys, region_id):
+    """The region's two raw field components, each times the velocity scale g at (x, y) if there is one."""
+    fx, fy = sys.region(region_id).field.raw_pair()
+    scale = sys.velocity_scale
+    if scale is None:
+        return fx, fy
+    canonical = sys.domain.canonical if sys.domain.kind == "flat_torus" else _same_point
+    return (lambda x, y: scale(canonical((x, y))) * fx(x, y),
+            lambda x, y: scale(canonical((x, y))) * fy(x, y))
 
 
 def _same_point(p):
@@ -888,7 +880,7 @@ class _Run:
     flies a regular arc, ``_sigma`` classifies a point of Σ and applies its
     continuation (one step per Σ event), ``_capture`` offers a ride at a graze
     target and ``_escape`` applies the branch policy after a ride.  Each step
-    counts against ``max_segments`` and consults the cursor at most once, before
+    counts against ``MAX_SEGMENTS`` and consults the cursor at most once, before
     it changes anything, so one interrupted by ``_Fork`` can re-run on a ``fork``.
     """
 
@@ -917,7 +909,7 @@ class _Run:
 
     def run(self):
         while self.mode is not None and self.t < self.horizon - 1e-12:
-            if self.steps >= self.opts.max_segments:
+            if self.steps >= MAX_SEGMENTS:
                 self.terminal = "segment_budget"
                 break
             getattr(self, "_" + self.mode[0])(*self.mode[1:])
@@ -1121,7 +1113,8 @@ def enumerate_branches(
         for side in ("positive", "negative")
     ]
     escape_options.append(BranchPolicy.slide_on())
-    cursor = _ForkingCursor(BranchPolicy.slide_on())
+    cursor = PolicyCursor(BranchPolicy.slide_on())
+    cursor.fork_depth = _MAX_FORK_DEPTH  # forks copy the cursor, and with it the depth
     queue = deque([_Run(sys, p0, horizon, "forward", cursor, opts, ride_targets)])
     orbits = []
     while queue and len(orbits) < budget:

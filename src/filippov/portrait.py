@@ -17,14 +17,13 @@ ARC_STYLE = {
     PointClass.CROSSING: ("#555555", 1.0, None),
 }
 ORBIT_COLORS = ("#1f77b4", "#2ca02c", "#9467bd", "#e377c2", "#17becf", "#bcbd22")
+MARGIN = 40  # pixels between the canvas edge and the domain frame
 
 
 @dataclass
 class PortraitSpec:
     width: int = 640
     height: int = 640
-    margin: int = 40
-    show_legend: bool = True
     title: str | None = None
 
 
@@ -44,14 +43,14 @@ class _Canvas:
         self.spec = spec
         self.domain = domain
         self.parts = []
-        inner_w = spec.width - 2 * spec.margin
-        inner_h = spec.height - 2 * spec.margin
+        inner_w = spec.width - 2 * MARGIN
+        inner_h = spec.height - 2 * MARGIN
         self.sx = inner_w / domain.width
         self.sy = inner_h / domain.height
 
     def map(self, p):
-        x = self.spec.margin + (p[0] - self.domain.x_min) * self.sx
-        y = self.spec.height - self.spec.margin - (p[1] - self.domain.y_min) * self.sy
+        x = MARGIN + (p[0] - self.domain.x_min) * self.sx
+        y = self.spec.height - MARGIN - (p[1] - self.domain.y_min) * self.sy
         return (x, y)
 
     def polyline(self, points, color, width, dash=None, cls="arc"):
@@ -124,14 +123,13 @@ def render_portrait(spec: PortraitSpec, data: PortraitData) -> str:
             for piece in _split_wraps(d, seg.points):
                 canvas.polyline(piece, color, width, cls=f"orbit-{seg.kind}")
 
-    if spec.show_legend:
-        y0 = 16
-        if spec.title:
-            canvas.text(spec.margin, y0, spec.title, size=14)
-            y0 += 16
-        canvas.text(spec.margin, y0,
-                    "sliding: thick solid | escaping: thick dashed | crossing: thin | "
-                    "tangency: circle | pseudo-equilibrium: dot", size=10)
+    y0 = 16
+    if spec.title:
+        canvas.text(MARGIN, y0, spec.title, size=14)
+        y0 += 16
+    canvas.text(MARGIN, y0,
+                "sliding: thick solid | escaping: thick dashed | crossing: thin | "
+                "tangency: circle | pseudo-equilibrium: dot", size=10)
 
     body = "\n".join(canvas.parts)
     return (

@@ -72,6 +72,13 @@ def _number(value, path, kind=float):
 _SIGNS = {"+": 1, "+1": 1, 1: 1, "-": -1, "-1": -1, -1: -1}
 
 
+def _known(data, path, keys):
+    """Raise a ConfigurationError at the first key of ``data`` that is not one of ``keys``."""
+    for key in data:
+        if key not in keys:
+            raise ConfigurationError(f"{path}.{key}: unknown field (fields: {', '.join(keys)})")
+
+
 def _sign(value, path):
     """+1 or -1 for a ``where`` sign; True and 1.0 are not signs."""
     if type(value) not in (int, str) or value not in _SIGNS:
@@ -170,6 +177,7 @@ def scenario_from_dict(data) -> Scenario:
     dom = _require(data, "domain", "scenario", dict)
     kind = _require(dom, "kind", "domain", str)
     bounds = _require(dom, "bounds", "domain", list)
+    _known(dom, "domain", ("kind", "bounds"))
     if len(bounds) != 4:
         raise ConfigurationError("domain.bounds: expected [x_min, x_max, y_min, y_max]")
     domain = Domain(kind, *[_number(b, f"domain.bounds[{i}]") for i, b in enumerate(bounds)])
@@ -186,6 +194,7 @@ def scenario_from_dict(data) -> Scenario:
         h = str(_require(cd, "h", path))
         positive = _require(cd, "positive_region", path, int)
         negative = _require(cd, "negative_region", path, int)
+        _known(cd, path, ("id", "h", "positive_region", "negative_region"))
         curves.append(_expression(f"{path}.h", lambda: _curve(curve_id, h, parameters, positive, negative)))
     curve_ids = {c.id for c in curves}
     regions = []
@@ -195,11 +204,13 @@ def scenario_from_dict(data) -> Scenario:
         if len(fd) != 2:
             raise ConfigurationError(f"{path}.field: expected [fx, fy]")
         region_id = _require(rd, "id", path, int)
-        conditions = [
-            (_curve_ref(c, f"{path}.where[{j}]", curve_ids),
-             _sign(_require(c, "sign", f"{path}.where[{j}]"), f"{path}.where[{j}].sign"))
-            for j, c in enumerate(_require(rd, "where", path, list))
-        ]
+        conditions = []
+        for j, c in enumerate(_require(rd, "where", path, list)):
+            where = f"{path}.where[{j}]"
+            curve_id = _curve_ref(c, where, curve_ids)
+            conditions.append((curve_id, _sign(_require(c, "sign", where), f"{where}.sign")))
+            _known(c, where, ("curve", "sign"))
+        _known(rd, path, ("id", "field", "where"))
         fx, fy = (
             _expression(f"{path}.field[{j}]", lambda: _folded(ScalarField(str(fd[j]), parameters=parameters)))
             for j in (0, 1)
@@ -208,6 +219,7 @@ def scenario_from_dict(data) -> Scenario:
     config = _config(_optional(data, "config", {}))
     config.check(domain)
     integ = _optional(data, "integrator", {})
+    _known(integ, "integrator", ("rtol", "atol", "max_step", "sample_spacing"))
     settings = {"rtol": integ.get("rtol", 1e-10), "atol": integ.get("atol", 1e-12)}
     # a null step setting keeps its domain-derived default
     settings.update((k, integ[k]) for k in ("max_step", "sample_spacing") if integ.get(k) is not None)
@@ -216,6 +228,8 @@ def scenario_from_dict(data) -> Scenario:
         if not settings[key] > 0:
             raise ConfigurationError(f"integrator.{key}: expected a positive number")
     options = IntegratorOptions(**settings)
+    _known(data, "scenario",
+           ("schema", "name", "domain", "parameters", "curves", "regions", "config", "integrator"))
     return Scenario(name, config, options, FilippovSystem(domain, curves, regions))
 
 

@@ -21,7 +21,8 @@ import pytest
 from filippov.diagnostics import rescale_tangency_freeze
 from filippov.errors import IntegrationError, UndefinedSlidingError
 from filippov.integrate import (
-    _REGULAR_STEPS, _THETA_GRID, IntegratorOptions, _DenseStep, _make_sliding_rhs, _slide_step,
+    _REGULAR_STEPS, _THETA_GRID, IntegratorOptions, _DenseStep, _make_sliding_rhs, _regular_pair,
+    _slide_step,
 )
 from filippov.scenario import list_shipped, load_shipped
 from filippov.system import Domain
@@ -192,7 +193,7 @@ def test_kernels_match_the_loops_on_signed_zeros_and_non_finite_values():
         for theta in _THETA_GRID[1:-1] + (rng.random(),):
             assert _bits(step.at(theta)) == _bits(reference_at(step, theta))
         component = _special_component(values, seed)
-        assert loop_steps(_PLANE, component, component, None, x, y, k1, dt) == \
+        assert loop_steps(_PLANE, component, component, x, y, k1, dt) == \
             stepper_steps(_special_field(values, seed), x, y, k1, dt)
 
 
@@ -208,14 +209,14 @@ def _image(step, grid):
     return _bits((step.t0, step.dt, step.x0, step.y0, tuple(tuple(k) for k in step.ks), tuple(grid)))
 
 
-def loop_steps(domain, fx, fy, scale, x, y, k1, dt, count=2):
+def loop_steps(domain, fx, fy, x, y, k1, dt, count=2):
     """The first ``count`` steps the regular-arc loop accepts from (x, y), trying dt first.
 
     An unarmed curve with h = 1 everywhere makes every step a candidate, so the
     loop hands back each step with its event grid.
     """
-    steps = _REGULAR_STEPS[domain.kind == "flat_torus", scale is not None](
-        fx, fy, scale, [lambda x, y: 1.0], [0.0], [], domain, _OPTS.rtol, _OPTS.atol,
+    steps = _REGULAR_STEPS[domain.kind == "flat_torus"](
+        fx, fy, [lambda x, y: 1.0], [0.0], [], domain, _OPTS.rtol, _OPTS.atol,
         math.inf, 1.0, math.inf, x, y, k1[0], k1[1], dt, [0.0], [(x, y)])
     try:
         return [_image(step, grid) for step, grid, _ in itertools.islice(steps, count)]
@@ -235,8 +236,9 @@ def stepper_steps(rhs, x, y, k1, dt, count=2):
 
 @pytest.mark.parametrize("name, sys_, region", REGULAR, ids=[c[0] for c in REGULAR])
 def test_loop_steps_and_grid_match_the_stepper(name, sys_, region):
+    # on a scaled system the loop calls the components times g that ``integrate_regular`` passes it
     rhs = reference_rhs(sys_, region.field)
-    fx, fy = region.field.raw_pair()
+    fx, fy = _regular_pair(sys_, region.id)
     for x, y, dt, k1 in _steps(name, sys_, rhs)[:SAMPLES // 5]:
-        got = loop_steps(sys_.domain, fx, fy, sys_.velocity_scale, x, y, k1, dt)
+        got = loop_steps(sys_.domain, fx, fy, x, y, k1, dt)
         assert got == stepper_steps(rhs, x, y, k1, dt)

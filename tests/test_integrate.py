@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -228,7 +229,7 @@ def test_no_tunneling_interior_samples(fold_system):
 
 def test_step_tightening_changes_little(circle_system):
     base = IntegratorOptions()
-    tight = base.tightened(0.1)
+    tight = dataclasses.replace(base, rtol=base.rtol * 0.1, atol=base.atol * 0.1)
     a = integrate_filippov(circle_system, (1.0, 0.0), 2 * math.pi, opts=base)
     b = integrate_filippov(circle_system, (1.0, 0.0), 2 * math.pi, opts=tight)
     ea, eb = a.end_point(), b.end_point()
@@ -305,7 +306,7 @@ def test_enumeration_integrates_each_arc_once(belt_system, monkeypatch):
     assert 0 < len(calls) <= arcs
 
 
-def test_segment_budget_terminal():
+def test_segment_budget_terminal(monkeypatch):
     # crossings at y = 0.5 and y = 0 (mod 1); each arc is one driver step,
     # and so is each sigma touch with the crossing it decides
     domain = Domain("flat_torus", 0, 1, 0, 1)
@@ -315,7 +316,8 @@ def test_segment_budget_terminal():
         RegionSpec(2, PlanarField("1", "2"), [(0, -1)]),
     ]
     system = FilippovSystem(domain, [curve], regions, validate=False)
-    orbit = integrate_filippov(system, (0.1, 0.25), 50.0, opts=IntegratorOptions(max_segments=5))
+    monkeypatch.setattr(integrate, "MAX_SEGMENTS", 5)
+    orbit = integrate_filippov(system, (0.1, 0.25), 50.0)
     assert orbit.terminal == "segment_budget"
     assert [s.kind for s in orbit.segments] == [
         "regular_arc", "crossing_event", "regular_arc", "crossing_event", "regular_arc",

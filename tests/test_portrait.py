@@ -38,7 +38,7 @@ def test_empty_data_gives_legend_only(fold_system):
 def test_single_arc_affine_mapping():
     s = build_plane_system(("1", "0"), ("1", "1"), bounds=(-2, 2, -1, 1))
     orbit = integrate_filippov(s, (-2.0, 0.5), 3.8)
-    spec = PortraitSpec(width=440, height=240, margin=20, show_legend=False)
+    spec = PortraitSpec(width=440, height=240)
     svg = render_portrait(spec, PortraitData(s.domain, orbits=[orbit]))
     root = _parse(svg)
     lines = [e for e in root.findall(f"{NS}polyline") if e.attrib.get("class", "").startswith("orbit")]
@@ -46,9 +46,10 @@ def test_single_arc_affine_mapping():
     coords = lines[0].attrib["points"].split()
     x0, y0 = (float(v) for v in coords[0].split(","))
     x1, y1 = (float(v) for v in coords[-1].split(","))
-    # (-2, 0.5) maps to the left edge at 3/4 height; (1.8, 0.5) near the right
-    assert (x0, y0) == pytest.approx((20.0, 70.0), abs=0.5)
-    assert (x1, y1) == pytest.approx((400.0, 70.0), abs=0.5)
+    # inside the 40-pixel margin, 90 pixels per unit across and 80 up: (-2, 0.5) maps to the
+    # left edge at 3/4 height, (1.8, 0.5) near the right
+    assert (x0, y0) == pytest.approx((40.0, 80.0), abs=0.5)
+    assert (x1, y1) == pytest.approx((382.0, 80.0), abs=0.5)
 
 
 def test_decomposition_styling_counts(fold_system):
@@ -84,8 +85,7 @@ def test_pseudo_equilibrium_marker(pe_system):
 
 def test_torus_orbit_split_at_wraps(belt_system):
     orbit = integrate_filippov(belt_system, (0.6, 0.0), 1.0)  # wraps x once
-    svg = render_portrait(PortraitSpec(show_legend=False),
-                          PortraitData(belt_system.domain, orbits=[orbit]))
+    svg = render_portrait(PortraitSpec(), PortraitData(belt_system.domain, orbits=[orbit]))
     root = _parse(svg)
     pieces = [e for e in root.findall(f"{NS}polyline")
               if e.attrib.get("class", "").startswith("orbit")]

@@ -175,6 +175,36 @@ def test_load_reports_field_paths(tmp_path):
         load_scenario(path)
 
 
+UNKNOWN_FIELDS = [
+    # each was read past: a misspelt tolerance ran at the default rtol of 1e-10
+    (lambda d: d.update(integrator={"rtoll": 1e-6}),
+     "integrator.rtoll: unknown field (fields: rtol, atol, max_step, sample_spacing)"),
+    (lambda d: d.update(integrator={"max_segments": 5}),
+     "integrator.max_segments: unknown field (fields: rtol, atol, max_step, sample_spacing)"),
+    (lambda d: d.update(confg={"seed": 3}), "scenario.confg: unknown field (fields: schema, name, domain, "
+                                            "parameters, curves, regions, config, integrator)"),
+    (lambda d: d["domain"].update(bound=[0, 1, 0, 1]), "domain.bound: unknown field (fields: kind, bounds)"),
+    (lambda d: d["curves"][0].update(hh="x"),
+     "curves[0].hh: unknown field (fields: id, h, positive_region, negative_region)"),
+    (lambda d: d["regions"][0].update(feild=["1", "0"]),
+     "regions[0].feild: unknown field (fields: id, field, where)"),
+    (lambda d: d["regions"][1]["where"][0].update(sing="-"),
+     "regions[1].where[0].sing: unknown field (fields: curve, sign)"),
+]
+
+
+@pytest.mark.parametrize("edit, message", UNKNOWN_FIELDS, ids=[m.split(":")[0] for _, m in UNKNOWN_FIELDS])
+def test_unknown_field_is_rejected_with_its_path(edit, message, tmp_path, capsys):
+    data = json.loads(shipped_path("rotation_plane").read_text())
+    edit(data)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        scenario_from_dict(data)
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(data))
+    assert main(["orbit", "--scenario", str(path), "--start", "0.3,0.2", "--horizon", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_load_rejects_overlapping_curves(tmp_path):
     path = tmp_path / "overlap.json"
     path.write_text(json.dumps({
@@ -333,6 +363,32 @@ def test_cli_saturate_logs_progress_on_stderr_at_info():
     assert json.loads(proc.stdout)["resolution"] == 4  # stdout holds the JSON alone
     assert re.search(r"^INFO filippov\.diagnostics: saturate: \d+ of \d+ seed x direction x "
                      r"policy orbits integrated, 16 of 16 cells hit$", proc.stderr, re.M)
+
+
+def _classify_with_log_level(value):
+    import filippov
+
+    env = dict(os.environ, FILIPPOV_LOG=value, PYTHONPATH=str(Path(filippov.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "filippov.cli", "classify", "--scenario", str(shipped_path("rotation_plane")),
+         "--resolution", "20"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("value", ["WARN", "fatal", "notset", ""])
+def test_cli_log_level_names(value):
+    proc = _classify_with_log_level(value)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("value", ["basic_format", "loud"])
+def test_cli_unknown_log_level_exits_2(value):
+    # logging.BASIC_FORMAT is a string: basicConfig raised ValueError outside main's handler (exit 1)
+    proc = _classify_with_log_level(value)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: FILIPPOV_LOG: expected a logging level name such as INFO, got {value!r}\n"
 
 
 def test_cli_saturate_seeds_follow_ms_interpretation(tmp_path, monkeypatch):
