@@ -32,6 +32,11 @@ BUILTIN_CONSTANTS = {"pi": math.pi, "e": math.e}
 RESERVED_NAMES = ("x", "y", *BUILTIN_CONSTANTS, *UNARY_FUNCTIONS)  # no parameter takes these
 
 
+def is_name(text):
+    """Does ``text`` read as one NAME token: a letter or '_', then letters, digits or '_'?"""
+    return (text[:1].isalpha() or text[:1] == "_") and all(c.isalnum() or c == "_" for c in text)
+
+
 @dataclass(frozen=True)
 class Expression:
     """Base node; all nodes are immutable and compare structurally."""

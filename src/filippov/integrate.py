@@ -1,8 +1,8 @@
 """Event-driven integration of Filippov orbits.
 
 Regular and sliding arcs step with one hand-rolled Dormand-Prince 5(4) pair
-with the classical quartic dense output.  Its step control, dense output,
-sliding step ``_slide_step`` and regular-arc loop are straight-line code that
+with the classical quartic dense output.  Its step control, dense output and
+the regular-arc and sliding-arc loops are straight-line code that
 ``_kernels`` generates at import from the tableau ``_A``, ``_E``, ``_P``; they
 return the bits of the tableau loops, which ``tests/test_dormand_prince.py``
 keeps as the reference.  The regular-arc loop
@@ -17,14 +17,26 @@ rectangle or a capture target inside the coarse gate.  It may hand back more
 steps than have events, never fewer; ``tests/test_regular_loop.py`` checks it
 bit for bit against the step loop it replaced.  Events (sign changes of any
 h_i, domain exit, graze captures) are located on the dense output and polished
-onto the curve with Newton steps.  Sliding arcs integrate the Filippov convex
-combination constrained to the curve: each ``_slide_step`` is followed by a
-Newton projection onto the curve and a restart there.  Curve
-crossings (a guarded bisection/secant hybrid), domain exits and the
-tangencies and domain exits of sliding arcs are all located by the one bracket
-kernel ``sigma.bracket``.  An arc that takes ``MAX_ARC_STEPS`` accepted steps
-more than it needs at ``max_step`` fails with ``IntegrationError``: its steps
-have shrunk to nothing, as past a finite-time blow-up.
+onto the curve with Newton steps.
+
+Sliding arcs integrate the Filippov convex combination Z_s = (L2 Y1 - L1 Y2) /
+(L2 - L1), constrained to the curve, in the generated sliding-arc loop.  Its
+state is in locals too: each stage calls the side fields' raw components and
+the curve's raw grad h and forms the Lie pair and Z_s inline (times the
+velocity scale, if any); each accepted step is projected onto the curve by
+two Newton steps on the raw h, and the next step restarts there.  The loop
+runs the exit tests at each restart (the rectangle, a Lie derivative that
+flips sign or enters the ``TAU_CLASS`` band, a pseudo-equilibrium) and emits
+every other step; it returns only at ``t_max`` or with the step that ends at
+an exit, which ``integrate_sliding`` locates.  ``tests/test_sliding_loop.py``
+checks it bit for bit, errors included, against the stepper loop it replaced.
+Every generated loop and emitter wraps torus points with the arithmetic of
+``Domain.canonical``, inline.  Curve crossings (a guarded bisection/secant
+hybrid), domain exits and the tangencies and domain exits of sliding arcs are
+all located by the one bracket kernel ``sigma.bracket``.  An arc that takes
+``MAX_ARC_STEPS`` accepted steps more than it needs at ``max_step`` fails with
+``IntegrationError``: its steps have shrunk to nothing, as past a finite-time
+blow-up.
 
 One orbit is computed sequentially; distinct orbits may be computed
 concurrently against the shared system.
@@ -52,8 +64,9 @@ from .sigma import (
     nudge_into_arc,
     onto_curve,
     second_lie_value,
+    sliding_undefined,
 )
-from .system import FilippovSystem, OnSigma
+from .system import DEGENERATE_GRADIENT, GRAD_MIN, FilippovSystem, OnSigma
 
 EVENT_H_TOL = 1e-10  # |h| at located non-sliding event endpoints
 ESCAPE_BAND = 1e-8  # hysteresis band: a curve re-arms once |h| leaves it
@@ -99,6 +112,11 @@ def _creeping(steps, t, t_max):
     return IntegrationError(f"arc took {steps} accepted steps and reached only t = {t!r} of {t_max!r}")
 
 
+def _degenerate_gradient(x, y):
+    """``SwitchingCurve.project``'s error at (x, y)."""
+    return ConfigurationError(DEGENERATE_GRADIENT.format(x=x, y=y))
+
+
 @dataclass
 class IntegratorOptions:
     rtol: float = 1e-10
@@ -114,19 +132,20 @@ class IntegratorOptions:
 
 
 def _kernels():
-    """``_slide_step``, ``_DenseStep.at`` and the regular-arc loop with its ``emit``, as straight-line code.
+    """``_DenseStep.at`` and the regular-arc and sliding-arc loops with their emitters, as straight-line code.
 
     The source is written out from ``_A``, ``_E`` and ``_P`` and compiled in a
     closed namespace, as ``expr.compile_expression`` compiles fields.  Each sum
     keeps the operation order of the tableau loop it unrolls: ``x + dt * a * k``
     associates left, the error and dense-output sums start at ``0.0 +``, and
     zero coefficients stay, so the kernels return the loops' bits.  The step
-    control is one piece, ``accepted_step``, that both the regular-arc loop and
-    ``_slide_step`` inline.  ``_slide_step`` takes an ``f`` that returns a tuple
-    whose first two entries are the velocity; the regular-arc loop calls the
-    region's two raw components, which ``_regular_pair`` has already
-    multiplied by the velocity scale, if any.  The loop and ``emit`` come in a
-    plane and a torus form; all are compiled here, once.
+    control is one piece, ``accepted_step``, that both loops inline, and the
+    torus wrap is one piece, ``canonical``, that does ``Domain.canonical``'s
+    arithmetic wherever a loop or emitter wraps a point.  The regular-arc loop
+    calls the region's two raw components, which ``_regular_pair`` has already
+    multiplied by the velocity scale, if any; the sliding-arc loop calls the
+    side fields' raw components and the curve's raw h and grad h.  Every loop
+    and emitter comes in a plane and a torus form; all are compiled here, once.
     """
     ks = ", ".join(f"k{j}" for j in range(1, 8))
     kx = [f"k{j}x" for j in range(1, 8)]
@@ -217,9 +236,7 @@ def _kernels():
         ]
 
     pairs = ", ".join(f"({a}, {b})" for a, b in zip(kx, ky))  # the stages as _DenseStep.ks
-    slide = ["def slide_step(f, t, x, y, k1x, k1y, dt_next, t_max, max_step, rtol, atol):"] + indent(
-        accepted_step(lambda j: [f"k{j} = f(ax, ay)"] + unpack[2 * j - 2:2 * j])
-        + [f"return _DenseStep(t0, dt, x0, y0, ({pairs})), (x, y), dt_next"])
+    dense_step = f"_DenseStep(t0, dt, x0, y0, ({pairs}))"
 
     def head(step):
         return [f"{ks} = {step}.ks", f"x0 = {step}.x0", f"y0 = {step}.y0", f"dt = {step}.dt"]
@@ -238,11 +255,28 @@ def _kernels():
         """``Domain.displacement``'s wrap of the vector (dx, dy) on the torus."""
         return [f"{dx} -= round({dx} / width) * width", f"{dy} -= round({dy} / height) * height"] if torus else []
 
-    torus_geometry = ["canonical = domain.canonical", "width = domain.width", "height = domain.height"]
+    def canonical(px, py, torus):
+        """``Domain.canonical`` of the point (px, py) in place on the torus: x - floor((x - x_min) / width)
+        * width, then the fix for floor roundoff that lands on the upper edge."""
+        return [
+            f"{px} = {px} - floor(({px} - x_min) / width) * width",
+            f"{py} = {py} - floor(({py} - y_min) / height) * height",
+            f"if {px} >= x_max:",
+            f"    {px} -= width",
+            f"if {py} >= y_max:",
+            f"    {py} -= height",
+        ] if torus else []
+
+    bounds = [f"{b} = domain.{b}" for b in ("x_min", "x_max", "y_min", "y_max")]
+    torus_geometry = bounds + ["width = domain.width", "height = domain.height"]
 
     def emission(th_end, torus):
         """Samples from the last one to ``b``, the point at ``th_end``: the chord is cut so spacing stays bounded."""
-        sample = point(qs, kx, ky)
+        if torus:
+            sample = [f"        cx = {coordinate('x0', qs, kx)}", f"        cy = {coordinate('y0', qs, ky)}",
+                      *indent(canonical("cx", "cy", torus), 2), "        pts.append((cx, cy))"]
+        else:
+            sample = [f"        pts.append({point(qs, kx, ky)})"]
         return [
             f"t1 = t0 + {th_end} * dt",
             "ta = times[-1]",
@@ -259,7 +293,7 @@ def _kernels():
             "            continue",
             "        times.append(tj)",
             *[f"        {q} = {horner('th', p)}" for q, p in zip(qs, _P)],
-            f"        pts.append({f'canonical({sample})' if torus else sample})",
+            *sample,
             "times.append(t1)",
             "pts.append(b)",
         ]
@@ -314,12 +348,10 @@ def _kernels():
             "            if not hypot(dx, dy) > gate:",
             "                cand = True",
         ]
-        geometry = (torus_geometry if torus
-                    else [f"{b} = domain.{b}" for b in ("x_min", "x_max", "y_min", "y_max")])
         return [
             "def regular_steps(fx, fy, hs, signs, targets, domain, rtol, atol, max_step,",
             "                  spacing, t_max, x, y, k1x, k1y, dt_next, times, pts):",
-        ] + indent(geometry + [
+        ] + indent((torus_geometry if torus else bounds) + [
             "t = 0.0",
             "t_end = t_max - 1e-14",
             "limit = arc_step_limit(t_max, max_step)",
@@ -335,20 +367,136 @@ def _kernels():
               for (gx, gy), w in zip(grid, weights) for g, o, k in ((gx, "x0", kx), (gy, "y0", ky))],
             *indent(screen),
             "    if cand:",
-            f"        yield (_DenseStep(t0, dt, x0, y0, ({pairs})),",
+            f"        yield ({dense_step},",
             "               [{}], vals)".format(", ".join(f"({a}, {b})" for a, b in points)),
             "    else:",
-            f"        b = {'canonical((g4x, g4y))' if torus else '(g4x, g4y)'}",
+            *indent(canonical("g4x", "g4y", torus), 2),
+            "        b = (g4x, g4y)",
             *indent(emission("1.0", torus), 2),
             "    k1x = k7x",
             "    k1y = k7y",
         ])
 
+    def sliding(px, py, zx, zy, torus, lie=False):
+        """The sliding field (zx, zy) at (px, py): ``_make_sliding_rhs``'s arithmetic, velocity scale
+        included; with ``lie`` also its Lie pair (l1, l2), which the scale multiplies too."""
+        return [
+            f"v1x = f1x({px}, {py})",
+            f"v1y = f1y({px}, {py})",
+            f"v2x = f2x({px}, {py})",
+            f"v2y = f2y({px}, {py})",
+            f"nx = gxf({px}, {py})",
+            f"ny = gyf({px}, {py})",
+            "l1 = nx * v1x + ny * v1y",
+            "l2 = nx * v2x + ny * v2y",
+            "den = l2 - l1",
+            f"if abs(den) <= {TAU_CLASS!r}:",
+            f"    raise sliding_undefined(curve_id, ({px}, {py}))",
+            f"{zx} = (l2 * v1x - l1 * v2x) / den",
+            f"{zy} = (l2 * v1y - l1 * v2y) / den",
+            "if scale is not None:",
+            f"    cx = {px}",
+            f"    cy = {py}",
+            *indent(canonical("cx", "cy", torus)),
+            "    g = scale((cx, cy))",
+            f"    {zx} = g * {zx}",
+            f"    {zy} = g * {zy}",
+            *(["    l1 = g * l1", "    l2 = g * l2"] if lie else []),
+        ]
+
+    def chord(qx, qy, t_q, torus):
+        """``emit_to`` the point (qx, qy) at t_q: the chord from the last sample, cut so spacing stays bounded."""
+        return [
+            "a = pts[-1]",
+            f"bx = {qx}",
+            f"by = {qy}",
+            *canonical("bx", "by", torus),
+            "dx = bx - a[0]",
+            "dy = by - a[1]",
+            *wrap("dx", "dy", torus),
+            "n = ceil(hypot(dx, dy) / spacing)",
+            "ta = times[-1]",
+            "for j in range(1, n):",
+            "    w = j / n",
+            f"    times.append(ta + ({t_q} - ta) * w)",
+            "    cx = a[0] + w * dx",
+            "    cy = a[1] + w * dy",
+            *indent(canonical("cx", "cy", torus)),
+            "    pts.append((cx, cy))",
+            f"times.append({t_q})",
+            "pts.append((bx, by))",
+        ]
+
+    def chord_source(torus):
+        """``emit_to``: the chord to the point (x, y) at t_q."""
+        return ["def emit_to(x, y, t_q, times, pts, spacing, domain):"] + indent(
+            (torus_geometry if torus else []) + chord("x", "y", "t_q", torus))
+
+    def sliding_source(torus):
+        """``sliding_steps``: the accepted steps of one sliding arc, each projected onto the curve.
+
+        The arc starts on the curve at (x, y) at t = 0 with first stage
+        (k1x, k1y), first trial step ``dt_next`` and the signs s1_0, s2_0 of its
+        Lie pair, and ends at ``t_max``.  Each step is projected onto h = 0 by
+        ``SwitchingCurve.project(end, 2)``'s two Newton steps, and the next step
+        starts there with the stage and Lie pair evaluated there.  A step whose
+        end leaves the rectangle returns ('left_domain', its ``_DenseStep``,
+        None), and one whose end flips a Lie derivative or puts it in the
+        ``TAU_CLASS`` band returns ('tangency', its ``_DenseStep``, the side of
+        that derivative); any other step is emitted into ``times`` and ``pts``
+        by ``emit_to``'s chord, and one at a pseudo-equilibrium returns
+        ('pseudo_eq', None, None) after.
+        The arc's end returns ('t_max', None, None).
+        """
+        project = []
+        for _ in range(2):
+            project += [
+                "hv = h(x, y)",
+                "nx = gxf(x, y)",
+                "ny = gyf(x, y)",
+                "g2 = nx * nx + ny * ny",
+                f"if g2 < {GRAD_MIN * GRAD_MIN!r}:",
+                "    raise degenerate_gradient(x, y)",
+                "x -= hv * nx / g2",
+                "y -= hv * ny / g2",
+            ]
+        flipped = f"l1 * s1_0 < 0 or abs(l1) <= {TAU_CLASS!r}"
+        return [
+            "def sliding_steps(f1x, f1y, f2x, f2y, h, gxf, gyf, scale, curve_id, domain, rtol, atol,",
+            "                  max_step, spacing, t_max, x, y, k1x, k1y, s1_0, s2_0, dt_next, times, pts):",
+        ] + indent((torus_geometry if torus else bounds) + [
+            "t = 0.0",
+            "t_end = t_max - 1e-14",
+            "limit = arc_step_limit(t_max, max_step)",
+            "steps = 0",
+            "while True:",
+            "    if t >= t_end:",
+            "        return 't_max', None, None",
+            "    if steps >= limit:",
+            "        raise creeping(steps, t, t_max)",
+            "    steps += 1",
+            *indent(accepted_step(lambda j: sliding("ax", "ay", f"k{j}x", f"k{j}y", torus))),
+            *indent(project),
+            # the restart stage goes to (zx, zy): (k1x, k1y) is the step's first stage until it is packed
+            *indent(sliding("x", "y", "zx", "zy", torus, lie=True)),
+            *(["    if not (x_min <= x <= x_max and y_min <= y <= y_max):",
+               f"        return 'left_domain', {dense_step}, None"] if not torus else []),
+            f"    if {flipped} or l2 * s2_0 < 0 or abs(l2) <= {TAU_CLASS!r}:",
+            f"        return 'tangency', {dense_step}, 'positive' if ({flipped}) else 'negative'",
+            *indent(chord("x", "y", "t", torus)),
+            "    znorm = hypot(zx, zy)",
+            f"    if znorm <= {PE_NORM_TOL!r} or znorm * dt_next < 1e-14:",
+            "        return 'pseudo_eq', None, None",
+            "    k1x = zx",
+            "    k1y = zy",
+        ])
+
     namespace = {
         "__builtins__": {}, "abs": abs, "max": max, "range": range, "round": round,
-        "zip": zip, "ceil": math.ceil, "hypot": math.hypot, "isfinite": math.isfinite,
-        "sqrt": math.sqrt, "IntegrationError": IntegrationError, "_DenseStep": _DenseStep,
-        "arc_step_limit": _arc_step_limit, "creeping": _creeping,
+        "zip": zip, "ceil": math.ceil, "floor": math.floor, "hypot": math.hypot,
+        "isfinite": math.isfinite, "sqrt": math.sqrt, "IntegrationError": IntegrationError,
+        "_DenseStep": _DenseStep, "arc_step_limit": _arc_step_limit, "creeping": _creeping,
+        "sliding_undefined": sliding_undefined, "degenerate_gradient": _degenerate_gradient,
     }
 
     def compiled(lines, name):
@@ -356,9 +504,11 @@ def _kernels():
         exec("\n".join(lines) + "\n", env)  # noqa: S102 - generated from the tableau
         return env[name]
 
-    steps = {torus: compiled(regular_source(torus), "regular_steps") for torus in (False, True)}
+    regular = {torus: compiled(regular_source(torus), "regular_steps") for torus in (False, True)}
     emits = {torus: compiled(emit_source(torus), "emit") for torus in (False, True)}
-    return compiled(slide, "slide_step"), compiled(at, "at"), steps, emits
+    slides = {torus: compiled(sliding_source(torus), "sliding_steps") for torus in (False, True)}
+    chords = {torus: compiled(chord_source(torus), "emit_to") for torus in (False, True)}
+    return compiled(at, "at"), regular, emits, slides, chords
 
 
 class _DenseStep:
@@ -374,9 +524,9 @@ class _DenseStep:
         self.ks = ks
 
 
-# ``_slide_step``: see ``integrate_sliding``; ``_REGULAR_STEPS[torus]``, ``_EMIT[torus]``: see
-# ``integrate_regular``
-_slide_step, _DenseStep.at, _REGULAR_STEPS, _EMIT = _kernels()
+# ``_REGULAR_STEPS[torus]``, ``_EMIT[torus]``: see ``integrate_regular``; ``_SLIDING_STEPS[torus]``,
+# ``_EMIT_TO[torus]``: see ``integrate_sliding``
+_DenseStep.at, _REGULAR_STEPS, _EMIT, _SLIDING_STEPS, _EMIT_TO = _kernels()
 
 
 # --------------------------------------------------------------------------- #
@@ -732,8 +882,9 @@ def _capture_theta(domain, step, grid_pts, target):
 def _make_sliding_rhs(sys, curve_id):
     """(x, y) -> (Z_s, L1, L2): the sliding field and the Lie pair it is made from.
 
-    ``_slide_step`` reads the first two entries; ``integrate_sliding`` reads
-    the Lie pair from the same evaluation.
+    ``integrate_sliding`` takes an arc's first stage and Lie pair from it, and
+    ``_locate_slide_tangency`` the Lie pair; the loop ``_SLIDING_STEPS`` writes
+    the same arithmetic inline.
     """
     curve = sys.curve(curve_id)
     y1, y2 = sys.side_fields(curve_id)
@@ -759,7 +910,9 @@ def _make_sliding_rhs(sys, curve_id):
 def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     """Slide along the Filippov field constrained to the curve.
 
-    Returns (OrbitSegment, exit) with exit one of
+    The steps run in the generated loop ``_SLIDING_STEPS``; the step it hands
+    back at an exit is searched here for the exit point, which ``_EMIT_TO``
+    emits.  Returns (OrbitSegment, exit) with exit one of
     ('tangency', point, side) | ('pseudo_eq', point) | ('t_max', point) |
     ('left_domain', point).
     """
@@ -782,75 +935,29 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
         raise UndefinedSlidingError("escaping point reached integrate_sliding without policy")
 
     rhs = _make_sliding_rhs(sys, curve_id)
-    t = 0.0
     x, y = p
     zx, zy, l1_0, l2_0 = rhs(x, y)  # the first stage and the Lie pair at p
-    dt_next = min(max_step, 1e-3)
-    rtol, atol = opts.rtol, opts.atol
     s1_0 = 1.0 if l1_0 > 0 else -1.0
     s2_0 = 1.0 if l2_0 > 0 else -1.0
     times = [0.0]
     pts = [p]
-    # the domain's geometry, bound once per arc
     torus = domain.kind == "flat_torus"
-    canonical = domain.canonical if torus else _same_point
-    width, height = domain.width, domain.height
-    limit = _arc_step_limit(t_max, max_step)
-    steps = 0
-
-    def emit_to(q, t_q):
-        a = pts[-1]
-        b = canonical(q)
-        dx = b[0] - a[0]
-        dy = b[1] - a[1]
-        if torus:  # Domain.displacement
-            dx -= round(dx / width) * width
-            dy -= round(dy / height) * height
-        n = max(1, int(math.ceil(math.hypot(dx, dy) / spacing)))
-        t0 = times[-1]
-        for j in range(1, n):
-            w = j / n
-            times.append(t0 + (t_q - t0) * w)
-            pts.append(canonical((a[0] + w * dx, a[1] + w * dy)))
-        times.append(t_q)
-        pts.append(b)
-
-    while True:
-        if t >= t_max - 1e-14:
-            seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
-            return seg, ("t_max", pts[-1])
-        if steps >= limit:
-            raise _creeping(steps, t, t_max)
-        steps += 1
-        step, end, dt_next = _slide_step(rhs, t, x, y, zx, zy, dt_next, t_max, max_step, rtol, atol)
-        t = step.t0 + step.dt
-        # restart on the curve: project the end point, and evaluate the stage and Lie pair there
-        q = curve.project(end, 2)
-        x, y = q
-        zx, zy, l1, l2 = rhs(x, y)
-
-        if domain.kind == "plane_rect" and not domain.contains(q):
-            on_curve = lambda th: curve.project(step.at(th), 2)
-            th = _exit_theta(domain, on_curve, 1.0)
-            emit_to(on_curve(th), step.t0 + th * step.dt)
-            seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
-            return seg, ("left_domain", pts[-1])
-
-        if l1 * s1_0 < 0 or l2 * s2_0 < 0 or abs(l1) <= TAU_CLASS or abs(l2) <= TAU_CLASS:
-            flipped = "positive" if (l1 * s1_0 < 0 or abs(l1) <= TAU_CLASS) else "negative"
-            th, point = _locate_slide_tangency(step, curve, rhs, flipped, s1_0, s2_0)
-            t_ev = step.t0 + th * step.dt
-            emit_to(point, t_ev)
-            seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
-            return seg, ("tangency", pts[-1], flipped)
-
-        znorm = math.hypot(zx, zy)
-        if znorm <= PE_NORM_TOL or znorm * dt_next < 1e-14:
-            emit_to(q, t)
-            seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
-            return seg, ("pseudo_eq", pts[-1])
-
-        emit_to(q, t)
+    y1, y2 = sys.side_fields(curve_id)
+    kind, step, flipped = _SLIDING_STEPS[torus](
+        *y1.raw_pair(), *y2.raw_pair(), curve.h.raw(), curve.grad[0].raw(), curve.grad[1].raw(),
+        sys.velocity_scale, curve_id, domain, opts.rtol, opts.atol, max_step, spacing, t_max,
+        x, y, zx, zy, s1_0, s2_0, min(max_step, 1e-3), times, pts,
+    )
+    emit_to = _EMIT_TO[torus]
+    if kind == "left_domain":
+        on_curve = lambda th: curve.project(step.at(th), 2)
+        th = _exit_theta(domain, on_curve, 1.0)
+        emit_to(*on_curve(th), step.t0 + th * step.dt, times, pts, spacing, domain)
+    elif kind == "tangency":
+        th, point = _locate_slide_tangency(step, curve, rhs, flipped, s1_0, s2_0)
+        emit_to(*point, step.t0 + th * step.dt, times, pts, spacing, domain)
+    seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
+    return seg, ((kind, pts[-1], flipped) if kind == "tangency" else (kind, pts[-1]))
 
 
 def _locate_slide_tangency(step, curve, rhs, flipped, s1_0, s2_0):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .diagnostics import DiagnosticsConfig
 from .errors import ConfigurationError, EvaluationError, ExpressionError
-from .expr import RESERVED_NAMES, Binary, Const, PlanarField, Power, ScalarField, Unary, Var, fold
+from .expr import RESERVED_NAMES, Binary, Const, PlanarField, Power, ScalarField, Unary, Var, fold, is_name
 from .integrate import IntegratorOptions
 from .system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
@@ -187,6 +187,10 @@ def scenario_from_dict(data) -> Scenario:
     taken = [name for name in parameters if name in RESERVED_NAMES]
     if taken:  # the parameter would replace a coordinate or lose to a builtin
         raise ConfigurationError(f"parameters.{taken[0]}: reserved name (taken: {', '.join(RESERVED_NAMES)})")
+    unnamed = [name for name in parameters if not is_name(name)]
+    if unnamed:  # no expression could read the parameter
+        raise ConfigurationError(
+            f"parameters.{unnamed[0]}: not a name (expected a letter or '_', then letters, digits or '_')")
     curves = []
     for i, cd in enumerate(_require(data, "curves", "scenario", list)):
         path = f"curves[{i}]"
@@ -204,8 +208,11 @@ def scenario_from_dict(data) -> Scenario:
         if len(fd) != 2:
             raise ConfigurationError(f"{path}.field: expected [fx, fy]")
         region_id = _require(rd, "id", path, int)
+        where_list = _require(rd, "where", path, list)
+        if not where_list:
+            raise ConfigurationError(f"{path}.where: needs at least one membership condition")
         conditions = []
-        for j, c in enumerate(_require(rd, "where", path, list)):
+        for j, c in enumerate(where_list):
             where = f"{path}.where[{j}]"
             curve_id = _curve_ref(c, where, curve_ids)
             conditions.append((curve_id, _sign(_require(c, "sign", where), f"{where}.sign")))

@@ -78,12 +78,15 @@ def lie_pair(grad, v1, v2):
     return gx * v1[0] + gy * v1[1], gx * v2[0] + gy * v2[1]
 
 
+def sliding_undefined(curve_id, p):
+    """The error for a point p of the curve where |L2 - L1| <= TAU_CLASS."""
+    return UndefinedSlidingError(f"sliding field undefined on curve {curve_id} at {p}: |L2 - L1| <= {TAU_CLASS}")
+
+
 def _sliding_denominator(l1, l2, curve_id, p):
     den = l2 - l1
     if abs(den) <= TAU_CLASS:
-        raise UndefinedSlidingError(
-            f"sliding field undefined on curve {curve_id} at {p}: |L2 - L1| <= {TAU_CLASS}"
-        )
+        raise sliding_undefined(curve_id, p)
     return den
 
 

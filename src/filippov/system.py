@@ -18,6 +18,7 @@ from .expr import PlanarField, ScalarField
 EPS_SIGMA = 1e-9  # |h| band that counts as "on the switching manifold"
 GRAD_MIN = 1e-8  # regular-value floor for ||grad h|| on the manifold
 DISJOINT_EPS = 1e-6  # band used by the load-time curve-disjointness check
+DEGENERATE_GRADIENT = "gradient of h degenerate near ({x:.6g}, {y:.6g})"  # ``SwitchingCurve.project``'s error
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,7 @@ class SwitchingCurve:
     def gradient_at(self, p):
         return (self.grad[0](p[0], p[1]), self.grad[1](p[0], p[1]))
 
-    def project(self, p, iterations, stop_below=None,
-                message="gradient of h degenerate near ({x:.6g}, {y:.6g})"):
+    def project(self, p, iterations, stop_below=None, message=DEGENERATE_GRADIENT):
         """Newton projection of p onto h = 0 along grad h.
 
         Takes ``iterations`` steps, or fewer once |h| <= ``stop_below``.  A

@@ -3,13 +3,15 @@
 ``reference_rk_step`` and ``reference_at`` (in ``regular_reference``) are the
 Runge-Kutta step and ``_DenseStep.at`` as they were before the kernels were
 generated as straight lines, and ``ReferenceStepper.propose`` is the step
-control that both the sliding step ``_slide_step`` and the regular-arc loop
-unroll.  On seeded random points and step sizes, for the regular field of
-every region of the shipped scenarios, the sliding kernel and velocity-scaled
-fields, each kernel must return exactly their bits: each accepted step with
-all seven stages, its end point and the next trial step, the dense output at
-random theta, and the accepted steps of the regular-arc loop with the points
-of their event grid.
+control that the one ``accepted_step`` piece of the regular-arc and the
+sliding-arc loop unrolls.  On seeded random points and step sizes, for the
+regular field of every region of the shipped scenarios, the sliding field and
+velocity-scaled fields, each kernel must return exactly their bits: the
+accepted steps of the regular-arc loop with all seven stages and the points of
+their event grid, with the trial step capped by ``t_max`` or ``max_step``, and
+the dense output at random theta.  The sliding-arc loop, which adds the
+projection onto the curve, is checked against the stepper loop it replaced in
+``tests/test_sliding_loop.py``.
 """
 
 import itertools
@@ -22,7 +24,6 @@ from filippov.diagnostics import rescale_tangency_freeze
 from filippov.errors import IntegrationError, UndefinedSlidingError
 from filippov.integrate import (
     _REGULAR_STEPS, _THETA_GRID, IntegratorOptions, _DenseStep, _make_sliding_rhs, _regular_pair,
-    _slide_step,
 )
 from filippov.scenario import list_shipped, load_shipped
 from filippov.system import Domain
@@ -84,13 +85,6 @@ def _inputs(sys_, rng, on_curve):
         yield p[0], p[1], 10.0 ** rng.uniform(-7.0, math.log10(0.2))
 
 
-def _outcome(fn, *args):
-    try:
-        return _bits(fn(*args))
-    except UndefinedSlidingError as exc:  # a two-fold at a stage: both must raise it
-        return ("raises", type(exc).__name__)
-
-
 def _steps(name, sys_, rhs):
     """SAMPLES seeded (x, y, dt, k1) with k1 = rhs(x, y) defined."""
     rng = random.Random(name)
@@ -110,39 +104,17 @@ def _steps(name, sys_, rhs):
 # --------------------------------------------------------------------------- #
 
 
-def slide_step(rhs, t, x, y, k1, dt, t_max=math.inf, max_step=math.inf):
-    """One ``_slide_step``: its step with the seven stages, end point and next trial step, or its error."""
-    try:
-        step, end, dt_next = _slide_step(rhs, t, x, y, k1[0], k1[1], dt, t_max, max_step,
-                                         _OPTS.rtol, _OPTS.atol)
-        return _bits((step.t0, step.dt, step.x0, step.y0, step.ks, step.t0 + step.dt, end, dt_next))
-    except (IntegrationError, UndefinedSlidingError) as exc:
-        return ("raises", type(exc).__name__, str(exc))
-
-
-def stepper_step(rhs, t, x, y, k1, dt, t_max=math.inf, max_step=math.inf):
-    """``slide_step`` from ``ReferenceStepper.propose``, each stage cut to its velocity."""
-    stepper = ReferenceStepper(lambda x, y: k1, (x, y), _OPTS, max_step)
-    stepper.f, stepper.t, stepper.dt = rhs, t, dt
-    try:
-        step = stepper.propose(t_max - t)
-        ks = tuple((k[0], k[1]) for k in step.ks)
-        return _bits((step.t0, step.dt, step.x0, step.y0, ks, stepper.t, (stepper.x, stepper.y), stepper.dt))
-    except (IntegrationError, UndefinedSlidingError) as exc:
-        return ("raises", type(exc).__name__, str(exc))
-
-
 @pytest.mark.parametrize("name, sys_, rhs", CASES, ids=[c[0] for c in CASES])
 def test_rk_step_matches_the_tableau_loop(name, sys_, rhs):
-    # the sliding step against the stepper's tableau loop, with the trial step capped by
-    # t_max - t or by max_step in a third of the cases each
+    # the loop's step control against the stepper's tableau loop, with the trial step capped by
+    # t_max or by max_step in a third of the cases each; the loop calls a component per stage
     rng = random.Random(name + ":caps")
+    fx, fy = (lambda x, y: rhs(x, y)[0]), (lambda x, y: rhs(x, y)[1])
     for x, y, dt, k1 in _steps(name, sys_, rhs):
-        t = rng.uniform(0.0, 10.0)
         cap = rng.choice((math.inf, dt * rng.uniform(0.1, 2.0)))
-        limits = rng.choice(((t + cap, math.inf), (math.inf, cap), (math.inf, math.inf)))
-        got = slide_step(rhs, t, x, y, k1, dt, *limits)
-        assert got == stepper_step(rhs, t, x, y, k1, dt, *limits)
+        limits = rng.choice(((cap, math.inf), (math.inf, cap), (math.inf, math.inf)))
+        got = loop_steps(sys_.domain, fx, fy, x, y, k1, dt, *limits)
+        assert got == stepper_steps(rhs, x, y, k1, dt, *limits)
 
 
 @pytest.mark.parametrize("name, sys_, rhs", CASES, ids=[c[0] for c in CASES])
@@ -186,8 +158,6 @@ def test_kernels_match_the_loops_on_signed_zeros_and_non_finite_values():
         x, y = rng.choice(values), rng.choice(values)
         k1 = (rng.choice(values), rng.choice(values))
         dt = rng.choice((1e-3, 0.0, -0.0, 1.0))
-        assert slide_step(_special_field(values, seed), 0.0, x, y, k1, dt) == \
-            stepper_step(_special_field(values, seed), 0.0, x, y, k1, dt)
         ks = reference_rk_step(_special_field(values, seed), x, y, k1, dt)[2]
         step = _DenseStep(0.0, dt, x, y, ks)
         for theta in _THETA_GRID[1:-1] + (rng.random(),):
@@ -206,32 +176,37 @@ _PLANE = Domain("plane_rect", -1.0, 1.0, -1.0, 1.0)
 
 
 def _image(step, grid):
-    return _bits((step.t0, step.dt, step.x0, step.y0, tuple(tuple(k) for k in step.ks), tuple(grid)))
+    """A step's bits with each stage cut to its velocity, and its grid."""
+    return _bits((step.t0, step.dt, step.x0, step.y0, tuple((k[0], k[1]) for k in step.ks), tuple(grid)))
 
 
-def loop_steps(domain, fx, fy, x, y, k1, dt, count=2):
-    """The first ``count`` steps the regular-arc loop accepts from (x, y), trying dt first.
+def loop_steps(domain, fx, fy, x, y, k1, dt, t_max=math.inf, max_step=math.inf, count=2):
+    """The first ``count`` steps the regular-arc loop accepts from (x, y) at t = 0, trying dt first.
 
     An unarmed curve with h = 1 everywhere makes every step a candidate, so the
     loop hands back each step with its event grid.
     """
     steps = _REGULAR_STEPS[domain.kind == "flat_torus"](
         fx, fy, [lambda x, y: 1.0], [0.0], [], domain, _OPTS.rtol, _OPTS.atol,
-        math.inf, 1.0, math.inf, x, y, k1[0], k1[1], dt, [0.0], [(x, y)])
+        max_step, 1.0, t_max, x, y, k1[0], k1[1], dt, [0.0], [(x, y)])
     try:
         return [_image(step, grid) for step, grid, _ in itertools.islice(steps, count)]
-    except IntegrationError as exc:
-        return ("raises", str(exc))
+    except (IntegrationError, UndefinedSlidingError) as exc:
+        return ("raises", type(exc).__name__, str(exc))
 
 
-def stepper_steps(rhs, x, y, k1, dt, count=2):
+def stepper_steps(rhs, x, y, k1, dt, t_max=math.inf, max_step=math.inf, count=2):
     """``loop_steps`` from the stepper: each accepted step and ``[start] + at(theta)`` on the grid."""
-    stepper = ReferenceStepper(lambda x, y: k1, (x, y), _OPTS, math.inf)
+    stepper = ReferenceStepper(lambda x, y: k1, (x, y), _OPTS, max_step)
     stepper.f, stepper.dt = rhs, dt
+    out = []
     try:
-        return [_image(step, step.grid()) for step in (stepper.propose(math.inf) for _ in range(count))]
-    except IntegrationError as exc:
-        return ("raises", str(exc))
+        while len(out) < count and stepper.t < t_max - 1e-14:
+            step = stepper.propose(t_max - stepper.t)
+            out.append(_image(step, step.grid()))
+    except (IntegrationError, UndefinedSlidingError) as exc:
+        return ("raises", type(exc).__name__, str(exc))
+    return out
 
 
 @pytest.mark.parametrize("name, sys_, region", REGULAR, ids=[c[0] for c in REGULAR])

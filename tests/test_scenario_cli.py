@@ -150,6 +150,12 @@ def test_load_reports_field_paths(tmp_path):
         *[(lambda d, _n=name: d["parameters"].update({_n: 0.5}),
            rf"parameters\.{name}: reserved name \(taken: x, y, pi, e, sin, cos, exp, sqrt\)")
           for name in ("x", "y", "pi", "e", "sin", "cos", "exp", "sqrt")],
+        # no expression can name a parameter that is not one NAME token
+        *[(lambda d, _n=name: d["parameters"].update({_n: 0.5}),
+           rf"parameters\.{re.escape(name)}: not a name \(expected a letter or '_', then letters, digits or '_'\)")
+          for name in ("a b", "1a", "", "a-b", "a.b")],
+        (lambda d: d["regions"][1].update(where=[]),
+         r"regions\[1\]\.where: needs at least one membership condition"),
     ]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario()))

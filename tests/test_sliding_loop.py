@@ -1,9 +1,11 @@
-"""Sliding arcs through the generated step against the stepper loop they replaced.
+"""Sliding arcs through the generated loop against the stepper loop they replaced.
 
-``integrate_sliding`` steps with ``integrate._slide_step``, the step control
-the regular-arc loop inlines too; ``regular_reference.reference_integrate_sliding``
-is the loop it replaced, which stepped with ``ReferenceStepper.propose`` and
-restarted the stepper at each projected point.  On seeded starts on the
+``integrate_sliding`` steps in the generated loop ``integrate._SLIDING_STEPS``,
+which inlines the step control of the regular-arc loop, the sliding field, the
+projection onto the curve and the sample emission;
+``regular_reference.reference_integrate_sliding`` is the loop it replaced,
+which stepped with ``ReferenceStepper.propose`` and restarted the stepper at
+each projected point.  On seeded starts on the
 sliding and escaping arcs of the shipped scenarios, and on cases that end in
 each exit, both must return the same segment times and points and the same
 exit, bit for bit through ``float.hex`` (so -0.0 is not 0.0), or fail with the
@@ -12,13 +14,15 @@ same error; and both must call every raw field callable equally often.
 
 import math
 import random
+import re
 
 import pytest
 
 from filippov.errors import FilippovError, IntegrationError
-from filippov.integrate import IntegratorOptions, integrate_sliding
+from filippov.integrate import _EMIT_TO, IntegratorOptions, integrate_sliding
 from filippov.scenario import load_shipped
 from filippov.sigma import PointClass, sigma_decomposition
+from filippov.system import Domain
 
 from conftest import build_plane_system, time_limit
 from regular_reference import reference_integrate_sliding
@@ -127,3 +131,44 @@ def test_creeping_sliding_arc_fails_at_its_step_limit():
     opts = IntegratorOptions(rtol=1e-7, atol=1e-9, sample_spacing=0.005)
     with time_limit(30), pytest.raises(IntegrationError, match="accepted steps and reached only"):
         integrate_sliding(sys_, 0, (0.0, 0.0), 4.0, opts)
+
+
+def test_error_paths(calls):
+    # each error the loop raises inline, against the reference's type, message and raw calls
+    cases = {
+        # h = y - x^2 with L2 - L1 = 2 exp(-(h / 1e-9)^2): 2 on the curve, 0 at the stages off it
+        "UndefinedSlidingError": build_plane_system(
+            ("1", "2*x - 1"), ("1", "2*x - 1 + 2 * exp(-((y - x^2) / 1e-9)^2)"), h="y - x^2"),
+        # |grad h| = exp(-(x / 0.1)^2) on y = 0 falls below GRAD_MIN at x = 0.43, where the
+        # Lie pair is still +-1000 |grad h|
+        "ConfigurationError": build_plane_system(("1", "-1000"), ("1", "1000"), h="y * exp(-(x / 0.1)^2)"),
+        # the arc slides to x = 0.3, past which sqrt(0.3 - x) fails
+        "ValueError": build_plane_system(("1 + 1e-3 * sqrt(0.3 - x)", "-1"), ("1", "1")),
+    }
+    messages = {}
+    for expected, sys_ in cases.items():
+        for opts in OPTIONS:
+            case = (sys_, 0, (0.0, 0.0), 5.0, False)
+            got = _run(integrate_sliding, calls, case, opts)
+            assert got == _run(reference_integrate_sliding, calls, case, opts), (expected, opts)
+            assert got[0][:2] == ("raises", expected) and got[1]
+            messages[expected] = got[0][2]
+    # the undefined field is met at a stage, off the curve, and not at a restart on it
+    x, y = map(float, re.search(r"at \((.*), (.*)\):", messages["UndefinedSlidingError"]).groups())
+    assert abs(y - x * x) > 1e-12
+    assert messages["ConfigurationError"].startswith("gradient of h degenerate near (0.")
+
+
+def test_torus_wrap_is_domain_canonical():
+    # the generated loops wrap torus points inline; here through the sliding emitter's last
+    # point, on edges where floor's roundoff lands on the upper edge (-1e-17 wraps to 1.0)
+    rng = random.Random(3)
+    for domain in (Domain("flat_torus", 0.0, 1.0, 0.0, 1.0), Domain("flat_torus", -0.5, 1.5, -math.pi, math.pi)):
+        lo, hi, width = domain.x_min, domain.x_max, domain.width
+        values = [lo, hi, -0.0, lo - 1e-17, hi - 1e-17, hi + 1e-17, lo - 3 * width, hi + 5 * width,
+                  lo - width * (1 + 2 ** -52), 1e15 + 0.1] + [rng.uniform(-40.0, 40.0) for _ in range(500)]
+        for x in values:
+            for y in (x, values[rng.randrange(len(values))]):
+                times, pts = [0.0], [(lo, domain.y_min)]
+                _EMIT_TO[True](x, y, 1.0, times, pts, math.inf, domain)
+                assert _bits(pts[-1]) == _bits(domain.canonical((x, y))), (x, y)

@@ -5,15 +5,20 @@ builtins fails only when that line runs; this finds such names up front.
 A function parameter that the body never reads is dead code that callers
 still have to pass; this finds those too.  A module that imports another
 module's private name leans on that module's internals; each such import is
-listed with its reason.
+listed with its reason.  The kernels that ``integrate._kernels`` generates run
+in a closed namespace, so a name they read must be bound there; a helper
+missing on a rare error path would otherwise show only as a ``NameError`` there.
 """
 
 import ast
 import builtins
+import dis
 import symtable
 from pathlib import Path
 
 import pytest
+
+from filippov import integrate
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "filippov"
 MODULE_GLOBALS = {"__name__", "__file__", "__doc__", "__spec__", "__loader__",
@@ -151,3 +156,33 @@ def test_package_modules_import_no_private_names():
     for path in sorted(PACKAGE.glob("*.py")):
         found |= {(name, path.stem) for name in private_imports(path.read_text(), str(path))}
     assert found == set(PRIVATE_IMPORTS_ALLOWED)
+
+
+def unbound_globals(fn):
+    """The global names that ``fn``, or a function or comprehension nested in it, reads and its
+    ``__globals__`` does not bind."""
+    names = set()
+    codes = [fn.__code__]
+    while codes:
+        code = codes.pop()
+        names |= {ins.argval for ins in dis.get_instructions(code) if ins.opname == "LOAD_GLOBAL"}
+        codes += [c for c in code.co_consts if hasattr(c, "co_code")]
+    return names - set(fn.__globals__)
+
+
+def test_kernel_check_finds_an_unbound_name():
+    env = {"__builtins__": {}, "abs": abs}
+    exec("def kernel(x):\n    if x < 0:\n        raise missing(x)\n"  # noqa: S102
+         "    return [abs(v) for v in (x, other)]\n", env)
+    assert unbound_globals(env["kernel"]) == {"missing", "other"}
+
+
+GENERATED = {"_DenseStep.at": integrate._DenseStep.at, **{
+    f"{name}[{torus}]": getattr(integrate, name)[torus]
+    for name in ("_REGULAR_STEPS", "_EMIT", "_SLIDING_STEPS", "_EMIT_TO") for torus in (False, True)
+}}
+
+
+@pytest.mark.parametrize("name", list(GENERATED))
+def test_generated_kernel_reads_only_bound_globals(name):
+    assert unbound_globals(GENERATED[name]) == set()

@@ -122,6 +122,12 @@ def test_validation_rejects_empty_region():
         FilippovSystem(dom, [c0], regions)
 
 
+def test_region_needs_a_membership_condition():
+    # a scenario file reports this at ``regions[i].where``; a region built directly, here
+    with pytest.raises(ConfigurationError, match=r"^region 1: needs at least one membership condition$"):
+        RegionSpec(1, PlanarField("1", "0"), [])
+
+
 def test_validation_rejects_nonperiodic_torus_fields():
     dom = Domain("flat_torus", 0, 1, 0, 1)
     c0 = SwitchingCurve(0, ScalarField("y - 0.5"), 1, 2)
