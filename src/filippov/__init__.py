@@ -36,8 +36,6 @@ from .sigma import (
     SigmaDecomposition,
     TangencyPoint,
     classify_point,
-    find_pseudo_equilibria,
-    find_tangency_points,
     sigma_decomposition,
     sliding_vector_field,
 )

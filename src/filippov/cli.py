@@ -35,7 +35,7 @@ from .diagnostics import (
 )
 from .errors import ConfigurationError, FilippovError
 from .integrate import BranchPolicy, integrate_filippov
-from .portrait import PortraitData, PortraitSpec, render_portrait
+from .portrait import MARGIN, PortraitData, PortraitSpec, render_portrait
 from .scenario import load_scenario
 from .sigma import sigma_decomposition
 
@@ -150,12 +150,15 @@ def _cmd_portrait(args):
     scenario, sys_, _ = _load(args)
     resolution = _flag(args.resolution, None, "--resolution", CONFIG_RANGES["sigma_resolution"])
     horizon = _flag(args.horizon, None, "--horizon", POSITIVE)
+    width, height = _parse_pair(args.size, "--size", "x", int, lambda v: v > 0,
+                                "two positive integers 'WxH'")
+    if not min(width, height) > 2 * MARGIN:  # the frame would be mirrored or a point
+        raise ConfigurationError(f"--size: expected each side above {2 * MARGIN} px, "
+                                 f"the two {MARGIN} px margins, got {args.size!r}")
     decs = [sigma_decomposition(sys_, c.id, resolution) for c in sys_.curves]
     orbits = [integrate_filippov(sys_, _parse_point(start, "--orbit-start"), horizon,
                                  policy=_parse_policy(args.policy), opts=scenario.integrator)
               for start in args.orbit_start or []]
-    width, height = _parse_pair(args.size, "--size", "x", int, lambda v: v > 0,
-                                "two positive integers 'WxH'")
     spec = PortraitSpec(width=width, height=height, title=scenario.name)
     svg = render_portrait(spec, PortraitData(sys_.domain, decs, orbits))
     with open(args.svg, "w") as fh:

@@ -27,7 +27,6 @@ from .integrate import (
 from .sigma import (
     PointClass,
     classify_point,
-    find_tangency_points,
     nudge_into_arc,
     onto_curve,
     sigma_decomposition,
@@ -642,14 +641,13 @@ def _closed_record(sys, graph, base, want, orbit, trace):
 # --------------------------------------------------------------------------- #
 
 
-def rescale_tangency_freeze(sys, sigma_resolution=512):
-    """Multiply the field by g(p) = prod min(1, |p - T_j|^2) over tangencies.
+def rescale_tangency_freeze(sys, decompositions):
+    """Multiply the field by g(p) = prod min(1, |p - T_j|^2) over the tangencies of ``decompositions``.
 
     The rescaled system's tangency points are equilibria; orbit traces away
     from them coincide with the originals as point sets.
     """
-    tangencies = [tp for curve in sys.curves
-                  for tp in find_tangency_points(sys, curve.id, sigma_resolution)]
+    tangencies = [tp for dec in decompositions for tp in dec.tangencies]
     if not tangencies:
         return sys
     positions = [t.position for t in tangencies]

@@ -28,8 +28,10 @@ two Newton steps on the raw h, and the next step restarts there.  The loop
 runs the exit tests at each restart (the rectangle, a Lie derivative that
 flips sign or enters the ``TAU_CLASS`` band, a pseudo-equilibrium) and emits
 every other step; it returns only at ``t_max`` or with the step that ends at
-an exit, which ``integrate_sliding`` locates.  ``tests/test_sliding_loop.py``
-checks it bit for bit, errors included, against the stepper loop it replaced.
+an exit, which ``integrate_sliding`` locates.  ``sliding_rhs``, compiled from
+the same piece, gives an arc's first stage and its tangency search's Lie pairs.
+``tests/test_sliding_loop.py`` checks the arcs bit for bit, errors included,
+against the stepper loop they replaced.
 Every generated loop and emitter wraps torus points with the arithmetic of
 ``Domain.canonical``, inline.  Curve crossings (a guarded bisection/secant
 hybrid), domain exits and the tangencies and domain exits of sliding arcs are
@@ -59,8 +61,6 @@ from .sigma import (
     TAU_CLASS,
     bracket,
     classify_point,
-    filippov_combination,
-    lie_pair,
     nudge_into_arc,
     onto_curve,
     second_lie_value,
@@ -132,7 +132,7 @@ class IntegratorOptions:
 
 
 def _kernels():
-    """``_DenseStep.at`` and the regular-arc and sliding-arc loops with their emitters, as straight-line code.
+    """``_DenseStep.at``, the regular- and sliding-arc loops, their emitters and ``sliding_rhs``, in straight lines.
 
     The source is written out from ``_A``, ``_E`` and ``_P`` and compiled in a
     closed namespace, as ``expr.compile_expression`` compiles fields.  Each sum
@@ -144,8 +144,9 @@ def _kernels():
     arithmetic wherever a loop or emitter wraps a point.  The regular-arc loop
     calls the region's two raw components, which ``_regular_pair`` has already
     multiplied by the velocity scale, if any; the sliding-arc loop calls the
-    side fields' raw components and the curve's raw h and grad h.  Every loop
-    and emitter comes in a plane and a torus form; all are compiled here, once.
+    side fields' raw components and the curve's raw h and grad h in one piece,
+    ``sliding``, that ``sliding_rhs`` wraps as ``emit_to`` wraps ``chord``.
+    Every function comes in a plane and a torus form; all are compiled here, once.
     """
     ks = ", ".join(f"k{j}" for j in range(1, 8))
     kx = [f"k{j}x" for j in range(1, 8)]
@@ -378,8 +379,9 @@ def _kernels():
         ])
 
     def sliding(px, py, zx, zy, torus, lie=False):
-        """The sliding field (zx, zy) at (px, py): ``_make_sliding_rhs``'s arithmetic, velocity scale
-        included; with ``lie`` also its Lie pair (l1, l2), which the scale multiplies too."""
+        """The sliding field (zx, zy) at (px, py), with the arithmetic of ``sigma.lie_pair`` and
+        ``filippov_combination`` on the raw fields, then times the velocity scale g, if any; with
+        ``lie`` also its Lie pair (l1, l2), which g multiplies too."""
         return [
             f"v1x = f1x({px}, {py})",
             f"v1y = f1y({px}, {py})",
@@ -432,6 +434,12 @@ def _kernels():
         return ["def emit_to(x, y, t_q, times, pts, spacing, domain):"] + indent(
             (torus_geometry if torus else []) + chord("x", "y", "t_q", torus))
 
+    def sliding_rhs_source(torus):
+        """``sliding_rhs``: (Z_s, L1, L2) at (x, y), the piece each restart of ``sliding_steps`` inlines."""
+        return ["def sliding_rhs(f1x, f1y, f2x, f2y, gxf, gyf, scale, curve_id, domain, x, y):"] + indent(
+            (torus_geometry if torus else []) + sliding("x", "y", "zx", "zy", torus, lie=True)
+            + ["return zx, zy, l1, l2"])
+
     def sliding_source(torus):
         """``sliding_steps``: the accepted steps of one sliding arc, each projected onto the curve.
 
@@ -462,7 +470,7 @@ def _kernels():
             ]
         flipped = f"l1 * s1_0 < 0 or abs(l1) <= {TAU_CLASS!r}"
         return [
-            "def sliding_steps(f1x, f1y, f2x, f2y, h, gxf, gyf, scale, curve_id, domain, rtol, atol,",
+            "def sliding_steps(f1x, f1y, f2x, f2y, gxf, gyf, scale, curve_id, domain, h, rtol, atol,",
             "                  max_step, spacing, t_max, x, y, k1x, k1y, s1_0, s2_0, dt_next, times, pts):",
         ] + indent((torus_geometry if torus else bounds) + [
             "t = 0.0",
@@ -507,8 +515,9 @@ def _kernels():
     regular = {torus: compiled(regular_source(torus), "regular_steps") for torus in (False, True)}
     emits = {torus: compiled(emit_source(torus), "emit") for torus in (False, True)}
     slides = {torus: compiled(sliding_source(torus), "sliding_steps") for torus in (False, True)}
+    rhs = {torus: compiled(sliding_rhs_source(torus), "sliding_rhs") for torus in (False, True)}
     chords = {torus: compiled(chord_source(torus), "emit_to") for torus in (False, True)}
-    return compiled(at, "at"), regular, emits, slides, chords
+    return compiled(at, "at"), regular, emits, slides, rhs, chords
 
 
 class _DenseStep:
@@ -525,8 +534,8 @@ class _DenseStep:
 
 
 # ``_REGULAR_STEPS[torus]``, ``_EMIT[torus]``: see ``integrate_regular``; ``_SLIDING_STEPS[torus]``,
-# ``_EMIT_TO[torus]``: see ``integrate_sliding``
-_DenseStep.at, _REGULAR_STEPS, _EMIT, _SLIDING_STEPS, _EMIT_TO = _kernels()
+# ``_SLIDING_RHS[torus]``, ``_EMIT_TO[torus]``: see ``integrate_sliding``
+_DenseStep.at, _REGULAR_STEPS, _EMIT, _SLIDING_STEPS, _SLIDING_RHS, _EMIT_TO = _kernels()
 
 
 # --------------------------------------------------------------------------- #
@@ -759,7 +768,6 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
     p = domain.canonical(p)
     x, y = p
     torus = domain.kind == "flat_torus"
-    canonical = domain.canonical if torus else _same_point
     fx, fy = _regular_pair(sys, region_id)
     k1x, k1y = fx(x, y), fy(x, y)
     h_fns = [(c.id, c.h.raw()) for c in sys.curves]
@@ -814,14 +822,14 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
                 best = (hit_th, "capture", target)
 
         if best is None:
-            emit(step, 1.0, canonical(grid_pts[-1]), times, pts, spacing, domain)
+            emit(step, 1.0, domain.canonical(grid_pts[-1]), times, pts, spacing, domain)
             continue
 
         th, kind, payload = best
         if kind == "curve":
             point = onto_curve(sys, payload, step.at(th))
         else:
-            point = canonical(step.at(th))
+            point = domain.canonical(step.at(th))
         emit(step, th, point, times, pts, spacing, domain)
         seg = OrbitSegment("regular_arc", times, pts, region_id=region_id)
         return seg, ((kind, point) if kind == "left_domain" else (kind, payload, point))
@@ -834,14 +842,9 @@ def _regular_pair(sys, region_id):
     scale = sys.velocity_scale
     if scale is None:
         return fx, fy
-    canonical = sys.domain.canonical if sys.domain.kind == "flat_torus" else _same_point
+    canonical = sys.domain.canonical
     return (lambda x, y: scale(canonical((x, y))) * fx(x, y),
             lambda x, y: scale(canonical((x, y))) * fy(x, y))
-
-
-def _same_point(p):
-    """``Domain.canonical`` of a plane rectangle, for the tuples the kernels return."""
-    return p
 
 
 def _exit_theta(domain, point_at, hi):
@@ -879,40 +882,13 @@ def _capture_theta(domain, step, grid_pts, target):
 # --------------------------------------------------------------------------- #
 
 
-def _make_sliding_rhs(sys, curve_id):
-    """(x, y) -> (Z_s, L1, L2): the sliding field and the Lie pair it is made from.
-
-    ``integrate_sliding`` takes an arc's first stage and Lie pair from it, and
-    ``_locate_slide_tangency`` the Lie pair; the loop ``_SLIDING_STEPS`` writes
-    the same arithmetic inline.
-    """
-    curve = sys.curve(curve_id)
-    y1, y2 = sys.side_fields(curve_id)
-    f1x, f1y = y1.raw_pair()
-    f2x, f2y = y2.raw_pair()
-    gxf, gyf = curve.grad[0].raw(), curve.grad[1].raw()
-    scale = sys.velocity_scale
-    canonical = sys.domain.canonical
-
-    def rhs(x, y):
-        v1 = (f1x(x, y), f1y(x, y))
-        v2 = (f2x(x, y), f2y(x, y))
-        l1, l2 = lie_pair((gxf(x, y), gyf(x, y)), v1, v2)
-        zx, zy = filippov_combination(l1, l2, v1, v2, curve_id, (x, y))
-        if scale is not None:
-            g = scale(canonical((x, y)))
-            return (g * zx, g * zy, g * l1, g * l2)
-        return (zx, zy, l1, l2)
-
-    return rhs
-
-
 def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     """Slide along the Filippov field constrained to the curve.
 
-    The steps run in the generated loop ``_SLIDING_STEPS``; the step it hands
-    back at an exit is searched here for the exit point, which ``_EMIT_TO``
-    emits.  Returns (OrbitSegment, exit) with exit one of
+    The steps run in the generated loop ``_SLIDING_STEPS``, the first stage in
+    ``_SLIDING_RHS`` on the same arguments; the step the loop hands back at an
+    exit is searched here for the exit point, which ``_EMIT_TO`` emits.
+    Returns (OrbitSegment, exit) with exit one of
     ('tangency', point, side) | ('pseudo_eq', point) | ('t_max', point) |
     ('left_domain', point).
     """
@@ -934,18 +910,19 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     if cls.point_class is PointClass.ESCAPING and not allow_escaping:
         raise UndefinedSlidingError("escaping point reached integrate_sliding without policy")
 
-    rhs = _make_sliding_rhs(sys, curve_id)
+    torus = domain.kind == "flat_torus"
+    y1, y2 = sys.side_fields(curve_id)
+    args = (*y1.raw_pair(), *y2.raw_pair(), curve.grad[0].raw(), curve.grad[1].raw(),
+            sys.velocity_scale, curve_id, domain)
+    rhs = lambda x, y: _SLIDING_RHS[torus](*args, x, y)
     x, y = p
     zx, zy, l1_0, l2_0 = rhs(x, y)  # the first stage and the Lie pair at p
     s1_0 = 1.0 if l1_0 > 0 else -1.0
     s2_0 = 1.0 if l2_0 > 0 else -1.0
     times = [0.0]
     pts = [p]
-    torus = domain.kind == "flat_torus"
-    y1, y2 = sys.side_fields(curve_id)
     kind, step, flipped = _SLIDING_STEPS[torus](
-        *y1.raw_pair(), *y2.raw_pair(), curve.h.raw(), curve.grad[0].raw(), curve.grad[1].raw(),
-        sys.velocity_scale, curve_id, domain, opts.rtol, opts.atol, max_step, spacing, t_max,
+        *args, curve.h.raw(), opts.rtol, opts.atol, max_step, spacing, t_max,
         x, y, zx, zy, s1_0, s2_0, min(max_step, 1e-3), times, pts,
     )
     emit_to = _EMIT_TO[torus]

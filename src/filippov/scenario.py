@@ -50,7 +50,7 @@ def _require(data, key, path, kind=None):
 def _number(value, path, kind=float):
     """``value`` as a ``kind``, or a ConfigurationError that names the field path.
 
-    A bool, Infinity or NaN is rejected, and an int field takes only integral values.
+    A bool, a string, Infinity or NaN is rejected, and an int field takes only integral values.
     """
     if kind is int and type(value) is int:  # not a bool; exact, however large
         return value
@@ -58,7 +58,7 @@ def _number(value, path, kind=float):
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         number = None
-    if number is None or isinstance(value, bool):
+    if number is None or isinstance(value, (bool, str)):  # float() reads "1_0" and " -1 "
         raise ConfigurationError(f"{path}: expected a number, got {value!r}")
     if not math.isfinite(number):
         raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")

@@ -391,13 +391,8 @@ def _bisect_on_arc(component, fn, s_lo, s_hi):
     return 0.5 * (lo + hi)
 
 
-def find_tangency_points(sys: FilippovSystem, curve_id: int, resolution: int) -> list[TangencyPoint]:
-    """Scan-and-bisect: roots of either Lie derivative along the curve."""
-    components = trace_curve(sys, curve_id, resolution)
-    return _scan_tangencies(sys, curve_id, components, _lie_samples(sys, curve_id, components))
-
-
 def _scan_tangencies(sys, curve_id, components, lies):
+    """Scan-and-bisect: roots of either Lie derivative along the curve."""
     curve = sys.curve(curve_id)
     found = []
     for component, pair in zip(components, lies):
@@ -455,14 +450,8 @@ def _sigma_dot(sys, curve_id, p):
     return zx * tx + zy * ty
 
 
-def find_pseudo_equilibria(sys: FilippovSystem, curve_id: int, resolution: int) -> list[tuple[float, float]]:
-    """Roots of Z_s . tangent on sliding/escaping sub-arcs of the curve."""
-    components = trace_curve(sys, curve_id, resolution)
-    return _scan_pseudo_equilibria(sys, curve_id, components,
-                                   _lie_samples(sys, curve_id, components))
-
-
 def _scan_pseudo_equilibria(sys, curve_id, components, lies):
+    """Roots of Z_s . tangent on sliding/escaping sub-arcs of the curve."""
     curve = sys.curve(curve_id)
     sigma_dot = lambda p: _sigma_dot(sys, curve_id, p)  # noqa: E731
     points = []

@@ -45,8 +45,12 @@ class Domain:
             raise ConfigurationError(f"unknown domain kind {self.kind!r}")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ConfigurationError("domain bounds must have positive extent")
-        object.__setattr__(self, "width", self.x_max - self.x_min)
-        object.__setattr__(self, "height", self.y_max - self.y_min)
+        width, height = self.x_max - self.x_min, self.y_max - self.y_min
+        if not (math.isfinite(width) and math.isfinite(height)):  # finite bounds can be inf apart
+            raise ConfigurationError(
+                f"domain bounds must have finite extent, got width {width!r}, height {height!r}")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
 
     def canonical(self, p):
         """Map a point to canonical coordinates (wrap on the torus)."""

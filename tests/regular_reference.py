@@ -5,12 +5,13 @@ step made one call each to the stepper, the five-point event grid, the h scan,
 the rectangle test, the capture test and the sample emission.
 ``reference_integrate_sliding`` is ``integrate_sliding`` as it was when each
 step was a ``propose`` of the stepper, followed by the projection and a
-``restart_from``.  Both step with ``ReferenceStepper``, whose Runge-Kutta step
-and dense output are the tableau loops ``reference_rk_step`` and
-``reference_at``, which the generated kernels unroll.  The event location they
-share with the program (``sigma.bracket``, ``integrate._exit_theta``,
-``integrate._locate_slide_tangency``) has its own references in
-``tests/test_bracket.py``.
+``restart_from``, with its own sliding field ``reference_sliding_rhs``, which
+the generated ``sliding`` piece must match bit for bit.  Both step with
+``ReferenceStepper``, whose Runge-Kutta step and dense output are the tableau
+loops ``reference_rk_step`` and ``reference_at``, which the generated kernels
+unroll.  The event location they share with the program (``sigma.bracket``,
+``integrate._exit_theta``, ``integrate._locate_slide_tangency``) has its own
+references in ``tests/test_bracket.py``.
 """
 
 import math
@@ -18,9 +19,12 @@ import math
 from filippov.errors import IntegrationError, UndefinedSlidingError
 from filippov.integrate import (
     _A, _E, _P, _THETA_GRID, CAPTURE_RADIUS, ESCAPE_BAND, EVENT_H_TOL,
-    IntegratorOptions, OrbitSegment, _exit_theta, _locate_slide_tangency, _make_sliding_rhs,
+    IntegratorOptions, OrbitSegment, _exit_theta, _locate_slide_tangency,
 )
-from filippov.sigma import PE_NORM_TOL, TAU_CLASS, PointClass, bracket, classify_point, nudge_into_arc
+from filippov.sigma import (
+    PE_NORM_TOL, TAU_CLASS, PointClass, bracket, classify_point, filippov_combination, lie_pair,
+    nudge_into_arc,
+)
 
 POLISH_H_TOL = EVENT_H_TOL * 1e-3  # the Newton polish of an event point onto its curve
 
@@ -251,6 +255,34 @@ def reference_integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve
         return seg, ((kind, point) if kind == "left_domain" else (kind, payload, point))
 
 
+def reference_sliding_rhs(sys, curve_id):
+    """(x, y) -> (Z_s, L1, L2): the sliding field and the Lie pair it is made from.
+
+    ``sigma.lie_pair`` and ``filippov_combination`` on the raw fields, then times
+    the velocity scale, if any: the arithmetic the generated ``sliding`` piece
+    of ``integrate._kernels`` writes inline.
+    """
+    curve = sys.curve(curve_id)
+    y1, y2 = sys.side_fields(curve_id)
+    f1x, f1y = y1.raw_pair()
+    f2x, f2y = y2.raw_pair()
+    gxf, gyf = curve.grad[0].raw(), curve.grad[1].raw()
+    scale = sys.velocity_scale
+    canonical = sys.domain.canonical
+
+    def rhs(x, y):
+        v1 = (f1x(x, y), f1y(x, y))
+        v2 = (f2x(x, y), f2y(x, y))
+        l1, l2 = lie_pair((gxf(x, y), gyf(x, y)), v1, v2)
+        zx, zy = filippov_combination(l1, l2, v1, v2, curve_id, (x, y))
+        if scale is not None:
+            g = scale(canonical((x, y)))
+            return (g * zx, g * zy, g * l1, g * l2)
+        return (zx, zy, l1, l2)
+
+    return rhs
+
+
 def reference_integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     opts = opts or IntegratorOptions()
     max_step, spacing = opts.resolved(sys.domain)
@@ -269,7 +301,7 @@ def reference_integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escapi
     if cls.point_class is PointClass.ESCAPING and not allow_escaping:
         raise UndefinedSlidingError("escaping point reached integrate_sliding without policy")
 
-    stepper = ReferenceStepper(_make_sliding_rhs(sys, curve_id), p, opts, max_step)
+    stepper = ReferenceStepper(reference_sliding_rhs(sys, curve_id), p, opts, max_step)
     l1_0, l2_0 = stepper.k1[2:]
     s1_0 = 1.0 if l1_0 > 0 else -1.0
     s2_0 = 1.0 if l2_0 > 0 else -1.0

@@ -242,14 +242,14 @@ def test_criterion_6_runtime(chaotic_report):
 def test_criterion_7_rescale_tangency_freeze(systems):
     for name in ("fold_demo_plane", "chaotic_torus"):
         s = systems[name]
-        rescaled = rescale_tangency_freeze(s)
+        rescaled = rescale_tangency_freeze(s, decompose(s))
         for tp in rescaled.frozen_tangencies:
             for region in rescaled.regions:
                 v = rescaled.field_value(region.field, tp.position)
                 assert math.hypot(*v) <= 1e-12
     # trace comparison away from tangencies (regular arc of the fold system)
     s = systems["fold_demo_plane"]
-    rescaled = rescale_tangency_freeze(s)
+    rescaled = rescale_tangency_freeze(s, decompose(s))
     a = [p for _, p, _, _ in integrate_filippov(s, (-1.8, 0.8), 1.2).samples()]
     b = [p for _, p, _, _ in integrate_filippov(rescaled, (-1.8, 0.8), 2.0).samples()]
     hd = _hausdorff_clipped(a, b)

@@ -22,7 +22,7 @@ from filippov.diagnostics import (
 )
 from filippov.expr import PlanarField, ScalarField
 from filippov.integrate import BranchPolicy, integrate_filippov
-from filippov.sigma import PointClass, find_tangency_points, sigma_decomposition
+from filippov.sigma import PointClass, sigma_decomposition
 from filippov.system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
 from conftest import build_plane_system, count_trace_calls, decompose
@@ -266,7 +266,7 @@ def test_window_cycles_integrates_each_candidate_once(monkeypatch, budget, graph
 
 
 def test_rescale_freezes_tangencies(fold_system):
-    rescaled = rescale_tangency_freeze(fold_system)
+    rescaled = rescale_tangency_freeze(fold_system, decompose(fold_system))
     tps = rescaled.frozen_tangencies
     assert len(tps) == 1
     t = tps[0]
@@ -277,7 +277,7 @@ def test_rescale_freezes_tangencies(fold_system):
 
 
 def test_rescaled_reversal_is_built_once_and_keeps_frozen_tangencies(fold_system):
-    rescaled = rescale_tangency_freeze(fold_system)
+    rescaled = rescale_tangency_freeze(fold_system, decompose(fold_system))
     rev = rescaled.reversed()
     assert rev is rescaled.reversed()
     assert rev.frozen_tangencies == rescaled.frozen_tangencies and len(rev.frozen_tangencies) == 1
@@ -291,12 +291,12 @@ def test_rescaled_reversal_is_built_once_and_keeps_frozen_tangencies(fold_system
 
 
 def test_rescale_identity_without_tangencies(belt_system):
-    rescaled = rescale_tangency_freeze(belt_system)
+    rescaled = rescale_tangency_freeze(belt_system, decompose(belt_system))
     assert rescaled is belt_system
 
 
 def test_rescale_preserves_direction_field(fold_system):
-    rescaled = rescale_tangency_freeze(fold_system)
+    rescaled = rescale_tangency_freeze(fold_system, decompose(fold_system))
     for p in [(-1.5, 0.5), (1.0, 0.7), (0.5, -0.5), (-0.9, -0.8)]:
         rid = fold_system.region_of(p)
         v = fold_system.field_value(fold_system.region(rid).field, p)
@@ -312,7 +312,7 @@ def test_rescale_traces_match_away_from_tangencies(fold_system):
     start = (-1.8, 0.8)
     horizon = 1.2  # stays in the upper region, away from the fold at the origin
     orig = integrate_filippov(fold_system, start, horizon)
-    resc = integrate_filippov(rescale_tangency_freeze(fold_system), start, 2.0)
+    resc = integrate_filippov(rescale_tangency_freeze(fold_system, decompose(fold_system)), start, 2.0)
     a = [p for _, p, _, _ in orig.samples()]
     b = [p for _, p, _, _ in resc.samples()]
     # compare as point sets: Hausdorff distance against the other polyline

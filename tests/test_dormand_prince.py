@@ -23,12 +23,15 @@ import pytest
 from filippov.diagnostics import rescale_tangency_freeze
 from filippov.errors import IntegrationError, UndefinedSlidingError
 from filippov.integrate import (
-    _REGULAR_STEPS, _THETA_GRID, IntegratorOptions, _DenseStep, _make_sliding_rhs, _regular_pair,
+    _REGULAR_STEPS, _THETA_GRID, IntegratorOptions, _DenseStep, _regular_pair,
 )
 from filippov.scenario import list_shipped, load_shipped
 from filippov.system import Domain
 
-from regular_reference import ReferenceStepper, reference_at, reference_rhs, reference_rk_step
+from conftest import decompose
+from regular_reference import (
+    ReferenceStepper, reference_at, reference_rhs, reference_rk_step, reference_sliding_rhs,
+)
 
 SAMPLES = 500  # random (point, step size) pairs per right-hand side
 
@@ -50,8 +53,9 @@ def _regular_fields():
         sys_ = load_shipped(name).build_system()
         for region in sys_.regions:
             yield f"{name}:region{region.id}", sys_, region
+    fold = load_shipped("fold_demo_plane").build_system()
     for name, sys_ in (
-        ("fold_demo_plane", rescale_tangency_freeze(load_shipped("fold_demo_plane").build_system())),
+        ("fold_demo_plane", rescale_tangency_freeze(fold, decompose(fold))),
         ("chaotic_torus", load_shipped("chaotic_torus").build_system().with_velocity_scale(
             lambda p: 0.75 + 0.5 * math.sin(2.0 * math.pi * p[0]) ** 2)),
     ):
@@ -66,7 +70,7 @@ REGULAR = list(_regular_fields())
 def _sliding_rhs():
     for name in ("sliding_belt_torus", "chaotic_torus"):
         sys_ = load_shipped(name).build_system()
-        yield f"{name}:sliding", sys_, _make_sliding_rhs(sys_, 0)
+        yield f"{name}:sliding", sys_, reference_sliding_rhs(sys_, 0)
 
 
 CASES = [(name, sys_, reference_rhs(sys_, region.field)) for name, sys_, region in REGULAR]

@@ -21,7 +21,7 @@ from filippov.integrate import ESCAPE_BAND, CaptureTarget, IntegratorOptions, in
 from filippov.scenario import list_shipped, load_shipped
 from filippov.system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
-from conftest import build_plane_system, time_limit
+from conftest import build_plane_system, decompose, time_limit
 from regular_reference import reference_integrate_regular
 
 STARTS = 6  # seeded starts per region and option set
@@ -144,7 +144,8 @@ def test_rectangle_exits(calls):
 
 
 def test_velocity_scaled_arcs(calls):
-    plane = rescale_tangency_freeze(load_shipped("fold_demo_plane").build_system())
+    fold = load_shipped("fold_demo_plane").build_system()
+    plane = rescale_tangency_freeze(fold, decompose(fold))
     torus = load_shipped("chaotic_torus").build_system().with_velocity_scale(
         lambda p: 0.75 + 0.5 * math.sin(2.0 * math.pi * p[0]) ** 2)
     for sys_, seed in ((plane, 3), (torus, 4)):

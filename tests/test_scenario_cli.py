@@ -156,6 +156,20 @@ def test_load_reports_field_paths(tmp_path):
           for name in ("a b", "1a", "", "a-b", "a.b")],
         (lambda d: d["regions"][1].update(where=[]),
          r"regions\[1\]\.where: needs at least one membership condition"),
+        # float() reads these strings, but the schema asks for JSON numbers
+        (lambda d: d["domain"].update(bounds=["-1", "1_0", " -1 ", "1"]),
+         r"domain\.bounds\[0\]: expected a number, got '-1'"),
+        (lambda d: d["domain"].update(bounds=[-1, "1_0", -1, 1]),
+         r"domain\.bounds\[1\]: expected a number, got '1_0'"),
+        (lambda d: d["curves"][0].update(id="0"), r"curves\[0\]\.id: expected a number, got '0'"),
+        (lambda d: d.update(integrator={"rtol": "1e-8"}),
+         r"integrator\.rtol: expected a number, got '1e-8'"),
+        (lambda d: d["parameters"].update(a="2"), r"parameters\.a: expected a number, got '2'"),
+        (lambda d: d.update(config={"grid_resolution": "16"}),
+         r"config\.grid_resolution: expected a number, got '16'"),
+        # finite bounds whose difference is not
+        (lambda d: d["domain"].update(bounds=[-1e308, 1e308, -1, 1]),
+         r"domain bounds must have finite extent, got width inf, height 2\.0"),
     ]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario()))
@@ -480,6 +494,9 @@ def test_cli_scenario_with_infinite_bound_exits_2(tmp_path, capsys):
     ("--policy", "dwell:foo", "--policy: expected 'dwell:dwell=T,side=up|down' with a finite T >= 0, "
                               "got 'dwell:foo'"),
     ("--size", "640", "--size: expected two positive integers 'WxH', got '640'"),
+    # the frame is drawn 40 px inside each edge: at 60 it ran backwards, at 80 it was a point
+    ("--size", "60x60", "--size: expected each side above 80 px, the two 40 px margins, got '60x60'"),
+    ("--size", "80x80", "--size: expected each side above 80 px, the two 40 px margins, got '80x80'"),
     ("--resolution", "1", "--resolution: expected an integer >= 2, got 1"),
     ("--horizon", "nan", "--horizon: expected a finite number > 0, got nan"),
     ("--horizon", "-1", "--horizon: expected a finite number > 0, got -1.0"),

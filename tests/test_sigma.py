@@ -5,15 +5,13 @@ import pytest
 from filippov.diagnostics import build_segment_graph, sigma_seed_points
 from filippov.errors import NonIsolatedTangencyError, UndefinedSlidingError
 from filippov.expr import PlanarField, ScalarField
-from filippov.integrate import _make_sliding_rhs
+from filippov.integrate import _SLIDING_RHS
 from filippov.scenario import list_shipped, load_shipped
 from filippov.sigma import (
     PointClass,
     _sigma_dot,
     classify_point,
     convex_weight,
-    find_pseudo_equilibria,
-    find_tangency_points,
     lie_pair_at,
     sigma_decomposition,
     sliding_vector_field,
@@ -85,7 +83,7 @@ def test_sliding_field_undefined_at_crossing():
 
 
 def test_find_tangency_single_fold(fold_system):
-    tps = find_tangency_points(fold_system, 0, 800)
+    tps = sigma_decomposition(fold_system, 0, 800).tangencies
     assert len(tps) == 1
     tp = tps[0]
     assert tp.position == pytest.approx((0.0, 0.0), abs=1e-8)
@@ -95,7 +93,7 @@ def test_find_tangency_single_fold(fold_system):
 
 
 def test_find_tangency_none(flat_system):
-    assert find_tangency_points(flat_system, 0, 400) == []
+    assert sigma_decomposition(flat_system, 0, 400).tangencies == []
 
 
 def test_find_tangency_two_roots():
@@ -105,7 +103,7 @@ def test_find_tangency_two_roots():
     signs = [v for v in scan if v != 0.0]
     brackets = sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
     assert brackets == 2
-    tps = find_tangency_points(s, 0, 800)
+    tps = sigma_decomposition(s, 0, 800).tangencies
     xs = sorted(round(tp.position[0], 6) for tp in tps)
     assert xs == [-0.5, 0.5]
 
@@ -113,11 +111,11 @@ def test_find_tangency_two_roots():
 def test_non_isolated_tangency_is_an_error():
     s = build_plane_system(("1", "0"), ("1", "1"))  # L1 identically zero
     with pytest.raises(NonIsolatedTangencyError):
-        find_tangency_points(s, 0, 400)
+        sigma_decomposition(s, 0, 400)
 
 
 def test_pseudo_equilibria_single_root(pe_system):
-    pes = find_pseudo_equilibria(pe_system, 0, 800)
+    pes = sigma_decomposition(pe_system, 0, 800).pseudo_equilibria
     assert len(pes) == 1
     assert pes[0] == pytest.approx((0.0, 0.0), abs=1e-9)
     zs = sliding_vector_field(pe_system, 0, pes[0])
@@ -184,7 +182,7 @@ def test_lie_pair_at_matches_the_one_field_form():
 
 
 def test_pseudo_equilibria_none(flat_system):
-    assert find_pseudo_equilibria(flat_system, 0, 400) == []
+    assert sigma_decomposition(flat_system, 0, 400).pseudo_equilibria == []
 
 
 def test_pseudo_equilibria_on_torus_both_belts():
@@ -195,7 +193,7 @@ def test_pseudo_equilibria_on_torus_both_belts():
         RegionSpec(2, PlanarField("sin(x)", "1"), [(0, -1)]),
     ]
     s = FilippovSystem(domain, [curve], regions, validate=False)
-    pes = find_pseudo_equilibria(s, 0, 800)
+    pes = sigma_decomposition(s, 0, 800).pseudo_equilibria
     # oracle: dense scan of Z_s . t = sin(x) over each belt finds roots at 0, pi
     expected = {(0.0, 0.0), (math.pi, 0.0), (0.0, math.pi), (math.pi, math.pi)}
     found = {(round(p[0] % (2 * math.pi), 6) % round(2 * math.pi, 6), round(p[1], 6)) for p in pes}
@@ -335,9 +333,11 @@ def test_convex_weight_in_unit_interval_and_forms_agree(sliding_samples):
         quotient = sliding_vector_field(s, 0, p)
         assert abs(combo[0] - quotient[0]) <= 1e-12
         assert abs(combo[1] - quotient[1]) <= 1e-12
-        # the integrator's unchecked form shares the kernel: exactly equal,
-        # and the Lie pair it returns is the classification's
-        kernel = _make_sliding_rhs(s, 0)(*p)
+        # the generated piece every stage of a sliding arc runs gives the same
+        # bits, and the Lie pair it returns is the classification's
+        kernel = _SLIDING_RHS[s.domain.kind == "flat_torus"](
+            *y1.raw_pair(), *y2.raw_pair(), *(g.raw() for g in s.curve(0).grad), s.velocity_scale, 0,
+            s.domain, *p)
         assert kernel[:2] == quotient
         cls = classify_point(s, 0, p)
         assert kernel[2:] == (cls.lie_positive, cls.lie_negative)
@@ -455,11 +455,8 @@ def test_trace_curve_closed_on_torus(belt_system):
 
 def test_sigma_decomposition_traces_the_curve_once(monkeypatch, fold_system):
     calls = count_trace_calls(monkeypatch)
-    dec = sigma_decomposition(fold_system, 0, 256)
+    sigma_decomposition(fold_system, 0, 256)
     assert calls == [0]
-    # the shared samples give what the stand-alone scans find
-    assert dec.tangencies == find_tangency_points(fold_system, 0, 256)
-    assert dec.pseudo_equilibria == find_pseudo_equilibria(fold_system, 0, 256)
 
 
 def _point_at_reference(comp, s):

@@ -5,7 +5,8 @@ builtins fails only when that line runs; this finds such names up front.
 A function parameter that the body never reads is dead code that callers
 still have to pass; this finds those too.  A module that imports another
 module's private name leans on that module's internals; each such import is
-listed with its reason.  The kernels that ``integrate._kernels`` generates run
+listed with its reason.  A name a module imports and never reads is a leftover
+of code that has gone.  The kernels that ``integrate._kernels`` generates run
 in a closed namespace, so a name they read must be bound there; a helper
 missing on a rare error path would otherwise show only as a ``NameError`` there.
 """
@@ -123,6 +124,37 @@ def test_package_parameters_are_read():
     assert unread == set(UNREAD_ALLOWED)
 
 
+def unused_imports(source, filename="<source>"):
+    """Each name an import binds that the module never reads; ``from __future__`` is exempt.
+
+    A read anywhere in the module counts, in any scope.
+    """
+    tree = ast.parse(source, filename)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    return bound - read
+
+
+def test_import_check_finds_unused_names():
+    source = ("from __future__ import annotations\nimport os.path\nimport json as j\nimport math\n"
+              "from .sigma import lie_pair, bracket as br, classify_point\n\n"
+              "def f(x: classify_point) -> None:\n    import re\n    return math.pi, br\n")
+    assert unused_imports(source) == {"os", "j", "lie_pair", "re"}
+
+
+def test_package_modules_read_every_import():
+    unused = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":  # the package's re-exports
+            unused |= {(path.stem, name) for name in unused_imports(path.read_text(), str(path))}
+    assert unused == set()
+
+
 # ("module._name" imported, importing module) -> why the private import stays
 PRIVATE_IMPORTS_ALLOWED = {}
 
@@ -179,7 +211,8 @@ def test_kernel_check_finds_an_unbound_name():
 
 GENERATED = {"_DenseStep.at": integrate._DenseStep.at, **{
     f"{name}[{torus}]": getattr(integrate, name)[torus]
-    for name in ("_REGULAR_STEPS", "_EMIT", "_SLIDING_STEPS", "_EMIT_TO") for torus in (False, True)
+    for name in ("_REGULAR_STEPS", "_EMIT", "_SLIDING_STEPS", "_SLIDING_RHS", "_EMIT_TO")
+    for torus in (False, True)
 }}
 
 

@@ -128,6 +128,17 @@ def test_region_needs_a_membership_condition():
         RegionSpec(1, PlanarField("1", "0"), [])
 
 
+@pytest.mark.parametrize("kind", ["plane_rect", "flat_torus"])
+def test_domain_extent_must_be_finite(kind):
+    # each bound is finite, but x_max - x_min overflows to inf
+    with pytest.raises(ConfigurationError,
+                       match=r"^domain bounds must have finite extent, got width inf, height 2\.0$"):
+        Domain(kind, -1e308, 1e308, -1.0, 1.0)
+    with pytest.raises(ConfigurationError, match=r"height inf$"):
+        Domain(kind, -1, 1, -1.5e308, 1.5e308)
+    assert Domain(kind, -1e307, 1e307, -1, 1).width == 2e307
+
+
 def test_validation_rejects_nonperiodic_torus_fields():
     dom = Domain("flat_torus", 0, 1, 0, 1)
     c0 = SwitchingCurve(0, ScalarField("y - 0.5"), 1, 2)
