@@ -368,19 +368,6 @@ class SegmentGraph:
     def nodes_of_kind(self, *kinds):
         return [n for n in self.nodes if n.kind in kinds]
 
-    def validate_edges(self, domain):
-        """Every edge starts near its source and first meets its target."""
-        for e in self.edges:
-            src = self.node(e.source)
-            dst = self.node(e.target)
-            start = e.orbit.initial_point
-            if domain.distance(start, src.point) > max(src.radius, NODE_VICINITY) + 1e-9:
-                return False
-            hit = e.orbit.position_at(e.flight_time, domain)
-            if domain.distance(hit, dst.point) > dst.radius + 1e-6:
-                return False
-        return True
-
     def to_dot(self):
         lines = ["digraph segment_graph {"]
         for n in self.nodes:
@@ -431,10 +418,10 @@ def build_segment_graph(sys, decompositions, windows=None, horizon=60.0, budget=
     ``decompositions`` are the caller's ``sigma_decomposition`` results, one
     per curve of ``sys``; anchors sit on their sliding and escaping arcs and
     every tangency becomes a node.  The escape-entry tangencies among them are
-    the graph's ``ride_targets``.  Edges are discovered by branch-enumerated
-    integration (with graze capture of the ride targets) from every node;
-    each edge stores its orbit, its first-passage flight time and the windows
-    its orbit entered by then.
+    the graph's ``ride_targets``.  Edges leave the sliding anchors, the bases
+    of closed orbits, by branch-enumerated integration (with graze capture of
+    the ride targets); each edge stores its orbit, its first-passage flight
+    time and the windows its orbit entered by then.
     """
     domain = sys.domain
     decs = decompositions
@@ -479,7 +466,7 @@ def build_segment_graph(sys, decompositions, windows=None, horizon=60.0, budget=
 
     edges = []
     spent = 0
-    for src in nodes:
+    for src in nodes[:len(slide_arcs)]:  # the sliding anchors come first
         if spent >= budget:
             break
         per_node = max(2, budget // max(1, len(nodes)))

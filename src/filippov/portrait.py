@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import ConfigurationError
 from .sigma import PointClass
 
 ARC_STYLE = {
@@ -25,6 +26,11 @@ class PortraitSpec:
     width: int = 640
     height: int = 640
     title: str | None = None
+
+    def __post_init__(self):
+        if not min(self.width, self.height) > 2 * MARGIN:  # the frame would be mirrored or a point
+            raise ConfigurationError(f"portrait: expected each side above {2 * MARGIN} px, the two "
+                                     f"{MARGIN} px margins, got {self.width}x{self.height}")
 
 
 @dataclass

@@ -16,7 +16,7 @@ from .diagnostics import DiagnosticsConfig
 from .errors import ConfigurationError, EvaluationError, ExpressionError
 from .expr import RESERVED_NAMES, Binary, Const, PlanarField, Power, ScalarField, Unary, Var, fold, is_name
 from .integrate import IntegratorOptions
-from .system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
+from .system import Domain, FilippovSystem, RegionSpec, SwitchingCurve, check_extent
 
 SCHEMA = "filippov.scenario/1"
 
@@ -180,7 +180,9 @@ def scenario_from_dict(data) -> Scenario:
     _known(dom, "domain", ("kind", "bounds"))
     if len(bounds) != 4:
         raise ConfigurationError("domain.bounds: expected [x_min, x_max, y_min, y_max]")
-    domain = Domain(kind, *[_number(b, f"domain.bounds[{i}]") for i, b in enumerate(bounds)])
+    bounds = [_number(b, f"domain.bounds[{i}]") for i, b in enumerate(bounds)]
+    check_extent(*bounds, name="domain.bounds:")  # as Domain does, with the field path
+    domain = Domain(kind, *bounds)
     parameters = {
         str(k): _number(v, f"parameters.{k}") for k, v in _optional(data, "parameters", {}).items()
     }

@@ -28,6 +28,15 @@ class OnSigma:
     curve_id: int
 
 
+def check_extent(x_min, x_max, y_min, y_max, name="domain bounds"):
+    """Raise a ConfigurationError led by ``name`` unless the bounds have positive, finite extent."""
+    if not (x_max > x_min and y_max > y_min):
+        raise ConfigurationError(f"{name} must have positive extent")
+    width, height = x_max - x_min, y_max - y_min
+    if not (math.isfinite(width) and math.isfinite(height)):  # finite bounds can be inf apart
+        raise ConfigurationError(f"{name} must have finite extent, got width {width!r}, height {height!r}")
+
+
 @dataclass(frozen=True)
 class Domain:
     """Rectangle in the plane or a flat torus with the quotient metric."""
@@ -43,14 +52,9 @@ class Domain:
     def __post_init__(self):
         if self.kind not in ("plane_rect", "flat_torus"):
             raise ConfigurationError(f"unknown domain kind {self.kind!r}")
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise ConfigurationError("domain bounds must have positive extent")
-        width, height = self.x_max - self.x_min, self.y_max - self.y_min
-        if not (math.isfinite(width) and math.isfinite(height)):  # finite bounds can be inf apart
-            raise ConfigurationError(
-                f"domain bounds must have finite extent, got width {width!r}, height {height!r}")
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
+        check_extent(self.x_min, self.x_max, self.y_min, self.y_max)
+        object.__setattr__(self, "width", self.x_max - self.x_min)
+        object.__setattr__(self, "height", self.y_max - self.y_min)
 
     def canonical(self, p):
         """Map a point to canonical coordinates (wrap on the torus)."""

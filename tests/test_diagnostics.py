@@ -188,18 +188,31 @@ def test_segment_graph_empty_when_no_sliding():
     assert graph.nodes == [] and graph.edges == []
 
 
-def test_segment_graph_belt_windows_reach_anchor(belt_system):
+@pytest.mark.parametrize("name", ["belt", "escaping_only"])
+def test_segment_graph_enumerates_only_from_sliding_anchors(belt_system, monkeypatch, name):
+    # closed orbits are assembled from the sliding anchors' out-edges only
+    system = belt_system if name == "belt" else build_plane_system(("1", "1"), ("1", "-1"))
+    starts = []
+    original = diagnostics.enumerate_branches
+
+    def recording(sys_, p0, *args, **kwargs):
+        starts.append(p0)
+        return original(sys_, p0, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "enumerate_branches", recording)
     windows = [Disk((0.3, 0.2), 0.05), Disk((0.7, 0.8), 0.05)]
-    graph = build_segment_graph(belt_system, decompose(belt_system), windows=windows,
+    graph = build_segment_graph(system, decompose(system), windows=windows,
                                 horizon=15.0, budget=60, dwell_grid=(0.0, 0.1))
     assert not graph.hypothesis_failed
-    anchors = graph.nodes_of_kind("sliding_anchor")
-    assert anchors
-    q0 = anchors[0].node_id
-    assert graph.validate_edges(belt_system.domain)
-    # every window node has an edge into the sliding anchor
-    for node in graph.nodes_of_kind("window_v"):
-        assert any(e.source == node.node_id and e.target == q0 for e in graph.edges)
+    anchors = {n.node_id: n.point for n in graph.nodes_of_kind("sliding_anchor")}
+    assert starts == list(anchors.values())
+    for e in graph.edges:
+        assert e.source in anchors and e.orbit.initial_point == anchors[e.source]
+    if name == "belt":
+        assert anchors and graph.edges
+    else:  # an escape anchor and windows, but no sliding anchor to leave
+        assert not anchors and graph.nodes_of_kind("escape_anchor")
+        assert graph.edges == []
 
 
 def test_belt_cycle_has_unit_period(belt_system):

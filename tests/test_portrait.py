@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from filippov.errors import ConfigurationError
 from filippov.integrate import integrate_filippov
 from filippov.portrait import PortraitData, PortraitSpec, render_portrait
 from filippov.sigma import sigma_decomposition
@@ -96,3 +97,17 @@ def test_render_is_deterministic(fold_system):
     dec = sigma_decomposition(fold_system, 0, 300)
     data = PortraitData(fold_system.domain, [dec])
     assert render_portrait(PortraitSpec(), data) == render_portrait(PortraitSpec(), data)
+
+
+@pytest.mark.parametrize("width, height", [(60, 60), (80, 80), (640, 80), (80, 640)])
+def test_spec_rejects_a_side_within_the_margins(width, height):
+    # a 60 px side drew the frame mirrored (x from 40 back to 20), an 80 px side a point
+    with pytest.raises(ConfigurationError, match=rf"^portrait: expected each side above 80 px, "
+                       rf"the two 40 px margins, got {width}x{height}$"):
+        PortraitSpec(width=width, height=height)
+
+
+def test_spec_takes_a_side_just_above_the_margins(fold_system):
+    root = _parse(render_portrait(PortraitSpec(width=81, height=81), PortraitData(fold_system.domain)))
+    frame = root.findall(f"{NS}polyline")[0].attrib["points"]
+    assert frame == "40,41 41,41 41,40 40,40 40,41"  # x runs left to right, y upwards

@@ -167,9 +167,10 @@ def test_load_reports_field_paths(tmp_path):
         (lambda d: d["parameters"].update(a="2"), r"parameters\.a: expected a number, got '2'"),
         (lambda d: d.update(config={"grid_resolution": "16"}),
          r"config\.grid_resolution: expected a number, got '16'"),
-        # finite bounds whose difference is not
+        # finite bounds whose difference is not, and bounds in the wrong order
         (lambda d: d["domain"].update(bounds=[-1e308, 1e308, -1, 1]),
-         r"domain bounds must have finite extent, got width inf, height 2\.0"),
+         r"domain\.bounds: must have finite extent, got width inf, height 2\.0"),
+        (lambda d: d["domain"].update(bounds=[1, 0, 0, 1]), r"domain\.bounds: must have positive extent"),
     ]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario()))
