@@ -634,10 +634,9 @@ def rescale_tangency_freeze(sys, decompositions):
     The rescaled system's tangency points are equilibria; orbit traces away
     from them coincide with the originals as point sets.
     """
-    tangencies = [tp for dec in decompositions for tp in dec.tangencies]
-    if not tangencies:
+    positions = [tp.position for dec in decompositions for tp in dec.tangencies]
+    if not positions:
         return sys
-    positions = [t.position for t in tangencies]
     domain = sys.domain
 
     def g(p):
@@ -647,9 +646,7 @@ def rescale_tangency_freeze(sys, decompositions):
             out *= min(1.0, d * d)
         return out
 
-    rescaled = sys.with_velocity_scale(g)
-    rescaled.frozen_tangencies = rescaled.frozen_tangencies + tuple(tangencies)
-    return rescaled
+    return sys.with_velocity_scale(g)
 
 
 # --------------------------------------------------------------------------- #
@@ -731,7 +728,8 @@ class DiagnosticsConfig:
                     f"config.dwell_grid[{i}]: expected a finite number >= 0, got {dwell!r}")
         choices = ["sliding_and_escaping", "sliding_only"]
         if self.ms_interpretation not in choices:
-            raise ConfigurationError(f"config.ms_interpretation: expected one of {choices}")
+            raise ConfigurationError(
+                f"config.ms_interpretation: expected one of {choices}, got {self.ms_interpretation!r}")
 
 
 def _saturate_policies(dwell_grid):

@@ -5,33 +5,34 @@ with the classical quartic dense output.  Its step control, dense output and
 the regular-arc and sliding-arc loops are straight-line code that
 ``_kernels`` generates at import from the tableau ``_A``, ``_E``, ``_P``; they
 return the bits of the tableau loops, which ``tests/test_dormand_prince.py``
-keeps as the reference.  The regular-arc loop
-runs whole accepted steps with its state in locals: the seven stages, which
-call the region's raw ``fx`` and ``fy``, error control, the five-point event
-grid with every curve's h on it, and the samples.  A velocity scale g is
-applied outside the loop: ``_regular_pair`` multiplies each field component by
-g where it is evaluated.  The loop hands a step back to
-``integrate_regular`` only when its grid may hold an event: a sign change of an
-armed curve, an unarmed curve leaving ``ESCAPE_BAND``, a grid point outside the
-rectangle or a capture target inside the coarse gate.  It may hand back more
-steps than have events, never fewer; ``tests/test_regular_loop.py`` checks it
-bit for bit against the step loop it replaced.  Events (sign changes of any
-h_i, domain exit, graze captures) are located on the dense output and polished
-onto the curve with Newton steps.
+keeps as the reference.  The regular-arc loop runs whole accepted steps with
+its state in locals: the seven stages, which call the region's ``fx`` and
+``fy``, error control, the five-point event grid with every curve's h on it,
+and the samples.  The loop hands a step back to ``integrate_regular`` only
+when its grid may hold an event: a sign change of an armed curve, an unarmed
+curve leaving ``ESCAPE_BAND``, a grid point outside the rectangle or a
+capture target inside the coarse gate.  It may hand back more steps than have
+events, never fewer; ``tests/test_regular_loop.py`` checks it bit for bit
+against the step loop it replaced.  Events (sign changes of any h_i, domain
+exit, graze captures) are located on the dense output and polished onto the
+curve with Newton steps.
 
 Sliding arcs integrate the Filippov convex combination Z_s = (L2 Y1 - L1 Y2) /
 (L2 - L1), constrained to the curve, in the generated sliding-arc loop.  Its
-state is in locals too: each stage calls the side fields' raw components and
-the curve's raw grad h and forms the Lie pair and Z_s inline (times the
-velocity scale, if any); each accepted step is projected onto the curve by
-two Newton steps on the raw h, and the next step restarts there.  The loop
-runs the exit tests at each restart (the rectangle, a Lie derivative that
-flips sign or enters the ``TAU_CLASS`` band, a pseudo-equilibrium) and emits
-every other step; it returns only at ``t_max`` or with the step that ends at
-an exit, which ``integrate_sliding`` locates.  ``sliding_rhs``, compiled from
-the same piece, gives an arc's first stage and its tangency search's Lie pairs.
-``tests/test_sliding_loop.py`` checks the arcs bit for bit, errors included,
-against the stepper loop they replaced.
+state is in locals too: each stage calls the side fields' components and the
+curve's raw grad h and forms the Lie pair and Z_s inline; each accepted step
+is projected onto the curve by two Newton steps on the raw h, and the next
+step restarts there.  The loop runs the exit tests at each restart (the
+rectangle, a Lie derivative that flips sign or enters the ``TAU_CLASS`` band,
+a pseudo-equilibrium) and emits every other step; it returns only at
+``t_max`` or with the step that ends at an exit, which ``integrate_sliding``
+locates.  ``sliding_rhs``, compiled from the same piece, gives an arc's first
+stage and its tangency search's Lie pairs.  ``tests/test_sliding_loop.py``
+checks the arcs bit for bit, errors included, against the stepper loop they
+replaced.
+
+Every field component comes from ``FilippovSystem.raw_pair``, which applies
+the system's velocity scale, if it has one; nothing here knows of the scale.
 Every generated loop and emitter wraps torus points with the arithmetic of
 ``Domain.canonical``, inline.  Curve crossings (a guarded bisection/secant
 hybrid), domain exits and the tangencies and domain exits of sliding arcs are
@@ -142,11 +143,11 @@ def _kernels():
     control is one piece, ``accepted_step``, that both loops inline, and the
     torus wrap is one piece, ``canonical``, that does ``Domain.canonical``'s
     arithmetic wherever a loop or emitter wraps a point.  The regular-arc loop
-    calls the region's two raw components, which ``_regular_pair`` has already
-    multiplied by the velocity scale, if any; the sliding-arc loop calls the
-    side fields' raw components and the curve's raw h and grad h in one piece,
+    calls the region's two components; the sliding-arc loop calls the side
+    fields' components and the curve's raw h and grad h in one piece,
     ``sliding``, that ``sliding_rhs`` wraps as ``emit_to`` wraps ``chord``.
-    Every function comes in a plane and a torus form; all are compiled here, once.
+    Every function but ``at`` and ``sliding_rhs``, which know no domain, comes
+    in a plane and a torus form; all are compiled here, once.
     """
     ks = ", ".join(f"k{j}" for j in range(1, 8))
     kx = [f"k{j}x" for j in range(1, 8)]
@@ -378,10 +379,9 @@ def _kernels():
             "    k1y = k7y",
         ])
 
-    def sliding(px, py, zx, zy, torus, lie=False):
-        """The sliding field (zx, zy) at (px, py), with the arithmetic of ``sigma.lie_pair`` and
-        ``filippov_combination`` on the raw fields, then times the velocity scale g, if any; with
-        ``lie`` also its Lie pair (l1, l2), which g multiplies too."""
+    def sliding(px, py, zx, zy):
+        """The sliding field (zx, zy) at (px, py) and its Lie pair (l1, l2), with the arithmetic of
+        ``sigma.lie_pair`` and ``filippov_combination``."""
         return [
             f"v1x = f1x({px}, {py})",
             f"v1y = f1y({px}, {py})",
@@ -396,14 +396,6 @@ def _kernels():
             f"    raise sliding_undefined(curve_id, ({px}, {py}))",
             f"{zx} = (l2 * v1x - l1 * v2x) / den",
             f"{zy} = (l2 * v1y - l1 * v2y) / den",
-            "if scale is not None:",
-            f"    cx = {px}",
-            f"    cy = {py}",
-            *indent(canonical("cx", "cy", torus)),
-            "    g = scale((cx, cy))",
-            f"    {zx} = g * {zx}",
-            f"    {zy} = g * {zy}",
-            *(["    l1 = g * l1", "    l2 = g * l2"] if lie else []),
         ]
 
     def chord(qx, qy, t_q, torus):
@@ -434,11 +426,9 @@ def _kernels():
         return ["def emit_to(x, y, t_q, times, pts, spacing, domain):"] + indent(
             (torus_geometry if torus else []) + chord("x", "y", "t_q", torus))
 
-    def sliding_rhs_source(torus):
-        """``sliding_rhs``: (Z_s, L1, L2) at (x, y), the piece each restart of ``sliding_steps`` inlines."""
-        return ["def sliding_rhs(f1x, f1y, f2x, f2y, gxf, gyf, scale, curve_id, domain, x, y):"] + indent(
-            (torus_geometry if torus else []) + sliding("x", "y", "zx", "zy", torus, lie=True)
-            + ["return zx, zy, l1, l2"])
+    # ``sliding_rhs``: (Z_s, L1, L2) at (x, y), the piece each restart of ``sliding_steps`` inlines
+    sliding_rhs = ["def sliding_rhs(f1x, f1y, f2x, f2y, gxf, gyf, curve_id, x, y):"] + indent(
+        sliding("x", "y", "zx", "zy") + ["return zx, zy, l1, l2"])
 
     def sliding_source(torus):
         """``sliding_steps``: the accepted steps of one sliding arc, each projected onto the curve.
@@ -470,7 +460,7 @@ def _kernels():
             ]
         flipped = f"l1 * s1_0 < 0 or abs(l1) <= {TAU_CLASS!r}"
         return [
-            "def sliding_steps(f1x, f1y, f2x, f2y, gxf, gyf, scale, curve_id, domain, h, rtol, atol,",
+            "def sliding_steps(f1x, f1y, f2x, f2y, gxf, gyf, curve_id, domain, h, rtol, atol,",
             "                  max_step, spacing, t_max, x, y, k1x, k1y, s1_0, s2_0, dt_next, times, pts):",
         ] + indent((torus_geometry if torus else bounds) + [
             "t = 0.0",
@@ -483,10 +473,10 @@ def _kernels():
             "    if steps >= limit:",
             "        raise creeping(steps, t, t_max)",
             "    steps += 1",
-            *indent(accepted_step(lambda j: sliding("ax", "ay", f"k{j}x", f"k{j}y", torus))),
+            *indent(accepted_step(lambda j: sliding("ax", "ay", f"k{j}x", f"k{j}y"))),
             *indent(project),
             # the restart stage goes to (zx, zy): (k1x, k1y) is the step's first stage until it is packed
-            *indent(sliding("x", "y", "zx", "zy", torus, lie=True)),
+            *indent(sliding("x", "y", "zx", "zy")),
             *(["    if not (x_min <= x <= x_max and y_min <= y <= y_max):",
                f"        return 'left_domain', {dense_step}, None"] if not torus else []),
             f"    if {flipped} or l2 * s2_0 < 0 or abs(l2) <= {TAU_CLASS!r}:",
@@ -515,9 +505,8 @@ def _kernels():
     regular = {torus: compiled(regular_source(torus), "regular_steps") for torus in (False, True)}
     emits = {torus: compiled(emit_source(torus), "emit") for torus in (False, True)}
     slides = {torus: compiled(sliding_source(torus), "sliding_steps") for torus in (False, True)}
-    rhs = {torus: compiled(sliding_rhs_source(torus), "sliding_rhs") for torus in (False, True)}
     chords = {torus: compiled(chord_source(torus), "emit_to") for torus in (False, True)}
-    return compiled(at, "at"), regular, emits, slides, rhs, chords
+    return compiled(at, "at"), regular, emits, slides, compiled(sliding_rhs, "sliding_rhs"), chords
 
 
 class _DenseStep:
@@ -534,7 +523,7 @@ class _DenseStep:
 
 
 # ``_REGULAR_STEPS[torus]``, ``_EMIT[torus]``: see ``integrate_regular``; ``_SLIDING_STEPS[torus]``,
-# ``_SLIDING_RHS[torus]``, ``_EMIT_TO[torus]``: see ``integrate_sliding``
+# ``_SLIDING_RHS``, ``_EMIT_TO[torus]``: see ``integrate_sliding``
 _DenseStep.at, _REGULAR_STEPS, _EMIT, _SLIDING_STEPS, _SLIDING_RHS, _EMIT_TO = _kernels()
 
 
@@ -768,7 +757,7 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
     p = domain.canonical(p)
     x, y = p
     torus = domain.kind == "flat_torus"
-    fx, fy = _regular_pair(sys, region_id)
+    fx, fy = sys.raw_pair(region_id)
     k1x, k1y = fx(x, y), fy(x, y)
     h_fns = [(c.id, c.h.raw()) for c in sys.curves]
     signs = []  # per curve: the sign of h where the curve armed, 0.0 while it is unarmed
@@ -836,17 +825,6 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
     return OrbitSegment("regular_arc", times, pts, region_id=region_id), ("t_max", pts[-1])
 
 
-def _regular_pair(sys, region_id):
-    """The region's two raw field components, each times the velocity scale g at (x, y) if there is one."""
-    fx, fy = sys.region(region_id).field.raw_pair()
-    scale = sys.velocity_scale
-    if scale is None:
-        return fx, fy
-    canonical = sys.domain.canonical
-    return (lambda x, y: scale(canonical((x, y))) * fx(x, y),
-            lambda x, y: scale(canonical((x, y))) * fy(x, y))
-
-
 def _exit_theta(domain, point_at, hi):
     """The last theta in [0, hi] that bisection finds with point_at(theta) in the rectangle."""
     inside = lambda th: 1.0 if domain.contains(point_at(th)) else -1.0
@@ -911,10 +889,9 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
         raise UndefinedSlidingError("escaping point reached integrate_sliding without policy")
 
     torus = domain.kind == "flat_torus"
-    y1, y2 = sys.side_fields(curve_id)
-    args = (*y1.raw_pair(), *y2.raw_pair(), curve.grad[0].raw(), curve.grad[1].raw(),
-            sys.velocity_scale, curve_id, domain)
-    rhs = lambda x, y: _SLIDING_RHS[torus](*args, x, y)
+    args = (*sys.raw_pair(curve.positive_region), *sys.raw_pair(curve.negative_region),
+            curve.grad[0].raw(), curve.grad[1].raw(), curve_id)
+    rhs = lambda x, y: _SLIDING_RHS(*args, x, y)
     x, y = p
     zx, zy, l1_0, l2_0 = rhs(x, y)  # the first stage and the Lie pair at p
     s1_0 = 1.0 if l1_0 > 0 else -1.0
@@ -922,7 +899,7 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     times = [0.0]
     pts = [p]
     kind, step, flipped = _SLIDING_STEPS[torus](
-        *args, curve.h.raw(), opts.rtol, opts.atol, max_step, spacing, t_max,
+        *args, domain, curve.h.raw(), opts.rtol, opts.atol, max_step, spacing, t_max,
         x, y, zx, zy, s1_0, s2_0, min(max_step, 1e-3), times, pts,
     )
     emit_to = _EMIT_TO[torus]

@@ -16,7 +16,7 @@ from .diagnostics import DiagnosticsConfig
 from .errors import ConfigurationError, EvaluationError, ExpressionError
 from .expr import RESERVED_NAMES, Binary, Const, PlanarField, Power, ScalarField, Unary, Var, fold, is_name
 from .integrate import IntegratorOptions
-from .system import Domain, FilippovSystem, RegionSpec, SwitchingCurve, check_extent
+from .system import DOMAIN_KINDS, Domain, FilippovSystem, RegionSpec, SwitchingCurve, check_extent
 
 SCHEMA = "filippov.scenario/1"
 
@@ -182,6 +182,8 @@ def scenario_from_dict(data) -> Scenario:
         raise ConfigurationError("domain.bounds: expected [x_min, x_max, y_min, y_max]")
     bounds = [_number(b, f"domain.bounds[{i}]") for i, b in enumerate(bounds)]
     check_extent(*bounds, name="domain.bounds:")  # as Domain does, with the field path
+    if kind not in DOMAIN_KINDS:
+        raise ConfigurationError(f"domain.kind: expected one of {list(DOMAIN_KINDS)}, got {kind!r}")
     domain = Domain(kind, *bounds)
     parameters = {
         str(k): _number(v, f"parameters.{k}") for k, v in _optional(data, "parameters", {}).items()

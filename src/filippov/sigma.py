@@ -166,8 +166,9 @@ def lie_scalar_field(h: ScalarField, planar) -> ScalarField:
 def second_lie_value(sys: FilippovSystem, curve_id: int, side: str, p) -> float:
     """Y(Yh) at p for the side's field, compiled once per system and side.
 
-    For a velocity-scaled system g Z the value picks up a g^2 factor away
-    from the scale's zero set, which leaves the fold sign unchanged.
+    Y(Yh) is formed from the symbolic, unscaled field, so for a
+    velocity-scaled system g Z the value picks up here the g^2 factor that
+    (gY)((gY)h) has at a tangency, which leaves the fold sign unchanged.
     """
     key = (curve_id, side)
     fn = sys.second_lie_fields.get(key)

@@ -37,6 +37,9 @@ def check_extent(x_min, x_max, y_min, y_max, name="domain bounds"):
         raise ConfigurationError(f"{name} must have finite extent, got width {width!r}, height {height!r}")
 
 
+DOMAIN_KINDS = ("plane_rect", "flat_torus")
+
+
 @dataclass(frozen=True)
 class Domain:
     """Rectangle in the plane or a flat torus with the quotient metric."""
@@ -50,7 +53,7 @@ class Domain:
     height: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("plane_rect", "flat_torus"):
+        if self.kind not in DOMAIN_KINDS:
             raise ConfigurationError(f"unknown domain kind {self.kind!r}")
         check_extent(self.x_min, self.x_max, self.y_min, self.y_max)
         object.__setattr__(self, "width", self.x_max - self.x_min)
@@ -160,10 +163,12 @@ class RegionSpec:
 class FilippovSystem:
     """Domain + switching curves + per-region fields: the object Z.
 
-    ``velocity_scale`` is an optional positive scalar multiplier g(p) applied
-    to every evaluated field vector (used by the tangency-freezing rescale);
-    ``frozen_tangencies`` lists the tangency points that scale turns into
-    equilibria.  ``second_lie_fields`` caches the compiled Y(Yh) per
+    ``velocity_scale`` is an optional positive scalar multiplier g(p) (used by
+    the tangency-freezing rescale).  The system applies it where it hands out
+    fields, to every component before anything is formed from them:
+    ``field_value`` evaluates a field times g, and ``raw_pair`` gives a
+    region's raw components times g, so that no caller of either knows a
+    system can be scaled.  ``second_lie_fields`` caches the compiled Y(Yh) per
     (curve id, side) for ``sigma.second_lie_value``.
     """
 
@@ -172,7 +177,6 @@ class FilippovSystem:
         self.curves = list(curves)
         self.regions = list(regions)
         self.velocity_scale = velocity_scale
-        self.frozen_tangencies = ()
         self.second_lie_fields = {}
         self._reversed = None
         self._regions_by_id = {r.id: r for r in self.regions}
@@ -241,6 +245,16 @@ class FilippovSystem:
             vy *= g
         return (vx, vy)
 
+    def raw_pair(self, region_id):
+        """The region's two raw field components, each times the velocity scale g at (x, y) if there is one."""
+        fx, fy = self.region(region_id).field.raw_pair()
+        scale = self.velocity_scale
+        if scale is None:
+            return fx, fy
+        canonical = self.domain.canonical
+        return (lambda x, y: scale(canonical((x, y))) * fx(x, y),
+                lambda x, y: scale(canonical((x, y))) * fy(x, y))
+
     def field_at(self, p):
         """Z(p) off the manifold; OnSigma marker on it (caller must classify)."""
         where = self.region_of(p)
@@ -254,31 +268,26 @@ class FilippovSystem:
         """Time-reversed system: all fields negated (sliding <-> escaping).
 
         Built on the first call and returned by later ones: a system does not
-        change once built, and ``rescale_tangency_freeze`` sets
-        ``frozen_tangencies`` before any reversal.
+        change once built.
         """
         if self._reversed is None:
             regions = [RegionSpec(r.id, r.field.negated(), r.conditions) for r in self.regions]
-            rev = FilippovSystem(
+            self._reversed = FilippovSystem(
                 self.domain, self.curves, regions,
                 velocity_scale=self.velocity_scale, validate=False,
             )
-            rev.frozen_tangencies = self.frozen_tangencies
-            self._reversed = rev
         return self._reversed
 
     def with_velocity_scale(self, g) -> "FilippovSystem":
-        """The system with every field multiplied by g(p); frozen tangencies carry over."""
+        """The system with every field multiplied by g(p)."""
         scale = g
         if self.velocity_scale is not None:
             old = self.velocity_scale
             scale = lambda p, _old=old, _g=g: _old(p) * _g(p)  # noqa: E731
-        scaled = FilippovSystem(
+        return FilippovSystem(
             self.domain, self.curves, self.regions,
             velocity_scale=scale, validate=False,
         )
-        scaled.frozen_tangencies = self.frozen_tangencies
-        return scaled
 
     # -- load-time validation --------------------------------------------------
 

@@ -6,7 +6,10 @@ the rectangle test, the capture test and the sample emission.
 ``reference_integrate_sliding`` is ``integrate_sliding`` as it was when each
 step was a ``propose`` of the stepper, followed by the projection and a
 ``restart_from``, with its own sliding field ``reference_sliding_rhs``, which
-the generated ``sliding`` piece must match bit for bit.  Both step with
+the generated ``sliding`` piece must match bit for bit.  Its side fields come
+from ``FilippovSystem.raw_pair``, which scales each component by the velocity
+scale, if any, before the Lie pair is formed; the regular-arc reference
+``reference_rhs`` applies the scale with its own arithmetic.  Both step with
 ``ReferenceStepper``, whose Runge-Kutta step and dense output are the tableau
 loops ``reference_rk_step`` and ``reference_at``, which the generated kernels
 unroll.  The event location they share with the program (``sigma.bracket``,
@@ -258,26 +261,20 @@ def reference_integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve
 def reference_sliding_rhs(sys, curve_id):
     """(x, y) -> (Z_s, L1, L2): the sliding field and the Lie pair it is made from.
 
-    ``sigma.lie_pair`` and ``filippov_combination`` on the raw fields, then times
-    the velocity scale, if any: the arithmetic the generated ``sliding`` piece
-    of ``integrate._kernels`` writes inline.
+    ``sigma.lie_pair`` and ``filippov_combination`` on the side fields that
+    ``FilippovSystem.raw_pair`` hands out: the arithmetic the generated
+    ``sliding`` piece of ``integrate._kernels`` writes inline.
     """
     curve = sys.curve(curve_id)
-    y1, y2 = sys.side_fields(curve_id)
-    f1x, f1y = y1.raw_pair()
-    f2x, f2y = y2.raw_pair()
+    f1x, f1y = sys.raw_pair(curve.positive_region)
+    f2x, f2y = sys.raw_pair(curve.negative_region)
     gxf, gyf = curve.grad[0].raw(), curve.grad[1].raw()
-    scale = sys.velocity_scale
-    canonical = sys.domain.canonical
 
     def rhs(x, y):
         v1 = (f1x(x, y), f1y(x, y))
         v2 = (f2x(x, y), f2y(x, y))
         l1, l2 = lie_pair((gxf(x, y), gyf(x, y)), v1, v2)
         zx, zy = filippov_combination(l1, l2, v1, v2, curve_id, (x, y))
-        if scale is not None:
-            g = scale(canonical((x, y)))
-            return (g * zx, g * zy, g * l1, g * l2)
         return (zx, zy, l1, l2)
 
     return rhs

@@ -242,8 +242,11 @@ def test_criterion_6_runtime(chaotic_report):
 def test_criterion_7_rescale_tangency_freeze(systems):
     for name in ("fold_demo_plane", "chaotic_torus"):
         s = systems[name]
-        rescaled = rescale_tangency_freeze(s, decompose(s))
-        for tp in rescaled.frozen_tangencies:
+        decompositions = decompose(s)
+        rescaled = rescale_tangency_freeze(s, decompositions)
+        tangencies = [tp for dec in decompositions for tp in dec.tangencies]
+        assert tangencies, name
+        for tp in tangencies:
             for region in rescaled.regions:
                 v = rescaled.field_value(region.field, tp.position)
                 assert math.hypot(*v) <= 1e-12

@@ -22,9 +22,7 @@ import pytest
 
 from filippov.diagnostics import rescale_tangency_freeze
 from filippov.errors import IntegrationError, UndefinedSlidingError
-from filippov.integrate import (
-    _REGULAR_STEPS, _THETA_GRID, IntegratorOptions, _DenseStep, _regular_pair,
-)
+from filippov.integrate import _REGULAR_STEPS, _THETA_GRID, IntegratorOptions, _DenseStep
 from filippov.scenario import list_shipped, load_shipped
 from filippov.system import Domain
 
@@ -215,9 +213,9 @@ def stepper_steps(rhs, x, y, k1, dt, t_max=math.inf, max_step=math.inf, count=2)
 
 @pytest.mark.parametrize("name, sys_, region", REGULAR, ids=[c[0] for c in REGULAR])
 def test_loop_steps_and_grid_match_the_stepper(name, sys_, region):
-    # on a scaled system the loop calls the components times g that ``integrate_regular`` passes it
+    # on a scaled system the loop calls the components times g that ``FilippovSystem.raw_pair`` hands out
     rhs = reference_rhs(sys_, region.field)
-    fx, fy = _regular_pair(sys_, region.id)
+    fx, fy = sys_.raw_pair(region.id)
     for x, y, dt, k1 in _steps(name, sys_, rhs)[:SAMPLES // 5]:
         got = loop_steps(sys_.domain, fx, fy, x, y, k1, dt)
         assert got == stepper_steps(rhs, x, y, k1, dt)

@@ -120,7 +120,9 @@ def test_load_reports_field_paths(tmp_path):
         (lambda d: d.update(config={"dwell_grid": [0.0, "long"]}),
          r"config\.dwell_grid\[1\]: expected a number"),
         (lambda d: d.update(config={"ms_interpretation": "both"}),
-         r"config\.ms_interpretation: expected one of \['sliding_and_escaping', 'sliding_only'\]"),
+         r"config\.ms_interpretation: expected one of \['sliding_and_escaping', 'sliding_only'\], got 'both'$"),
+        (lambda d: d["domain"].update(kind="disk"),
+         r"domain\.kind: expected one of \['plane_rect', 'flat_torus'\], got 'disk'$"),
         # json.dumps writes these as Infinity, -Infinity and NaN, which json.loads reads back
         (lambda d: d["domain"].update(bounds=[0, math.inf, 0, 1]),
          r"domain\.bounds\[1\]: expected a finite number, got inf"),

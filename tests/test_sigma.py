@@ -333,14 +333,29 @@ def test_convex_weight_in_unit_interval_and_forms_agree(sliding_samples):
         quotient = sliding_vector_field(s, 0, p)
         assert abs(combo[0] - quotient[0]) <= 1e-12
         assert abs(combo[1] - quotient[1]) <= 1e-12
-        # the generated piece every stage of a sliding arc runs gives the same
-        # bits, and the Lie pair it returns is the classification's
-        kernel = _SLIDING_RHS[s.domain.kind == "flat_torus"](
-            *y1.raw_pair(), *y2.raw_pair(), *(g.raw() for g in s.curve(0).grad), s.velocity_scale, 0,
-            s.domain, *p)
-        assert kernel[:2] == quotient
-        cls = classify_point(s, 0, p)
-        assert kernel[2:] == (cls.lie_positive, cls.lie_negative)
+        assert_kernel_matches_classification(s, p)
+
+
+def assert_kernel_matches_classification(s, p):
+    """The generated piece every stage of a sliding arc runs gives ``sliding_vector_field``'s
+    bits at p, and the Lie pair it returns is ``classify_point``'s."""
+    curve = s.curve(0)
+    kernel = _SLIDING_RHS(*s.raw_pair(curve.positive_region), *s.raw_pair(curve.negative_region),
+                          *(g.raw() for g in curve.grad), 0, *p)
+    assert kernel[:2] == sliding_vector_field(s, 0, p)
+    cls = classify_point(s, 0, p)
+    assert kernel[2:] == (cls.lie_positive, cls.lie_negative)
+
+
+def test_sliding_kernel_matches_classification_on_a_scaled_torus():
+    # the system scales each side field before the Lie pair is formed, for the kernel as for
+    # the classification, so both form the same pair and the same Z_s from the same bits
+    torus = load_shipped("chaotic_torus").build_system().with_velocity_scale(
+        lambda p: 0.75 + 0.5 * math.sin(2.0 * math.pi * p[0]) ** 2)
+    samples = _sample_sliding_points([torus], 62)
+    assert len(samples) == 62
+    for s, p in samples:
+        assert_kernel_matches_classification(s, p)
 
 
 def test_classification_invariant_under_h_scaling():

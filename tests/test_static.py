@@ -9,6 +9,8 @@ listed with its reason.  A name a module imports and never reads is a leftover
 of code that has gone.  The kernels that ``integrate._kernels`` generates run
 in a closed namespace, so a name they read must be bound there; a helper
 missing on a rare error path would otherwise show only as a ``NameError`` there.
+The system applies its velocity scale where it hands out fields, so the
+integrator and its kernels must not know that a system can be scaled.
 """
 
 import ast
@@ -209,9 +211,9 @@ def test_kernel_check_finds_an_unbound_name():
     assert unbound_globals(env["kernel"]) == {"missing", "other"}
 
 
-GENERATED = {"_DenseStep.at": integrate._DenseStep.at, **{
+GENERATED = {"_DenseStep.at": integrate._DenseStep.at, "_SLIDING_RHS": integrate._SLIDING_RHS, **{
     f"{name}[{torus}]": getattr(integrate, name)[torus]
-    for name in ("_REGULAR_STEPS", "_EMIT", "_SLIDING_STEPS", "_SLIDING_RHS", "_EMIT_TO")
+    for name in ("_REGULAR_STEPS", "_EMIT", "_SLIDING_STEPS", "_EMIT_TO")
     for torus in (False, True)
 }}
 
@@ -219,3 +221,10 @@ GENERATED = {"_DenseStep.at": integrate._DenseStep.at, **{
 @pytest.mark.parametrize("name", list(GENERATED))
 def test_generated_kernel_reads_only_bound_globals(name):
     assert unbound_globals(GENERATED[name]) == set()
+
+
+def test_integrator_does_not_know_the_velocity_scale():
+    assert "velocity_scale" not in (PACKAGE / "integrate.py").read_text()
+    takes_scale = [name for name, fn in GENERATED.items()
+                   if "scale" in fn.__code__.co_varnames[:fn.__code__.co_argcount]]
+    assert takes_scale == []
