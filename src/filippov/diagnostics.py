@@ -4,6 +4,11 @@ Every probe is budget-bounded and deterministic under a fixed seed; a
 negative outcome is always labeled "inconclusive at budget" rather than a
 certificate of absence.  Probes are embarrassingly parallel over seeds and
 pairs; this implementation runs them sequentially for reproducibility.
+
+The probes read orbits through plain-Python trace queries: ``_trace`` lists
+an orbit's stored sample times and points once, and every query on that
+orbit (disk entries, passes of the chords between samples near a point)
+walks those lists with the domain's displacement arithmetic.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ import math
 import random
 import time
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
 
 from .errors import ConfigurationError, FilippovError
 from .integrate import (
@@ -57,39 +60,64 @@ class ProbeNotFound:
         return {"found": False, "reason": self.reason, "budget": self.budget}
 
 
+class CellFlags:
+    """An n x n grid of 0/1 flags, stored flat in row-major (i, j) order."""
+
+    def __init__(self, n):
+        self.n = n
+        self.flags = bytearray(n * n)
+
+    @property
+    def size(self):
+        return len(self.flags)
+
+    def sum(self):
+        return self.flags.count(1)
+
+    def all(self):
+        return 0 not in self.flags
+
+    def ravel(self):
+        """The flags as bytes, row by row."""
+        return bytes(self.flags)
+
+
 class GridCoverage:
     """Cell-hit flags over the domain at a fixed resolution."""
 
     def __init__(self, domain, resolution):
         self.domain = domain
         self.resolution = resolution
-        self.hits = np.zeros((resolution, resolution), dtype=bool)
+        self.hits = CellFlags(resolution)
 
     def mark_orbit(self, orbit):
         """Hit the cell of every stored sample (samples are canonical already)."""
-        _, x, y = _trace(orbit)
         d, n = self.domain, self.resolution
-        i = ((x - d.x_min) / d.width * n).astype(np.int64)
-        j = ((y - d.y_min) / d.height * n).astype(np.int64)
-        self.hits[np.minimum(i, n - 1), np.minimum(j, n - 1)] = True
+        x0, y0, width, height = d.x_min, d.y_min, d.width, d.height
+        cells = {(int((x - x0) / width * n), int((y - y0) / height * n))
+                 for seg in orbit.segments for x, y in seg.points}
+        flags, last = self.hits.flags, n - 1
+        for i, j in cells:
+            flags[min(i, last) * n + min(j, last)] = 1
 
     def fraction(self):
         return float(self.hits.sum()) / float(self.hits.size)
 
     def covers(self, other):
         """Cell-wise: every cell hit by ``other`` is hit by self."""
-        return bool(np.all(self.hits | ~other.hits))
+        return all(a or not b for a, b in zip(self.hits.flags, other.hits.flags))
 
     def write_csv(self, fh):
         fh.write("i,j,hit\n")
-        for (i, j), hit in np.ndenumerate(self.hits):
-            fh.write(f"{i},{j},{int(hit)}\n")
+        n = self.resolution
+        for k, hit in enumerate(self.hits.flags):
+            fh.write(f"{k // n},{k % n},{hit}\n")
 
     def to_dict(self):
         return {
             "resolution": self.resolution,
             "fraction": self.fraction(),
-            "hit_cells": int(self.hits.sum()),
+            "hit_cells": self.hits.sum(),
         }
 
 
@@ -155,44 +183,44 @@ def _disk_seeds(disk, n, domain):
 
 
 def _trace(orbit):
-    """(t, x, y) float arrays of the orbit's stored samples; every trace query reads these."""
-    t = np.array([tt for seg in orbit.segments for tt in seg.times], dtype=float)
-    xy = np.array([p for seg in orbit.segments for p in seg.points], dtype=float).reshape(-1, 2)
-    return t, xy[:, 0], xy[:, 1]
-
-
-def _wrap(domain, dx, dy):
-    """Shortest representatives of displacement arrays (wrap-aware on the torus)."""
-    if domain.kind == "flat_torus":
-        dx = dx - np.round(dx / domain.width) * domain.width
-        dy = dy - np.round(dy / domain.height) * domain.height
-    return dx, dy
-
-
-def _distances(domain, trace, point):
-    """Distance from every sample of the trace to ``point``."""
-    _, x, y = trace
-    return np.hypot(*_wrap(domain, x - point[0], y - point[1]))
+    """(t, x, y) lists of the orbit's stored samples; every trace query reads these."""
+    t = [tt for seg in orbit.segments for tt in seg.times]
+    points = [p for seg in orbit.segments for p in seg.points]
+    return t, [p[0] for p in points], [p[1] for p in points]
 
 
 def _entry(domain, trace, disk, t_max=None):
     """First sample time at which the trace is inside the disk (by ``t_max``), else None."""
-    t = trace[0]
-    inside = _distances(domain, trace, disk.center) <= disk.radius
-    if t_max is not None:
-        inside &= t <= t_max  # sample times never decrease
-    return float(t[np.argmax(inside)]) if inside.any() else None
+    for t, x, y in zip(*trace):
+        if t_max is not None and t > t_max:
+            return None  # sample times never decrease
+        if domain.distance((x, y), disk.center) <= disk.radius:
+            return t
+    return None
 
 
-def _approach(domain, trace, point):
-    """Per chord between consecutive samples: closest-point fraction w and distance to ``point``."""
-    _, x, y = trace
-    sx, sy = _wrap(domain, x[1:] - x[:-1], y[1:] - y[:-1])
-    ax, ay = _wrap(domain, point[0] - x[:-1], point[1] - y[:-1])
-    seg2 = sx * sx + sy * sy
-    seg2[seg2 == 0.0] = 1e-300
-    w = np.clip((ax * sx + ay * sy) / seg2, 0.0, 1.0)
-    return w, np.hypot(w * sx - ax, w * sy - ay)
+def _chords_near(domain, trace, point, r, start=0):
+    """(i, w) for every chord i >= ``start`` that comes within r of ``point``, in order.
+
+    Chord i runs from sample i to sample i + 1; w in [0, 1] is the fraction
+    along it of its closest point to ``point``.  The loop runs once per chord
+    and node, so it inlines ``Domain.displacement``'s arithmetic.
+    """
+    _, xs, ys = trace
+    px, py = point
+    torus, width, height = domain.kind == "flat_torus", domain.width, domain.height
+    for i in range(start, len(xs) - 1):
+        x, y = xs[i], ys[i]
+        sx, sy, ax, ay = xs[i + 1] - x, ys[i + 1] - y, px - x, py - y
+        if torus:
+            sx -= round(sx / width) * width
+            sy -= round(sy / height) * height
+            ax -= round(ax / width) * width
+            ay -= round(ay / height) * height
+        w = (ax * sx + ay * sy) / (sx * sx + sy * sy or 1e-300)
+        w = 0.0 if w < 0.0 else 1.0 if w > 1.0 else w
+        if math.hypot(w * sx - ax, w * sy - ay) <= r:
+            yield i, w
 
 
 def orbit_enters(orbit, disk, domain, t_max=None):
@@ -494,23 +522,21 @@ def _edges_from_orbit(domain, src, orbit, trace, nodes):
     Distances are measured to the chords between consecutive samples so that
     close passes between samples (grazes in particular) are not missed.
     """
-    ts = trace[0]
-    if ts.size < 2:
-        return []
+    ts, xs, ys = trace
     script = list(orbit.script)
     edges = []
     for n in nodes:
-        w, dist = _approach(domain, trace, n.point)
-        ok = dist <= n.radius
+        start = 0
         if n.node_id == src.node_id:
             # require the orbit to leave the source vicinity before re-entry
-            away = _distances(domain, trace, n.point)[:-1] > 3.0 * max(n.radius, NODE_VICINITY)
-            first_away = int(np.argmax(away)) if away.any() else len(ok)
-            ok[:first_away] = False
-        if not ok.any():
+            far = 3.0 * max(n.radius, NODE_VICINITY)
+            start = next((i for i in range(len(ts) - 1)
+                          if domain.distance(n.point, (xs[i], ys[i])) > far), len(ts))
+        hit = next(_chords_near(domain, trace, n.point, n.radius, start), None)
+        if hit is None:
             continue
-        i = int(np.argmax(ok))
-        t_hit = float(ts[i] + w[i] * (ts[i + 1] - ts[i]))
+        i, w = hit
+        t_hit = ts[i] + w * (ts[i + 1] - ts[i])
         if t_hit > 1e-9:
             edges.append(GraphEdge(src.node_id, n.node_id, orbit, t_hit, script))
     return sorted(edges, key=lambda e: e.target)
@@ -536,18 +562,17 @@ class ClosedOrbitRecord:
 def _returns_to(sys, trace, base):
     """Yield (t, point) whenever the trace passes through the base point.
 
-    The chord kernel proposes the chords that come within twice the tolerance;
+    The chord query proposes the chords that come within twice the tolerance;
     the scalar domain metric computes each one's point and gap and decides.
     """
     domain = sys.domain
     ts, xs, ys = trace
-    if ts.size < 2:
-        return
-    _, dist = _approach(domain, trace, base)
     last_t = -1.0
-    for i in np.flatnonzero((dist <= 2.0 * _RETURN_TOL) & (ts[1:] > _RETURN_T_MIN)):
-        prev_t, t = float(ts[i]), float(ts[i + 1])
-        a, b = (float(xs[i]), float(ys[i])), (float(xs[i + 1]), float(ys[i + 1]))
+    for i, _ in _chords_near(domain, trace, base, 2.0 * _RETURN_TOL):
+        prev_t, t = ts[i], ts[i + 1]
+        if t <= _RETURN_T_MIN:
+            continue
+        a, b = (xs[i], ys[i]), (xs[i + 1], ys[i + 1])
         seg = domain.displacement(a, b)
         seg_len2 = seg[0] ** 2 + seg[1] ** 2
         w = 0.0

@@ -46,7 +46,7 @@ def test_grid_coverage_single_arc_cells():
     cov = GridCoverage(s.domain, 8)
     cov.mark_orbit(orbit)
     expected = {(i, 4) for i in range(8) if -1.75 <= -2 + (i + 1) * 0.5 or True}
-    hit = {(i, j) for i in range(8) for j in range(8) if cov.hits[i, j]}
+    hit = {(i, j) for i in range(8) for j in range(8) if cov.hits.ravel()[i * 8 + j]}
     # the trajectory spans x in [-1.75, 1.75] at y = 0.05: row j=4, columns 0..7
     assert hit == {(i, 4) for i in range(8)}
 
@@ -80,7 +80,7 @@ def test_saturate_integrates_a_policy_free_orbit_once(belt_system, monkeypatch):
     for direction in ("forward", "backward"):
         for policy in policies:
             reference.mark_orbit(original(belt_system, seed, 2.0, direction=direction, policy=policy))
-    assert (cov.hits == reference.hits).all()
+    assert cov.hits.ravel() == reference.hits.ravel()
 
 
 def test_saturate_stops_at_full_coverage(belt_system, monkeypatch):
@@ -107,7 +107,7 @@ def test_saturate_stops_at_full_coverage(belt_system, monkeypatch):
             for policy in policies:
                 reference.mark_orbit(original(belt_system, seed, 1.0, direction=direction,
                                               policy=policy))
-    assert (cov.hits == reference.hits).all()
+    assert cov.hits.ravel() == reference.hits.ravel()
     assert cov.to_dict() == reference.to_dict()
 
 

@@ -16,7 +16,9 @@ integrator and its kernels must not know that a system can be scaled.
 import ast
 import builtins
 import dis
+import subprocess
 import symtable
+import sys
 from pathlib import Path
 
 import pytest
@@ -228,3 +230,19 @@ def test_integrator_does_not_know_the_velocity_scale():
     takes_scale = [name for name, fn in GENERATED.items()
                    if "scale" in fn.__code__.co_varnames[:fn.__code__.co_argcount]]
     assert takes_scale == []
+
+
+def test_the_package_runs_on_the_standard_library_alone():
+    # a command imports the CLI and loads a scenario; every module that pulls in is the
+    # package's own or the standard library's, and the project declares no dependency
+    probe = ("import sys\nbefore = set(sys.modules)\nimport filippov.cli\n"
+             "from filippov.scenario import load_shipped\nload_shipped('chaotic_torus').build_system()\n"
+             "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                            cwd=PACKAGE.parent).stdout.split()
+    assert "filippov.diagnostics" in loaded
+    outside = {name.split(".")[0] for name in loaded} - set(sys.stdlib_module_names) - {"filippov"}
+    assert outside == set()
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"]
+    assert project.get("dependencies", []) == []

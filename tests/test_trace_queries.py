@@ -1,12 +1,15 @@
-"""The array trace queries against the scalar per-sample walkers they replaced.
+"""The trace queries against reference walkers over every stored sample.
 
-The reference walkers below are the per-sample loops that ``orbit_enters``,
-``GridCoverage.mark_orbit``, ``_edges_from_orbit`` and ``_returns_to`` used to
-run; on wrapping torus orbits and plane orbits from the shipped scenarios the
-array queries must give exactly their answers.
+The reference walkers below step through ``orbit.samples()`` one sample, or
+one chord between consecutive samples, at a time, each node on its own; on
+wrapping torus orbits and plane orbits from the shipped scenarios
+``orbit_enters``, ``GridCoverage.mark_orbit``, ``_edges_from_orbit`` and
+``_returns_to`` must give exactly their answers.
 """
 
-import numpy as np
+import math
+from types import SimpleNamespace
+
 import pytest
 
 from filippov import diagnostics
@@ -21,6 +24,7 @@ from filippov.diagnostics import (
 )
 from filippov.integrate import BranchPolicy, enumerate_branches, integrate_filippov
 from filippov.scenario import load_shipped
+from filippov.system import Domain
 
 from conftest import decompose
 
@@ -40,52 +44,43 @@ def reference_enters(orbit, disk, domain, t_max=None):
 
 
 def reference_hits(orbit, domain, resolution):
-    hits = np.zeros((resolution, resolution), dtype=bool)
+    """Row-major cell flags, one per cell: 1 where some sample falls."""
+    hits = [0] * (resolution * resolution)
     for _, p, _, _ in orbit.samples():
         x, y = domain.canonical(p)
         i = int((x - domain.x_min) / domain.width * resolution)
         j = int((y - domain.y_min) / domain.height * resolution)
-        hits[min(i, resolution - 1), min(j, resolution - 1)] = True
+        hits[min(i, resolution - 1) * resolution + min(j, resolution - 1)] = 1
     return hits
 
 
-def reference_edges(domain, src, orbit, nodes):
-    ts, xs, ys = [], [], []
-    for t, p, _, _ in orbit.samples():
-        ts.append(t)
-        xs.append(p[0])
-        ys.append(p[1])
-    if len(ts) < 2:
-        return []
-    ts, xs, ys = np.asarray(ts), np.asarray(xs), np.asarray(ys)
-
-    def wrap(d, period):
-        if domain.kind != "flat_torus":
-            return d
-        return d - np.round(d / period) * period
-
-    sx = wrap(xs[1:] - xs[:-1], domain.width)
-    sy = wrap(ys[1:] - ys[:-1], domain.height)
+def reference_chord(domain, a, b, point):
+    """(w, distance) of the closest point to ``point`` on the chord from sample a to sample b."""
+    sx, sy = domain.displacement(a, b)
+    ax, ay = domain.displacement(a, point)
     seg2 = sx * sx + sy * sy
-    seg2[seg2 == 0.0] = 1e-300
+    if seg2 == 0.0:
+        seg2 = 1e-300
+    w = min(1.0, max(0.0, (ax * sx + ay * sy) / seg2))
+    return w, math.hypot(w * sx - ax, w * sy - ay)
+
+
+def reference_edges(domain, src, orbit, nodes):
+    samples = [(t, p) for t, p, _, _ in orbit.samples()]
     edges = []
     for n in nodes:
-        ax = wrap(n.point[0] - xs[:-1], domain.width)
-        ay = wrap(n.point[1] - ys[:-1], domain.height)
-        w = np.clip((ax * sx + ay * sy) / seg2, 0.0, 1.0)
-        dist = np.hypot(w * sx - ax, w * sy - ay)
-        ok = dist <= n.radius
-        if n.node_id == src.node_id:
-            away = np.hypot(ax, ay) > 3.0 * max(n.radius, NODE_VICINITY)
-            first_away = int(np.argmax(away)) if away.any() else len(ok)
-            ok[:first_away] = False
-        idx = np.nonzero(ok)[0]
-        if idx.size == 0:
-            continue
-        i = int(idx[0])
-        t_hit = float(ts[i] + w[i] * (ts[i + 1] - ts[i]))
-        if t_hit > 1e-9:
-            edges.append(GraphEdge(src.node_id, n.node_id, orbit, t_hit, list(orbit.script)))
+        away = n.node_id != src.node_id  # the source must be left before it is re-entered
+        for (t0, a), (t1, b) in zip(samples, samples[1:]):
+            if not away:
+                away = domain.distance(a, n.point) > 3.0 * max(n.radius, NODE_VICINITY)
+                if not away:
+                    continue
+            w, dist = reference_chord(domain, a, b, n.point)
+            if dist <= n.radius:
+                t_hit = t0 + w * (t1 - t0)
+                if t_hit > 1e-9:
+                    edges.append(GraphEdge(src.node_id, n.node_id, orbit, t_hit, list(orbit.script)))
+                break
     return sorted(edges, key=lambda e: e.target)
 
 
@@ -198,7 +193,7 @@ def test_mark_orbit_matches_scalar_walker(shipped_orbits):
         for resolution in (7, 32):
             cov = GridCoverage(system.domain, resolution)
             cov.mark_orbit(orbit)
-            assert np.array_equal(cov.hits, reference_hits(orbit, system.domain, resolution))
+            assert list(cov.hits.ravel()) == reference_hits(orbit, system.domain, resolution)
 
 
 def test_edges_from_orbit_match_scalar_walker(shipped_orbits):
@@ -261,3 +256,28 @@ def test_segment_graph_walks_each_orbit_once(monkeypatch):
         }
     assert len(enumerated) > 1
     assert [id(o) for o in traced] == [id(o) for o in enumerated]
+
+
+@pytest.mark.parametrize("kind", ["plane_rect", "flat_torus"])
+def test_a_sample_or_chord_on_the_rim_is_inside(kind):
+    # (0.375, 0.5) lies exactly 0.625 from the origin, and so does the closest point of each
+    # chord below: one leaves the rim at right angles to the radius, one ends on it
+    domain = Domain(kind, -1.0, 1.0, -1.0, 1.0)
+    rim, far, disk = (0.375, 0.5), (0.875, 0.125), Disk((0.0, 0.0), 0.625)
+    assert math.hypot(*rim) == disk.radius < math.hypot(*far)
+
+    def orbit(*points):
+        segment = SimpleNamespace(times=[float(k) for k in range(len(points))], points=list(points))
+        return SimpleNamespace(segments=[segment], script=[])
+
+    entering = orbit((0.9, 0.9), rim, (0.1, 0.1))
+    assert orbit_enters(entering, disk, domain) == 1.0
+    leaving = diagnostics._trace(orbit(rim, far, (0.9, 0.9)))
+    assert list(diagnostics._chords_near(domain, leaving, disk.center, disk.radius)) == [(0, 0.0)]
+    ending = orbit((0.9, 0.9), far, rim)
+    trace = diagnostics._trace(ending)
+    assert list(diagnostics._chords_near(domain, trace, disk.center, disk.radius)) == [(1, 1.0)]
+    src = GraphNode(1, "sliding_anchor", (0.9, -0.9), NODE_VICINITY)
+    node = GraphNode(0, "tangency", disk.center, disk.radius)
+    [edge] = diagnostics._edges_from_orbit(domain, src, ending, trace, [node])
+    assert (edge.source, edge.target, edge.flight_time) == (1, 0, 2.0)
