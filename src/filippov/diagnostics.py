@@ -544,7 +544,6 @@ def _edges_from_orbit(domain, src, orbit, trace, nodes):
 
 @dataclass
 class ClosedOrbitRecord:
-    orbit: object
     period: float
     base_point: tuple[float, float]
     windows_visited: list
@@ -600,7 +599,7 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
     only when some exact return (endpoint mismatch <= 1e-6) happens after the
     requested windows were visited.
 
-    ``runs`` (base anchor, script key) -> (orbit, trace) shares these
+    ``runs`` (base anchor, script key) -> trace shares these
     integrations between calls with the same graph, system, horizon and
     options; without it every candidate is integrated afresh.
     """
@@ -622,11 +621,10 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
     records = []
     for key, script in list(candidates.items())[:24]:
         if (base_anchor, key) not in runs:
-            orbit = integrate_filippov(sys, base.point, horizon, opts=opts,
-                                       policy=PolicyCursor(BranchPolicy.slide_on(), script),
-                                       ride_targets=graph.ride_targets)
-            runs[base_anchor, key] = orbit, _trace(orbit)
-        record = _closed_record(sys, graph, base, want, *runs[base_anchor, key])
+            runs[base_anchor, key] = _trace(integrate_filippov(
+                sys, base.point, horizon, opts=opts,
+                policy=PolicyCursor(BranchPolicy.slide_on(), script), ride_targets=graph.ride_targets))
+        record = _closed_record(sys, graph, base, want, runs[base_anchor, key])
         if record is not None:
             records.append(record)
             if want:
@@ -634,7 +632,7 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
     return records
 
 
-def _closed_record(sys, graph, base, want, orbit, trace):
+def _closed_record(sys, graph, base, want, trace):
     """The candidate's first exact return after it entered every wanted window, else None."""
     entries = [_entry(sys.domain, trace, Disk(graph.node(wid).point, graph.node(wid).radius))
                for wid in want]
@@ -644,7 +642,7 @@ def _closed_record(sys, graph, base, want, orbit, trace):
     for period, endpoint in _returns_to(sys, trace, base.point):
         if period >= t_needed:
             gap = sys.domain.distance(endpoint, base.point)
-            return ClosedOrbitRecord(orbit, period, base.point, sorted(want), gap)
+            return ClosedOrbitRecord(period, base.point, sorted(want), gap)
     return None
 
 

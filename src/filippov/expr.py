@@ -308,14 +308,19 @@ def evaluate(expression: Expression, binding: Mapping[str, float]) -> float:
         raise EvaluationError(f"missing binding for {exc.name!r}") from None
 
 
-def _checked(fn, *args):
-    """fn(*args), with arithmetic failures and non-finite results raised as EvaluationError."""
+def _computed(fn, *args):
+    """fn(*args), with arithmetic failures raised as EvaluationError."""
     try:
-        value = fn(*args)
+        return fn(*args)
     except ZeroDivisionError:
         raise EvaluationError("division by zero") from None
     except (OverflowError, ValueError) as exc:
         raise EvaluationError(str(exc)) from None
+
+
+def _checked(fn, *args):
+    """fn(*args), with arithmetic failures and non-finite results raised as EvaluationError."""
+    value = _computed(fn, *args)
     if not math.isfinite(value):
         raise EvaluationError("non-finite result")
     return value
@@ -368,32 +373,41 @@ def _diff(node, var):
     return Binary("/", numerator, Power(node.right, 2))
 
 
-def fold(node: Expression) -> Expression:
+def fold(node: Expression, parameters: Mapping[str, float] | None = None) -> Expression:
     """Constant folding plus the obvious algebraic identities.
 
+    Each variable that ``parameters`` names is read as a constant of its value.
     Equality of expressions is structural after folding; fold is idempotent.
+
+    fold raises EvaluationError only where every evaluation of ``node`` fails:
+    an operation on constants that fails in Python arithmetic raises, one
+    whose value is inf or nan stays unfolded (Python carries it on: 1 / (a * a)
+    is 0.0 at a = 1e200), and u^0 is 1 without folding u (Python's nan**0 is
+    1.0, and u may hold an x * 0 that fold reads as 0 where Python has nan).
     """
+    if isinstance(node, Var):
+        return Const(parameters[node.name]) if parameters and node.name in parameters else node
     if isinstance(node, Unary):
-        arg = fold(node.arg)
+        arg = fold(node.arg, parameters)
         if isinstance(arg, Const):
-            return Const(evaluate(Unary(node.op, arg), {}))
+            return _constant(Unary(node.op, arg))
         if node.op == "neg" and isinstance(arg, Unary) and arg.op == "neg":
             return arg.arg
         return Unary(node.op, arg)
     if isinstance(node, Power):
-        base = fold(node.base)
         if node.exponent == 0:
             return Const(1.0)
+        base = fold(node.base, parameters)
         if node.exponent == 1:
             return base
         if isinstance(base, Const):
-            return Const(evaluate(Power(base, node.exponent), {}))
+            return _constant(Power(base, node.exponent))
         return Power(base, node.exponent)
     if isinstance(node, Binary):
-        a = fold(node.left)
-        b = fold(node.right)
+        a = fold(node.left, parameters)
+        b = fold(node.right, parameters)
         if isinstance(a, Const) and isinstance(b, Const) and not (node.op == "/" and b.value == 0):
-            return Const(evaluate(Binary(node.op, a, b), {}))
+            return _constant(Binary(node.op, a, b))
         if node.op == "+":
             if isinstance(a, Const) and a.value == 0:
                 return b
@@ -418,6 +432,15 @@ def fold(node: Expression) -> Expression:
                 return a
         return Binary(node.op, a, b)
     return node
+
+
+def _constant(node):
+    """``node``, an operation on constants, as the Const of the value the compiled code computes.
+
+    An inf or nan value leaves ``node`` as it is.
+    """
+    value = _computed(eval, _codegen(node, {}), dict(_COMPILE_ENV))  # noqa: S307 - closed grammar
+    return Const(value) if math.isfinite(value) else node
 
 
 # --------------------------------------------------------------------------- #
@@ -466,6 +489,13 @@ def compile_expression(expression: Expression, parameters: Mapping[str, float]) 
 class ScalarField:
     """An expression over (x, y) with bound parameter values.
 
+    Building one folds a copy of the expression with the parameter values as
+    constants, so a constant part that fails, such as ``a^2`` at a = 1e200,
+    raises EvaluationError here rather than at every evaluation (see fold for
+    the parts that do not fail it).  The field
+    compiles the expression as written (folding would turn ``x * 1 + 0 * y``
+    into ``x``, which is -0.0 at x = -0.0).
+
     Immutable after construction; evaluation has no side effects, so
     instances are safe to share across concurrent evaluators.
     """
@@ -481,6 +511,7 @@ class ScalarField:
         unknown = variables(expression) - names
         if unknown:
             raise ExpressionError(f"unknown identifiers {sorted(unknown)}")
+        fold(expression, self.parameters)
         self.expression = expression
         self._fn = compile_expression(expression, self.parameters)
 
@@ -496,6 +527,13 @@ class ScalarField:
 
     def negated(self) -> "ScalarField":
         return ScalarField(fold(Unary("neg", self.expression)), parameters=self.parameters)
+
+    def lie_derivative(self, planar: "PlanarField") -> "ScalarField":
+        """Symbolic Lie derivative Yh = dh/dx * Yx + dh/dy * Yy of this field h along Y = ``planar``."""
+        gx, gy = (differentiate(self.expression, var) for var in ("x", "y"))
+        yx, yy = planar.component_x.expression, planar.component_y.expression
+        return ScalarField(fold(Binary("+", Binary("*", gx, yx), Binary("*", gy, yy))),
+                           parameters=self.parameters)
 
     def source(self) -> str:
         return serialize(self.expression)

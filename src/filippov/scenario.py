@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .diagnostics import DiagnosticsConfig
 from .errors import ConfigurationError, EvaluationError, ExpressionError
-from .expr import RESERVED_NAMES, Binary, Const, PlanarField, Power, ScalarField, Unary, Var, fold, is_name
+from .expr import RESERVED_NAMES, PlanarField, ScalarField, is_name
 from .integrate import IntegratorOptions
 from .system import DOMAIN_KINDS, Domain, FilippovSystem, RegionSpec, SwitchingCurve, check_extent
 
@@ -95,44 +95,11 @@ def _curve_ref(condition, path, curve_ids):
 
 
 def _expression(path, build):
-    """build(), with a parse or folding failure raised as a ConfigurationError that names ``path``."""
+    """build(), with a parse or constant failure raised as a ConfigurationError that names ``path``."""
     try:
         return build()
     except (ExpressionError, EvaluationError) as exc:
         raise ConfigurationError(f"{path}: expression error: {exc}") from exc
-
-
-def _folded(field):
-    """``field``, after folding a copy of it with its parameter values bound as constants.
-
-    The compiled field inlines those values, so a constant that overflows, such
-    as ``a^2`` at a = 1e200, would fail at every evaluation; the fold raises it
-    at load.  The field itself stays as written (folding would turn
-    ``x * 1 + 0 * y`` into ``x``, which is -0.0 at x = -0.0).
-    """
-    fold(_bound(field.expression, field.parameters))
-    return field
-
-
-def _bound(node, parameters):
-    """``node`` with every parameter replaced by its value."""
-    if isinstance(node, Var):
-        return Const(parameters[node.name]) if node.name in parameters else node
-    if isinstance(node, Unary):
-        return Unary(node.op, _bound(node.arg, parameters))
-    if isinstance(node, Power):
-        return Power(_bound(node.base, parameters), node.exponent)
-    if isinstance(node, Binary):
-        return Binary(node.op, _bound(node.left, parameters), _bound(node.right, parameters))
-    return node
-
-
-def _curve(curve_id, h, parameters, positive, negative):
-    """A switching curve whose h and grad h fold with the parameters bound."""
-    curve = SwitchingCurve(curve_id, ScalarField(h, parameters=parameters), positive, negative)
-    for field in (curve.h, *curve.grad):
-        _folded(field)
-    return curve
 
 
 def _optional(data, key, default):
@@ -203,7 +170,8 @@ def scenario_from_dict(data) -> Scenario:
         positive = _require(cd, "positive_region", path, int)
         negative = _require(cd, "negative_region", path, int)
         _known(cd, path, ("id", "h", "positive_region", "negative_region"))
-        curves.append(_expression(f"{path}.h", lambda: _curve(curve_id, h, parameters, positive, negative)))
+        curves.append(_expression(f"{path}.h", lambda: SwitchingCurve(
+            curve_id, ScalarField(h, parameters=parameters), positive, negative)))
     curve_ids = {c.id for c in curves}
     regions = []
     for i, rd in enumerate(_require(data, "regions", "scenario", list)):
@@ -223,7 +191,7 @@ def scenario_from_dict(data) -> Scenario:
             _known(c, where, ("curve", "sign"))
         _known(rd, path, ("id", "field", "where"))
         fx, fy = (
-            _expression(f"{path}.field[{j}]", lambda: _folded(ScalarField(str(fd[j]), parameters=parameters)))
+            _expression(f"{path}.field[{j}]", lambda: ScalarField(str(fd[j]), parameters=parameters))
             for j in (0, 1)
         )
         regions.append(RegionSpec(region_id, PlanarField(fx, fy), conditions))

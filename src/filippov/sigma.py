@@ -17,7 +17,6 @@ from .errors import (
     UndefinedSlidingError,
     evaluation_boundary,
 )
-from .expr import Binary, ScalarField, fold
 from .system import EPS_SIGMA, GRAD_MIN, FilippovSystem
 
 TAU_CLASS = 1e-9  # sign deadband for Lie derivatives
@@ -149,20 +148,6 @@ def convex_weight(sys: FilippovSystem, curve_id: int, p) -> float:
     return l2 / _sliding_denominator(l1, l2, curve_id, sys.domain.canonical(p))
 
 
-def lie_scalar_field(h: ScalarField, planar) -> ScalarField:
-    """Symbolic Lie derivative Yh = dh/dx * Yx + dh/dy * Yy."""
-    gx = h.derivative("x").expression
-    gy = h.derivative("y").expression
-    expr = fold(
-        Binary(
-            "+",
-            Binary("*", gx, planar.component_x.expression),
-            Binary("*", gy, planar.component_y.expression),
-        )
-    )
-    return ScalarField(expr, parameters=h.parameters)
-
-
 def second_lie_value(sys: FilippovSystem, curve_id: int, side: str, p) -> float:
     """Y(Yh) at p for the side's field, compiled once per system and side.
 
@@ -174,8 +159,8 @@ def second_lie_value(sys: FilippovSystem, curve_id: int, side: str, p) -> float:
     fn = sys.second_lie_fields.get(key)
     if fn is None:
         planar = sys.side_fields(curve_id)[0 if side == "positive" else 1]
-        yh = lie_scalar_field(sys.curve(curve_id).h, planar)
-        fn = sys.second_lie_fields[key] = lie_scalar_field(yh, planar)  # Y(Yh)
+        yh = sys.curve(curve_id).h.lie_derivative(planar)
+        fn = sys.second_lie_fields[key] = yh.lie_derivative(planar)  # Y(Yh)
     value = fn(p[0], p[1])
     if sys.velocity_scale is not None:
         value *= sys.velocity_scale(p) ** 2

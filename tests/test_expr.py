@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,9 +98,9 @@ def test_non_finite_literal_is_rejected():
 
 
 def test_fold_failure_is_an_evaluation_error():
-    # d/dx folds (1e200)^2, which overflows
+    # the field builds, and d/dx forms (1e200)^2 in the quotient rule, which overflows
     with pytest.raises(EvaluationError, match="Numerical result out of range"):
-        ScalarField("x * (1e200)^2").derivative("x")
+        ScalarField("x / 1e200").derivative("x")
     with pytest.raises(EvaluationError, match="math range error"):
         fold(parse_expression("exp(1000)", XY))
 
@@ -285,6 +286,44 @@ def test_planar_field_requires_shared_parameters():
         PlanarField(fx, fy)
 
 
+OUT_OF_RANGE = re.escape("(34, 'Numerical result out of range')")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ScalarField("x * a^2", {"a": 1e200}),
+    lambda: PlanarField("x * a^2", "y", {"a": 1e200}),
+], ids=["scalar", "planar"])
+def test_a_failing_constant_fails_when_the_field_is_built(build):
+    # the compiled field inlines a = 1e200, so a^2 would overflow at every evaluation
+    with pytest.raises(EvaluationError, match=OUT_OF_RANGE):
+        build()
+
+
+def test_a_field_builds_unless_a_constant_part_fails_at_every_evaluation():
+    # a * a is inf at a = 1e200 without an error, and 1 / inf is 0.0
+    assert ScalarField("x + 1/(a*a)", {"a": 1e200})(2.0, 0.0) == 2.0
+    # sin(inf) raises, but only as the field is evaluated: the check leaves a * a unfolded
+    with pytest.raises(EvaluationError, match="math domain error"):
+        ScalarField("x + sin(a*a)", {"a": 1e200})(2.0, 0.0)
+    # x * 0 is nan at x = inf, and nan^0 is 1.0, so the zeroth power is not checked
+    assert ScalarField("y + sqrt(x*0 - 1)^0")(math.inf, 2.0) == 3.0
+
+
+def test_a_field_compiles_as_written_after_its_constant_check():
+    # folding would turn x * 1 + 0 * y into x, which is -0.0 at x = -0.0
+    field = ScalarField("x * 1 + 0 * y")
+    assert field.source() == "x * 1 + 0 * y"
+    assert math.copysign(1.0, field(-0.0, 1.0)) == 1.0
+
+
+def test_lie_derivative_is_the_directional_derivative_along_the_field():
+    h = ScalarField("y - a*x^2", {"a": 2.0})
+    yh = h.lie_derivative(PlanarField("1", "x", {"a": 2.0}))  # -2 a x + x
+    assert yh.parameters == {"a": 2.0}
+    assert yh(1.5, 7.0) == -4.5
+    assert h.lie_derivative(PlanarField("0", "0", {"a": 2.0}))(1.5, 7.0) == 0.0
+
+
 def test_scalar_field_gradient_matches_symbolic():
     f = ScalarField("sin(2*x)*y", parameters={})
     dfx = f.derivative("x")
@@ -354,7 +393,12 @@ def test_compiled_evaluation_matches_the_tree_walk(tree, binding):
     want = _outcome(_checked, _walk, tree, binding)  # the checks evaluate and fields apply
     assert _outcome(evaluate, tree, binding) == want
     if {"x", "y", "a"} <= binding.keys():
-        field = ScalarField(tree, parameters={"a": binding["a"]})
+        try:
+            field = ScalarField(tree, parameters={"a": binding["a"]})
+        except EvaluationError:
+            # building the field raises only on a constant part that fails at every binding
+            assert isinstance(want, tuple)
+            return
         assert _outcome(field, binding["x"], binding["y"]) == want
         if isinstance(want, str):
             assert field.raw()(binding["x"], binding["y"]).hex() == want

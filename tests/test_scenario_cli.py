@@ -139,7 +139,7 @@ def test_load_reports_field_paths(tmp_path):
          r"integrator\.max_step: expected a finite number, got inf"),
         (lambda d: d.update(integrator={"rtol": math.nan}),
          r"integrator\.rtol: expected a finite number, got nan"),
-        # an expression error names its field; building a curve folds grad h, which can overflow
+        # an expression error names its field; a field folds its constants as it is built
         (lambda d: d["regions"][1]["field"].__setitem__(1, "1 + z"),
          r"regions\[1\]\.field\[1\]: expression error: unknown identifier 'z' \(at position 4\)"),
         (lambda d: d["curves"][0].update(h="abs(y - 0.5)"),

@@ -11,6 +11,7 @@ in a closed namespace, so a name they read must be bound there; a helper
 missing on a rare error path would otherwise show only as a ``NameError`` there.
 The system applies its velocity scale where it hands out fields, so the
 integrator and its kernels must not know that a system can be scaled.
+Only ``expr`` builds, folds or differentiates expression trees.
 """
 
 import ast
@@ -192,6 +193,21 @@ def test_package_modules_import_no_private_names():
     for path in sorted(PACKAGE.glob("*.py")):
         found |= {(name, path.stem) for name in private_imports(path.read_text(), str(path))}
     assert found == set(PRIVATE_IMPORTS_ALLOWED)
+
+
+# the names that build, fold or differentiate expression trees
+TREE_NAMES = {"Expression", "Const", "Var", "Unary", "Binary", "Power", "fold", "differentiate"}
+
+
+def test_only_expr_builds_expression_trees():
+    # expr inlines parameter values, checks constants and forms derivatives; a module that
+    # built trees of its own would have to know those decisions too
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in ("expr.py", "__init__.py"):  # the owner and the package's re-exports
+            found |= {(path.stem, a.name) for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                      if isinstance(node, ast.ImportFrom) for a in node.names if a.name in TREE_NAMES}
+    assert found == set()
 
 
 def unbound_globals(fn):

@@ -1,11 +1,12 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from filippov.errors import (
-    ConfigurationError, FilippovError, OutsideDomainError, evaluation_boundary,
+    ConfigurationError, EvaluationError, FilippovError, OutsideDomainError, evaluation_boundary,
 )
 from filippov.expr import PlanarField, ScalarField
 from filippov.scenario import load_shipped
@@ -97,6 +98,16 @@ def test_torus_distance_is_quotient_metric():
     d = Domain("flat_torus", 0, 1, 0, 1)
     assert d.distance((0.05, 0.5), (0.95, 0.5)) == pytest.approx(0.1)
     assert d.diameter() == pytest.approx(math.hypot(0.5, 0.5))
+
+
+@pytest.mark.parametrize("source", ["y * a^2", "y - x/a"], ids=["h", "grad_h"])
+def test_a_curve_with_a_failing_constant_fails_when_it_is_built(source):
+    # a = 1e200 is inlined, so a^2 in h, or in dh/dx = -(a / a^2) where h itself builds,
+    # would overflow at every evaluation
+    with pytest.raises(EvaluationError, match=re.escape("(34, 'Numerical result out of range')")):
+        SwitchingCurve(0, ScalarField(source, {"a": 1e200}), 1, 2)
+    if source == "y - x/a":  # h itself builds; its gradient fails
+        ScalarField(source, {"a": 1e200})
 
 
 def test_validation_rejects_overlapping_curves():
