@@ -229,7 +229,11 @@ def orbit_enters(orbit, disk, domain, t_max=None):
 
 
 def transitivity_probe(sys, u_disk, v_disk, budget, horizon, opts=None, dwell_grid=(0.0,)):
-    """Search for one Filippov orbit meeting both disks (forward, budgeted)."""
+    """Search for one Filippov orbit meeting both disks (forward, budgeted).
+
+    The two disks are the enumeration's goal, so an orbit ends once it has
+    entered both; whether it met them is read from its trace.
+    """
     n_seeds = max(1, min(budget, 16))
     spent = 0
     for seed in _disk_seeds(u_disk, n_seeds, sys.domain):
@@ -237,7 +241,8 @@ def transitivity_probe(sys, u_disk, v_disk, budget, horizon, opts=None, dwell_gr
             continue
         per_seed = max(1, (budget - spent) // max(1, n_seeds))
         orbits = enumerate_branches(
-            sys, seed, horizon, budget=per_seed, dwell_grid=dwell_grid, opts=opts
+            sys, seed, horizon, budget=per_seed, dwell_grid=dwell_grid, opts=opts,
+            goal=(u_disk, v_disk),
         )
         spent += len(orbits)
         for orbit in orbits:
@@ -851,7 +856,7 @@ def chaos_report(sys, config=None, opts=None):
     else:
         report["saturation"] = None
 
-    trials = []
+    trials, stops = [], []  # stops: model times at which found orbits reached their goal
     for _ in range(cfg.transitivity_pairs):
         u = _random_disk(rng, domain, cfg.disk_radius)
         v = _random_disk(rng, domain, cfg.disk_radius)
@@ -860,6 +865,8 @@ def chaos_report(sys, config=None, opts=None):
             opts=opts, dwell_grid=cfg.dwell_grid,
         )
         ok = not isinstance(result, ProbeNotFound)
+        if ok and result.terminal == "goal_reached":
+            stops.append(result.duration())
         trials.append({
             "U": u.to_dict(), "V": v.to_dict(),
             "found": ok,
@@ -873,7 +880,11 @@ def chaos_report(sys, config=None, opts=None):
         "positive": found_all,
         "label": "positive" if found_all else "inconclusive at budget",
     }
-    phase_done("transitivity", f"{report['transitivity']['found']} of {len(trials)} pairs found")
+    found, half = report["transitivity"]["found"], len(stops) // 2
+    stops.sort()
+    median = f"median t = {(stops[half] + stops[~half]) / 2:.2f} of " if stops else ""
+    phase_done("transitivity", f"{found} of {len(trials)} pairs found, {len(stops)} of {found} "
+               f"found orbits stopped at their goal ({median}probe_horizon {cfg.probe_horizon:g})")
 
     r = cfg.r_fraction * domain.diameter()
     disk = _random_disk(rng, domain, cfg.sensitivity_disk_radius)

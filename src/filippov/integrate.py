@@ -943,9 +943,11 @@ class _Run:
     target and ``_escape`` applies the branch policy after a ride.  Each step
     counts against ``MAX_SEGMENTS`` and consults the cursor at most once, before
     it changes anything, so one interrupted by ``_Fork`` can re-run on a ``fork``.
+    ``goal`` holds the disks the orbit has not entered yet (see
+    ``enumerate_branches``).
     """
 
-    def __init__(self, sys, p0, horizon, direction, cursor, opts, ride_targets):
+    def __init__(self, sys, p0, horizon, direction, cursor, opts, ride_targets, goal=()):
         if not 0 < horizon < math.inf:
             raise IntegrationError(f"horizon must be positive and finite, got {horizon!r}")
         self.sys = sys if direction == "forward" else sys.reversed()
@@ -959,6 +961,7 @@ class _Run:
         self.mode = ("sigma", where.curve_id) if isinstance(where, OnSigma) else ("region", where, None)
         self.segments, self.choices = [], []
         self.terminal, self.steps = None, 0
+        self.goal = tuple(goal)  # replaced, never changed in place, so forks may share it
 
     def fork(self, entry):
         """A copy of this state whose cursor scripts the pending choice as ``entry``."""
@@ -973,12 +976,25 @@ class _Run:
             if self.steps >= MAX_SEGMENTS:
                 self.terminal = "segment_budget"
                 break
+            done = len(self.segments)
             getattr(self, "_" + self.mode[0])(*self.mode[1:])
             self.steps += 1
+            if self.goal:
+                self._meet_goal(self.segments[done:])
         return Orbit(
             self.p0, self.direction, self.horizon, self.segments, self.choices, self.terminal,
             policy=self.cursor.describe(), script=list(self.cursor.script),
         )
+
+    def _meet_goal(self, segments):
+        """Drop the goal disks that a sample of ``segments`` is in; end the run when none is left."""
+        distance = self.sys.domain.distance
+        points = [p for seg in segments for p in seg.points]
+        self.goal = tuple(disk for disk in self.goal
+                          if not any(distance(p, disk.center) <= disk.radius for p in points))
+        if not self.goal:
+            self.mode = None
+            self.terminal = self.terminal or "goal_reached"
 
     def _add_marker(self, kind, detail):
         self.segments.append(OrbitSegment(kind, [self.t], [self.p], detail=detail))
@@ -1152,6 +1168,7 @@ def enumerate_branches(
     dwell_grid=(0.0,),
     opts=None,
     ride_targets=(),
+    goal=(),
 ):
     """Depth-limited deterministic enumeration of the branch tree.
 
@@ -1163,6 +1180,11 @@ def enumerate_branches(
     Returns at most ``budget`` orbits in breadth-first script order; each
     equals ``integrate_filippov`` under ``PolicyCursor(BranchPolicy.slide_on(),
     orbit.script)``.
+
+    ``goal`` is a sequence of disks (each with a ``center`` and a ``radius``).
+    With one, an orbit ends "goal_reached" after the driver step in which it
+    has had a sample in every disk (a terminal the step set stays); it then
+    equals the first segments of that fresh run, and forks no further.
     """
     if budget < 1:
         raise IntegrationError("budget must be >= 1")
@@ -1176,7 +1198,7 @@ def enumerate_branches(
     escape_options.append(BranchPolicy.slide_on())
     cursor = PolicyCursor(BranchPolicy.slide_on())
     cursor.fork_depth = _MAX_FORK_DEPTH  # forks copy the cursor, and with it the depth
-    queue = deque([_Run(sys, p0, horizon, "forward", cursor, opts, ride_targets)])
+    queue = deque([_Run(sys, p0, horizon, "forward", cursor, opts, ride_targets, goal)])
     orbits = []
     while queue and len(orbits) < budget:
         run = queue.popleft()

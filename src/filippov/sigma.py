@@ -307,15 +307,28 @@ def trace_curve(sys: FilippovSystem, curve_id: int, resolution: int) -> list[Cur
     ds = min(d.width, d.height) / 256.0
     seeds = _curve_seeds(sys, curve)
     components = []
-    used = []
+    # traced points by cells of side at least 2 ds: a point within 2 ds of a
+    # seed lies in one of the 3 x 3 cells around it (indices wrap on the torus)
+    wrap = d.kind == "flat_torus"
+    nx, ny = max(1, int(d.width // (2.0 * ds))), max(1, int(d.height // (2.0 * ds)))
+    cw, ch = d.width / nx, d.height / ny
+
+    def cell(p, di=0, dj=0):
+        i = math.floor((p[0] - d.x_min) / cw) + di
+        j = math.floor((p[1] - d.y_min) / ch) + dj
+        return (i % nx, j % ny) if wrap else (i, j)
+
+    used = {}
     for seed in seeds:
-        if any(d.distance(seed, q) < 2.0 * ds for q in used):
+        near = {cell(seed, di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+        if any(d.distance(seed, q) < 2.0 * ds for c in near for q in used.get(c, ())):
             continue
         points, closed = _trace_one(sys, curve, seed, ds)
         if not closed:
             back, _ = _trace_one(sys, curve, seed, ds, direction=-1.0)
             points = list(reversed(back[1:])) + points
-        used.extend(points)
+        for q in points:
+            used.setdefault(cell(q), []).append(q)
         comp = _resample(sys, curve, points, closed, resolution, len(components))
         components.append(comp)
     return components

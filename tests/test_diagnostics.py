@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 
 import pytest
 
@@ -138,6 +139,66 @@ def test_transitivity_not_found_across_invariant_cells():
     result = transitivity_probe(s, u, v, budget=12, horizon=30.0)
     assert isinstance(result, ProbeNotFound)
     assert result.reason == "inconclusive at budget"
+
+
+def test_the_goal_flips_no_found_flag_in_a_forking_batch(belt_system, monkeypatch):
+    # budget 50 over 16 seeds enumerates 3 orbits from the seed on the
+    # escaping belt; the goal stop must not turn a miss into a find or back
+    rng = random.Random(3)
+    pairs = [(Disk((0.3, 0.5), 0.05), diagnostics._random_disk(rng, belt_system.domain, 0.05))
+             for _ in range(12)]
+    batches = []
+    original = diagnostics.enumerate_branches
+
+    def recording(*args, **kwargs):
+        orbits = original(*args, **kwargs)
+        batches.append((len(orbits), sum(o.terminal == "goal_reached" for o in orbits)))
+        return orbits
+
+    def probe(u, v):
+        result = transitivity_probe(belt_system, u, v, budget=50, horizon=3.0,
+                                    dwell_grid=(0.0, 0.1))
+        return not isinstance(result, ProbeNotFound)
+
+    monkeypatch.setattr(diagnostics, "enumerate_branches", recording)
+    with_goal = [probe(u, v) for u, v in pairs]
+    assert any(n > 1 for n, _ in batches) and any(stops for _, stops in batches)
+    monkeypatch.setattr(diagnostics, "enumerate_branches",
+                        lambda *args, goal=(), **kwargs: original(*args, **kwargs))
+    without = [probe(u, v) for u, v in pairs]
+    assert with_goal == without
+    assert any(with_goal) and not all(with_goal)
+
+
+@pytest.mark.parametrize("seed, budget, radius, found", [(2, 4, 0.2, 3), (4, 2, 0.05, 0)])
+def test_chaos_report_logs_goal_stops(belt_system, caplog, monkeypatch, seed, budget, radius,
+                                      found):
+    cfg = DiagnosticsConfig(seed=seed, transitivity_pairs=4, transitivity_budget=budget,
+                            disk_radius=radius, probe_horizon=3.0, saturate_horizon=2.0,
+                            saturate_seeds_per_arc=1, sensitivity_budget=2,
+                            sensitivity_horizon=2.0, cycle_windows=2, graph_horizon=4.0,
+                            graph_budget=8, cycle_horizon=4.0, sigma_resolution=256)
+    stops = []
+    original = diagnostics.transitivity_probe
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        if getattr(result, "terminal", None) == "goal_reached":
+            stops.append(result.duration())
+        return result
+
+    monkeypatch.setattr(diagnostics, "transitivity_probe", recording)
+    with caplog.at_level("INFO", logger="filippov.diagnostics"):
+        report = chaos_report(belt_system, cfg)
+    [line] = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("chaos_report transitivity: ")]
+    assert report["transitivity"]["found"] == len(stops) == found
+    median = f"median t = {statistics.median(stops):.2f} of " if stops else ""
+    # the first field is the phase's wall time
+    assert line.split(", ", 1)[1] == (
+        f"{found} of 4 pairs found, {found} of {found} found orbits stopped at their goal "
+        f"({median}probe_horizon 3)"
+    )
 
 
 def test_sensitivity_witness_on_escaping_belt(belt_system):

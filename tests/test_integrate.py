@@ -5,6 +5,7 @@ import math
 import pytest
 
 from filippov import diagnostics, integrate
+from filippov.diagnostics import Disk
 from filippov.errors import ConfigurationError, IntegrationError
 from filippov.expr import PlanarField, ScalarField
 from filippov.integrate import (
@@ -297,6 +298,91 @@ def test_enumerated_orbits_equal_fresh_runs_of_their_scripts(belt_system):
         scripts = [o.policy["script"] for o in orbits]
         assert ["pass"] in scripts
         assert ["ride", "exit_immediately_up"] in scripts
+
+
+def _enumerate_with_goal(system, p0, horizon, goal, **kwargs):
+    """Enumerate with and without the goal; check each goal orbit against the fresh run."""
+    orbits = enumerate_branches(system, p0, horizon, goal=goal, **kwargs)
+    plain = enumerate_branches(system, p0, horizon, **kwargs)
+    stopped = 0
+    for orbit in orbits:
+        fresh = integrate_filippov(
+            system, p0, horizon, policy=PolicyCursor(BranchPolicy.slide_on(), orbit.script),
+            opts=kwargs.get("opts"), ride_targets=kwargs.get("ride_targets", ()),
+        )
+        if orbit.terminal != "goal_reached":
+            assert orbit.serialize() == fresh.serialize()
+            assert orbit.serialize() in [o.serialize() for o in plain]
+            continue
+        stopped += 1
+        assert orbit.segments == fresh.segments[:len(orbit.segments)]
+        assert orbit.choices == fresh.choices[:len(orbit.choices)]
+        # the run stopped on the arc that entered the last pending disk
+        assert all(diagnostics.orbit_enters(orbit, d, system.domain) is not None for d in goal)
+        last = max(i for i, seg in enumerate(orbit.segments)
+                   if seg.kind in ("regular_arc", "sliding_arc"))
+        before = dataclasses.replace(orbit, segments=orbit.segments[:last])
+        assert any(diagnostics.orbit_enters(before, d, system.domain) is None for d in goal)
+    return orbits, plain, stopped
+
+
+@pytest.mark.parametrize("goal, script, kinds, duration", [
+    # the exit into y > 0.5 passes both disks on its first arc, which meets the
+    # sliding belt at t = 0.5; the fresh run slides on to the horizon
+    ((Disk((0.5, 0.7), 0.05), Disk((0.7, 0.9), 0.05)), "exit_immediately_down",
+     ["escape_departure", "regular_arc"], 0.5),
+    # a goal met on the last arc leaves the orbit whole; only its terminal is new
+    ((Disk((0.5, 0.7), 0.05), Disk((0.9, 0.0), 0.05)), "exit_immediately_down",
+     ["escape_departure", "regular_arc", "sliding_arc"], 2.0),
+    # the dwell step adds a sliding arc and then a departure marker; the first
+    # disk holds samples of the arc only
+    ((Disk((0.35, 0.5), 0.02), Disk((0.5, 0.6), 0.05)), "dwell_then_exit(0.1,negative)",
+     ["sliding_arc", "escape_departure", "regular_arc"], 0.6),
+])
+def test_an_orbit_stopped_at_its_goal_is_a_prefix_of_the_fresh_run(belt_system, goal, script,
+                                                                    kinds, duration):
+    orbits, plain, stopped = _enumerate_with_goal(
+        belt_system, (0.3, 0.5), 2.0, goal, budget=100, dwell_grid=(0.0, 0.1)
+    )
+    assert stopped == 1 and len(orbits) == len(plain) == 5
+    [orbit] = [o for o in orbits if o.terminal == "goal_reached"]
+    assert orbit.policy["script"] == [script]
+    assert [seg.kind for seg in orbit.segments] == kinds
+    assert orbit.duration() == pytest.approx(duration, abs=1e-9)
+
+
+def test_goal_orbits_on_the_torus_with_ride_forks():
+    scenario = load_shipped("chaotic_torus")
+    torus = scenario.build_system()
+    rides = diagnostics._escape_entry_tangencies(torus, decompose(torus))
+    p0 = (0.77, 0.61)
+    kwargs = dict(budget=12, opts=scenario.integrator, ride_targets=rides)
+    reference = enumerate_branches(torus, p0, 6.0, **kwargs)
+    # disks on the fork's later branches: each orbit that meets both stops there
+    goal = (Disk(reference[0].position_at(1.0, torus.domain), 0.05),
+            Disk(reference[-1].position_at(4.0, torus.domain), 0.05))
+    orbits, _, stopped = _enumerate_with_goal(torus, p0, 6.0, goal, **kwargs)
+    scripts = [o.policy["script"][0] for o in orbits if o.terminal == "goal_reached"]
+    assert stopped >= 2 and "pass" in scripts and "ride" in scripts
+
+
+def test_an_orbit_that_misses_its_goal_is_unchanged(belt_system):
+    goal = (Disk((0.5, 0.7), 0.05), Disk((0.2, 0.3), 0.05))  # no branch meets both
+    orbits, plain, stopped = _enumerate_with_goal(
+        belt_system, (0.3, 0.5), 2.0, goal, budget=100, dwell_grid=(0.0, 0.1)
+    )
+    assert stopped == 0
+    assert [o.serialize() for o in orbits] == [o.serialize() for o in plain]
+
+
+def test_an_orbit_that_leaves_the_domain_keeps_its_terminal():
+    # one regular arc meets both disks and leaves the rectangle at x = 2
+    s = build_plane_system(("1", "0"), ("1", "1"), bounds=(-2, 2, -1, 1))
+    goal = (Disk((-1.0, 0.5), 0.1), Disk((1.5, 0.5), 0.1))
+    [orbit] = enumerate_branches(s, (-1.5, 0.5), 5.0, budget=1, goal=goal)
+    assert orbit.terminal == "left_domain"
+    assert [seg.kind for seg in orbit.segments] == ["regular_arc", "terminal"]
+    assert orbit.serialize() == integrate_filippov(s, (-1.5, 0.5), 5.0).serialize()
 
 
 def test_enumeration_integrates_each_arc_once(belt_system, monkeypatch):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from filippov import sigma
 from filippov.diagnostics import build_segment_graph, sigma_seed_points
 from filippov.errors import NonIsolatedTangencyError, UndefinedSlidingError
 from filippov.expr import PlanarField, ScalarField
@@ -466,6 +467,58 @@ def test_trace_curve_closed_on_torus(belt_system):
     assert all(c.closed for c in comps)
     for c in comps:
         assert c.length == pytest.approx(1.0, abs=1e-6)
+
+
+def _trace_curve_reference(system, curve_id, resolution):
+    """trace_curve with the seed de-dup against every traced point, not the cells near it."""
+    curve, d = system.curve(curve_id), system.domain
+    ds = min(d.width, d.height) / 256.0
+    components, used = [], []
+    for seed in sigma._curve_seeds(system, curve):
+        if any(d.distance(seed, q) < 2.0 * ds for q in used):
+            continue
+        points, closed = sigma._trace_one(system, curve, seed, ds)
+        if not closed:
+            back, _ = sigma._trace_one(system, curve, seed, ds, direction=-1.0)
+            points = list(reversed(back[1:])) + points
+        used.extend(points)
+        components.append(sigma._resample(system, curve, points, closed, resolution,
+                                          len(components)))
+    return components
+
+
+def _torus_curve_system(bounds, h):
+    domain = Domain("flat_torus", *bounds)
+    regions = [
+        RegionSpec(1, PlanarField("1", "0"), [(0, +1)]),
+        RegionSpec(2, PlanarField("0", "1"), [(0, -1)]),
+    ]
+    return FilippovSystem(domain, [SwitchingCurve(0, ScalarField(h), 1, 2)], regions,
+                          validate=False)
+
+
+_SEAM_CASES = {
+    # two wavy lines, each crossing the x seam, one also the y seam
+    "wavy": ((0, 1, 0, 1), "sin(2*pi*(y - 0.5 - 0.2*sin(2*pi*x)))"),
+    # a closed curve around the corner, crossing both seams; width 1.3 is not a
+    # multiple of 2 ds = 0.7 / 128
+    "corner": ((0, 1.3, 0, 0.7), "cos(2*pi*x/1.3) + cos(2*pi*y/0.7) - 1.2"),
+}
+
+
+@pytest.mark.parametrize("name", list_shipped() + sorted(_SEAM_CASES))
+def test_trace_curve_matches_the_all_points_de_dup(name):
+    if name in _SEAM_CASES:
+        system = _torus_curve_system(*_SEAM_CASES[name])
+    else:
+        system = load_shipped(name).build_system()
+    for curve in system.curves:
+        got = trace_curve(system, curve.id, 128)
+        assert got == _trace_curve_reference(system, curve.id, 128)
+        if name == "corner":
+            assert len(got) == 1 and got[0].closed
+        elif name == "wavy":
+            assert len(got) == 2 and all(c.closed for c in got)
 
 
 def test_sigma_decomposition_traces_the_curve_once(monkeypatch, fold_system):
