@@ -125,7 +125,7 @@ def _cmd_classify(args):
     if args.curve not in ids:
         raise ConfigurationError(
             f"--curve: no curve has id {args.curve} (ids: {', '.join(map(str, ids))})")
-    resolution = _flag(args.resolution, None, "--resolution", CONFIG_RANGES["sigma_resolution"])
+    resolution = _flag(args.resolution, None, "--resolution", *CONFIG_RANGES["sigma_resolution"])
     dec = sigma_decomposition(sys_, args.curve, resolution)
     _dump_json(dec.to_dict(), args.json)
     return EXIT_OK
@@ -133,7 +133,7 @@ def _cmd_classify(args):
 
 def _cmd_orbit(args):
     scenario, sys_, _ = _load(args)
-    horizon = _flag(args.horizon, None, "--horizon", POSITIVE)
+    horizon = _flag(args.horizon, None, "--horizon", *POSITIVE)
     orbit = integrate_filippov(
         sys_, _parse_point(args.start, "--start"), horizon,
         direction=args.direction, policy=_parse_policy(args.policy),
@@ -148,8 +148,8 @@ def _cmd_orbit(args):
 
 def _cmd_portrait(args):
     scenario, sys_, _ = _load(args)
-    resolution = _flag(args.resolution, None, "--resolution", CONFIG_RANGES["sigma_resolution"])
-    horizon = _flag(args.horizon, None, "--horizon", POSITIVE)
+    resolution = _flag(args.resolution, None, "--resolution", *CONFIG_RANGES["sigma_resolution"])
+    horizon = _flag(args.horizon, None, "--horizon", *POSITIVE)
     width, height = _parse_pair(args.size, "--size", "x", int, lambda v: v > 0,
                                 "two positive integers 'WxH'")
     if not min(width, height) > 2 * MARGIN:  # the frame would be mirrored or a point
@@ -168,8 +168,9 @@ def _cmd_portrait(args):
 
 def _cmd_saturate(args):
     scenario, sys_, cfg = _load(args)
-    cfg = replace(cfg, grid_resolution=_flag(args.grid, cfg.grid_resolution, "--grid", COUNT),
-                  saturate_horizon=_flag(args.horizon, cfg.saturate_horizon, "--horizon", POSITIVE))
+    cfg = replace(cfg, grid_resolution=_flag(args.grid, cfg.grid_resolution, "--grid",
+                                             *CONFIG_RANGES["grid_resolution"]),
+                  saturate_horizon=_flag(args.horizon, cfg.saturate_horizon, "--horizon", *POSITIVE))
     seeds = saturation_seeds(sys_, sigma_phase(sys_, cfg), cfg)
     if not seeds:
         _dump_json({"error": "no sliding or escaping arcs to seed from"}, args.json)
@@ -191,9 +192,9 @@ def _cmd_diagnose(args):
 
 def _cmd_cycles(args):
     scenario, sys_, cfg = _load(args)
-    radius = _flag(args.radius, cfg.window_radius, "--radius", POSITIVE, disk_fit(sys_.domain))
+    radius = _flag(args.radius, cfg.window_radius, "--radius", *POSITIVE, disk_fit(sys_.domain))
     cfg = replace(cfg, window_radius=radius,
-                  cycle_windows=_flag(args.windows, cfg.cycle_windows, "--windows", COUNT))
+                  cycle_windows=_flag(args.windows, cfg.cycle_windows, "--windows", *COUNT))
     graph = graph_phase(sys_, sigma_phase(sys_, cfg), cfg, random.Random(cfg.seed), scenario.integrator)
     if args.dot:
         with open(args.dot, "w") as fh:

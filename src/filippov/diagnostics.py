@@ -5,10 +5,11 @@ negative outcome is always labeled "inconclusive at budget" rather than a
 certificate of absence.  Probes are embarrassingly parallel over seeds and
 pairs; this implementation runs them sequentially for reproducibility.
 
-The probes read orbits through plain-Python trace queries: ``_trace`` lists
-an orbit's stored sample times and points once, and every query on that
-orbit (disk entries, passes of the chords between samples near a point)
-walks those lists with the domain's displacement arithmetic.
+Disk entries are ``integrate.first_entry`` walks of an orbit's segments; a
+transitivity probe orbit carries them as its ``goal_entries``.  The passes
+of the chords between samples near a point walk plain lists: ``_trace``
+lists an orbit's stored sample times and points once, and ``_chords_near``
+reads them with the domain's displacement arithmetic.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .integrate import (
     BranchPolicy,
     PolicyCursor,
     enumerate_branches,
+    first_entry,
     integrate_filippov,
 )
 from .sigma import (
@@ -43,9 +45,6 @@ log = logging.getLogger(__name__)
 class Disk:
     center: tuple[float, float]
     radius: float
-
-    def contains(self, domain, p):
-        return domain.distance(self.center, p) <= self.radius
 
     def to_dict(self):
         return {"center": list(self.center), "radius": self.radius}
@@ -102,10 +101,6 @@ class GridCoverage:
 
     def fraction(self):
         return float(self.hits.sum()) / float(self.hits.size)
-
-    def covers(self, other):
-        """Cell-wise: every cell hit by ``other`` is hit by self."""
-        return all(a or not b for a, b in zip(self.hits.flags, other.hits.flags))
 
     def write_csv(self, fh):
         fh.write("i,j,hit\n")
@@ -183,20 +178,10 @@ def _disk_seeds(disk, n, domain):
 
 
 def _trace(orbit):
-    """(t, x, y) lists of the orbit's stored samples; every trace query reads these."""
+    """(t, x, y) lists of the orbit's stored samples; every chord query reads these."""
     t = [tt for seg in orbit.segments for tt in seg.times]
     points = [p for seg in orbit.segments for p in seg.points]
     return t, [p[0] for p in points], [p[1] for p in points]
-
-
-def _entry(domain, trace, disk, t_max=None):
-    """First sample time at which the trace is inside the disk (by ``t_max``), else None."""
-    for t, x, y in zip(*trace):
-        if t_max is not None and t > t_max:
-            return None  # sample times never decrease
-        if domain.distance((x, y), disk.center) <= disk.radius:
-            return t
-    return None
 
 
 def _chords_near(domain, trace, point, r, start=0):
@@ -223,16 +208,11 @@ def _chords_near(domain, trace, point, r, start=0):
             yield i, w
 
 
-def orbit_enters(orbit, disk, domain, t_max=None):
-    """First sample time at which the trace enters the disk, else None."""
-    return _entry(domain, _trace(orbit), disk, t_max)
-
-
 def transitivity_probe(sys, u_disk, v_disk, budget, horizon, opts=None, dwell_grid=(0.0,)):
     """Search for one Filippov orbit meeting both disks (forward, budgeted).
 
     The two disks are the enumeration's goal, so an orbit ends once it has
-    entered both; whether it met them is read from its trace.
+    entered both; it met them when both of its ``goal_entries`` are set.
     """
     n_seeds = max(1, min(budget, 16))
     spent = 0
@@ -246,10 +226,7 @@ def transitivity_probe(sys, u_disk, v_disk, budget, horizon, opts=None, dwell_gr
         )
         spent += len(orbits)
         for orbit in orbits:
-            trace = _trace(orbit)
-            # the orbit must genuinely meet both disks
-            if (_entry(sys.domain, trace, v_disk) is not None
-                    and _entry(sys.domain, trace, u_disk) is not None):
+            if None not in orbit.goal_entries:
                 return orbit
         if spent >= budget:
             break
@@ -371,7 +348,6 @@ class GraphNode:
 class GraphEdge:
     source: int
     target: int
-    orbit: object
     flight_time: float
     script: list
     windows_hit: set = field(default_factory=set)
@@ -453,8 +429,11 @@ def build_segment_graph(sys, decompositions, windows=None, horizon=60.0, budget=
     every tangency becomes a node.  The escape-entry tangencies among them are
     the graph's ``ride_targets``.  Edges leave the sliding anchors, the bases
     of closed orbits, by branch-enumerated integration (with graze capture of
-    the ride targets); each edge stores its orbit, its first-passage flight
-    time and the windows its orbit entered by then.
+    the ride targets); each edge stores its orbit's branch script, its
+    first-passage flight time and the windows its orbit entered by then.  The
+    orbit is ``integrate_filippov`` from the source node under
+    ``PolicyCursor(BranchPolicy.slide_on(), edge.script)`` with the graph's
+    ``ride_targets``.
     """
     domain = sys.domain
     decs = decompositions
@@ -509,26 +488,24 @@ def build_segment_graph(sys, decompositions, windows=None, horizon=60.0, budget=
         )
         spent += len(orbits)
         for orbit in orbits:
-            trace = _trace(orbit)
             # sample times never decrease: an edge's orbit has entered a window
             # by its flight time exactly when the first entry is no later
-            entries = [(n.node_id, _entry(domain, trace, Disk(n.point, n.radius)))
+            entries = [(n.node_id, first_entry(domain, orbit.segments, Disk(n.point, n.radius)))
                        for n in window_nodes]
-            for e in _edges_from_orbit(domain, src, orbit, trace, nodes):
+            for e in _edges_from_orbit(domain, src, orbit.script, _trace(orbit), nodes):
                 e.windows_hit = {wid for wid, t_in in entries
                                  if t_in is not None and t_in <= e.flight_time}
                 edges.append(e)
     return SegmentGraph(nodes=nodes, edges=edges, ride_targets=ride_targets)
 
 
-def _edges_from_orbit(domain, src, orbit, trace, nodes):
-    """First-passage hits of every node vicinity along one orbit's trace.
+def _edges_from_orbit(domain, src, script, trace, nodes):
+    """First-passage hits of every node vicinity along the trace of one orbit with branch ``script``.
 
     Distances are measured to the chords between consecutive samples so that
     close passes between samples (grazes in particular) are not missed.
     """
     ts, xs, ys = trace
-    script = list(orbit.script)
     edges = []
     for n in nodes:
         start = 0
@@ -543,7 +520,7 @@ def _edges_from_orbit(domain, src, orbit, trace, nodes):
         i, w = hit
         t_hit = ts[i] + w * (ts[i + 1] - ts[i])
         if t_hit > 1e-9:
-            edges.append(GraphEdge(src.node_id, n.node_id, orbit, t_hit, script))
+            edges.append(GraphEdge(src.node_id, n.node_id, t_hit, script))
     return sorted(edges, key=lambda e: e.target)
 
 
@@ -604,9 +581,10 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
     only when some exact return (endpoint mismatch <= 1e-6) happens after the
     requested windows were visited.
 
-    ``runs`` (base anchor, script key) -> trace shares these
-    integrations between calls with the same graph, system, horizon and
-    options; without it every candidate is integrated afresh.
+    ``windows_to_visit`` are ids of the graph's window nodes.  ``runs`` (base
+    anchor, script key) -> (first entry time per window id, trace) shares
+    these integrations between calls with the same graph, system, horizon
+    and options; without it every candidate is integrated afresh.
     """
     if not graph.nodes:
         return []
@@ -626,10 +604,13 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
     records = []
     for key, script in list(candidates.items())[:24]:
         if (base_anchor, key) not in runs:
-            runs[base_anchor, key] = _trace(integrate_filippov(
+            orbit = integrate_filippov(
                 sys, base.point, horizon, opts=opts,
-                policy=PolicyCursor(BranchPolicy.slide_on(), script), ride_targets=graph.ride_targets))
-        record = _closed_record(sys, graph, base, want, runs[base_anchor, key])
+                policy=PolicyCursor(BranchPolicy.slide_on(), script), ride_targets=graph.ride_targets)
+            entries = {n.node_id: first_entry(sys.domain, orbit.segments, Disk(n.point, n.radius))
+                       for n in graph.nodes_of_kind("window_v")}
+            runs[base_anchor, key] = entries, _trace(orbit)
+        record = _closed_record(sys, base, want, *runs[base_anchor, key])
         if record is not None:
             records.append(record)
             if want:
@@ -637,13 +618,12 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
     return records
 
 
-def _closed_record(sys, graph, base, want, trace):
+def _closed_record(sys, base, want, entries, trace):
     """The candidate's first exact return after it entered every wanted window, else None."""
-    entries = [_entry(sys.domain, trace, Disk(graph.node(wid).point, graph.node(wid).radius))
-               for wid in want]
-    if None in entries:
+    t_in = [entries[wid] for wid in want]
+    if None in t_in:
         return None
-    t_needed = max(entries, default=0.0)
+    t_needed = max(t_in, default=0.0)
     for period, endpoint in _returns_to(sys, trace, base.point):
         if period >= t_needed:
             gap = sys.domain.distance(endpoint, base.point)
@@ -682,12 +662,16 @@ def rescale_tangency_freeze(sys, decompositions):
 # --------------------------------------------------------------------------- #
 
 
-POSITIVE = (lambda v: 0 < v < math.inf, "a finite number > 0")
-COUNT = (lambda v: v >= 1, "an integer >= 1")
+# a range is a tuple of (check, expected) pairs, and a value in it passes every check
+POSITIVE = ((lambda v: 0 < v < math.inf, "a finite number > 0"),)
+COUNT = ((lambda v: v >= 1, "an integer >= 1"),)
+GRID_RESOLUTION_MAX = 4096  # the coverage flags take n * n bytes, 16 MiB at the bound
+SIGMA_RESOLUTION_MAX = 65536  # one curve's decomposition at the bound peaks near 60 MB
 # the range of every numeric setting but ``seed`` and ``dwell_grid``
 CONFIG_RANGES = {
-    "grid_resolution": COUNT,
-    "sigma_resolution": (lambda v: v >= 2, "an integer >= 2"),
+    "grid_resolution": (*COUNT, (lambda v: v <= GRID_RESOLUTION_MAX, f"at most {GRID_RESOLUTION_MAX}")),
+    "sigma_resolution": ((lambda v: v >= 2, "an integer >= 2"),
+                         (lambda v: v <= SIGMA_RESOLUTION_MAX, f"at most {SIGMA_RESOLUTION_MAX}")),
     "saturate_horizon": POSITIVE,
     "saturate_seeds_per_arc": COUNT,
     "probe_horizon": POSITIVE,
@@ -745,11 +729,12 @@ class DiagnosticsConfig:
 
         Every disk the probes draw must also fit inside ``domain`` (``disk_fit``).
         """
-        fit = disk_fit(domain)
-        for key, (valid, expected) in [*CONFIG_RANGES.items(), *((key, fit) for key in DISK_RADII)]:
+        fit = (disk_fit(domain),)
+        for key, checks in [*CONFIG_RANGES.items(), *((key, fit) for key in DISK_RADII)]:
             value = getattr(self, key)
-            if not valid(value):
-                raise ConfigurationError(f"config.{key}: expected {expected}, got {value!r}")
+            for valid, expected in checks:
+                if not valid(value):
+                    raise ConfigurationError(f"config.{key}: expected {expected}, got {value!r}")
         for i, dwell in enumerate(self.dwell_grid):
             if not 0 <= dwell < math.inf:
                 raise ConfigurationError(

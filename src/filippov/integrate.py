@@ -684,6 +684,7 @@ class Orbit:
     terminal: str | None
     policy: dict
     script: list = field(default_factory=list)  # consumed policy entries, re-runnable
+    goal_entries: tuple = ()  # per goal disk, the time of its first entry or None
 
     def duration(self):
         return self.segments[-1].t_end if self.segments else 0.0
@@ -934,6 +935,19 @@ def _locate_slide_tangency(step, curve, rhs, flipped, s1_0, s2_0):
 # --------------------------------------------------------------------------- #
 
 
+def first_entry(domain, segments, disk):
+    """Time of the first stored sample of ``segments`` in the closed disk, else None.
+
+    ``disk`` has a ``center`` and a ``radius``; a sample on the rim is inside.
+    """
+    distance, center, radius = domain.distance, disk.center, disk.radius
+    for seg in segments:
+        for t, p in zip(seg.times, seg.points):
+            if distance(p, center) <= radius:
+                return t
+    return None
+
+
 class _Run:
     """The state of one orbit between two driver steps.
 
@@ -943,8 +957,8 @@ class _Run:
     target and ``_escape`` applies the branch policy after a ride.  Each step
     counts against ``MAX_SEGMENTS`` and consults the cursor at most once, before
     it changes anything, so one interrupted by ``_Fork`` can re-run on a ``fork``.
-    ``goal`` holds the disks the orbit has not entered yet (see
-    ``enumerate_branches``).
+    ``entries`` holds, per disk of ``goal``, the time of its first entry or
+    None while it is pending (see ``enumerate_branches``).
     """
 
     def __init__(self, sys, p0, horizon, direction, cursor, opts, ride_targets, goal=()):
@@ -961,7 +975,8 @@ class _Run:
         self.mode = ("sigma", where.curve_id) if isinstance(where, OnSigma) else ("region", where, None)
         self.segments, self.choices = [], []
         self.terminal, self.steps = None, 0
-        self.goal = tuple(goal)  # replaced, never changed in place, so forks may share it
+        self.goal = tuple(goal)
+        self.entries = (None,) * len(self.goal)  # replaced, never changed in place, so forks may share it
 
     def fork(self, entry):
         """A copy of this state whose cursor scripts the pending choice as ``entry``."""
@@ -979,20 +994,20 @@ class _Run:
             done = len(self.segments)
             getattr(self, "_" + self.mode[0])(*self.mode[1:])
             self.steps += 1
-            if self.goal:
+            if None in self.entries:
                 self._meet_goal(self.segments[done:])
         return Orbit(
             self.p0, self.direction, self.horizon, self.segments, self.choices, self.terminal,
             policy=self.cursor.describe(), script=list(self.cursor.script),
+            goal_entries=self.entries,
         )
 
     def _meet_goal(self, segments):
-        """Drop the goal disks that a sample of ``segments`` is in; end the run when none is left."""
-        distance = self.sys.domain.distance
-        points = [p for seg in segments for p in seg.points]
-        self.goal = tuple(disk for disk in self.goal
-                          if not any(distance(p, disk.center) <= disk.radius for p in points))
-        if not self.goal:
+        """Record the pending goal disks' first entries in ``segments``; end the run when all are met."""
+        domain = self.sys.domain
+        self.entries = tuple(first_entry(domain, segments, disk) if t is None else t
+                             for t, disk in zip(self.entries, self.goal))
+        if None not in self.entries:
             self.mode = None
             self.terminal = self.terminal or "goal_reached"
 
@@ -1182,9 +1197,11 @@ def enumerate_branches(
     orbit.script)``.
 
     ``goal`` is a sequence of disks (each with a ``center`` and a ``radius``).
-    With one, an orbit ends "goal_reached" after the driver step in which it
-    has had a sample in every disk (a terminal the step set stays); it then
-    equals the first segments of that fresh run, and forks no further.
+    Each orbit's ``goal_entries`` holds, per disk, the ``first_entry`` time of
+    its stored samples, or None where it has none.  With a goal, an orbit ends
+    "goal_reached" after the driver step in which it has had a sample in every
+    disk (a terminal the step set stays); it then equals the first segments of
+    that fresh run, and forks no further.
     """
     if budget < 1:
         raise IntegrationError("budget must be >= 1")

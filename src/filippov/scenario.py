@@ -224,7 +224,3 @@ def shipped_path(name: str) -> Path:
 def load_shipped(name: str) -> Scenario:
     return load_scenario(shipped_path(name))
 
-
-def list_shipped():
-    base = resources.files("filippov").joinpath("scenarios")
-    return sorted(p.name for p in base.iterdir() if p.name.endswith(".json"))

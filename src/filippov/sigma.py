@@ -42,10 +42,6 @@ class Classification:
     tangent_side: str | None = None  # 'positive' | 'negative' | 'both'
     sliding_velocity: tuple[float, float] | None = None
 
-    @property
-    def witnesses(self):
-        return (self.lie_positive, self.lie_negative)
-
 
 @dataclass(frozen=True)
 class TangencyPoint:

@@ -23,7 +23,7 @@ DEGENERATE_GRADIENT = "gradient of h degenerate near ({x:.6g}, {y:.6g})"  # ``Sw
 
 @dataclass(frozen=True)
 class OnSigma:
-    """Marker returned by region_of / field_at for points on a curve."""
+    """Marker returned by region_of for points on a curve."""
 
     curve_id: int
 
@@ -254,13 +254,6 @@ class FilippovSystem:
         canonical = self.domain.canonical
         return (lambda x, y: scale(canonical((x, y))) * fx(x, y),
                 lambda x, y: scale(canonical((x, y))) * fy(x, y))
-
-    def field_at(self, p):
-        """Z(p) off the manifold; OnSigma marker on it (caller must classify)."""
-        where = self.region_of(p)
-        if isinstance(where, OnSigma):
-            return where
-        return self.field_value(self.region(where).field, self.domain.canonical(p))
 
     # -- derived systems -------------------------------------------------------
 

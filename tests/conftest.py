@@ -1,10 +1,11 @@
 import contextlib
 import math
 import signal
+from pathlib import Path
 
 import pytest
 
-from filippov import integrate, sigma
+from filippov import integrate, scenario, sigma
 from filippov.expr import PlanarField, ScalarField
 from filippov.system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
@@ -18,6 +19,11 @@ def build_plane_system(fields_pos, fields_neg, bounds=(-2, 2, -1, 1), h="y", val
         RegionSpec(2, PlanarField(*fields_neg), [(0, -1)]),
     ]
     return FilippovSystem(domain, [curve], regions, validate=validate)
+
+
+def list_shipped():
+    """File names of the scenarios the package ships, sorted."""
+    return sorted(p.name for p in (Path(scenario.__file__).parent / "scenarios").glob("*.json"))
 
 
 @contextlib.contextmanager

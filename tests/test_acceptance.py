@@ -111,7 +111,7 @@ def test_criterion_2_classification_oracle(sigma_samples):
         if expected is PointClass.PSEUDO_EQUILIBRIUM:
             expected = PointClass.SLIDING if cls.lie_positive < 0 else PointClass.ESCAPING
         got = classification_oracle(s, cid, p)
-        assert got is expected, (p, cls.witnesses, got)
+        assert got is expected, (p, (cls.lie_positive, cls.lie_negative), got)
         checked += 1
     elapsed = time.time() - t0
     assert checked >= 9_000

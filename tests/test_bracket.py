@@ -18,9 +18,11 @@ import pytest
 from filippov import integrate, sigma
 from filippov.errors import UndefinedSlidingError
 from filippov.integrate import EVENT_H_TOL, _THETA_GRID, integrate_filippov
-from filippov.scenario import list_shipped, load_shipped
+from filippov.scenario import load_shipped
 from filippov.sigma import ROOT_L_TOL, bracket
 from filippov.system import Domain
+
+from conftest import list_shipped
 
 BRACKETS = 2000  # random brackets per caller
 

@@ -23,10 +23,10 @@ import pytest
 from filippov.diagnostics import rescale_tangency_freeze
 from filippov.errors import IntegrationError, UndefinedSlidingError
 from filippov.integrate import _REGULAR_STEPS, _THETA_GRID, IntegratorOptions, _DenseStep
-from filippov.scenario import list_shipped, load_shipped
+from filippov.scenario import load_shipped
 from filippov.system import Domain
 
-from conftest import decompose
+from conftest import decompose, list_shipped
 from regular_reference import (
     ReferenceStepper, reference_at, reference_rhs, reference_rk_step, reference_sliding_rhs,
 )

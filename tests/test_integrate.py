@@ -12,6 +12,7 @@ from filippov.integrate import (
     BranchPolicy,
     IntegratorOptions,
     enumerate_branches,
+    first_entry,
     integrate_filippov,
     integrate_regular,
     integrate_sliding,
@@ -306,6 +307,8 @@ def _enumerate_with_goal(system, p0, horizon, goal, **kwargs):
     plain = enumerate_branches(system, p0, horizon, **kwargs)
     stopped = 0
     for orbit in orbits:
+        # the entries the run recorded step by step are those of the finished orbit
+        assert orbit.goal_entries == tuple(first_entry(system.domain, orbit.segments, d) for d in goal)
         fresh = integrate_filippov(
             system, p0, horizon, policy=PolicyCursor(BranchPolicy.slide_on(), orbit.script),
             opts=kwargs.get("opts"), ride_targets=kwargs.get("ride_targets", ()),
@@ -318,11 +321,11 @@ def _enumerate_with_goal(system, p0, horizon, goal, **kwargs):
         assert orbit.segments == fresh.segments[:len(orbit.segments)]
         assert orbit.choices == fresh.choices[:len(orbit.choices)]
         # the run stopped on the arc that entered the last pending disk
-        assert all(diagnostics.orbit_enters(orbit, d, system.domain) is not None for d in goal)
+        assert None not in orbit.goal_entries
         last = max(i for i, seg in enumerate(orbit.segments)
                    if seg.kind in ("regular_arc", "sliding_arc"))
         before = dataclasses.replace(orbit, segments=orbit.segments[:last])
-        assert any(diagnostics.orbit_enters(before, d, system.domain) is None for d in goal)
+        assert any(first_entry(system.domain, before.segments, d) is None for d in goal)
     return orbits, plain, stopped
 
 
@@ -376,13 +379,18 @@ def test_an_orbit_that_misses_its_goal_is_unchanged(belt_system):
 
 
 def test_an_orbit_that_leaves_the_domain_keeps_its_terminal():
-    # one regular arc meets both disks and leaves the rectangle at x = 2
+    # one regular arc meets both disks and leaves the rectangle at x = 2, in the same step
     s = build_plane_system(("1", "0"), ("1", "1"), bounds=(-2, 2, -1, 1))
     goal = (Disk((-1.0, 0.5), 0.1), Disk((1.5, 0.5), 0.1))
     [orbit] = enumerate_branches(s, (-1.5, 0.5), 5.0, budget=1, goal=goal)
     assert orbit.terminal == "left_domain"
     assert [seg.kind for seg in orbit.segments] == ["regular_arc", "terminal"]
     assert orbit.serialize() == integrate_filippov(s, (-1.5, 0.5), 5.0).serialize()
+    assert orbit.goal_entries == tuple(first_entry(s.domain, orbit.segments, d) for d in goal)
+    assert None not in orbit.goal_entries
+    # so the probe finds such an orbit
+    found = diagnostics.transitivity_probe(s, *goal, budget=1, horizon=5.0)
+    assert found.terminal == "left_domain" and None not in found.goal_entries
 
 
 def test_enumeration_integrates_each_arc_once(belt_system, monkeypatch):

@@ -16,9 +16,11 @@ import pytest
 
 from filippov import sigma
 from filippov.integrate import integrate_filippov
-from filippov.scenario import list_shipped, load_shipped
+from filippov.scenario import load_shipped
 from filippov.sigma import CurveComponent, trace_curve
 from filippov.system import Domain
+
+from conftest import list_shipped
 
 DOMAINS = [Domain("plane_rect", -2.0, 3.0, -1.0, 0.5), Domain("flat_torus", 0.0, 2.5, -1.0, 1.0)]
 

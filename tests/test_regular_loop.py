@@ -18,10 +18,10 @@ from filippov.diagnostics import rescale_tangency_freeze
 from filippov.errors import FilippovError, IntegrationError
 from filippov.expr import PlanarField, ScalarField
 from filippov.integrate import ESCAPE_BAND, CaptureTarget, IntegratorOptions, integrate_regular
-from filippov.scenario import list_shipped, load_shipped
+from filippov.scenario import load_shipped
 from filippov.system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
-from conftest import build_plane_system, decompose, time_limit
+from conftest import build_plane_system, decompose, list_shipped, time_limit
 from regular_reference import reference_integrate_regular
 
 STARTS = 6  # seeded starts per region and option set

@@ -13,8 +13,10 @@ from filippov import diagnostics, scenario
 from filippov.cli import main
 from filippov.diagnostics import DiagnosticsConfig, GridCoverage, chaos_report
 from filippov.errors import ConfigurationError
-from filippov.scenario import list_shipped, load_scenario, load_shipped, scenario_from_dict, shipped_path
+from filippov.scenario import load_scenario, load_shipped, scenario_from_dict, shipped_path
 from filippov.sigma import PointClass, classify_point
+
+from conftest import list_shipped, time_limit
 
 
 def test_shipped_scenarios_present():
@@ -501,6 +503,7 @@ def test_cli_scenario_with_infinite_bound_exits_2(tmp_path, capsys):
     ("--size", "60x60", "--size: expected each side above 80 px, the two 40 px margins, got '60x60'"),
     ("--size", "80x80", "--size: expected each side above 80 px, the two 40 px margins, got '80x80'"),
     ("--resolution", "1", "--resolution: expected an integer >= 2, got 1"),
+    ("--resolution", "65537", "--resolution: expected at most 65536, got 65537"),
     ("--horizon", "nan", "--horizon: expected a finite number > 0, got nan"),
     ("--horizon", "-1", "--horizon: expected a finite number > 0, got -1.0"),
     ("--curve", "7", "--curve: no curve has id 7 (ids: 0)"),
@@ -695,7 +698,9 @@ def test_cli_cycles_radius_must_fit_a_plane_domain(radius, tmp_path, capsys):
 
 @pytest.mark.parametrize("key, bad, expected", [
     ("grid_resolution", 0, "an integer >= 1"),
+    ("grid_resolution", 4097, "at most 4096"),
     ("sigma_resolution", 1, "an integer >= 2"),
+    ("sigma_resolution", 65537, "at most 65536"),
     ("saturate_horizon", 0.0, "a finite number > 0"),
     ("saturate_seeds_per_arc", 0, "an integer >= 1"),
     ("probe_horizon", -1.0, "a finite number > 0"),
@@ -729,3 +734,49 @@ def test_config_ranges_name_the_key(key, bad, expected, tmp_path, capsys):
     value = tuple(bad) if key == "dwell_grid" else bad
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         chaos_report(system, dataclasses.replace(DiagnosticsConfig(), **{key: value}))
+
+
+@pytest.mark.parametrize("key, flag, command, value", [
+    ("grid_resolution", "--grid", "saturate", 100000),  # 10 GB of coverage flags
+    ("sigma_resolution", "--resolution", "classify", 10**8),  # some 90 GB of curve samples
+])
+@pytest.mark.parametrize("given_as", ["flag", "config"])
+def test_a_resolution_above_its_bound_exits_2_before_it_allocates(key, flag, command, value,
+                                                                   given_as, tmp_path):
+    # the run is a child under a 1 GiB address-space limit, so a missing bound fails here
+    # (as "error: MemoryError: ") and cannot take the machine's memory
+    import resource
+
+    import filippov
+
+    bound = diagnostics.CONFIG_RANGES[key]
+    path = shipped_path("sliding_belt_torus")
+    argv = [command, "--scenario", str(path), "--json", str(tmp_path / "out.json")]
+    if given_as == "flag":
+        argv += [flag, str(value)]
+        message = f"error: {flag}: expected {bound[-1][1]}, got {value}\n"
+    else:
+        data = json.loads(path.read_text())
+        data.setdefault("config", {})[key] = value
+        argv[2] = str(tmp_path / "big.json")
+        Path(argv[2]).write_text(json.dumps(data))
+        message = f"error: config.{key}: expected {bound[-1][1]}, got {value}\n"
+    if command == "saturate":
+        argv += ["--horizon", "1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(filippov.__file__).resolve().parents[1]))
+    limit = (1 << 30, 1 << 30)
+    with time_limit(60):
+        proc = subprocess.run([sys.executable, "-m", "filippov.cli", *argv], env=env,
+                              capture_output=True, text=True,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+    assert (proc.returncode, proc.stderr) == (2, message)
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_the_resolution_bounds_sit_far_above_every_shipped_value():
+    grid, sigma = diagnostics.GRID_RESOLUTION_MAX, diagnostics.SIGMA_RESOLUTION_MAX
+    for name in list_shipped():
+        cfg = load_shipped(name).config
+        assert 100 * cfg.grid_resolution <= grid and 100 * cfg.sigma_resolution <= sigma
+    domain = load_shipped("sliding_belt_torus").build_system().domain
+    DiagnosticsConfig(grid_resolution=grid, sigma_resolution=sigma).check(domain)  # the bounds pass

@@ -7,7 +7,7 @@ from filippov.diagnostics import build_segment_graph, sigma_seed_points
 from filippov.errors import NonIsolatedTangencyError, UndefinedSlidingError
 from filippov.expr import PlanarField, ScalarField
 from filippov.integrate import _SLIDING_RHS
-from filippov.scenario import list_shipped, load_shipped
+from filippov.scenario import load_shipped
 from filippov.sigma import (
     PointClass,
     _sigma_dot,
@@ -20,20 +20,20 @@ from filippov.sigma import (
 )
 from filippov.system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
-from conftest import build_plane_system, count_trace_calls, decompose
+from conftest import build_plane_system, count_trace_calls, decompose, list_shipped
 
 
 def test_classify_crossing():
     s = build_plane_system(("1", "1"), ("1", "1"))
     cls = classify_point(s, 0, (0.5, 0.0))
     assert cls.point_class is PointClass.CROSSING
-    assert cls.witnesses == (1.0, 1.0)
+    assert (cls.lie_positive, cls.lie_negative) == (1.0, 1.0)
 
 
 def test_classify_sliding(flat_system):
     cls = classify_point(flat_system, 0, (0.5, 0.0))
     assert cls.point_class is PointClass.SLIDING
-    assert cls.witnesses == (-1.0, 1.0)
+    assert (cls.lie_positive, cls.lie_negative) == (-1.0, 1.0)
 
 
 def test_classify_escaping():
@@ -47,7 +47,7 @@ def test_classify_pseudo_equilibrium_antiparallel():
     s = build_plane_system(("2", "-2"), ("-1", "1"))
     cls = classify_point(s, 0, (0.5, 0.0))
     assert cls.point_class is PointClass.PSEUDO_EQUILIBRIUM
-    assert cls.witnesses == (-2.0, 1.0)
+    assert (cls.lie_positive, cls.lie_negative) == (-2.0, 1.0)
     assert cls.sliding_velocity == (0.0, 0.0)
     assert convex_weight(s, 0, (0.5, 0.0)) == pytest.approx(1.0 / 3.0)
 
@@ -447,7 +447,7 @@ def test_classification_agrees_with_delta_step_oracle(sliding_samples):
         if expected is PointClass.PSEUDO_EQUILIBRIUM:
             expected = PointClass.SLIDING if cls.lie_positive < 0 else PointClass.ESCAPING
         got = classification_oracle(s, 0, p)
-        assert got is expected, (p, cls.witnesses, got)
+        assert got is expected, (p, (cls.lie_positive, cls.lie_negative), got)
         checked += 1
     assert checked >= 300
 

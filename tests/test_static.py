@@ -6,9 +6,11 @@ A function parameter that the body never reads is dead code that callers
 still have to pass; this finds those too.  A module that imports another
 module's private name leans on that module's internals; each such import is
 listed with its reason.  A name a module imports and never reads is a leftover
-of code that has gone.  The kernels that ``integrate._kernels`` generates run
-in a closed namespace, so a name they read must be bound there; a helper
-missing on a rare error path would otherwise show only as a ``NameError`` there.
+of code that has gone, and so is a function that neither the package nor
+the benchmarks call: code that only tests read belongs in the tests.  The
+kernels that ``integrate._kernels`` generates run in a closed namespace, so a
+name they read must be bound there; a helper missing on a rare error path
+would otherwise show only as a ``NameError`` there.
 The system applies its velocity scale where it hands out fields, so the
 integrator and its kernels must not know that a system can be scaled.
 Only ``expr`` builds, folds or differentiates expression trees.
@@ -158,6 +160,52 @@ def test_package_modules_read_every_import():
         if path.name != "__init__.py":  # the package's re-exports
             unused |= {(path.stem, name) for name in unused_imports(path.read_text(), str(path))}
     assert unused == set()
+
+
+# function or method name -> why it stays although no package or benchmark source reads it
+UNCALLED_ALLOWED = {
+    "_region": "a driver step: _Run.run calls it by the name in _Run.mode",
+    "_sigma": "a driver step: _Run.run calls it by the name in _Run.mode",
+    "_capture": "a driver step: _Run.run calls it by the name in _Run.mode",
+    "evaluate": "the expression evaluator that docs/expressions.md documents",
+    "convex_weight": "acceptance criterion 1 checks the sliding field's weight with it",
+    "rescale_tangency_freeze": "acceptance criterion 7 freezes the tangencies with it",
+}
+
+
+def unread_functions(defining, reading=()):
+    """Each function or method name defined in a ``defining`` source that no source reads.
+
+    A read is a loaded name or attribute in any of the ``defining`` and
+    ``reading`` sources, in any scope; dunder methods are exempt.
+    """
+    defined, read = set(), set()
+    for source in [*defining, *reading]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    for source in defining:
+        defined.update(node.name for node in ast.walk(ast.parse(source))
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and not (node.name.startswith("__") and node.name.endswith("__")))
+    return defined - read
+
+
+def test_function_check_finds_unread_functions():
+    source = ("class C:\n    def __init__(self):\n        self.m()\n\n    def m(self):\n        pass\n\n"
+              "    def unused(self):\n        pass\n\n    @property\n    def size(self):\n        return 0\n\n"
+              "def f():\n    def inner():\n        pass\n    return g\n\n\ndef g():\n    return C().size\n")
+    assert unread_functions([source]) == {"unused", "f", "inner"}
+    # a read in another source counts, and so does one through an attribute of a module
+    assert unread_functions([source], ["import mod\nmod.f(C.unused)\n"]) == {"inner"}
+
+
+def test_package_functions_are_read_outside_the_tests():
+    defining = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    reading = [path.read_text() for path in sorted((PACKAGE.parents[1] / "benchmarks").glob("*.py"))]
+    assert unread_functions(defining, reading) == set(UNCALLED_ALLOWED)
 
 
 # ("module._name" imported, importing module) -> why the private import stays

@@ -3,7 +3,7 @@
 The reference walkers below step through ``orbit.samples()`` one sample, or
 one chord between consecutive samples, at a time, each node on its own; on
 wrapping torus orbits and plane orbits from the shipped scenarios
-``orbit_enters``, ``GridCoverage.mark_orbit``, ``_edges_from_orbit`` and
+``first_entry``, ``GridCoverage.mark_orbit``, ``_edges_from_orbit`` and
 ``_returns_to`` must give exactly their answers.
 """
 
@@ -20,9 +20,14 @@ from filippov.diagnostics import (
     GraphNode,
     GridCoverage,
     build_segment_graph,
-    orbit_enters,
 )
-from filippov.integrate import BranchPolicy, enumerate_branches, integrate_filippov
+from filippov.integrate import (
+    BranchPolicy,
+    PolicyCursor,
+    enumerate_branches,
+    first_entry,
+    integrate_filippov,
+)
 from filippov.scenario import load_shipped
 from filippov.system import Domain
 
@@ -38,7 +43,7 @@ def reference_enters(orbit, disk, domain, t_max=None):
     for t, p, _, _ in orbit.samples():
         if t_max is not None and t > t_max:
             return None
-        if disk.contains(domain, p):
+        if domain.distance(disk.center, p) <= disk.radius:
             return t
     return None
 
@@ -79,7 +84,7 @@ def reference_edges(domain, src, orbit, nodes):
             if dist <= n.radius:
                 t_hit = t0 + w * (t1 - t0)
                 if t_hit > 1e-9:
-                    edges.append(GraphEdge(src.node_id, n.node_id, orbit, t_hit, list(orbit.script)))
+                    edges.append(GraphEdge(src.node_id, n.node_id, t_hit, list(orbit.script)))
                 break
     return sorted(edges, key=lambda e: e.target)
 
@@ -173,7 +178,7 @@ def test_stored_samples_are_canonical_and_time_ordered(shipped_orbits):
     assert seams > 0  # the orbits here, and in the tests below, cross the torus seams
 
 
-def test_orbit_enters_matches_scalar_walker(shipped_orbits):
+def test_first_entry_matches_scalar_walker(shipped_orbits):
     hits = 0
     for system, orbit in shipped_orbits:
         d = system.domain
@@ -181,10 +186,12 @@ def test_orbit_enters_matches_scalar_walker(shipped_orbits):
         for center in _probe_points(system, orbit):
             for radius in (1e-3, 0.05, 0.2):
                 disk = Disk(center, radius)
-                for t_max in (None, t_mid):
-                    got = orbit_enters(orbit, disk, d, t_max=t_max)
-                    assert got == reference_enters(orbit, disk, d, t_max=t_max)
-                    hits += got is not None
+                got = first_entry(d, orbit.segments, disk)
+                assert got == reference_enters(orbit, disk, d)
+                # sample times never decrease: the entry by t_mid is the first entry, if no later
+                by_mid = got if got is not None and got <= t_mid else None
+                assert by_mid == reference_enters(orbit, disk, d, t_max=t_mid)
+                hits += got is not None
     assert hits > 100
 
 
@@ -205,7 +212,7 @@ def test_edges_from_orbit_match_scalar_walker(shipped_orbits):
                  for i, p in enumerate(points)]
         trace = diagnostics._trace(orbit)
         for src in (nodes[0], nodes[1]):
-            got = diagnostics._edges_from_orbit(d, src, orbit, trace, nodes)
+            got = diagnostics._edges_from_orbit(d, src, orbit.script, trace, nodes)
             want = reference_edges(d, src, orbit, nodes)
             assert [(e.source, e.target, e.flight_time, e.script) for e in got] == \
                 [(e.source, e.target, e.flight_time, e.script) for e in want]
@@ -249,9 +256,12 @@ def test_segment_graph_walks_each_orbit_once(monkeypatch):
                                 budget=40, opts=scenario.integrator, dwell_grid=(0.0, 0.02))
     assert {len(e.windows_hit) for e in graph.edges} == {0, 1, 2, 3}
     for e in graph.edges:  # the windows each edge's orbit entered by its flight time
+        orbit = integrate_filippov(system, graph.node(e.source).point, 15.0, opts=scenario.integrator,
+                                   policy=PolicyCursor(BranchPolicy.slide_on(), e.script),
+                                   ride_targets=graph.ride_targets)
         assert e.windows_hit == {
             n.node_id for n in graph.nodes_of_kind("window_v")
-            if reference_enters(e.orbit, Disk(n.point, n.radius), system.domain,
+            if reference_enters(orbit, Disk(n.point, n.radius), system.domain,
                                 t_max=e.flight_time) is not None
         }
     assert len(enumerated) > 1
@@ -271,7 +281,7 @@ def test_a_sample_or_chord_on_the_rim_is_inside(kind):
         return SimpleNamespace(segments=[segment], script=[])
 
     entering = orbit((0.9, 0.9), rim, (0.1, 0.1))
-    assert orbit_enters(entering, disk, domain) == 1.0
+    assert first_entry(domain, entering.segments, disk) == 1.0
     leaving = diagnostics._trace(orbit(rim, far, (0.9, 0.9)))
     assert list(diagnostics._chords_near(domain, leaving, disk.center, disk.radius)) == [(0, 0.0)]
     ending = orbit((0.9, 0.9), far, rim)
@@ -279,5 +289,5 @@ def test_a_sample_or_chord_on_the_rim_is_inside(kind):
     assert list(diagnostics._chords_near(domain, trace, disk.center, disk.radius)) == [(1, 1.0)]
     src = GraphNode(1, "sliding_anchor", (0.9, -0.9), NODE_VICINITY)
     node = GraphNode(0, "tangency", disk.center, disk.radius)
-    [edge] = diagnostics._edges_from_orbit(domain, src, ending, trace, [node])
+    [edge] = diagnostics._edges_from_orbit(domain, src, ending.script, trace, [node])
     assert (edge.source, edge.target, edge.flight_time) == (1, 0, 2.0)
