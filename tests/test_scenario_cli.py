@@ -698,9 +698,7 @@ def test_cli_cycles_radius_must_fit_a_plane_domain(radius, tmp_path, capsys):
 
 @pytest.mark.parametrize("key, bad, expected", [
     ("grid_resolution", 0, "an integer >= 1"),
-    ("grid_resolution", 4097, "at most 4096"),
     ("sigma_resolution", 1, "an integer >= 2"),
-    ("sigma_resolution", 65537, "at most 65536"),
     ("saturate_horizon", 0.0, "a finite number > 0"),
     ("saturate_seeds_per_arc", 0, "an integer >= 1"),
     ("probe_horizon", -1.0, "a finite number > 0"),
@@ -717,6 +715,8 @@ def test_cli_cycles_radius_must_fit_a_plane_domain(radius, tmp_path, capsys):
     ("graph_budget", 0, "an integer >= 1"),
     ("cycle_horizon", 0.0, "a finite number > 0"),
     ("dwell_grid", [0.0, -0.02], "a finite number >= 0"),
+    ("grid_resolution", 4097, "at most 4096"),
+    ("sigma_resolution", 65537, "at most 65536"),
 ])
 def test_config_ranges_name_the_key(key, bad, expected, tmp_path, capsys):
     # a count of 0 or a radius <= 0 once made a vacuous verdict, an IndexError or a
