@@ -9,7 +9,9 @@ Disk entries are ``integrate.first_entry`` walks of an orbit's segments; a
 transitivity probe orbit carries them as its ``goal_entries``.  The passes
 of the chords between samples near a point walk plain lists: ``_trace``
 lists an orbit's stored sample times and points once, and ``_chords_near``
-reads them with the domain's displacement arithmetic.
+reads them with the domain's displacement arithmetic.  A cycle candidate's
+returns to its anchor are listed once, when it is integrated, from the
+closest points ``_chords_near`` yields; each request for a cycle scans them.
 """
 
 from __future__ import annotations
@@ -366,7 +368,7 @@ class SegmentGraph:
     nodes: list
     edges: list
     hypothesis_failed: bool = False
-    ride_targets: list = field(default_factory=list)  # (TangencyPoint, curve id) escape entries
+    ride_targets: list = field(default_factory=list)  # the escape-entry TangencyPoints
 
     def node(self, node_id):
         return self.nodes[node_id]
@@ -416,7 +418,7 @@ def _escape_entry_tangencies(sys, decompositions):
             except FilippovError:
                 continue
             if pcls.point_class is PointClass.ESCAPING:
-                targets.append((tp, dec.curve_id))
+                targets.append(tp)
     return targets
 
 
@@ -468,7 +470,7 @@ def build_segment_graph(sys, decompositions, windows=None, horizon=60.0, budget=
         add_node("escape_anchor", flow_fraction(dec, arc, 0.5))
 
     ride_targets = _escape_entry_tangencies(sys, decs)
-    ride_positions = {t[0].position for t in ride_targets}
+    ride_positions = {tp.position for tp in ride_targets}
     for dec in decs:
         for tp in dec.tangencies:
             kind = "escape_entry" if tp.position in ride_positions else "tangency"
@@ -541,53 +543,51 @@ class ClosedOrbitRecord:
 
 
 def _returns_to(sys, trace, base):
-    """Yield (t, point) whenever the trace passes through the base point.
+    """Yield (t, gap) whenever the trace passes through the base point.
 
-    The chord query proposes the chords that come within twice the tolerance;
-    the scalar domain metric computes each one's point and gap and decides.
+    ``_chords_near`` proposes the chords that come within twice the tolerance,
+    with the fraction w of each one's closest point q; a pass is a q within
+    the tolerance of the base, and gap is that distance.
     """
     domain = sys.domain
     ts, xs, ys = trace
     last_t = -1.0
-    for i, _ in _chords_near(domain, trace, base, 2.0 * _RETURN_TOL):
+    for i, w in _chords_near(domain, trace, base, 2.0 * _RETURN_TOL):
         prev_t, t = ts[i], ts[i + 1]
         if t <= _RETURN_T_MIN:
             continue
-        a, b = (xs[i], ys[i]), (xs[i + 1], ys[i + 1])
-        seg = domain.displacement(a, b)
-        seg_len2 = seg[0] ** 2 + seg[1] ** 2
-        w = 0.0
-        if seg_len2 > 0:
-            to_base = domain.displacement(a, base)
-            w = max(0.0, min(1.0, (to_base[0] * seg[0] + to_base[1] * seg[1]) / seg_len2))
-        q = domain.canonical((a[0] + w * seg[0], a[1] + w * seg[1]))
-        if domain.distance(q, base) <= _RETURN_TOL:
+        x, y = xs[i], ys[i]
+        sx, sy = domain.displacement((x, y), (xs[i + 1], ys[i + 1]))
+        gap = domain.distance(domain.canonical((x + w * sx, y + w * sy)), base)
+        if gap <= _RETURN_TOL:
             t_hit = prev_t + w * (t - prev_t)
             if t_hit > _RETURN_T_MIN and t_hit - last_t > 1e-6:
                 last_t = t_hit
-                yield t_hit, q
+                yield t_hit, gap
 
 
 def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=200.0,
                            opts=None, runs=None):
-    """Closed orbits through the base anchor visiting the requested windows.
+    """The first closed orbit through the base anchor that visits the requested windows, else None.
 
     ``graph`` is a ``build_segment_graph`` result for ``sys``; candidate
     orbits may ride its ``ride_targets``, so no curve is traced here.
     Candidate branch scripts come from the graph: scripts of edges leaving
     the base anchor (depth one) and their concatenations through exact
     returns to the anchor (depth two).  The first 24 candidates are re-validated
-    end-to-end by a fresh integration from the anchor; a cycle is accepted
-    only when some exact return (endpoint mismatch <= 1e-6) happens after the
-    requested windows were visited.
+    in order by a fresh integration from the anchor; a cycle is accepted at
+    the first exact return (endpoint mismatch <= 1e-6) after the requested
+    windows were visited.
 
-    ``windows_to_visit`` are ids of the graph's window nodes.  ``runs`` (base
-    anchor, script key) -> (first entry time per window id, trace) shares
-    these integrations between calls with the same graph, system, horizon
-    and options; without it every candidate is integrated afresh.
+    ``windows_to_visit`` are ids of the graph's window nodes.  A candidate's
+    window entries and its returns to the anchor, as (period, gap) pairs, are
+    listed once, when it is integrated; ``runs`` (base anchor, script key) ->
+    (first entry time per window id, returns) shares them between calls with
+    the same graph, system, horizon and options, so a request only scans them.
+    Without it every candidate is integrated afresh.
     """
     if not graph.nodes:
-        return []
+        return None
     base = graph.node(base_anchor)
     want = set(windows_to_visit)
     runs = {} if runs is None else runs
@@ -601,7 +601,6 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
     for script in scripts:
         candidates.setdefault(tuple(str(s) for s in script), list(script))
 
-    records = []
     for key, script in list(candidates.items())[:24]:
         if (base_anchor, key) not in runs:
             orbit = integrate_filippov(
@@ -609,25 +608,15 @@ def assemble_closed_orbits(graph, base_anchor, windows_to_visit, sys, horizon=20
                 policy=PolicyCursor(BranchPolicy.slide_on(), script), ride_targets=graph.ride_targets)
             entries = {n.node_id: first_entry(sys.domain, orbit.segments, Disk(n.point, n.radius))
                        for n in graph.nodes_of_kind("window_v")}
-            runs[base_anchor, key] = entries, _trace(orbit)
-        record = _closed_record(sys, base, want, *runs[base_anchor, key])
-        if record is not None:
-            records.append(record)
-            if want:
-                return records  # one validated cycle per request suffices
-    return records
-
-
-def _closed_record(sys, base, want, entries, trace):
-    """The candidate's first exact return after it entered every wanted window, else None."""
-    t_in = [entries[wid] for wid in want]
-    if None in t_in:
-        return None
-    t_needed = max(t_in, default=0.0)
-    for period, endpoint in _returns_to(sys, trace, base.point):
-        if period >= t_needed:
-            gap = sys.domain.distance(endpoint, base.point)
-            return ClosedOrbitRecord(period, base.point, sorted(want), gap)
+            runs[base_anchor, key] = entries, list(_returns_to(sys, _trace(orbit), base.point))
+        entries, returns = runs[base_anchor, key]
+        t_in = [entries[wid] for wid in want]
+        if None in t_in:
+            continue
+        t_needed = max(t_in, default=0.0)
+        for period, gap in returns:
+            if period >= t_needed:
+                return ClosedOrbitRecord(period, base.point, sorted(want), gap)
     return None
 
 
@@ -785,17 +774,17 @@ def graph_phase(sys, decompositions, cfg, rng, opts=None):
 def cycles_phase(graph, sys, cfg, opts=None):
     """Per window node of ``graph``, the first closed orbit through it from any sliding anchor."""
     bases = [n.node_id for n in graph.nodes_of_kind("sliding_anchor")]
-    runs = {}  # shared by every window: each candidate is integrated once
+    runs = {}  # shared by every window: each candidate is integrated and listed once
     results = []
     for node in graph.nodes_of_kind("window_v"):
-        recs = []
+        rec = None
         for base in bases:
-            recs = assemble_closed_orbits(graph, base, {node.node_id}, sys,
-                                          horizon=cfg.cycle_horizon, opts=opts, runs=runs)
-            if recs:
+            rec = assemble_closed_orbits(graph, base, {node.node_id}, sys,
+                                         horizon=cfg.cycle_horizon, opts=opts, runs=runs)
+            if rec is not None:
                 break
-        results.append({"window": node.to_dict(), "found": bool(recs),
-                        "record": recs[0].to_dict() if recs else None})
+        results.append({"window": node.to_dict(), "found": rec is not None,
+                        "record": rec.to_dict() if rec else None})
     return results
 
 

@@ -48,7 +48,6 @@ concurrently against the shared system.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -550,10 +549,6 @@ class OrbitSegment:
         return self.times[-1]
 
     @property
-    def start_point(self):
-        return self.points[0]
-
-    @property
     def end_point(self):
         return self.points[-1]
 
@@ -724,9 +719,6 @@ class Orbit:
             "segments": [s.to_dict() for s in self.segments],
             "branch_record": [c.to_dict() for c in self.choices],
         }
-
-    def serialize(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def write_csv(self, fh):
         fh.write("t,x,y,segment_kind,segment_index\n")
@@ -951,8 +943,10 @@ def first_entry(domain, segments, disk):
 class _Run:
     """The state of one orbit between two driver steps.
 
-    ``mode`` is the next step with its arguments, None at the end: ``_region``
-    flies a regular arc, ``_sigma`` classifies a point of Σ and applies its
+    ``mode`` is the next step with its arguments, None at the end.  The step is
+    an unbound method, called with the run, because a ``fork`` copies the run
+    and a bound one would keep stepping the original: ``_region`` flies a
+    regular arc, ``_sigma`` classifies a point of Σ and applies its
     continuation (one step per Σ event), ``_capture`` offers a ride at a graze
     target and ``_escape`` applies the branch policy after a ride.  Each step
     counts against ``MAX_SEGMENTS`` and consults the cursor at most once, before
@@ -970,9 +964,10 @@ class _Run:
         self.p0 = self.p = self.sys.domain.canonical(p0)
         self.t = 0.0
         # replaced, never changed in place, so forks may share it
-        self.captures = [CaptureTarget(tp.position, cid) for tp, cid in ride_targets]
+        self.captures = [CaptureTarget(tp.position, tp.curve_id) for tp in ride_targets]
         where = self.sys.region_of(self.p)
-        self.mode = ("sigma", where.curve_id) if isinstance(where, OnSigma) else ("region", where, None)
+        on_sigma = isinstance(where, OnSigma)
+        self.mode = (_Run._sigma, where.curve_id) if on_sigma else (_Run._region, where, None)
         self.segments, self.choices = [], []
         self.terminal, self.steps = None, 0
         self.goal = tuple(goal)
@@ -992,7 +987,8 @@ class _Run:
                 self.terminal = "segment_budget"
                 break
             done = len(self.segments)
-            getattr(self, "_" + self.mode[0])(*self.mode[1:])
+            step, *args = self.mode
+            step(self, *args)
             self.steps += 1
             if None in self.entries:
                 self._meet_goal(self.segments[done:])
@@ -1041,15 +1037,15 @@ class _Run:
         elif hit[0] == "left_domain":
             self._stop("left_domain")
         elif hit[0] == "curve":
-            self.mode = ("sigma", hit[1])
+            self.mode = (_Run._sigma, hit[1])
         else:
-            self.mode = ("capture", hit[1], ("region", region_id, None))
+            self.mode = (_Run._capture, hit[1], (_Run._region, region_id, None))
 
     def _sigma(self, curve_id):
         distance = self.sys.domain.distance
         near = next((c for c in self.captures if distance(self.p, c.point) <= CAPTURE_RADIUS), None)
         if near is not None:
-            self.mode = ("capture", near, ("sigma", curve_id))
+            self.mode = (_Run._capture, near, (_Run._sigma, curve_id))
             return
         cls = classify_point(self.sys, curve_id, self.p)
         kind = cls.point_class
@@ -1103,7 +1099,7 @@ class _Run:
             if entered in (PointClass.ESCAPING, PointClass.PSEUDO_EQUILIBRIUM):
                 self.p = q
                 self.choices.append(BranchChoice(self.t, q, "enter_escaping"))
-                self.mode = ("escape", cid)
+                self.mode = (_Run._escape, cid)
 
     def _escape(self, curve_id):
         """Resolve the escaping-region freedom by the cursor's next policy."""
@@ -1128,7 +1124,7 @@ class _Run:
             self._add_marker(marker, {"side": side, "curve": curve_id})
         curve = self.sys.curve(curve_id)
         region = curve.positive_region if side == "positive" else curve.negative_region
-        self.mode = ("region", region, curve_id)
+        self.mode = (_Run._region, region, curve_id)
 
     def _slide(self, curve_id, escaping=False, dwell=None, exit_side=None):
         """Slide along the curve; after a ``dwell`` the orbit leaves to ``exit_side``."""
@@ -1150,7 +1146,7 @@ class _Run:
             self.choices.append(
                 BranchChoice(self.t, self.p, "sliding_exit_at_tangency", side=exit_info[2])
             )
-            self.mode = ("sigma", curve_id)
+            self.mode = (_Run._sigma, curve_id)
 
 
 @evaluation_boundary
@@ -1165,10 +1161,10 @@ def integrate_filippov(
 ):
     """Produce one Filippov orbit under a deterministic branch policy.
 
-    ``ride_targets`` is a sequence of (TangencyPoint, curve_id) pairs; when a
-    regular arc passes within the capture radius of one of them, the policy
-    cursor decides 'pass' (keep flying) or 'ride' (enter the manifold there,
-    which is how an orbit enters an escaping region through its tangency).
+    ``ride_targets`` is a sequence of ``TangencyPoint``s; when a regular arc
+    passes within the capture radius of one of them, the policy cursor decides
+    'pass' (keep flying) or 'ride' (enter the manifold at its curve, which is
+    how an orbit enters an escaping region through its tangency).
     """
     cursor = policy if isinstance(policy, PolicyCursor) else PolicyCursor(policy)
     return _Run(sys, p0, horizon, direction, cursor, opts, ride_targets).run()
@@ -1188,7 +1184,8 @@ def enumerate_branches(
     """Depth-limited deterministic enumeration of the branch tree.
 
     At each escaping encounter the orbit forks over (dwell x side) plus
-    slide-until-tangency; at each graze capture it forks over pass/ride.
+    slide-until-tangency; at each graze capture of one of the ``ride_targets``
+    (``TangencyPoint``s, as for ``integrate_filippov``) it forks over pass/ride.
     Forks resume from a copy of the state at the choice, so each arc of the
     tree is integrated once and orbits share the segments of their common
     prefix.  Past 8 scripted choices an orbit continues on the defaults.

@@ -176,9 +176,9 @@ def test_criterion_5_torus_sliding_belt_period(systems):
     s = systems["sliding_belt_torus"]
     graph = build_segment_graph(s, decompose(s), horizon=15.0, budget=40, dwell_grid=(0.0,))
     q0 = graph.nodes_of_kind("sliding_anchor")[0].node_id
-    records = assemble_closed_orbits(graph, q0, set(), s, horizon=10.0)
-    assert records
-    period = records[0].period
+    record = assemble_closed_orbits(graph, q0, set(), s, horizon=10.0)
+    assert record is not None
+    period = record.period
     assert period == pytest.approx(1.0, abs=1e-6)
     print(f"\nPASS criterion 5: sliding-belt cycle period {period!r}")
 

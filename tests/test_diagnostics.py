@@ -291,9 +291,8 @@ def test_belt_cycle_has_unit_period(belt_system):
     graph = build_segment_graph(belt_system, decompose(belt_system), horizon=15.0,
                                 budget=40, dwell_grid=(0.0,))
     q0 = graph.nodes_of_kind("sliding_anchor")[0].node_id
-    records = assemble_closed_orbits(graph, q0, set(), belt_system, horizon=10.0)
-    assert records
-    rec = records[0]
+    rec = assemble_closed_orbits(graph, q0, set(), belt_system, horizon=10.0)
+    assert rec is not None
     assert rec.period == pytest.approx(1.0, abs=1e-6)
     assert rec.endpoint_gap <= 1e-6
 
@@ -303,17 +302,13 @@ def test_no_cyctherough_anchor_gives_empty(fold_system):
                                 budget=30, dwell_grid=(0.0,))
     anchors = graph.nodes_of_kind("sliding_anchor")
     assert anchors
-    records = assemble_closed_orbits(graph, anchors[0].node_id, set(), fold_system,
-                                     horizon=8.0)
-    assert records == []  # orbits leave the plane, nothing returns
+    rec = assemble_closed_orbits(graph, anchors[0].node_id, set(), fold_system,
+                                 horizon=8.0)
+    assert rec is None  # orbits leave the plane, nothing returns
 
 
-@pytest.mark.parametrize("budget, graph_horizon, cycle_horizon, closed", [
-    (8, 20.0, 40.0, True),  # one candidate closes every window
-    (4, 10.0, 20.0, False),  # three candidates close none
-])
-def test_window_cycles_integrates_each_candidate_once(monkeypatch, budget, graph_horizon,
-                                                      cycle_horizon, closed):
+def _torus_window_graph(budget, graph_horizon):
+    """``chaotic_torus``, its integrator options and a graph with three windows."""
     from filippov.scenario import load_shipped
 
     scenario = load_shipped("chaotic_torus")
@@ -322,32 +317,75 @@ def test_window_cycles_integrates_each_candidate_once(monkeypatch, budget, graph
     windows = [diagnostics._random_disk(rng, system.domain, 0.1) for _ in range(3)]
     graph = build_segment_graph(system, decompose(system), windows=windows, horizon=graph_horizon,
                                 budget=budget, opts=opts, dwell_grid=(0.0, 0.02))
+    return system, opts, graph
+
+
+@pytest.mark.parametrize("name", ["belt", "chaotic_torus"])
+def test_cycle_search_integrates_candidates_until_its_first_record(belt_system, monkeypatch, name):
+    # with no window requested every return closes a cycle, so the candidates after the
+    # first one that returns are never integrated (the belt's anchor has one candidate;
+    # the torus anchor's first candidate returns, and two more follow it)
+    if name == "belt":
+        system, opts, horizon = belt_system, None, 10.0
+        graph = build_segment_graph(system, decompose(system), horizon=15.0, budget=40,
+                                    dwell_grid=(0.0,))
+    else:
+        (system, opts, graph), horizon = _torus_window_graph(8, 20.0), 40.0
+    q0 = graph.nodes_of_kind("sliding_anchor")[0].node_id
+    orbits = []
     original = diagnostics.integrate_filippov
-    calls = []
+
+    def recording(*args, **kwargs):
+        orbits.append(original(*args, **kwargs))
+        return orbits[-1]
+
+    monkeypatch.setattr(diagnostics, "integrate_filippov", recording)
+    rec = assemble_closed_orbits(graph, q0, set(), system, horizon=horizon, opts=opts)
+    base = graph.node(q0).point
+    returns = [list(diagnostics._returns_to(system, diagnostics._trace(o), base)) for o in orbits]
+    assert [bool(r) for r in returns] == [False] * (len(orbits) - 1) + [True]
+    assert (rec.period, rec.endpoint_gap) == returns[-1][0]
+
+
+@pytest.mark.parametrize("budget, graph_horizon, cycle_horizon, closed", [
+    (8, 20.0, 40.0, True),  # one candidate closes every window
+    (4, 10.0, 20.0, False),  # three candidates close none
+])
+def test_window_cycles_integrates_each_candidate_once(monkeypatch, budget, graph_horizon,
+                                                      cycle_horizon, closed):
+    system, opts, graph = _torus_window_graph(budget, graph_horizon)
+    original, returns_to = diagnostics.integrate_filippov, diagnostics._returns_to
+    calls, walks = [], []
 
     def counting(sys_, p0, horizon, policy=None, **kwargs):
         calls.append((p0, tuple(str(s) for s in policy.script)))
         return original(sys_, p0, horizon, policy=policy, **kwargs)
 
+    def counting_walk(sys_, trace, base):
+        walks.append(base)
+        return returns_to(sys_, trace, base)
+
     monkeypatch.setattr(diagnostics, "integrate_filippov", counting)
+    monkeypatch.setattr(diagnostics, "_returns_to", counting_walk)
     cfg = DiagnosticsConfig(cycle_horizon=cycle_horizon)
     results = diagnostics.cycles_phase(graph, system, cfg, opts)
     shared = list(calls)
+    assert len(walks) == len(set(shared))  # each candidate's returns are listed once
     calls.clear()
     reference = []  # each window on its own, every candidate integrated afresh
     bases = [n.node_id for n in graph.nodes_of_kind("sliding_anchor")]
     for node in graph.nodes_of_kind("window_v"):
-        recs = []
+        rec = None
         for base in bases:
-            recs = assemble_closed_orbits(graph, base, {node.node_id}, system,
-                                          horizon=cycle_horizon, opts=opts)
-            if recs:
+            rec = assemble_closed_orbits(graph, base, {node.node_id}, system,
+                                         horizon=cycle_horizon, opts=opts)
+            if rec is not None:
                 break
-        reference.append({"window": node.to_dict(), "found": bool(recs),
-                          "record": recs[0].to_dict() if recs else None})
+        reference.append({"window": node.to_dict(), "found": rec is not None,
+                          "record": rec.to_dict() if rec else None})
     assert len(shared) == len(set(shared)) == len(set(calls)) < len(calls)
     assert results == reference
-    assert [r["found"] for r in results] == [closed] * len(windows)
+    assert [r["found"] for r in results] == [closed] * len(graph.nodes_of_kind("window_v"))
 
 
 def test_rescale_freezes_tangencies(fold_system):
@@ -485,7 +523,7 @@ def test_escape_entry_tangency_skipped_when_unclassifiable(monkeypatch):
     s = build_plane_system(("1", "x"), ("1", "-1"))
     decs = decompose(s)
     (target,) = diagnostics._escape_entry_tangencies(s, decs)
-    assert target[0].position == pytest.approx((0.0, 0.0), abs=1e-9)
+    assert target.position == pytest.approx((0.0, 0.0), abs=1e-9) and target.curve_id == 0
 
     def unclassifiable(*args, **kwargs):
         raise UndefinedSlidingError("probe failed")

@@ -164,9 +164,6 @@ def test_package_modules_read_every_import():
 
 # function or method name -> why it stays although no package or benchmark source reads it
 UNCALLED_ALLOWED = {
-    "_region": "a driver step: _Run.run calls it by the name in _Run.mode",
-    "_sigma": "a driver step: _Run.run calls it by the name in _Run.mode",
-    "_capture": "a driver step: _Run.run calls it by the name in _Run.mode",
     "evaluate": "the expression evaluator that docs/expressions.md documents",
     "convex_weight": "acceptance criterion 1 checks the sliding field's weight with it",
     "rescale_tangency_freeze": "acceptance criterion 7 freezes the tangencies with it",
@@ -176,21 +173,29 @@ UNCALLED_ALLOWED = {
 def unread_functions(defining, reading=()):
     """Each function or method name defined in a ``defining`` source that no source reads.
 
-    A read is a loaded name or attribute in any of the ``defining`` and
-    ``reading`` sources, in any scope; dunder methods are exempt.
+    A read is a loaded attribute, or for a function also a loaded name, in any
+    of the ``defining`` and ``reading`` sources, in any scope; a method (a
+    ``def`` directly in a class body) is read only as an attribute.  Dunder
+    methods are exempt.
     """
-    defined, read = set(), set()
+    names, attributes = set(), set()
     for source in [*defining, *reading]:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                attributes.add(node.attr)
+    unread = set()
     for source in defining:
-        defined.update(node.name for node in ast.walk(ast.parse(source))
-                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                       and not (node.name.startswith("__") and node.name.endswith("__")))
-    return defined - read
+        tree = ast.parse(source)
+        methods = {id(d) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for d in c.body}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in attributes
+                    and (id(node) in methods or node.name not in names)):
+                unread.add(node.name)
+    return unread
 
 
 def test_function_check_finds_unread_functions():
@@ -200,6 +205,14 @@ def test_function_check_finds_unread_functions():
     assert unread_functions([source]) == {"unused", "f", "inner"}
     # a read in another source counts, and so does one through an attribute of a module
     assert unread_functions([source], ["import mod\nmod.f(C.unused)\n"]) == {"inner"}
+
+
+def test_function_check_reads_a_method_only_as_an_attribute():
+    # the bare call reads the function h, not the method C.h of the same name
+    source = ("class C:\n    def h(self):\n        return 0\n\n"
+              "def h():\n    return 1\n\n\ndef main():\n    return h(), main\n")
+    assert unread_functions([source]) == {"h"}
+    assert unread_functions([source], ["C().h()\n"]) == set()
 
 
 def test_package_functions_are_read_outside_the_tests():
