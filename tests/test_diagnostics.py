@@ -287,14 +287,27 @@ def test_segment_graph_enumerates_only_from_sliding_anchors(belt_system, monkeyp
         assert graph.edges == []
 
 
-def test_belt_cycle_has_unit_period(belt_system):
+def test_belt_cycle_has_unit_period(belt_system, monkeypatch):
     graph = build_segment_graph(belt_system, decompose(belt_system), horizon=15.0,
                                 budget=40, dwell_grid=(0.0,))
     q0 = graph.nodes_of_kind("sliding_anchor")[0].node_id
+    orbits = []
+    original = diagnostics.integrate_filippov
+
+    def recording(*args, **kwargs):
+        orbits.append(original(*args, **kwargs))
+        return orbits[-1]
+
+    monkeypatch.setattr(diagnostics, "integrate_filippov", recording)
     rec = assemble_closed_orbits(graph, q0, set(), belt_system, horizon=10.0)
     assert rec is not None
     assert rec.period == pytest.approx(1.0, abs=1e-6)
     assert rec.endpoint_gap <= 1e-6
+    # the record is the first return of the anchor's one candidate, as listed
+    [orbit] = orbits
+    base = graph.node(q0).point
+    first = next(diagnostics._returns_to(belt_system, diagnostics._trace(orbit), base))
+    assert (rec.period, rec.endpoint_gap) == first
 
 
 def test_no_cyctherough_anchor_gives_empty(fold_system):
@@ -320,17 +333,11 @@ def _torus_window_graph(budget, graph_horizon):
     return system, opts, graph
 
 
-@pytest.mark.parametrize("name", ["belt", "chaotic_torus"])
-def test_cycle_search_integrates_candidates_until_its_first_record(belt_system, monkeypatch, name):
+def test_cycle_search_integrates_candidates_until_its_first_record(monkeypatch):
     # with no window requested every return closes a cycle, so the candidates after the
-    # first one that returns are never integrated (the belt's anchor has one candidate;
-    # the torus anchor's first candidate returns, and two more follow it)
-    if name == "belt":
-        system, opts, horizon = belt_system, None, 10.0
-        graph = build_segment_graph(system, decompose(system), horizon=15.0, budget=40,
-                                    dwell_grid=(0.0,))
-    else:
-        (system, opts, graph), horizon = _torus_window_graph(8, 20.0), 40.0
+    # first one that returns are never integrated (the torus anchor's first candidate
+    # returns, and two more follow it)
+    (system, opts, graph), horizon = _torus_window_graph(8, 20.0), 40.0
     q0 = graph.nodes_of_kind("sliding_anchor")[0].node_id
     orbits = []
     original = diagnostics.integrate_filippov
@@ -385,7 +392,7 @@ def test_window_cycles_integrates_each_candidate_once(monkeypatch, budget, graph
                           "record": rec.to_dict() if rec else None})
     assert len(shared) == len(set(shared)) == len(set(calls)) < len(calls)
     assert results == reference
-    assert [r["found"] for r in results] == [closed] * len(graph.nodes_of_kind("window_v"))
+    assert [r["found"] for r in results] == [closed] * 3
 
 
 def test_rescale_freezes_tangencies(fold_system):
