@@ -45,7 +45,8 @@ class IntegrationError(FilippovError):
 
 
 def evaluation_boundary(fn):
-    """Turn the arithmetic errors of ``ScalarField.raw()`` callables into EvaluationError."""
+    """Turn the arithmetic errors of compiled fields (``ScalarField.raw()`` callables and the
+    field text the arc loops inline) into EvaluationError."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):

@@ -447,13 +447,8 @@ def _constant(node):
 # compiled scalar / planar fields
 # --------------------------------------------------------------------------- #
 
-_COMPILE_ENV = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
-    "__builtins__": {},
-}
+FUNCTIONS = {name: getattr(math, name) for name in UNARY_FUNCTIONS}  # what compiled text calls each name
+_COMPILE_ENV = {**FUNCTIONS, "__builtins__": {}}
 
 
 def _literal(value):
@@ -461,22 +456,23 @@ def _literal(value):
     return repr(float(value)).replace("inf", "1e999").replace("nan", "(1e999 - 1e999)")
 
 
-def _codegen(node, parameters):
+def _codegen(node, parameters, x="x", y="y"):
+    """Python source of ``node`` with ``parameters`` inlined and the coordinates read as the names x and y."""
     if isinstance(node, Const):
         return _literal(node.value)
     if isinstance(node, Var):
         if node.name in parameters:
             return _literal(parameters[node.name])
-        return node.name
+        return x if node.name == "x" else y if node.name == "y" else node.name
     if isinstance(node, Unary):
-        inner = _codegen(node.arg, parameters)
+        inner = _codegen(node.arg, parameters, x, y)
         if node.op == "neg":
             return f"(-{inner})"
         return f"{node.op}({inner})"
     if isinstance(node, Power):
-        return f"({_codegen(node.base, parameters)})**{node.exponent}"
-    a = _codegen(node.left, parameters)
-    b = _codegen(node.right, parameters)
+        return f"({_codegen(node.base, parameters, x, y)})**{node.exponent}"
+    a = _codegen(node.left, parameters, x, y)
+    b = _codegen(node.right, parameters, x, y)
     return f"({a} {node.op} {b})"
 
 
@@ -521,6 +517,16 @@ class ScalarField:
     def raw(self) -> Callable[[float, float], float]:
         """Unchecked compiled callable for hot loops."""
         return self._fn
+
+    def text(self, x="x", y="y") -> str:
+        """The source text ``raw()`` computes, with the coordinates read from the names ``x`` and ``y``.
+
+        ``text()`` is the body of the compiled lambda; generated code that
+        writes it in place of a call does the lambda's operations, so it gets
+        the same bits and raises the same errors.  Besides ``x`` and ``y`` it
+        reads only the names of ``FUNCTIONS``.
+        """
+        return _codegen(self.expression, self.parameters, x, y)
 
     def derivative(self, var: str) -> "ScalarField":
         return ScalarField(differentiate(self.expression, var), parameters=self.parameters)

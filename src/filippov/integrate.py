@@ -3,43 +3,53 @@
 Regular and sliding arcs step with one hand-rolled Dormand-Prince 5(4) pair
 with the classical quartic dense output.  Its step control, dense output and
 the regular-arc and sliding-arc loops are straight-line code that
-``_kernels`` generates at import from the tableau ``_A``, ``_E``, ``_P``; they
-return the bits of the tableau loops, which ``tests/test_dormand_prince.py``
-keeps as the reference.  The regular-arc loop runs whole accepted steps with
-its state in locals: the seven stages, which call the region's ``fx`` and
-``fy``, error control, the five-point event grid with every curve's h on it,
-and the samples.  The loop hands a step back to ``integrate_regular`` only
-when its grid may hold an event: a sign change of an armed curve, an unarmed
-curve leaving ``ESCAPE_BAND``, a grid point outside the rectangle or a
-capture target inside the coarse gate.  It may hand back more steps than have
-events, never fewer; ``tests/test_regular_loop.py`` checks it bit for bit
-against the step loop it replaced.  Events (sign changes of any h_i, domain
-exit, graze captures) are located on the dense output and polished onto the
-curve with Newton steps.
+``_kernels`` writes from the tableau ``_A``, ``_E``, ``_P``; they return the
+bits of the tableau loops, which ``tests/test_dormand_prince.py`` keeps as
+the reference.  The arc loops are written once per field text: a stage
+writes each field component as the text of its compiled expression at the
+stage point (``ScalarField.text``, the body of the lambda ``raw()`` hands
+out), so it does the lambda's operations without a call.  A system's loops
+are written on their first use and compiled through a cache keyed by source
+text (``_loop``), so equal texts share one loop and a command that
+integrates nothing compiles none; only ``_DenseStep.at``, the emitters and
+``sliding_rhs`` are compiled at import.
+
+The regular-arc loop runs whole accepted steps with its state in locals: the
+seven stages of the region's field, error control, the five-point event grid
+with every curve's h on it, and the samples.  The loop hands a step back to
+``integrate_regular`` only when its grid may hold an event: a sign change of
+an armed curve, an unarmed curve leaving ``ESCAPE_BAND``, a grid point outside
+the rectangle or a capture target inside the coarse gate.  It may hand back
+more steps than have events, never fewer; ``tests/test_regular_loop.py``
+checks it bit for bit against the step loop it replaced.  Events (sign
+changes of any h_i, domain exit, graze captures) are located on the dense
+output and polished onto the curve with Newton steps.
 
 Sliding arcs integrate the Filippov convex combination Z_s = (L2 Y1 - L1 Y2) /
 (L2 - L1), constrained to the curve, in the generated sliding-arc loop.  Its
-state is in locals too: each stage calls the side fields' components and the
-curve's raw grad h and forms the Lie pair and Z_s inline; each accepted step
-is projected onto the curve by two Newton steps on the raw h, and the next
-step restarts there.  The loop runs the exit tests at each restart (the
-rectangle, a Lie derivative that flips sign or enters the ``TAU_CLASS`` band,
-a pseudo-equilibrium) and emits every other step; it returns only at
-``t_max`` or with the step that ends at an exit, which ``integrate_sliding``
-locates.  ``sliding_rhs``, compiled from the same piece, gives an arc's first
-stage and its tangency search's Lie pairs.  ``tests/test_sliding_loop.py``
-checks the arcs bit for bit, errors included, against the stepper loop they
-replaced.
+state is in locals too: each stage writes the side fields' components and the
+curve's grad h and forms the Lie pair and Z_s inline; each accepted step is
+projected onto the curve by two Newton steps on h, and the next step restarts
+there.  The loop runs the exit tests at each restart (the rectangle, a Lie
+derivative that flips sign or enters the ``TAU_CLASS`` band, a
+pseudo-equilibrium) and emits every other step; it returns only at ``t_max``
+or with the step that ends at an exit, which ``integrate_sliding`` locates.
+``sliding_rhs``, compiled from the same piece on called components, gives an
+arc's first stage and its tangency search's Lie pairs.
+``tests/test_sliding_loop.py`` checks the arcs bit for bit, errors included,
+against the stepper loop they replaced.
 
-Every field component comes from ``FilippovSystem.raw_pair``, which applies
-the system's velocity scale, if it has one; nothing here knows of the scale.
-Every generated loop and emitter wraps torus points with the arithmetic of
-``Domain.canonical``, inline.  Curve crossings (a guarded bisection/secant
-hybrid), domain exits and the tangencies and domain exits of sliding arcs are
-all located by the one bracket kernel ``sigma.bracket``.  An arc that takes
-``MAX_ARC_STEPS`` accepted steps more than it needs at ``max_step`` fails with
-``IntegrationError``: its steps have shrunk to nothing, as past a finite-time
-blow-up.
+Every field component comes from the system: a loop's stages from the text
+``FilippovSystem.stage`` writes, an arc's first stage from
+``FilippovSystem.raw_pair``; both apply the system's velocity scale, if it
+has one, and nothing here knows of the scale.  Every generated loop and
+emitter wraps torus points with the arithmetic of ``Domain.canonical``,
+inline.  Curve crossings (a guarded bisection/secant hybrid), domain exits
+and the tangencies and domain exits of sliding arcs are all located by the
+one bracket kernel ``sigma.bracket``.  An arc that takes ``MAX_ARC_STEPS``
+accepted steps more than it needs at ``max_step`` fails with
+``IntegrationError``: its steps have shrunk to nothing, as past a
+finite-time blow-up.
 
 One orbit is computed sequentially; distinct orbits may be computed
 concurrently against the shared system.
@@ -48,13 +58,16 @@ concurrently against the shared system.
 from __future__ import annotations
 
 import copy
+import functools
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
     ConfigurationError, IntegrationError, UndefinedSlidingError, evaluation_boundary,
 )
+from .expr import FUNCTIONS
 from .sigma import (
     PE_NORM_TOL,
     PointClass,
@@ -74,6 +87,7 @@ CAPTURE_RADIUS = 1e-6  # a regular arc captured by a ride target passes this clo
 # accepted steps one arc may take beyond the t_max / max_step it needs at full step size
 MAX_ARC_STEPS = 100_000
 MAX_SEGMENTS = 200_000  # driver steps of one orbit; an orbit that reaches it ends "segment_budget"
+LOOP_CACHE_SIZE = 64  # compiled arc loops kept, by source text
 
 
 # --------------------------------------------------------------------------- #
@@ -132,7 +146,7 @@ class IntegratorOptions:
 
 
 def _kernels():
-    """``_DenseStep.at``, the regular- and sliding-arc loops, their emitters and ``sliding_rhs``, in straight lines.
+    """``_DenseStep.at``, the emitters, ``sliding_rhs`` and the writers of the arc loops, in straight lines.
 
     The source is written out from ``_A``, ``_E`` and ``_P`` and compiled in a
     closed namespace, as ``expr.compile_expression`` compiles fields.  Each sum
@@ -141,12 +155,17 @@ def _kernels():
     zero coefficients stay, so the kernels return the loops' bits.  The step
     control is one piece, ``accepted_step``, that both loops inline, and the
     torus wrap is one piece, ``canonical``, that does ``Domain.canonical``'s
-    arithmetic wherever a loop or emitter wraps a point.  The regular-arc loop
-    calls the region's two components; the sliding-arc loop calls the side
-    fields' components and the curve's raw h and grad h in one piece,
-    ``sliding``, that ``sliding_rhs`` wraps as ``emit_to`` wraps ``chord``.
-    Every function but ``at`` and ``sliding_rhs``, which know no domain, comes
-    in a plane and a torus form; all are compiled here, once.
+    arithmetic wherever a loop or emitter wraps a point.  ``at``, ``emit``,
+    ``emit_to`` and ``sliding_rhs`` are compiled here, once; every function
+    but ``at`` and ``sliding_rhs``, which know no domain, comes in a plane and
+    a torus form.  The arc loops are not compiled here: ``regular_source``
+    and ``sliding_source`` write the text of one loop for the field texts
+    they are given (see ``_LoopText``), which ``compiled`` compiles on first
+    use (``_loop``).  Their stage pieces, the stages of ``accepted_step``,
+    the event screen, ``sliding`` and the two-step projection, write each
+    field component as that text at the stage point, so a stage calls no
+    field; ``sliding_rhs`` wraps the same ``sliding`` piece on called
+    components, as ``emit_to`` wraps ``chord``.
     """
     ks = ", ".join(f"k{j}" for j in range(1, 8))
     kx = [f"k{j}x" for j in range(1, 8)]
@@ -305,30 +324,33 @@ def _kernels():
             ["t0 = step.t0"] + head("step") + unpack
             + (torus_geometry if torus else []) + emission("th_end", torus))
 
-    def regular_source(torus):
+    def regular_source(torus, stage, hs):
         """``regular_steps``: a generator over the accepted steps of one regular arc.
 
+        ``stage(px, py, vx, vy)`` gives the lines that set vx, vy to the field
+        at (px, py), and ``hs`` holds, per curve, its h's text at (px, py).
         The arc starts at (x, y) at t = 0 with first stage (k1x, k1y) and first
         trial step ``dt_next``, and ends at ``t_max``.  A step whose grid cannot
         hold an event is emitted into ``times`` and ``pts``; any other step is
         yielded as (``_DenseStep``, its five grid points, each curve's five h
         values on them), and the caller emits it.  ``signs[i]`` is the sign of
-        ``hs[i]`` where that curve armed, 0.0 while it is unarmed; the caller
-        arms curves.  ``targets`` holds the points of the capture targets.
+        curve i's h where that curve armed, 0.0 while it is unarmed; the caller
+        arms curves.  ``targets`` holds the points of the capture targets, and
+        ``bound`` the values the field texts name.
         """
-        screen = [
-            "vals = []",
-            "cand = False",
-            "for h, s0 in zip(hs, signs):",
-            *[f"    v{i} = h({px}, {py})" for i, (px, py) in enumerate(points)],
-            "    vals.append((v0, v1, v2, v3, v4))",
-            "    if s0:",
-            "        if ({}):".format(" or ".join(
-                f"(v{i} if v{i} != 0 else s0 * 1e-300) * v{i + 1} < 0" for i in range(4))),
-            "            cand = True",
-            "    elif {}:".format(" or ".join(f"abs(v{i}) >= {ESCAPE_BAND!r}" for i in range(5))),
-            "        cand = True",
-        ]
+        screen = ["vals = []", "cand = False"]
+        for i, h in enumerate(hs):
+            screen += [
+                f"s0 = signs[{i}]",
+                *[f"v{j} = {h(px, py)}" for j, (px, py) in enumerate(points)],
+                "vals.append((v0, v1, v2, v3, v4))",
+                "if s0:",
+                "    if ({}):".format(" or ".join(
+                    f"(v{j} if v{j} != 0 else s0 * 1e-300) * v{j + 1} < 0" for j in range(4))),
+                "        cand = True",
+                "elif {}:".format(" or ".join(f"abs(v{j}) >= {ESCAPE_BAND!r}" for j in range(5))),
+                "    cand = True",
+            ]
         if not torus:
             screen += [
                 "if not ({}):".format(" and ".join(
@@ -349,8 +371,8 @@ def _kernels():
             "            if not hypot(dx, dy) > gate:",
             "                cand = True",
         ]
-        return [
-            "def regular_steps(fx, fy, hs, signs, targets, domain, rtol, atol, max_step,",
+        return source([
+            "def regular_steps(bound, signs, targets, domain, rtol, atol, max_step,",
             "                  spacing, t_max, x, y, k1x, k1y, dt_next, times, pts):",
         ] + indent((torus_geometry if torus else bounds) + [
             "t = 0.0",
@@ -363,7 +385,7 @@ def _kernels():
             "    if steps >= limit:",
             "        raise creeping(steps, t, t_max)",
             "    steps += 1",
-            *indent(accepted_step(lambda j: [f"k{j}x = fx(ax, ay)", f"k{j}y = fy(ax, ay)"])),
+            *indent(accepted_step(lambda j: stage("ax", "ay", f"k{j}x", f"k{j}y"))),
             *[f"    {g} = {coordinate(o, w, k)}"
               for (gx, gy), w in zip(grid, weights) for g, o, k in ((gx, "x0", kx), (gy, "y0", ky))],
             *indent(screen),
@@ -376,18 +398,21 @@ def _kernels():
             *indent(emission("1.0", torus), 2),
             "    k1x = k7x",
             "    k1y = k7y",
-        ])
+        ]))
 
-    def sliding(px, py, zx, zy):
+    def sliding(px, py, zx, zy, sides, gradient):
         """The sliding field (zx, zy) at (px, py) and its Lie pair (l1, l2), with the arithmetic of
-        ``sigma.lie_pair`` and ``filippov_combination``."""
+        ``sigma.lie_pair`` and ``filippov_combination``.
+
+        ``sides(px, py)`` gives the lines that set v1x, v1y and v2x, v2y to
+        the side fields at the point, and ``gradient(px, py)`` the texts of
+        grad h there.
+        """
+        nx, ny = gradient(px, py)
         return [
-            f"v1x = f1x({px}, {py})",
-            f"v1y = f1y({px}, {py})",
-            f"v2x = f2x({px}, {py})",
-            f"v2y = f2y({px}, {py})",
-            f"nx = gxf({px}, {py})",
-            f"ny = gyf({px}, {py})",
+            *sides(px, py),
+            f"nx = {nx}",
+            f"ny = {ny}",
             "l1 = nx * v1x + ny * v1y",
             "l2 = nx * v2x + ny * v2y",
             "den = l2 - l1",
@@ -425,16 +450,21 @@ def _kernels():
         return ["def emit_to(x, y, t_q, times, pts, spacing, domain):"] + indent(
             (torus_geometry if torus else []) + chord("x", "y", "t_q", torus))
 
-    # ``sliding_rhs``: (Z_s, L1, L2) at (x, y), the piece each restart of ``sliding_steps`` inlines
+    # ``sliding_rhs``: (Z_s, L1, L2) at (x, y) from called components, the piece each sliding-arc stage inlines
+    calls = lambda px, py: [f"{v} = {f}({px}, {py})" for v, f in zip(("v1x", "v1y", "v2x", "v2y"),
+                                                                    ("f1x", "f1y", "f2x", "f2y"))]
     sliding_rhs = ["def sliding_rhs(f1x, f1y, f2x, f2y, gxf, gyf, curve_id, x, y):"] + indent(
-        sliding("x", "y", "zx", "zy") + ["return zx, zy, l1, l2"])
+        sliding("x", "y", "zx", "zy", calls, lambda px, py: (f"gxf({px}, {py})", f"gyf({px}, {py})"))
+        + ["return zx, zy, l1, l2"])
 
-    def sliding_source(torus):
+    def sliding_source(torus, sides, gradient, h):
         """``sliding_steps``: the accepted steps of one sliding arc, each projected onto the curve.
 
-        The arc starts on the curve at (x, y) at t = 0 with first stage
-        (k1x, k1y), first trial step ``dt_next`` and the signs s1_0, s2_0 of its
-        Lie pair, and ends at ``t_max``.  Each step is projected onto h = 0 by
+        ``sides`` and ``gradient`` write the fields at a point as for
+        ``sliding``, and ``h(px, py)`` the curve's h there.  The arc starts on
+        the curve at (x, y) at t = 0 with first stage (k1x, k1y), first trial
+        step ``dt_next`` and the signs s1_0, s2_0 of its Lie pair, and ends at
+        ``t_max``.  Each step is projected onto h = 0 by
         ``SwitchingCurve.project(end, 2)``'s two Newton steps, and the next step
         starts there with the stage and Lie pair evaluated there.  A step whose
         end leaves the rectangle returns ('left_domain', its ``_DenseStep``,
@@ -445,12 +475,13 @@ def _kernels():
         ('pseudo_eq', None, None) after.
         The arc's end returns ('t_max', None, None).
         """
+        gx, gy = gradient("x", "y")
         project = []
         for _ in range(2):
             project += [
-                "hv = h(x, y)",
-                "nx = gxf(x, y)",
-                "ny = gyf(x, y)",
+                f"hv = {h('x', 'y')}",
+                f"nx = {gx}",
+                f"ny = {gy}",
                 "g2 = nx * nx + ny * ny",
                 f"if g2 < {GRAD_MIN * GRAD_MIN!r}:",
                 "    raise degenerate_gradient(x, y)",
@@ -458,9 +489,9 @@ def _kernels():
                 "y -= hv * ny / g2",
             ]
         flipped = f"l1 * s1_0 < 0 or abs(l1) <= {TAU_CLASS!r}"
-        return [
-            "def sliding_steps(f1x, f1y, f2x, f2y, gxf, gyf, curve_id, domain, h, rtol, atol,",
-            "                  max_step, spacing, t_max, x, y, k1x, k1y, s1_0, s2_0, dt_next, times, pts):",
+        return source([
+            "def sliding_steps(bound, curve_id, domain, rtol, atol, max_step, spacing, t_max,",
+            "                  x, y, k1x, k1y, s1_0, s2_0, dt_next, times, pts):",
         ] + indent((torus_geometry if torus else bounds) + [
             "t = 0.0",
             "t_end = t_max - 1e-14",
@@ -472,10 +503,10 @@ def _kernels():
             "    if steps >= limit:",
             "        raise creeping(steps, t, t_max)",
             "    steps += 1",
-            *indent(accepted_step(lambda j: sliding("ax", "ay", f"k{j}x", f"k{j}y"))),
+            *indent(accepted_step(lambda j: sliding("ax", "ay", f"k{j}x", f"k{j}y", sides, gradient))),
             *indent(project),
             # the restart stage goes to (zx, zy): (k1x, k1y) is the step's first stage until it is packed
-            *indent(sliding("x", "y", "zx", "zy")),
+            *indent(sliding("x", "y", "zx", "zy", sides, gradient)),
             *(["    if not (x_min <= x <= x_max and y_min <= y <= y_max):",
                f"        return 'left_domain', {dense_step}, None"] if not torus else []),
             f"    if {flipped} or l2 * s2_0 < 0 or abs(l2) <= {TAU_CLASS!r}:",
@@ -486,26 +517,29 @@ def _kernels():
             "        return 'pseudo_eq', None, None",
             "    k1x = zx",
             "    k1y = zy",
-        ])
+        ]))
 
     namespace = {
-        "__builtins__": {}, "abs": abs, "max": max, "range": range, "round": round,
+        **FUNCTIONS, "__builtins__": {}, "abs": abs, "max": max, "range": range, "round": round,
         "zip": zip, "ceil": math.ceil, "floor": math.floor, "hypot": math.hypot,
-        "isfinite": math.isfinite, "sqrt": math.sqrt, "IntegrationError": IntegrationError,
+        "isfinite": math.isfinite, "IntegrationError": IntegrationError,
         "_DenseStep": _DenseStep, "arc_step_limit": _arc_step_limit, "creeping": _creeping,
         "sliding_undefined": sliding_undefined, "degenerate_gradient": _degenerate_gradient,
     }
 
-    def compiled(lines, name):
+    def source(lines):
+        return "\n".join(lines) + "\n"
+
+    def compiled(text, name):
+        """The function ``name`` that the source ``text`` defines, compiled in the closed namespace."""
         env = dict(namespace)
-        exec("\n".join(lines) + "\n", env)  # noqa: S102 - generated from the tableau
+        exec(text, env)  # noqa: S102 - generated from the tableau and expr's field text
         return env[name]
 
-    regular = {torus: compiled(regular_source(torus), "regular_steps") for torus in (False, True)}
-    emits = {torus: compiled(emit_source(torus), "emit") for torus in (False, True)}
-    slides = {torus: compiled(sliding_source(torus), "sliding_steps") for torus in (False, True)}
-    chords = {torus: compiled(chord_source(torus), "emit_to") for torus in (False, True)}
-    return compiled(at, "at"), regular, emits, slides, compiled(sliding_rhs, "sliding_rhs"), chords
+    emits = {torus: compiled(source(emit_source(torus)), "emit") for torus in (False, True)}
+    chords = {torus: compiled(source(chord_source(torus)), "emit_to") for torus in (False, True)}
+    return (compiled(source(at), "at"), emits, chords, compiled(source(sliding_rhs), "sliding_rhs"),
+            regular_source, sliding_source, compiled)
 
 
 class _DenseStep:
@@ -521,9 +555,74 @@ class _DenseStep:
         self.ks = ks
 
 
-# ``_REGULAR_STEPS[torus]``, ``_EMIT[torus]``: see ``integrate_regular``; ``_SLIDING_STEPS[torus]``,
-# ``_SLIDING_RHS``, ``_EMIT_TO[torus]``: see ``integrate_sliding``
-_DenseStep.at, _REGULAR_STEPS, _EMIT, _SLIDING_STEPS, _SLIDING_RHS, _EMIT_TO = _kernels()
+# ``_EMIT[torus]``: see ``integrate_regular``; ``_SLIDING_RHS``, ``_EMIT_TO[torus]``: see ``integrate_sliding``;
+# ``_REGULAR_SOURCE``, ``_SLIDING_SOURCE``: see ``_regular_loop`` and ``_sliding_loop``
+_DenseStep.at, _EMIT, _EMIT_TO, _SLIDING_RHS, _REGULAR_SOURCE, _SLIDING_SOURCE, _compiled = _kernels()
+_loop = functools.lru_cache(maxsize=LOOP_CACHE_SIZE)(_compiled)  # the compiled arc loops, by source text
+
+
+class _LoopText:
+    """What a generated arc loop reads its fields through.
+
+    ``component(field, px, py)`` is the one hook through which every stage
+    piece reads a field component: the text of the ``ScalarField``'s compiled
+    expression at (px, py), so the loop does the lambda's operations in place
+    of a call.  ``bind(value)`` names a value that the text reads; the loop
+    takes the values, in the order they were first named, as its argument
+    ``bound``.
+    """
+
+    def __init__(self):
+        self.bound = {}  # value -> its name in the loop
+
+    def bind(self, value):
+        return self.bound.setdefault(value, f"bound[{len(self.bound)}]")
+
+    @staticmethod
+    def component(field, px, py):
+        return field.text(px, py)
+
+
+_LOOPS = weakref.WeakKeyDictionary()  # system -> {("regular", region id) | ("sliding", curve id): (loop, bound)}
+
+
+def _arc_loop(sys, key, write):
+    """The loop ``write(text)`` writes for ``sys`` under ``key``, compiled, and the values it binds.
+
+    A system writes each of its loops once, held as long as the system lives:
+    writing one costs more than integrating a typical arc.  Equal texts share
+    one compiled loop through ``_loop``, across regions and systems.
+    """
+    loops = _LOOPS.setdefault(sys, {})
+    if key not in loops:
+        text = _LoopText()
+        source, name = write(text)
+        loops[key] = (_loop(source, name), tuple(text.bound))
+    return loops[key]
+
+
+def _regular_loop(sys, region_id):
+    """``regular_steps`` for the region's field and the system's curves: see ``_REGULAR_SOURCE``."""
+    def write(text):
+        stage = lambda px, py, vx, vy: sys.stage((region_id,), px, py, ((vx, vy),), text.component, text.bind)
+        hs = [functools.partial(text.component, c.h) for c in sys.curves]
+        return _REGULAR_SOURCE(sys.domain.kind == "flat_torus", stage, hs), "regular_steps"
+    return _arc_loop(sys, ("regular", region_id), write)
+
+
+def _sliding_loop(sys, curve_id):
+    """``sliding_steps`` for the curve's side fields, grad h and h: see ``_SLIDING_SOURCE``."""
+    curve = sys.curve(curve_id)
+
+    def write(text):
+        regions = (curve.positive_region, curve.negative_region)
+        sides = lambda px, py: sys.stage(regions, px, py, (("v1x", "v1y"), ("v2x", "v2y")),
+                                         text.component, text.bind)
+        gradient = lambda px, py: tuple(text.component(g, px, py) for g in curve.grad)
+        source = _SLIDING_SOURCE(sys.domain.kind == "flat_torus", sides, gradient,
+                                 functools.partial(text.component, curve.h))
+        return source, "sliding_steps"
+    return _arc_loop(sys, ("sliding", curve_id), write)
 
 
 # --------------------------------------------------------------------------- #
@@ -739,10 +838,10 @@ class CaptureTarget:
 def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, captures=()):
     """Integrate the region's smooth field until an event.
 
-    The steps run in the generated loop ``_REGULAR_STEPS``; each step it hands
-    back is searched here for its earliest event.  Returns (OrbitSegment, hit)
-    with hit one of ('curve', id, point) | ('t_max', point) |
-    ('left_domain', point) | ('capture', target, point).
+    The steps run in the region's generated loop (``_regular_loop``); each
+    step it hands back is searched here for its earliest event.  Returns
+    (OrbitSegment, hit) with hit one of ('curve', id, point) |
+    ('t_max', point) | ('left_domain', point) | ('capture', target, point).
     """
     opts = opts or IntegratorOptions()
     max_step, spacing = opts.resolved(sys.domain)
@@ -761,10 +860,10 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
     times = [0.0]
     pts = [p]
     emit = _EMIT[torus]
-    steps = _REGULAR_STEPS[torus](
-        fx, fy, [h for _, h in h_fns], signs, [c.point for c in captures], domain,
-        opts.rtol, opts.atol, max_step, spacing, t_max, x, y, k1x, k1y, min(max_step, 1e-3),
-        times, pts,
+    regular_steps, bound = _regular_loop(sys, region_id)
+    steps = regular_steps(
+        bound, signs, [c.point for c in captures], domain, opts.rtol, opts.atol, max_step, spacing,
+        t_max, x, y, k1x, k1y, min(max_step, 1e-3), times, pts,
     )
     for step, grid_pts, vals in steps:  # the steps whose grid may hold an event
         best = None  # (theta, kind, payload)
@@ -856,9 +955,9 @@ def _capture_theta(domain, step, grid_pts, target):
 def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     """Slide along the Filippov field constrained to the curve.
 
-    The steps run in the generated loop ``_SLIDING_STEPS``, the first stage in
-    ``_SLIDING_RHS`` on the same arguments; the step the loop hands back at an
-    exit is searched here for the exit point, which ``_EMIT_TO`` emits.
+    The steps run in the curve's generated loop (``_sliding_loop``), the first
+    stage in ``_SLIDING_RHS`` on the raw side fields; the step the loop hands
+    back at an exit is searched here for the exit point, which ``_EMIT_TO`` emits.
     Returns (OrbitSegment, exit) with exit one of
     ('tangency', point, side) | ('pseudo_eq', point) | ('t_max', point) |
     ('left_domain', point).
@@ -891,8 +990,9 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     s2_0 = 1.0 if l2_0 > 0 else -1.0
     times = [0.0]
     pts = [p]
-    kind, step, flipped = _SLIDING_STEPS[torus](
-        *args, domain, curve.h.raw(), opts.rtol, opts.atol, max_step, spacing, t_max,
+    sliding_steps, bound = _sliding_loop(sys, curve_id)
+    kind, step, flipped = sliding_steps(
+        bound, curve_id, domain, opts.rtol, opts.atol, max_step, spacing, t_max,
         x, y, zx, zy, s1_0, s2_0, min(max_step, 1e-3), times, pts,
     )
     emit_to = _EMIT_TO[torus]
@@ -931,11 +1031,19 @@ def first_entry(domain, segments, disk):
     """Time of the first stored sample of ``segments`` in the closed disk, else None.
 
     ``disk`` has a ``center`` and a ``radius``; a sample on the rim is inside.
+    The loop runs once per sample of every probe orbit, so it inlines
+    ``Domain.distance``'s arithmetic.
     """
-    distance, center, radius = domain.distance, disk.center, disk.radius
+    (cx, cy), radius = disk.center, disk.radius
+    torus, width, height = domain.kind == "flat_torus", domain.width, domain.height
+    hypot = math.hypot
     for seg in segments:
-        for t, p in zip(seg.times, seg.points):
-            if distance(p, center) <= radius:
+        for t, (px, py) in zip(seg.times, seg.points):
+            dx, dy = cx - px, cy - py
+            if torus:
+                dx -= round(dx / width) * width
+                dy -= round(dy / height) * height
+            if hypot(dx, dy) <= radius:
                 return t
     return None
 

@@ -19,6 +19,9 @@ from .integrate import IntegratorOptions
 from .system import DOMAIN_KINDS, Domain, FilippovSystem, RegionSpec, SwitchingCurve, check_extent
 
 SCHEMA = "filippov.scenario/1"
+# the smallest integrator.max_step and sample_spacing, as a fraction of the domain's shorter side: far
+# below the defaults (1/16 and 1/64), and a bound on the steps and samples one unit of time can take
+MIN_STEP_FRACTION = 1e-5
 
 
 @dataclass
@@ -202,10 +205,14 @@ def scenario_from_dict(data) -> Scenario:
     settings = {"rtol": integ.get("rtol", 1e-10), "atol": integ.get("atol", 1e-12)}
     # a null step setting keeps its domain-derived default
     settings.update((k, integ[k]) for k in ("max_step", "sample_spacing") if integ.get(k) is not None)
+    least = MIN_STEP_FRACTION * min(domain.width, domain.height)
     for key, value in settings.items():
         settings[key] = _number(value, f"integrator.{key}")
         if not settings[key] > 0:
             raise ConfigurationError(f"integrator.{key}: expected a positive number")
+        if key in ("max_step", "sample_spacing") and settings[key] < least:
+            raise ConfigurationError(f"integrator.{key}: expected at least {least!r}, {MIN_STEP_FRACTION!r} "
+                                     f"of the shorter side of the domain, got {settings[key]!r}")
     options = IntegratorOptions(**settings)
     _known(data, "scenario",
            ("schema", "name", "domain", "parameters", "curves", "regions", "config", "integrator"))

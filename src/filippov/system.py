@@ -166,8 +166,9 @@ class FilippovSystem:
     ``velocity_scale`` is an optional positive scalar multiplier g(p) (used by
     the tangency-freezing rescale).  The system applies it where it hands out
     fields, to every component before anything is formed from them:
-    ``field_value`` evaluates a field times g, and ``raw_pair`` gives a
-    region's raw components times g, so that no caller of either knows a
+    ``field_value`` evaluates a field times g, ``raw_pair`` gives a region's
+    raw components times g, and ``stage`` writes the text of regions' fields
+    times g for the generated arc loops, so that no caller of these knows a
     system can be scaled.  ``second_lie_fields`` caches the compiled Y(Yh) per
     (curve id, side) for ``sigma.second_lie_value``.
     """
@@ -254,6 +255,25 @@ class FilippovSystem:
         canonical = self.domain.canonical
         return (lambda x, y: scale(canonical((x, y))) * fx(x, y),
                 lambda x, y: scale(canonical((x, y))) * fy(x, y))
+
+    def stage(self, region_ids, px, py, names, component, bind):
+        """Source lines that set ``names`` to the regions' field components at (px, py), scale applied.
+
+        ``names`` holds one (x name, y name) pair per region id;
+        ``component(field, px, py)`` gives the text of one ``ScalarField`` at
+        the point, and ``bind(value)`` a name for a value the lines read.  A
+        scaled system evaluates g once at the point, into ``gs``, and
+        multiplies each component by it: the arithmetic of ``raw_pair``'s
+        callables, which call g per component.
+        """
+        texts = []
+        for rid, (vx, vy) in zip(region_ids, names):
+            field = self.region(rid).field
+            texts += [(vx, component(field.component_x, px, py)), (vy, component(field.component_y, px, py))]
+        if self.velocity_scale is None:
+            return [f"{name} = {text}" for name, text in texts]
+        g = f"{bind(self.velocity_scale)}({bind(self.domain.canonical)}(({px}, {py})))"
+        return [f"gs = {g}"] + [f"{name} = gs * {text}" for name, text in texts]
 
     # -- derived systems -------------------------------------------------------
 

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import signal
+import weakref
 from pathlib import Path
 
 import pytest
@@ -73,22 +74,45 @@ def count_arc_calls(monkeypatch):
     return calls
 
 
+def observe_loop_reads(monkeypatch, observer):
+    """Have the generated arc loops call ``observer(field)(x, y)`` as they read a field component at (x, y).
+
+    The loops inline a component's text through ``_LoopText.component``; this
+    hook wraps that text as ``(observer(field)(x, y), text)[1]``, with the
+    observer bound in the loop.  The observer runs first, so it sees a read
+    whose text then fails, and the loop still computes the text's own bits.
+    The systems' written loops are forgotten, so each is written anew.
+    """
+    inline = integrate._LoopText.component
+
+    def component(text, field, px, py):
+        return f"({text.bind(observer(field))}({px}, {py}), {inline(field, px, py)})[1]"
+
+    monkeypatch.setattr(integrate._LoopText, "component", component)
+    monkeypatch.setattr(integrate, "_LOOPS", weakref.WeakKeyDictionary())
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    """Call counts per field of every raw callable ``ScalarField.raw`` hands out."""
+    """Evaluation counts per field: calls of every raw callable ``ScalarField.raw`` hands out, and
+    the generated loops' reads of each field component (see ``observe_loop_reads``)."""
     counts = {}
     raw = ScalarField.raw
+
+    def count(field):
+        counts[id(field)] = counts.get(id(field), 0) + 1
 
     def counting_raw(field):
         fn = raw(field)
 
         def counted(x, y):
-            counts[id(field)] = counts.get(id(field), 0) + 1
+            count(field)
             return fn(x, y)
 
         return counted
 
     monkeypatch.setattr(ScalarField, "raw", counting_raw)
+    observe_loop_reads(monkeypatch, lambda field: lambda x, y: count(field))
     return counts
 
 

@@ -9,9 +9,11 @@ regular field of every region of the shipped scenarios, the sliding field and
 velocity-scaled fields, each kernel must return exactly their bits: the
 accepted steps of the regular-arc loop with all seven stages and the points of
 their event grid, with the trial step capped by ``t_max`` or ``max_step``, and
-the dense output at random theta.  The sliding-arc loop, which adds the
-projection onto the curve, is checked against the stepper loop it replaced in
-``tests/test_sliding_loop.py``.
+the dense output at random theta.  The loop is written through
+``integrate._REGULAR_SOURCE`` with a stage that calls the right-hand side, or
+with the stage text a system writes for its region, scale included.  The
+sliding-arc loop, which adds the projection onto the curve, is checked against
+the stepper loop it replaced in ``tests/test_sliding_loop.py``.
 """
 
 import itertools
@@ -22,7 +24,9 @@ import pytest
 
 from filippov.diagnostics import rescale_tangency_freeze
 from filippov.errors import IntegrationError, UndefinedSlidingError
-from filippov.integrate import _REGULAR_STEPS, _THETA_GRID, IntegratorOptions, _DenseStep
+from filippov.integrate import (
+    _REGULAR_SOURCE, _THETA_GRID, IntegratorOptions, _DenseStep, _loop, _LoopText,
+)
 from filippov.scenario import load_shipped
 from filippov.system import Domain
 
@@ -111,11 +115,11 @@ def test_rk_step_matches_the_tableau_loop(name, sys_, rhs):
     # the loop's step control against the stepper's tableau loop, with the trial step capped by
     # t_max or by max_step in a third of the cases each; the loop calls a component per stage
     rng = random.Random(name + ":caps")
-    fx, fy = (lambda x, y: rhs(x, y)[0]), (lambda x, y: rhs(x, y)[1])
+    stage = called(lambda x, y: rhs(x, y)[0], lambda x, y: rhs(x, y)[1])
     for x, y, dt, k1 in _steps(name, sys_, rhs):
         cap = rng.choice((math.inf, dt * rng.uniform(0.1, 2.0)))
         limits = rng.choice(((cap, math.inf), (math.inf, cap), (math.inf, math.inf)))
-        got = loop_steps(sys_.domain, fx, fy, x, y, k1, dt, *limits)
+        got = loop_steps(sys_.domain, stage, x, y, k1, dt, *limits)
         assert got == stepper_steps(rhs, x, y, k1, dt, *limits)
 
 
@@ -165,7 +169,7 @@ def test_kernels_match_the_loops_on_signed_zeros_and_non_finite_values():
         for theta in _THETA_GRID[1:-1] + (rng.random(),):
             assert _bits(step.at(theta)) == _bits(reference_at(step, theta))
         component = _special_component(values, seed)
-        assert loop_steps(_PLANE, component, component, x, y, k1, dt) == \
+        assert loop_steps(_PLANE, called(component, component), x, y, k1, dt) == \
             stepper_steps(_special_field(values, seed), x, y, k1, dt)
 
 
@@ -182,14 +186,29 @@ def _image(step, grid):
     return _bits((step.t0, step.dt, step.x0, step.y0, tuple((k[0], k[1]) for k in step.ks), tuple(grid)))
 
 
-def loop_steps(domain, fx, fy, x, y, k1, dt, t_max=math.inf, max_step=math.inf, count=2):
+def called(fx, fy):
+    """A stage that calls ``fx`` and ``fy`` at its point, in that order."""
+    return lambda text, px, py, vx, vy: [f"{vx} = {text.bind(fx)}({px}, {py})",
+                                         f"{vy} = {text.bind(fy)}({px}, {py})"]
+
+
+def inlined(sys_, region_id):
+    """The region's stage as the system writes it for the generated loop: its field's text, scale applied."""
+    return lambda text, px, py, vx, vy: sys_.stage((region_id,), px, py, ((vx, vy),), text.component, text.bind)
+
+
+def loop_steps(domain, stage, x, y, k1, dt, t_max=math.inf, max_step=math.inf, count=2):
     """The first ``count`` steps the regular-arc loop accepts from (x, y) at t = 0, trying dt first.
 
-    An unarmed curve with h = 1 everywhere makes every step a candidate, so the
-    loop hands back each step with its event grid.
+    ``stage(text, px, py, vx, vy)`` writes the field's lines through ``text``, a
+    ``_LoopText``.  An unarmed curve with h = 1 everywhere makes every step a
+    candidate, so the loop hands back each step with its event grid.
     """
-    steps = _REGULAR_STEPS[domain.kind == "flat_torus"](
-        fx, fy, [lambda x, y: 1.0], [0.0], [], domain, _OPTS.rtol, _OPTS.atol,
+    text = _LoopText()
+    source = _REGULAR_SOURCE(domain.kind == "flat_torus", lambda *point: stage(text, *point),
+                             [lambda px, py: "1.0"])
+    steps = _loop(source, "regular_steps")(
+        tuple(text.bound), [0.0], [], domain, _OPTS.rtol, _OPTS.atol,
         max_step, 1.0, t_max, x, y, k1[0], k1[1], dt, [0.0], [(x, y)])
     try:
         return [_image(step, grid) for step, grid, _ in itertools.islice(steps, count)]
@@ -213,9 +232,8 @@ def stepper_steps(rhs, x, y, k1, dt, t_max=math.inf, max_step=math.inf, count=2)
 
 @pytest.mark.parametrize("name, sys_, region", REGULAR, ids=[c[0] for c in REGULAR])
 def test_loop_steps_and_grid_match_the_stepper(name, sys_, region):
-    # on a scaled system the loop calls the components times g that ``FilippovSystem.raw_pair`` hands out
+    # the loop inlines the field's text, on a scaled system times g as ``FilippovSystem.stage`` writes it
     rhs = reference_rhs(sys_, region.field)
-    fx, fy = sys_.raw_pair(region.id)
     for x, y, dt, k1 in _steps(name, sys_, rhs)[:SAMPLES // 5]:
-        got = loop_steps(sys_.domain, fx, fy, x, y, k1, dt)
+        got = loop_steps(sys_.domain, inlined(sys_, region.id), x, y, k1, dt)
         assert got == stepper_steps(rhs, x, y, k1, dt)

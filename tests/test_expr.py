@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from filippov.errors import EvaluationError, ExpressionError
 from filippov.expr import (
+    FUNCTIONS,
     Binary,
     Const,
     PlanarField,
@@ -402,3 +403,19 @@ def test_compiled_evaluation_matches_the_tree_walk(tree, binding):
         assert _outcome(field, binding["x"], binding["y"]) == want
         if isinstance(want, str):
             assert field.raw()(binding["x"], binding["y"]).hex() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(expression_trees, _wider_trees), st.floats(min_value=-4.0, max_value=4.0))
+def test_inlined_text_is_the_compiled_body(tree, a):
+    # the arc loops write a field's ``text`` at a stage's point where they used to call ``raw()``;
+    # both come from one codegen, so the text at any coordinate names compiles to the lambda's code
+    try:
+        field = ScalarField(tree, parameters={"a": a})
+    except EvaluationError:
+        return
+    want = field.raw().__code__
+    for x, y in (("x", "y"), ("ax", "ay"), ("g1x", "g1y")):
+        got = eval(f"lambda {x}, {y}: {field.text(x, y)}", dict(FUNCTIONS)).__code__  # noqa: S307
+        assert got.co_code == want.co_code
+        assert (repr(got.co_consts), got.co_names) == (repr(want.co_consts), want.co_names)

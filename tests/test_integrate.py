@@ -22,7 +22,7 @@ from filippov.scenario import load_shipped
 from filippov.sigma import PointClass, classify_point
 from filippov.system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
-from conftest import build_plane_system, count_arc_calls, decompose
+from conftest import build_plane_system, count_arc_calls, decompose, observe_loop_reads
 
 
 def serialize(orbit):
@@ -524,19 +524,21 @@ def test_regular_steps_reuse_their_end_points(monkeypatch):
         log.append(("at", theta))
         return at(step, theta)
 
+    def logger(field):
+        return lambda x, y: log.append(("h", (x, y))) if field is h_field else None
+
     def logging_raw(field):
-        fn = raw(field)
-        if field is not h_field:
-            return fn
+        fn, log_h = raw(field), logger(field)
 
         def logged(x, y):
-            log.append(("h", (x, y)))
+            log_h(x, y)
             return fn(x, y)
 
         return logged
 
     monkeypatch.setattr(integrate._DenseStep, "at", logging_at)
     monkeypatch.setattr(ScalarField, "raw", logging_raw)
+    observe_loop_reads(monkeypatch, logger)  # the loop inlines h: its reads are logged through the text hook
     opts = IntegratorOptions(sample_spacing=1e9)  # one sample per step, at its end
     for t_max, kind in ((0.3, "t_max"), (2.0, "curve")):  # the arc ends on the curve at t = 0.5
         log.clear()

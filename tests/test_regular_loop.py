@@ -1,15 +1,21 @@
 """The generated regular-arc loop against the step loop it replaced.
 
 ``integrate_regular`` runs the steps of an arc in one generated loop
-(``integrate._REGULAR_STEPS``); ``regular_reference.reference_integrate_regular``
+(``integrate._regular_loop``); ``regular_reference.reference_integrate_regular``
 is the loop it replaced.  On seeded starts both must return the same segment
 times and points and the same hit, bit for bit through ``float.hex`` (so -0.0
-is not 0.0), or fail with the same error; and both must call every raw
-``fx``, ``fy`` and ``h`` callable equally often.
+is not 0.0), or fail with the same error; and both must evaluate every
+``fx``, ``fy`` and ``h`` equally often.  The loop inlines each field's text,
+so the ``calls`` fixture counts its reads through the text hook
+(``conftest.observe_loop_reads``).
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +159,79 @@ def test_velocity_scaled_arcs(calls):
         check(sys_, region_starts(sys_, random.Random(seed)), calls)
 
 
+def test_a_scaled_stage_evaluates_g_once_per_point(calls, monkeypatch):
+    # ``FilippovSystem.stage`` evaluates g once at a stage's point and multiplies each component
+    # by it; the raw_pair callables the loops called before evaluated g per component, so a
+    # regular stage called it twice and a sliding stage four times.  Counted while loop code runs.
+    g_calls = []
+    torus = load_shipped("chaotic_torus").build_system()
+    scaled = torus.with_velocity_scale(
+        lambda p: g_calls.append(p) or 0.75 + 0.5 * math.sin(2.0 * math.pi * p[0]) ** 2)
+    x_components = [id(r.field.component_x) for r in scaled.regions]
+    inside = {"regular": [0, 0], "sliding": [0, 0]}  # per loop: g calls, reads of x components
+
+    def measured(kind, run):
+        tally = inside[kind]
+        g0, x0 = len(g_calls), sum(calls.get(i, 0) for i in x_components)
+        try:
+            return run()
+        finally:
+            tally[0] += len(g_calls) - g0
+            tally[1] += sum(calls.get(i, 0) for i in x_components) - x0
+
+    def regular(loop_of):
+        def counted(sys_, region_id):
+            loop, bound = loop_of(sys_, region_id)
+
+            def steps(*args):
+                it = loop(*args)
+                while True:
+                    try:
+                        step = measured("regular", lambda: next(it))
+                    except StopIteration:
+                        return
+                    yield step
+            return steps, bound
+        return counted
+
+    def sliding(loop_of):
+        def counted(sys_, curve_id):
+            loop, bound = loop_of(sys_, curve_id)
+            return (lambda *args: measured("sliding", lambda: loop(*args))), bound
+        return counted
+
+    monkeypatch.setattr(integrate, "_regular_loop", regular(integrate._regular_loop))
+    monkeypatch.setattr(integrate, "_sliding_loop", sliding(integrate._sliding_loop))
+    rng = random.Random(6)
+    for _ in range(8):
+        integrate.integrate_filippov(scaled, (rng.random(), rng.random()), 4.0)
+    (g_regular, x_regular), (g_sliding, x_sliding) = inside["regular"], inside["sliding"]
+    assert g_regular > 100 and g_sliding > 100
+    assert g_regular == x_regular  # a regular stage reads its region's x component once
+    assert 2 * g_sliding == x_sliding  # a sliding stage reads both side regions' x components
+
+
+def test_equal_field_texts_share_one_loop():
+    # rotation_plane's two regions have the field (-y, x): one loop text, compiled once, reads no value
+    sys_ = load_shipped("rotation_plane").build_system()
+    (one, bound), (two, _) = (integrate._regular_loop(sys_, r.id) for r in sys_.regions)
+    assert one is two and bound == ()
+    assert integrate._regular_loop(load_shipped("rotation_plane").build_system(), 1)[0] is one
+
+
+def test_loops_compile_on_first_use():
+    # importing the package and building a system compile no arc loop; an orbit compiles its own
+    probe = ("from filippov import integrate\nfrom filippov.scenario import load_shipped\n"
+             "sys_ = load_shipped('rotation_plane').build_system()\n"
+             "print(integrate._loop.cache_info().currsize)\n"
+             "integrate.integrate_filippov(sys_, (0.3, 0.2), 5.0)\n"
+             "print(integrate._loop.cache_info().currsize)\n")
+    src = Path(integrate.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    assert out.split() == ["0", "1"]
+
+
 @pytest.mark.parametrize("name, start, region", [
     ("rotation_plane", (0.5, 0.3), 1),
     ("fold_demo_plane", (-1.5, 0.5), 1),
@@ -177,17 +256,18 @@ def test_capture_targets(name, start, region, calls, monkeypatch):
             cases.append((start, region, 3.0, None, chosen))
 
     handed_back = []
-    loops = dict(integrate._REGULAR_STEPS)
+    regular_loop = integrate._regular_loop
 
-    def counting(key):
+    def counting(system, region_id):
+        loop, bound = regular_loop(system, region_id)
+
         def steps(*args):
-            for step in loops[key](*args):
+            for step in loop(*args):
                 handed_back.append(step)
                 yield step
-        return steps
+        return steps, bound
 
-    for key in loops:
-        monkeypatch.setitem(integrate._REGULAR_STEPS, key, counting(key))
+    monkeypatch.setattr(integrate, "_regular_loop", counting)
     outcomes = check(sys_, cases, calls, options=(None,))
     kinds = list(map(hit_kind, outcomes))
     assert "capture" in kinds and kinds.count("capture") < len(kinds)

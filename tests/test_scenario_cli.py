@@ -780,3 +780,42 @@ def test_the_resolution_bounds_sit_far_above_every_shipped_value():
         assert 100 * cfg.grid_resolution <= grid and 100 * cfg.sigma_resolution <= sigma
     domain = load_shipped("sliding_belt_torus").build_system().domain
     DiagnosticsConfig(grid_resolution=grid, sigma_resolution=sigma).check(domain)  # the bounds pass
+
+
+@pytest.mark.parametrize("key", ["sample_spacing", "max_step"])
+def test_a_step_setting_below_its_bound_exits_2_before_it_runs(key, tmp_path):
+    # at 1e-9 the orbit's samples used to exhaust memory ("error: MemoryError: "), and its
+    # steps to run on for hours; the run is a child under a 1 GiB address-space limit
+    import resource
+
+    import filippov
+
+    data = json.loads(shipped_path("rotation_plane").read_text())
+    data["integrator"] = {key: 1e-9}
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(data))
+    argv = ["orbit", "--scenario", str(path), "--start", "0.3,0.2", "--horizon", "2",
+            "--json", str(tmp_path / "out.json")]
+    env = dict(os.environ, PYTHONPATH=str(Path(filippov.__file__).resolve().parents[1]))
+    limit = (1 << 30, 1 << 30)
+    with time_limit(60):
+        proc = subprocess.run([sys.executable, "-m", "filippov.cli", *argv], env=env,
+                              capture_output=True, text=True,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+    least = scenario.MIN_STEP_FRACTION * 2.0  # the domain is 2 x 2
+    message = (f"error: integrator.{key}: expected at least {least!r}, "
+               f"{scenario.MIN_STEP_FRACTION!r} of the shorter side of the domain, got 1e-09\n")
+    assert (proc.returncode, proc.stderr) == (2, message)
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_the_step_bound_sits_far_below_the_defaults():
+    # the defaults are 1/16 and 1/64 of the shorter side, and no shipped scenario sets either
+    assert 100 * scenario.MIN_STEP_FRACTION <= 1 / 64
+    for name in list_shipped():
+        data = json.loads(shipped_path(name).read_text())
+        assert {"max_step", "sample_spacing"}.isdisjoint(data.get("integrator", {}))
+        domain = load_shipped(name).build_system().domain
+        least = scenario.MIN_STEP_FRACTION * min(domain.width, domain.height)
+        data["integrator"] = {"max_step": least, "sample_spacing": least}
+        assert scenario_from_dict(data).integrator.max_step == least  # the bound itself passes

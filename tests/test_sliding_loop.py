@@ -1,6 +1,6 @@
 """Sliding arcs through the generated loop against the stepper loop they replaced.
 
-``integrate_sliding`` steps in the generated loop ``integrate._SLIDING_STEPS``,
+``integrate_sliding`` steps in the generated loop ``integrate._sliding_loop``,
 which inlines the step control of the regular-arc loop, the sliding field, the
 projection onto the curve and the sample emission;
 ``regular_reference.reference_integrate_sliding`` is the loop it replaced,
@@ -9,7 +9,9 @@ each projected point.  On seeded starts on the
 sliding and escaping arcs of the shipped scenarios, and on cases that end in
 each exit, both must return the same segment times and points and the same
 exit, bit for bit through ``float.hex`` (so -0.0 is not 0.0), or fail with the
-same error; and both must call every raw field callable equally often.
+same error; and both must evaluate every field equally often (the loop
+inlines each field's text, so the ``calls`` fixture counts its reads through
+the text hook, ``conftest.observe_loop_reads``).
 """
 
 import math

@@ -27,6 +27,9 @@ from pathlib import Path
 import pytest
 
 from filippov import integrate
+from filippov.scenario import load_shipped
+
+from conftest import list_shipped
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "filippov"
 MODULE_GLOBALS = {"__name__", "__file__", "__doc__", "__spec__", "__loader__",
@@ -290,11 +293,24 @@ def test_kernel_check_finds_an_unbound_name():
     assert unbound_globals(env["kernel"]) == {"missing", "other"}
 
 
+def _arc_loops():
+    """The arc loops compiled for every region and curve of each shipped scenario, in both
+    directions, and of a velocity-scaled one."""
+    for name in list_shipped():
+        forward = load_shipped(name).build_system()
+        systems = [("forward", forward), ("backward", forward.reversed())]
+        if name == "chaotic_torus.json":
+            systems.append(("scaled", forward.with_velocity_scale(lambda p: 0.5)))
+        for direction, sys_ in systems:
+            for region in sys_.regions:
+                yield f"{name}:{direction}:regular_steps[{region.id}]", integrate._regular_loop(sys_, region.id)[0]
+            for curve in sys_.curves:
+                yield f"{name}:{direction}:sliding_steps[{curve.id}]", integrate._sliding_loop(sys_, curve.id)[0]
+
+
 GENERATED = {"_DenseStep.at": integrate._DenseStep.at, "_SLIDING_RHS": integrate._SLIDING_RHS, **{
-    f"{name}[{torus}]": getattr(integrate, name)[torus]
-    for name in ("_REGULAR_STEPS", "_EMIT", "_SLIDING_STEPS", "_EMIT_TO")
-    for torus in (False, True)
-}}
+    f"{name}[{torus}]": getattr(integrate, name)[torus] for name in ("_EMIT", "_EMIT_TO") for torus in (False, True)
+}, **dict(_arc_loops())}
 
 
 @pytest.mark.parametrize("name", list(GENERATED))
