@@ -456,24 +456,82 @@ def _literal(value):
     return repr(float(value)).replace("inf", "1e999").replace("nan", "(1e999 - 1e999)")
 
 
-def _codegen(node, parameters, x="x", y="y"):
-    """Python source of ``node`` with ``parameters`` inlined and the coordinates read as the names x and y."""
-    if isinstance(node, Const):
-        return _literal(node.value)
-    if isinstance(node, Var):
-        if node.name in parameters:
-            return _literal(parameters[node.name])
-        return x if node.name == "x" else y if node.name == "y" else node.name
+def _operands(node):
+    if isinstance(node, Binary):
+        return (node.left, node.right)
     if isinstance(node, Unary):
-        inner = _codegen(node.arg, parameters, x, y)
-        if node.op == "neg":
-            return f"(-{inner})"
-        return f"{node.op}({inner})"
+        return (node.arg,)
+    return (node.base,) if isinstance(node, Power) else ()
+
+
+def _form(node, inner):
+    """The text of a unary node or a power over ``inner``, the text of its operand."""
     if isinstance(node, Power):
-        return f"({_codegen(node.base, parameters, x, y)})**{node.exponent}"
-    a = _codegen(node.left, parameters, x, y)
-    b = _codegen(node.right, parameters, x, y)
-    return f"({a} {node.op} {b})"
+        return f"({inner})**{node.exponent}"
+    return f"(-{inner})" if node.op == "neg" else f"{node.op}({inner})"
+
+
+def _codegen(node, parameters, x="x", y="y"):
+    """Python source of ``node`` with ``parameters`` inlined and the coordinates read as the names x and y.
+
+    A call or power whose text the evaluation would compute more than once is
+    computed at its first occurrence, bound there with ``:=`` to ``_0``,
+    ``_1``, ..., and read by that name after.  Python evaluates the text left
+    to right, as ``_walk`` in the tests does, so the first occurrence is the
+    first computed: the value, and the first error raised, stay those of the
+    text without names.  Repeats are keyed on their text, not on the tree:
+    ``Const(0.0) == Const(-0.0)``, and their texts differ.
+    """
+    texts = {}  # id of a call or power node -> its text without names
+    seen = {}  # such a text -> its occurrences in the tree
+
+    def plain(n):
+        if isinstance(n, Const):
+            return _literal(n.value)
+        if isinstance(n, Var):
+            if n.name in parameters:
+                return _literal(parameters[n.name])
+            return x if n.name == "x" else y if n.name == "y" else n.name
+        if isinstance(n, Binary):
+            return f"({plain(n.left)} {n.op} {plain(n.right)})"
+        text = _form(n, plain(*_operands(n)))
+        if isinstance(n, Power) or n.op != "neg":
+            texts[id(n)] = text
+            seen[text] = seen.get(text, 0) + 1
+        return text
+
+    whole = plain(node)
+    if all(count == 1 for count in seen.values()):
+        return whole
+
+    uses = {}  # a text -> its evaluations: a repeat inside one read by name is not evaluated
+
+    def count(n):
+        key = texts.get(id(n))
+        if key is not None:
+            uses[key] = uses.get(key, 0) + 1
+            if uses[key] > 1:
+                return
+        for child in _operands(n):
+            count(child)
+
+    count(node)
+    names = {}  # a text evaluated more than once -> its name
+
+    def bound(n):
+        if isinstance(n, Binary):
+            return f"({bound(n.left)} {n.op} {bound(n.right)})"
+        if not isinstance(n, (Unary, Power)):
+            return plain(n)
+        key = texts.get(id(n))
+        if key is None or uses[key] == 1:
+            return _form(n, bound(*_operands(n)))
+        if key in names:
+            return names[key]
+        name = names[key] = f"_{len(names)}"
+        return f"({name} := {_form(n, bound(*_operands(n)))})"
+
+    return bound(node)
 
 
 def compile_expression(expression: Expression, parameters: Mapping[str, float]) -> Callable[[float, float], float]:
@@ -524,7 +582,9 @@ class ScalarField:
         ``text()`` is the body of the compiled lambda; generated code that
         writes it in place of a call does the lambda's operations, so it gets
         the same bits and raises the same errors.  Besides ``x`` and ``y`` it
-        reads only the names of ``FUNCTIONS``.
+        reads only the names of ``FUNCTIONS`` and the names ``_0``, ``_1``,
+        ... that it binds itself (see ``_codegen``), which the code around it
+        must leave alone.
         """
         return _codegen(self.expression, self.parameters, x, y)
 

@@ -21,7 +21,12 @@ with every curve's h on it, and the samples.  The loop hands a step back to
 an armed curve, an unarmed curve leaving ``ESCAPE_BAND``, a grid point outside
 the rectangle or a capture target inside the coarse gate.  It may hand back
 more steps than have events, never fewer; ``tests/test_regular_loop.py``
-checks it bit for bit against the step loop it replaced.  Events (sign
+checks it bit for bit against the step loop it replaced.  Most steps hold
+no event, so the loop does a step's arithmetic as cheaply as it can with the
+same bits (see ``_kernels``): an armed curve whose five grid values all have
+its strict sign is passed after five comparisons, and on the torus a grid
+coordinate inside the step that no curve's h reads is computed only for a
+step that is handed back or tested against capture targets.  Events (sign
 changes of any h_i, domain exit, graze captures) are located on the dense
 output and polished onto the curve with Newton steps.
 
@@ -49,7 +54,9 @@ and the tangencies and domain exits of sliding arcs are all located by the
 one bracket kernel ``sigma.bracket``.  An arc that takes ``MAX_ARC_STEPS``
 accepted steps more than it needs at ``max_step`` fails with
 ``IntegrationError``: its steps have shrunk to nothing, as past a
-finite-time blow-up.
+finite-time blow-up.  The arcs of one orbit share ``MAX_ORBIT_STEPS``
+accepted steps, whatever its horizon; an orbit past them fails with an
+``IntegrationError`` that names ``--horizon`` and ``integrator.max_step``.
 
 One orbit is computed sequentially; distinct orbits may be computed
 concurrently against the shared system.
@@ -86,6 +93,7 @@ ESCAPE_BAND = 1e-8  # hysteresis band: a curve re-arms once |h| leaves it
 CAPTURE_RADIUS = 1e-6  # a regular arc captured by a ride target passes this close to it
 # accepted steps one arc may take beyond the t_max / max_step it needs at full step size
 MAX_ARC_STEPS = 100_000
+MAX_ORBIT_STEPS = 1_000_000  # accepted steps of all arcs of one orbit, whatever its horizon
 MAX_SEGMENTS = 200_000  # driver steps of one orbit; an orbit that reaches it ends "segment_budget"
 LOOP_CACHE_SIZE = 64  # compiled arc loops kept, by source text
 
@@ -122,7 +130,13 @@ def _arc_step_limit(t_max, max_step):
     return MAX_ARC_STEPS + t_max / max_step
 
 
-def _creeping(steps, t, t_max):
+def _step_limit(steps, t, t_max, max_step):
+    """The error of an arc that took ``steps`` accepted steps, the lesser of its own limit and the
+    orbit's remaining budget: the orbit's, if its arcs have spent ``MAX_ORBIT_STEPS``."""
+    if steps < _arc_step_limit(t_max, max_step):
+        return IntegrationError(
+            f"orbit took {MAX_ORBIT_STEPS} accepted steps, its bound: use a shorter --horizon "
+            "or a larger integrator.max_step")
     return IntegrationError(f"arc took {steps} accepted steps and reached only t = {t!r} of {t_max!r}")
 
 
@@ -151,9 +165,21 @@ def _kernels():
     The source is written out from ``_A``, ``_E`` and ``_P`` and compiled in a
     closed namespace, as ``expr.compile_expression`` compiles fields.  Each sum
     keeps the operation order of the tableau loop it unrolls: ``x + dt * a * k``
-    associates left, the error and dense-output sums start at ``0.0 +``, and
-    zero coefficients stay, so the kernels return the loops' bits.  The step
-    control is one piece, ``accepted_step``, that both loops inline, and the
+    associates left, as ``x + (dt * a) * k``, so a stage forms each product
+    ``dt * a`` once for both coordinates; the error and dense-output sums start
+    at ``0.0 +``.  So the kernels return the loops' bits.  A zero coefficient
+    stays in ``at``, ``emit``, ``emit_to`` and ``sliding_rhs``, which may meet
+    a stage that is not finite (0.0 * inf is nan), and in stage 7, where
+    ``dt * 0.0 * k2`` turns a non-finite k2 into a rejected trial.  The arc
+    loops drop the other zero terms, from the error sums, the event grid and
+    the inline emission: a sum that starts at ``0.0 +`` is never -0.0, and a
+    term 0.0 * k with k finite adds nothing to it (see ``nonzero``).  The step
+    control spells ``abs`` and ``isfinite`` with comparisons, and is one
+    piece, ``accepted_step``, that both loops inline; the event screen of
+    ``regular_source`` passes an armed curve whose grid values all have its
+    strict sign on comparisons alone, and on the torus leaves the grid
+    coordinates that no h reads to the steps it hands back or tests for
+    capture.  The
     torus wrap is one piece, ``canonical``, that does ``Domain.canonical``'s
     arithmetic wherever a loop or emitter wraps a point.  ``at``, ``emit``,
     ``emit_to`` and ``sliding_rhs`` are compiled here, once; every function
@@ -176,6 +202,18 @@ def _kernels():
     def dot(coefficients, components):
         return "".join(f" + {c} * {k}" for c, k in zip(coefficients, components))
 
+    def nonzero(coefficients, components):
+        """The terms of a sum whose coefficient is not zero, as (coefficient texts, components).
+
+        A sum that starts at ``0.0 +`` is never -0.0, so a term 0.0 * k adds
+        nothing to it while k is finite.  The loops drop such terms from the
+        error sums, whose stage 7 has already rejected a non-finite k2 through
+        ``dt * 0.0 * k2``, and from the event grid and the inline emission,
+        which see only accepted steps, whose stages are all finite.
+        """
+        terms = [(repr(c), k) for c, k in zip(coefficients, components) if c != 0.0]
+        return [c for c, _ in terms], [k for _, k in terms]
+
     def horner(theta, p):
         return f"{theta} * ({p[0]!r} + {theta} * ({p[1]!r} + {theta} * ({p[2]!r} + {theta} * {p[3]!r})))"
 
@@ -189,13 +227,16 @@ def _kernels():
         return ["    " * depth + line for line in lines]
 
     def stages(rhs):
-        """Stages 2 to 7 from x, y, k1 and dt; ``rhs(j)`` evaluates k_j at (ax, ay)."""
+        """Stages 2 to 7 from x, y, k1 and dt; ``rhs(j)`` evaluates k_j at (ax, ay).
+
+        Stage i forms each product ``dt * a_ij`` once, as ``c{i}{j}``, for both
+        coordinates: ``x + dt * a * k`` parses as ``x + (dt * a) * k``.
+        """
         lines = []
         for i in range(1, 7):
-            lines += [
-                f"ax = x{dot([f'dt * {a!r}' for a in _A[i]], kx)}",
-                f"ay = y{dot([f'dt * {a!r}' for a in _A[i]], ky)}",
-            ] + rhs(i + 1)
+            cs = [f"c{i + 1}{j}" for j in range(1, i + 1)]
+            lines += [f"{c} = dt * {a!r}" for c, a in zip(cs, _A[i])]
+            lines += [f"ax = x{dot(cs, kx)}", f"ay = y{dot(cs, ky)}"] + rhs(i + 1)
         return lines
 
     def accepted_step(rhs):
@@ -215,18 +256,19 @@ def _kernels():
             "    dt = max_step",
             "for _ in range(60):",
             *indent(stages(rhs) + [
-                "if not (isfinite(ax) and isfinite(ay)):",
+                "if ax - ax != 0.0 or ay - ay != 0.0:",  # not (isfinite(ax) and isfinite(ay))
                 "    dt *= 0.25",
                 "    continue",
-                # max(u, v) is u unless v > u: the builtins' choices, spelt inline
-                "ux = abs(x)",
-                "vx = abs(ax)",
-                "uy = abs(y)",
-                "vy = abs(ay)",
+                # max(abs(u), abs(v)) is abs(u) unless abs(v) > abs(u): the builtins' choices, spelt
+                # inline; a zero's sign is lost in atol + rtol * 0.0, or division by it raises either way
+                "ux = -x if x < 0.0 else x",
+                "vx = -ax if ax < 0.0 else ax",
+                "uy = -y if y < 0.0 else y",
+                "vy = -ay if ay < 0.0 else ay",
                 "sx = atol + rtol * (vx if vx > ux else ux)",
                 "sy = atol + rtol * (vy if vy > uy else uy)",
-                f"ex = (0.0{dot(map(repr, _E), kx)}) * dt",
-                f"ey = (0.0{dot(map(repr, _E), ky)}) * dt",
+                f"ex = (0.0{dot(*nonzero(_E, kx))}) * dt",
+                f"ey = (0.0{dot(*nonzero(_E, ky))}) * dt",
                 "err = sqrt(0.5 * ((ex / sx) ** 2 + (ey / sy) ** 2))",
                 "if err <= 1.0:",
                 "    break",
@@ -266,10 +308,11 @@ def _kernels():
         + [f"return {point(qs, [f'k{j}[0]' for j in range(1, 8)], [f'k{j}[1]' for j in range(1, 8)])}"])
 
     # the event grid's weights q_j(theta), once, by the Horner expression ``at`` evaluates
-    weights = [[repr(eval(horner(repr(th), p), {"__builtins__": {}})) for p in _P]  # noqa: S307
+    weights = [[eval(horner(repr(th), p), {"__builtins__": {}}) for p in _P]  # noqa: S307
                for th in _THETA_GRID[1:]]
     grid = [(f"g{i}x", f"g{i}y") for i in range(1, 5)]
     points = [("x0", "y0")] + grid
+    dense_rows = [j for j, p in enumerate(_P) if any(p)]  # the stages the dense output weighs
 
     def wrap(dx, dy, torus):
         """``Domain.displacement``'s wrap of the vector (dx, dy) on the torus."""
@@ -290,39 +333,40 @@ def _kernels():
     bounds = [f"{b} = domain.{b}" for b in ("x_min", "x_max", "y_min", "y_max")]
     torus_geometry = bounds + ["width = domain.width", "height = domain.height"]
 
-    def emission(th_end, torus):
-        """Samples from the last one to ``b``, the point at ``th_end``: the chord is cut so spacing stays bounded."""
+    def emission(t1, bx, by, end, torus, rows):
+        """Samples after the last one up to ``end``, the point (bx, by) at ``t1``: the chord is cut so
+        spacing stays bounded.  A cut's point is the dense output over the stages ``rows``."""
+        cut = [coordinate(o, [qs[j] for j in rows], [k[j] for j in rows]) for o, k in (("x0", kx), ("y0", ky))]
         if torus:
-            sample = [f"        cx = {coordinate('x0', qs, kx)}", f"        cy = {coordinate('y0', qs, ky)}",
+            sample = [f"        cx = {cut[0]}", f"        cy = {cut[1]}",
                       *indent(canonical("cx", "cy", torus), 2), "        pts.append((cx, cy))"]
         else:
-            sample = [f"        pts.append({point(qs, kx, ky)})"]
+            sample = [f"        pts.append(({cut[0]}, {cut[1]}))"]
         return [
-            f"t1 = t0 + {th_end} * dt",
-            "ta = times[-1]",
-            "a = pts[-1]",
-            "dx = b[0] - a[0]",
-            "dy = b[1] - a[1]",
+            "lx, ly = pts[-1]",
+            f"dx = {bx} - lx",
+            f"dy = {by} - ly",
             *wrap("dx", "dy", torus),
             "n = ceil(hypot(dx, dy) / spacing)",  # the chord's pieces: no cut below two
             "if n > 1:",
+            "    ta = times[-1]",
             "    for j in range(1, n):",
-            "        tj = ta + (t1 - ta) * j / n",
+            f"        tj = ta + ({t1} - ta) * j / n",
             "        th = (tj - t0) / dt",
             "        if th <= 0:",
             "            continue",
             "        times.append(tj)",
-            *[f"        {q} = {horner('th', p)}" for q, p in zip(qs, _P)],
+            *[f"        {qs[j]} = {horner('th', _P[j])}" for j in rows],
             *sample,
-            "times.append(t1)",
-            "pts.append(b)",
+            f"times.append({t1})",
+            f"pts.append({end})",
         ]
 
     def emit_source(torus):
         """``emit``: the samples of ``step`` up to ``b``, its point at ``th_end``."""
         return ["def emit(step, th_end, b, times, pts, spacing, domain):"] + indent(
-            ["t0 = step.t0"] + head("step") + unpack
-            + (torus_geometry if torus else []) + emission("th_end", torus))
+            ["t0 = step.t0"] + head("step") + unpack + (torus_geometry if torus else [])
+            + ["t1 = t0 + th_end * dt"] + emission("t1", "b[0]", "b[1]", "b", torus, range(len(_P))))
 
     def regular_source(torus, stage, hs):
         """``regular_steps``: a generator over the accepted steps of one regular arc.
@@ -330,34 +374,44 @@ def _kernels():
         ``stage(px, py, vx, vy)`` gives the lines that set vx, vy to the field
         at (px, py), and ``hs`` holds, per curve, its h's text at (px, py).
         The arc starts at (x, y) at t = 0 with first stage (k1x, k1y) and first
-        trial step ``dt_next``, and ends at ``t_max``.  A step whose grid cannot
+        trial step ``dt_next``, and ends at ``t_max``; past ``limit`` accepted
+        steps it raises ``step_limit``'s error.  A step whose grid cannot
         hold an event is emitted into ``times`` and ``pts``; any other step is
         yielded as (``_DenseStep``, its five grid points, each curve's five h
-        values on them), and the caller emits it.  ``signs[i]`` is the sign of
-        curve i's h where that curve armed, 0.0 while it is unarmed; the caller
-        arms curves.  ``targets`` holds the points of the capture targets, and
-        ``bound`` the values the field texts name.
+        values on them), and the caller emits it.  ``taken[0]`` is set to the
+        accepted steps whenever the loop yields or returns.  ``signs[i]`` is
+        the sign of curve i's h where that curve armed, 0.0 while it is
+        unarmed; the caller arms curves.  ``targets`` holds the points of the
+        capture targets, and ``bound`` the values the field texts name.
+
+        An armed curve whose five values all have its strict sign holds no
+        sign change, and the screen reads no more of it.  On the torus, a grid
+        coordinate inside the step that no h text names is computed only for
+        a step the loop yields or a capture test.
         """
-        screen = ["vals = []", "cand = False"]
-        for i, h in enumerate(hs):
-            screen += [
-                f"s0 = signs[{i}]",
-                *[f"v{j} = {h(px, py)}" for j, (px, py) in enumerate(points)],
-                "vals.append((v0, v1, v2, v3, v4))",
-                "if s0:",
-                "    if ({}):".format(" or ".join(
-                    f"(v{j} if v{j} != 0 else s0 * 1e-300) * v{j + 1} < 0" for j in range(4))),
-                "        cand = True",
-                "elif {}:".format(" or ".join(f"abs(v{j}) >= {ESCAPE_BAND!r}" for j in range(5))),
-                "    cand = True",
-            ]
+        texts = [[h(px, py) for px, py in points] for h in hs]
+        lazy = [g for pair in grid[:-1] for g in pair if torus and not any(g in text for row in texts for text in row)]
+        coordinates = [(g, coordinate(o, *nonzero(w, k)))
+                       for (gx, gy), w in zip(grid, weights) for g, o, k in ((gx, "x0", kx), (gy, "y0", ky))]
+        screen = ["cand = False"]
+        values = []
+        for i, row in enumerate(texts):
+            vs = [f"v{i}_{j}" for j in range(len(points))]
+            values.append("({})".format(", ".join(vs)))
+            screen += [f"{v} = {text}" for v, text in zip(vs, row)] + [f"s0 = signs[{i}]"]
+            for branch, strict, tiny in (("if", ">", "1e-300"), ("elif", "<", "-1e-300")):  # s0 = 1.0, -1.0
+                screen += [f"{branch} s0 {strict} 0.0:", "    if not ({}) and ({}):".format(
+                    " and ".join(f"{v} {strict} 0.0" for v in vs),
+                    " or ".join(f"({a} if {a} != 0 else {tiny}) * {b} < 0" for a, b in zip(vs, vs[1:]))),
+                    "        cand = True"]
+            screen += ["elif {}:".format(" or ".join(f"abs({v}) >= {ESCAPE_BAND!r}" for v in vs)), "    cand = True"]
         if not torus:
             screen += [
                 "if not ({}):".format(" and ".join(
                     f"x_min <= {px} <= x_max and y_min <= {py} <= y_max" for px, py in points)),
                 "    cand = True",
             ]
-        screen += [
+        capture = [
             "if targets:",
             "    dx = g4x - x0",
             "    dy = g4y - y0",
@@ -371,31 +425,32 @@ def _kernels():
             "            if not hypot(dx, dy) > gate:",
             "                cand = True",
         ]
+        late = [f"{g} = {text}" for g, text in coordinates if g in lazy]
+        screen += ["if targets or cand:", *indent(late + capture)] if late else capture
         return source([
             "def regular_steps(bound, signs, targets, domain, rtol, atol, max_step,",
-            "                  spacing, t_max, x, y, k1x, k1y, dt_next, times, pts):",
+            "                  spacing, t_max, limit, x, y, k1x, k1y, dt_next, times, pts, taken):",
         ] + indent((torus_geometry if torus else bounds) + [
             "t = 0.0",
             "t_end = t_max - 1e-14",
-            "limit = arc_step_limit(t_max, max_step)",
             "steps = 0",
             "while True:",
             "    if t >= t_end:",
+            "        taken[0] = steps",
             "        return",
             "    if steps >= limit:",
-            "        raise creeping(steps, t, t_max)",
+            "        raise step_limit(steps, t, t_max, max_step)",
             "    steps += 1",
             *indent(accepted_step(lambda j: stage("ax", "ay", f"k{j}x", f"k{j}y"))),
-            *[f"    {g} = {coordinate(o, w, k)}"
-              for (gx, gy), w in zip(grid, weights) for g, o, k in ((gx, "x0", kx), (gy, "y0", ky))],
+            *[f"    {g} = {text}" for g, text in coordinates if g not in lazy],
             *indent(screen),
             "    if cand:",
+            "        taken[0] = steps",
             f"        yield ({dense_step},",
-            "               [{}], vals)".format(", ".join(f"({a}, {b})" for a, b in points)),
+            "               [{}], [{}])".format(", ".join(f"({a}, {b})" for a, b in points), ", ".join(values)),
             "    else:",
             *indent(canonical("g4x", "g4y", torus), 2),
-            "        b = (g4x, g4y)",
-            *indent(emission("1.0", torus), 2),
+            *indent(emission("t", "g4x", "g4y", "(g4x, g4y)", torus, dense_rows), 2),
             "    k1x = k7x",
             "    k1y = k7y",
         ]))
@@ -490,30 +545,33 @@ def _kernels():
             ]
         flipped = f"l1 * s1_0 < 0 or abs(l1) <= {TAU_CLASS!r}"
         return source([
-            "def sliding_steps(bound, curve_id, domain, rtol, atol, max_step, spacing, t_max,",
-            "                  x, y, k1x, k1y, s1_0, s2_0, dt_next, times, pts):",
+            "def sliding_steps(bound, curve_id, domain, rtol, atol, max_step, spacing, t_max, limit,",
+            "                  x, y, k1x, k1y, s1_0, s2_0, dt_next, times, pts, taken):",
         ] + indent((torus_geometry if torus else bounds) + [
             "t = 0.0",
             "t_end = t_max - 1e-14",
-            "limit = arc_step_limit(t_max, max_step)",
             "steps = 0",
             "while True:",
             "    if t >= t_end:",
+            "        taken[0] = steps",
             "        return 't_max', None, None",
             "    if steps >= limit:",
-            "        raise creeping(steps, t, t_max)",
+            "        raise step_limit(steps, t, t_max, max_step)",
             "    steps += 1",
             *indent(accepted_step(lambda j: sliding("ax", "ay", f"k{j}x", f"k{j}y", sides, gradient))),
             *indent(project),
             # the restart stage goes to (zx, zy): (k1x, k1y) is the step's first stage until it is packed
             *indent(sliding("x", "y", "zx", "zy", sides, gradient)),
             *(["    if not (x_min <= x <= x_max and y_min <= y <= y_max):",
+               "        taken[0] = steps",
                f"        return 'left_domain', {dense_step}, None"] if not torus else []),
             f"    if {flipped} or l2 * s2_0 < 0 or abs(l2) <= {TAU_CLASS!r}:",
+            "        taken[0] = steps",
             f"        return 'tangency', {dense_step}, 'positive' if ({flipped}) else 'negative'",
             *indent(chord("x", "y", "t", torus)),
             "    znorm = hypot(zx, zy)",
             f"    if znorm <= {PE_NORM_TOL!r} or znorm * dt_next < 1e-14:",
+            "        taken[0] = steps",
             "        return 'pseudo_eq', None, None",
             "    k1x = zx",
             "    k1y = zy",
@@ -522,8 +580,8 @@ def _kernels():
     namespace = {
         **FUNCTIONS, "__builtins__": {}, "abs": abs, "max": max, "range": range, "round": round,
         "zip": zip, "ceil": math.ceil, "floor": math.floor, "hypot": math.hypot,
-        "isfinite": math.isfinite, "IntegrationError": IntegrationError,
-        "_DenseStep": _DenseStep, "arc_step_limit": _arc_step_limit, "creeping": _creeping,
+        "IntegrationError": IntegrationError,
+        "_DenseStep": _DenseStep, "step_limit": _step_limit,
         "sliding_undefined": sliding_undefined, "degenerate_gradient": _degenerate_gradient,
     }
 
@@ -638,6 +696,7 @@ class OrbitSegment:
     region_id: int | None = None
     curve_id: int | None = None
     detail: dict = field(default_factory=dict)
+    steps: int = 0  # accepted steps of an arc
 
     @property
     def t_start(self):
@@ -835,12 +894,13 @@ class CaptureTarget:
     curve_id: int
 
 
-def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, captures=()):
+def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, captures=(), budget=math.inf):
     """Integrate the region's smooth field until an event.
 
     The steps run in the region's generated loop (``_regular_loop``); each
-    step it hands back is searched here for its earliest event.  Returns
-    (OrbitSegment, hit) with hit one of ('curve', id, point) |
+    step it hands back is searched here for its earliest event.  The arc
+    takes at most ``budget`` accepted steps, and at most ``_arc_step_limit``'s.
+    Returns (OrbitSegment, hit) with hit one of ('curve', id, point) |
     ('t_max', point) | ('left_domain', point) | ('capture', target, point).
     """
     opts = opts or IntegratorOptions()
@@ -860,10 +920,12 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
     times = [0.0]
     pts = [p]
     emit = _EMIT[torus]
+    taken = [0]
     regular_steps, bound = _regular_loop(sys, region_id)
     steps = regular_steps(
         bound, signs, [c.point for c in captures], domain, opts.rtol, opts.atol, max_step, spacing,
-        t_max, x, y, k1x, k1y, min(max_step, 1e-3), times, pts,
+        t_max, min(budget, _arc_step_limit(t_max, max_step)), x, y, k1x, k1y, min(max_step, 1e-3),
+        times, pts, taken,
     )
     for step, grid_pts, vals in steps:  # the steps whose grid may hold an event
         best = None  # (theta, kind, payload)
@@ -912,9 +974,9 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
         else:
             point = domain.canonical(step.at(th))
         emit(step, th, point, times, pts, spacing, domain)
-        seg = OrbitSegment("regular_arc", times, pts, region_id=region_id)
+        seg = OrbitSegment("regular_arc", times, pts, region_id=region_id, steps=taken[0])
         return seg, ((kind, point) if kind == "left_domain" else (kind, payload, point))
-    return OrbitSegment("regular_arc", times, pts, region_id=region_id), ("t_max", pts[-1])
+    return OrbitSegment("regular_arc", times, pts, region_id=region_id, steps=taken[0]), ("t_max", pts[-1])
 
 
 def _exit_theta(domain, point_at, hi):
@@ -952,12 +1014,13 @@ def _capture_theta(domain, step, grid_pts, target):
 # --------------------------------------------------------------------------- #
 
 
-def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
+def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False, budget=math.inf):
     """Slide along the Filippov field constrained to the curve.
 
     The steps run in the curve's generated loop (``_sliding_loop``), the first
     stage in ``_SLIDING_RHS`` on the raw side fields; the step the loop hands
     back at an exit is searched here for the exit point, which ``_EMIT_TO`` emits.
+    The arc takes at most ``budget`` accepted steps, and at most ``_arc_step_limit``'s.
     Returns (OrbitSegment, exit) with exit one of
     ('tangency', point, side) | ('pseudo_eq', point) | ('t_max', point) |
     ('left_domain', point).
@@ -990,10 +1053,12 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     s2_0 = 1.0 if l2_0 > 0 else -1.0
     times = [0.0]
     pts = [p]
+    taken = [0]
     sliding_steps, bound = _sliding_loop(sys, curve_id)
     kind, step, flipped = sliding_steps(
         bound, curve_id, domain, opts.rtol, opts.atol, max_step, spacing, t_max,
-        x, y, zx, zy, s1_0, s2_0, min(max_step, 1e-3), times, pts,
+        min(budget, _arc_step_limit(t_max, max_step)), x, y, zx, zy, s1_0, s2_0, min(max_step, 1e-3),
+        times, pts, taken,
     )
     emit_to = _EMIT_TO[torus]
     if kind == "left_domain":
@@ -1003,7 +1068,7 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False):
     elif kind == "tangency":
         th, point = _locate_slide_tangency(step, curve, rhs, flipped, s1_0, s2_0)
         emit_to(*point, step.t0 + th * step.dt, times, pts, spacing, domain)
-    seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id)
+    seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id, steps=taken[0])
     return seg, ((kind, pts[-1], flipped) if kind == "tangency" else (kind, pts[-1]))
 
 
@@ -1059,6 +1124,8 @@ class _Run:
     target and ``_escape`` applies the branch policy after a ride.  Each step
     counts against ``MAX_SEGMENTS`` and consults the cursor at most once, before
     it changes anything, so one interrupted by ``_Fork`` can re-run on a ``fork``.
+    ``steps_left`` is what remains of the orbit's ``MAX_ORBIT_STEPS``: each arc
+    may take that many accepted steps at most, and takes its steps from it.
     ``entries`` holds, per disk of ``goal``, the time of its first entry or
     None while it is pending (see ``enumerate_branches``).
     """
@@ -1078,6 +1145,7 @@ class _Run:
         self.mode = (_Run._sigma, where.curve_id) if on_sigma else (_Run._region, where, None)
         self.segments, self.choices = [], []
         self.terminal, self.steps = None, 0
+        self.steps_left = MAX_ORBIT_STEPS
         self.goal = tuple(goal)
         self.entries = (None,) * len(self.goal)  # replaced, never changed in place, so forks may share it
 
@@ -1119,6 +1187,7 @@ class _Run:
         self.segments.append(OrbitSegment(kind, [self.t], [self.p], detail=detail))
 
     def _add_segment(self, seg):
+        self.steps_left -= seg.steps
         seg.times = [tt + self.t for tt in seg.times]
         self.t = seg.t_end
         self.p = seg.end_point
@@ -1137,7 +1206,7 @@ class _Run:
         ]
         seg, hit = integrate_regular(
             self.sys, self.p, region_id, self.horizon - self.t, self.opts,
-            entry_curve=entry_curve, captures=arc_captures,
+            entry_curve=entry_curve, captures=arc_captures, budget=self.steps_left,
         )
         self._add_segment(seg)
         if hit[0] == "t_max":
@@ -1239,7 +1308,7 @@ class _Run:
         remaining = self.horizon - self.t
         seg, exit_info = integrate_sliding(
             self.sys, curve_id, self.p, remaining if dwell is None else min(dwell, remaining),
-            self.opts, allow_escaping=escaping,
+            self.opts, allow_escaping=escaping, budget=self.steps_left,
         )
         seg.detail["escaping"] = escaping
         self._add_segment(seg)

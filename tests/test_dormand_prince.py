@@ -209,7 +209,7 @@ def loop_steps(domain, stage, x, y, k1, dt, t_max=math.inf, max_step=math.inf, c
                              [lambda px, py: "1.0"])
     steps = _loop(source, "regular_steps")(
         tuple(text.bound), [0.0], [], domain, _OPTS.rtol, _OPTS.atol,
-        max_step, 1.0, t_max, x, y, k1[0], k1[1], dt, [0.0], [(x, y)])
+        max_step, 1.0, t_max, math.inf, x, y, k1[0], k1[1], dt, [0.0], [(x, y)], [0])
     try:
         return [_image(step, grid) for step, grid, _ in itertools.islice(steps, count)]
     except (IntegrationError, UndefinedSlidingError) as exc:

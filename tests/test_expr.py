@@ -378,6 +378,26 @@ _wider_trees = st.recursive(
     ),
     max_leaves=20,
 )
+_small_trees = st.recursive(_leaf, _tree, max_leaves=6)
+
+
+@st.composite
+def _repeated_trees(draw):
+    """A tree that holds one call or power two or three times, some of them inside another call."""
+    shared = draw(st.one_of(
+        st.builds(Unary, st.sampled_from(["sin", "cos", "exp", "sqrt"]), _small_trees),
+        st.builds(Power, _small_trees, st.integers(min_value=0, max_value=4)),
+    ))
+    wrap = st.sampled_from([lambda t: t, lambda t: Unary("sin", t), lambda t: Power(t, 2)])
+    parts = [draw(wrap)(shared) for _ in range(draw(st.integers(min_value=2, max_value=3)))]
+    parts = draw(st.permutations(parts + draw(st.lists(_small_trees, max_size=2))))
+    tree = parts[0]
+    for part in parts[1:]:
+        op = draw(st.sampled_from(["+", "-", "*", "/"]))
+        tree = Binary(op, tree, part) if draw(st.booleans()) else Binary(op, part, tree)
+    return tree
+
+
 _values = st.one_of(
     st.floats(min_value=-4.0, max_value=4.0),
     st.sampled_from([0.0, -0.0, 1e200, -1e-300, math.inf, -math.inf, math.nan]),
@@ -387,7 +407,7 @@ _values = st.one_of(
 
 @settings(max_examples=400, deadline=None)
 @given(
-    st.one_of(expression_trees, _wider_trees),
+    st.one_of(expression_trees, _wider_trees, _repeated_trees()),
     st.fixed_dictionaries({}, optional={"x": _values, "y": _values, "a": _values}),
 )
 def test_compiled_evaluation_matches_the_tree_walk(tree, binding):
@@ -406,7 +426,7 @@ def test_compiled_evaluation_matches_the_tree_walk(tree, binding):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(expression_trees, _wider_trees), st.floats(min_value=-4.0, max_value=4.0))
+@given(st.one_of(expression_trees, _wider_trees, _repeated_trees()), st.floats(min_value=-4.0, max_value=4.0))
 def test_inlined_text_is_the_compiled_body(tree, a):
     # the arc loops write a field's ``text`` at a stage's point where they used to call ``raw()``;
     # both come from one codegen, so the text at any coordinate names compiles to the lambda's code
@@ -419,3 +439,27 @@ def test_inlined_text_is_the_compiled_body(tree, a):
         got = eval(f"lambda {x}, {y}: {field.text(x, y)}", dict(FUNCTIONS)).__code__  # noqa: S307
         assert got.co_code == want.co_code
         assert (repr(got.co_consts), got.co_names) == (repr(want.co_consts), want.co_names)
+
+
+def test_a_repeated_call_is_computed_once_and_fails_as_the_tree_walk():
+    # sqrt(y) is bound at its first occurrence; exp(x) comes first, so its overflow is the error
+    tree = parse_expression("exp(x) + sqrt(y) + sqrt(y)", XY)
+    field = ScalarField(tree)
+    assert field.text() == "((exp(x) + (_0 := sqrt(y))) + _0)"
+    want = _outcome(_checked, _walk, tree, {"x": 1000.0, "y": -1.0})
+    assert want == ("EvaluationError", "math range error")
+    assert _outcome(field, 1000.0, -1.0) == want
+    assert _outcome(evaluate, tree, {"x": 1000.0, "y": -1.0}) == want
+
+
+def test_signed_zero_repeats_are_not_merged():
+    # Const(0.0) == Const(-0.0), so a tree-keyed merge would read cos(-0.0*y) as cos(0.0*y);
+    # repeats are keyed on their text.  Merged, (-0.0*y)^3 + (0.0*y)^3 would be -0.0 at y = 1.
+    for zeros in ((0.0, -0.0), (-0.0, 0.0)):
+        calls = [Unary("cos", Binary("*", Const(z), Var("y"))) for z in zeros]
+        assert calls[0] == calls[1]
+        assert ":=" not in ScalarField(Binary("+", *calls)).text()
+    cubes = Binary("+", *(Power(Binary("*", Const(z), Var("y")), 3) for z in (-0.0, 0.0)))
+    field = ScalarField(cubes)
+    assert ":=" not in field.text()
+    assert field(2.0, 1.0).hex() == _walk(cubes, {"y": 1.0}).hex() == "0x0.0p+0"

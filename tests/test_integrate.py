@@ -423,6 +423,26 @@ def test_segment_budget_terminal(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("name, p0, horizon", [("rotation_plane", (0.3, 0.2), 20.0),
+                                              ("chaotic_torus", (0.3, 0.7), 8.0)])
+def test_an_orbit_takes_at_most_its_step_bound(name, p0, horizon, monkeypatch):
+    # the arcs of one orbit, regular and sliding, share MAX_ORBIT_STEPS accepted steps: an orbit
+    # that takes exactly that many keeps its bytes, and one more step is an error naming the flag
+    system = load_shipped(name).build_system()
+    orbit = integrate_filippov(system, p0, horizon)
+    arcs = [s for s in orbit.segments if s.kind.endswith("_arc")]
+    kinds = {"regular_arc", "sliding_arc"} if name == "chaotic_torus" else {"regular_arc"}
+    assert len(arcs) > 6 and arcs[-1].kind == "regular_arc" and {s.kind for s in arcs} == kinds
+    steps = sum(s.steps for s in orbit.segments)
+    assert steps > 0 and all(s.steps > 0 for s in arcs)
+    monkeypatch.setattr(integrate, "MAX_ORBIT_STEPS", steps)
+    assert serialize(integrate_filippov(system, p0, horizon)) == serialize(orbit)
+    monkeypatch.setattr(integrate, "MAX_ORBIT_STEPS", steps - 1)
+    with pytest.raises(IntegrationError, match=f"orbit took {steps - 1} accepted steps, its bound: "
+                                               "use a shorter --horizon or a larger integrator.max_step"):
+        integrate_filippov(system, p0, horizon)
+
+
 def test_policy_dwell_then_exit(belt_system):
     policy = BranchPolicy.dwell_exit(0.25, "negative")
     orbit = integrate_filippov(belt_system, (0.3, 0.5), 2.0, policy=policy)

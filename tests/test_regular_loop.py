@@ -15,6 +15,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,23 @@ def region_starts(sys_, rng, count=STARTS, t_max=(0.2, 3.0)):
             if sys_.region_of(p) == region.id:
                 cases.append((p, region.id, rng.uniform(*t_max), None, ()))
                 found += 1
+    return cases
+
+
+def capture_cases(sys_, start, region, t_max, rng):
+    """Cases from ``start`` with capture targets on the reference path and a little off it."""
+    seg, _ = reference_integrate_regular(sys_, start, region, t_max)
+    path = seg.points[1:-1]
+    assert len(path) > 8
+    cases = []
+    for _ in range(STARTS):
+        on = rng.choice(path)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        near = [sys_.domain.canonical((on[0] + r * math.cos(angle), on[1] + r * math.sin(angle)))
+                for r in (2e-6, 5e-4, 0.05)]
+        targets = [CaptureTarget(q, 0) for q in [on] + near]
+        for chosen in ([targets[0]], targets[1:2], targets[2:], targets[::-1], targets[1:]):
+            cases.append((start, region, t_max, None, chosen))
     return cases
 
 
@@ -241,19 +259,7 @@ def test_loops_compile_on_first_use():
 def test_capture_targets(name, start, region, calls, monkeypatch):
     # targets on the path ride, targets a little off it pass the coarse gate and fly on
     sys_ = load_shipped(name).build_system()
-    seg, _ = reference_integrate_regular(sys_, start, region, 3.0)
-    rng = random.Random(name)
-    path = seg.points[1:-1]
-    assert len(path) > 8
-    cases = []
-    for _ in range(STARTS):
-        on = rng.choice(path)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        near = [sys_.domain.canonical((on[0] + r * math.cos(angle), on[1] + r * math.sin(angle)))
-                for r in (2e-6, 5e-4, 0.05)]
-        targets = [CaptureTarget(q, 0) for q in [on] + near]
-        for chosen in ([targets[0]], targets[1:2], targets[2:], targets[::-1], targets[1:]):
-            cases.append((start, region, 3.0, None, chosen))
+    cases = capture_cases(sys_, start, region, 3.0, random.Random(name))
 
     handed_back = []
     regular_loop = integrate._regular_loop
@@ -296,3 +302,104 @@ def test_creeping_arc_fails_at_its_step_limit():
     opts = IntegratorOptions(rtol=1e-7, atol=1e-9, sample_spacing=0.005)
     with time_limit(30), pytest.raises(IntegrationError, match="accepted steps and reached only"):
         integrate_regular(sys_, (0.0, 0.5), 1, 4.0, opts)
+
+
+# --------------------------------------------------------------------------- #
+# the event screen's fast path, the torus's lazy grid and the loop text's shape
+# --------------------------------------------------------------------------- #
+
+
+def loop_source(monkeypatch, sys_, region_id):
+    """The source text of the region's regular-arc loop, as ``_regular_loop`` writes it."""
+    sources = []
+    compiled = integrate._loop
+    monkeypatch.setattr(integrate, "_loop", lambda source, name: sources.append(source) or compiled(source, name))
+    monkeypatch.setattr(integrate, "_LOOPS", weakref.WeakKeyDictionary())
+    integrate._regular_loop(sys_, region_id)
+    return sources[-1]
+
+
+def same_bits(sys_, cases):
+    """Each case against the reference, with the loop's own text: no read is observed."""
+    outcomes = []
+    for case in cases:
+        got = _run(integrate_regular, {}, sys_, case, None)
+        assert got == _run(reference_integrate_regular, {}, sys_, case, None), case
+        outcomes.append(got[0])
+    return outcomes
+
+
+@pytest.mark.parametrize("y0", [0.0, -0.0])
+def test_unarmed_starts_on_signed_zeros(y0, calls):
+    # h = y from y = +-0.0: the start's h is a signed zero, so the curve is unarmed, and the
+    # field arms it upward or downward as the arc leaves it, or never as it runs along it
+    for fy in ("1", "-1", "1e-9", "-1e-9", "0"):
+        sys_ = build_plane_system(("0.5", fy), ("0.5", fy))
+        cases = [((x, y0), region, 1.5, entry, ()) for x in (-1.0, 0.3) for region in (1, 2)
+                 for entry in (None, 0)]
+        check(sys_, cases, calls)
+
+
+@pytest.mark.parametrize("y0", [0.5, -0.5, 0.25])
+def test_armed_curves_whose_grid_values_reach_signed_zeros(y0, calls):
+    # h = y * exp(-1000 x) arms at x = -0.5 with the sign of y and underflows to 0.0 (y > 0) or
+    # -0.0 (y < 0) as x passes about 0.745: the screen reads armed values that are not of the
+    # curve's strict sign, and no sign change.  From x = 0.6 h is below ESCAPE_BAND: never armed.
+    sys_ = build_plane_system(("1", "0"), ("1", "0.1 * y"), h="y * exp(-1000 * x)")
+    region = 1 if y0 > 0 else 2
+    outcomes = check(sys_, [((-0.5, y0), region, 2.0, None, ()), ((0.6, y0), region, 1.0, 0, ())], calls)
+    assert {hit_kind(o) for o in outcomes} == {"t_max"}
+    seg, _ = integrate_regular(sys_, (-0.5, y0), region, 2.0)
+    end = sys_.curves[0].h.raw()(*seg.points[-1])
+    assert end == 0.0 and math.copysign(1.0, end) == math.copysign(1.0, y0)
+
+
+def test_a_curve_crossed_twice_inside_one_step(calls):
+    # h = y - 0.01 cos(40 x) dips below 0 on x-intervals of width 0.052, under one step of 0.125
+    # along y = 0.005: the step's end values share the armed sign and a middle one does not
+    sys_ = build_plane_system(("1", "0"), ("1", "0"), h="y - 0.01 * cos(40 * x)")
+    cases = [((x, 0.005), 1 if sys_.curves[0].h(x, 0.005) > 0 else 2, 3.0, None, ())
+             for x in (-1.9, -1.43, -0.7, 0.05, 0.61)]
+    outcomes = check(sys_, cases, calls)
+    assert "curve" in map(hit_kind, outcomes)
+
+
+TORUS_CURVES = {"y": "sin(2*pi*y)", "x": "sin(2*pi*x)", "xy": "sin(2*pi*(x + 2*y))"}
+
+
+def torus_system(h):
+    domain = Domain("flat_torus", 0.0, 1.0, 0.0, 1.0)
+    regions = [RegionSpec(1, PlanarField("1", "0.3 + 0.2*cos(2*pi*x)"), [(0, 1)]),
+               RegionSpec(2, PlanarField("0.4", "-1"), [(0, -1)])]
+    return FilippovSystem(domain, [SwitchingCurve(0, ScalarField(h), 1, 2)], regions, validate=False)
+
+
+@pytest.mark.parametrize("reads", list(TORUS_CURVES))
+def test_torus_grid_coordinates_no_curve_reads(reads, monkeypatch):
+    # a grid coordinate inside the step that no h reads is computed only for a yielded step or a
+    # capture test: the arcs, captured or not, keep the reference's bits
+    sys_ = torus_system(TORUS_CURVES[reads])
+    source = loop_source(monkeypatch, sys_, 1)
+    late = source.partition("if targets or cand:")[2].partition("if targets:")[0]
+    assert {g for g in ("g1x", "g1y", "g2x", "g2y", "g3x", "g3y") if f"{g} = " in late} == {
+        "y": {"g1x", "g2x", "g3x"}, "x": {"g1y", "g2y", "g3y"}, "xy": set()}[reads]
+    rng = random.Random(reads)
+    cases = region_starts(sys_, rng)
+    cases += capture_cases(sys_, (0.05, 0.05), 1, 3.0, rng)  # region 1 holds its arc for 0.2 or more
+    kinds = list(map(hit_kind, same_bits(sys_, cases)))
+    assert "curve" in kinds and "capture" in kinds
+
+
+def test_the_loop_text_keeps_its_cheaper_step(monkeypatch):
+    # the shape of one trial step, pinned so that a change that undoes it fails here and not
+    # only in the benchmark's noise: each stage forms its dt * a_ij products once for both
+    # coordinates, the step control spells abs and isfinite inline, and a repeated call in a
+    # field is computed once per stage
+    rotation = loop_source(monkeypatch, load_shipped("rotation_plane").build_system(), 1)
+    trial = rotation.partition("for _ in range(60):")[2].partition("\n        else:")[0]
+    assert trial.count("dt * ") == 21
+    assert "abs(" not in trial and "isfinite(" not in trial
+    torus = loop_source(monkeypatch, load_shipped("chaotic_torus").build_system(), 1)
+    stage = next(line for line in torus.splitlines() if line.strip().startswith("k2y = "))
+    # cos(2 pi x), cos(2 pi (x - psi)) and cos(2 pi y), which the field text holds twice
+    assert stage.count("cos(") == 3 and stage.count(" * ay)") == 1

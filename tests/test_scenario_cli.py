@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from filippov import diagnostics, scenario
+from filippov import diagnostics, integrate, scenario
 from filippov.cli import main
 from filippov.diagnostics import DiagnosticsConfig, GridCoverage, chaos_report
 from filippov.errors import ConfigurationError
@@ -769,6 +769,27 @@ def test_a_resolution_above_its_bound_exits_2_before_it_allocates(key, flag, com
         proc = subprocess.run([sys.executable, "-m", "filippov.cli", *argv], env=env,
                               capture_output=True, text=True,
                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+    assert (proc.returncode, proc.stderr) == (2, message)
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_an_orbit_past_its_step_bound_exits_2(tmp_path):
+    # --horizon 1e300 used to run on to MAX_SEGMENTS segments, millions of steps and samples;
+    # the run is a child under a 1 GiB address-space limit
+    import resource
+
+    import filippov
+
+    argv = ["orbit", "--scenario", str(shipped_path("rotation_plane")), "--start", "0.3,0.2",
+            "--horizon", "1e300", "--json", str(tmp_path / "out.json")]
+    env = dict(os.environ, PYTHONPATH=str(Path(filippov.__file__).resolve().parents[1]))
+    limit = (1 << 30, 1 << 30)
+    with time_limit(120):
+        proc = subprocess.run([sys.executable, "-m", "filippov.cli", *argv], env=env,
+                              capture_output=True, text=True,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+    message = (f"error: orbit took {integrate.MAX_ORBIT_STEPS} accepted steps, its bound: "
+               "use a shorter --horizon or a larger integrator.max_step\n")
     assert (proc.returncode, proc.stderr) == (2, message)
     assert not (tmp_path / "out.json").exists()
 
