@@ -534,6 +534,29 @@ def _codegen(node, parameters, x="x", y="y"):
     return bound(node)
 
 
+class LoopText:
+    """What a generated loop reads its fields through.
+
+    ``component(field, px, py)`` is the one hook through which the generated
+    loops read a ``ScalarField``: the arc loops' stage pieces and the
+    validation pass of ``FilippovSystem.validate``.  It gives the text of the
+    field's compiled expression at (px, py), so the loop does the lambda's
+    operations in place of a call.  ``bind(value)`` names a value that the
+    text reads; the loop takes the values, in the order they were first
+    named, as its argument ``bound``.
+    """
+
+    def __init__(self):
+        self.bound = {}  # value -> its name in the loop
+
+    def bind(self, value):
+        return self.bound.setdefault(value, f"bound[{len(self.bound)}]")
+
+    @staticmethod
+    def component(field, px, py):
+        return field.text(px, py)
+
+
 def compile_expression(expression: Expression, parameters: Mapping[str, float]) -> Callable[[float, float], float]:
     """Compile to a fast ``f(x, y) -> float`` with parameters inlined."""
     code = _codegen(expression, parameters)

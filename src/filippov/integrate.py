@@ -57,6 +57,9 @@ accepted steps more than it needs at ``max_step`` fails with
 finite-time blow-up.  The arcs of one orbit share ``MAX_ORBIT_STEPS``
 accepted steps, whatever its horizon; an orbit past them fails with an
 ``IntegrationError`` that names ``--horizon`` and ``integrator.max_step``.
+They share ``MAX_ORBIT_SAMPLES`` stored samples too, tested where a chord is
+cut; an orbit past them fails with one that names
+``integrator.sample_spacing`` and ``--horizon``.
 
 One orbit is computed sequentially; distinct orbits may be computed
 concurrently against the shared system.
@@ -74,7 +77,7 @@ from dataclasses import dataclass, field
 from .errors import (
     ConfigurationError, IntegrationError, UndefinedSlidingError, evaluation_boundary,
 )
-from .expr import FUNCTIONS
+from .expr import FUNCTIONS, LoopText
 from .sigma import (
     PE_NORM_TOL,
     PointClass,
@@ -94,6 +97,7 @@ CAPTURE_RADIUS = 1e-6  # a regular arc captured by a ride target passes this clo
 # accepted steps one arc may take beyond the t_max / max_step it needs at full step size
 MAX_ARC_STEPS = 100_000
 MAX_ORBIT_STEPS = 1_000_000  # accepted steps of all arcs of one orbit, whatever its horizon
+MAX_ORBIT_SAMPLES = 2_000_000  # samples stored by all arcs of one orbit, whatever its horizon and spacing
 MAX_SEGMENTS = 200_000  # driver steps of one orbit; an orbit that reaches it ends "segment_budget"
 LOOP_CACHE_SIZE = 64  # compiled arc loops kept, by source text
 
@@ -138,6 +142,13 @@ def _step_limit(steps, t, t_max, max_step):
             f"orbit took {MAX_ORBIT_STEPS} accepted steps, its bound: use a shorter --horizon "
             "or a larger integrator.max_step")
     return IntegrationError(f"arc took {steps} accepted steps and reached only t = {t!r} of {t_max!r}")
+
+
+def _sample_limit():
+    """The error of an orbit whose arcs would store more than ``MAX_ORBIT_SAMPLES`` samples."""
+    return IntegrationError(
+        f"orbit stores more than {MAX_ORBIT_SAMPLES} samples, its bound: use a larger "
+        "integrator.sample_spacing or a shorter --horizon")
 
 
 def _degenerate_gradient(x, y):
@@ -186,7 +197,7 @@ def _kernels():
     but ``at`` and ``sliding_rhs``, which know no domain, comes in a plane and
     a torus form.  The arc loops are not compiled here: ``regular_source``
     and ``sliding_source`` write the text of one loop for the field texts
-    they are given (see ``_LoopText``), which ``compiled`` compiles on first
+    they are given (see ``expr.LoopText``), which ``compiled`` compiles on first
     use (``_loop``).  Their stage pieces, the stages of ``accepted_step``,
     the event screen, ``sliding`` and the two-step projection, write each
     field component as that text at the stage point, so a stage calls no
@@ -335,7 +346,8 @@ def _kernels():
 
     def emission(t1, bx, by, end, torus, rows):
         """Samples after the last one up to ``end``, the point (bx, by) at ``t1``: the chord is cut so
-        spacing stays bounded.  A cut's point is the dense output over the stages ``rows``."""
+        spacing stays bounded.  A cut's point is the dense output over the stages ``rows``; a cut
+        that would leave more than ``room`` samples in ``times`` raises ``sample_limit``'s error."""
         cut = [coordinate(o, [qs[j] for j in rows], [k[j] for j in rows]) for o, k in (("x0", kx), ("y0", ky))]
         if torus:
             sample = [f"        cx = {cut[0]}", f"        cy = {cut[1]}",
@@ -349,6 +361,8 @@ def _kernels():
             *wrap("dx", "dy", torus),
             "n = ceil(hypot(dx, dy) / spacing)",  # the chord's pieces: no cut below two
             "if n > 1:",
+            "    if len(times) + n > room:",
+            "        raise sample_limit()",
             "    ta = times[-1]",
             "    for j in range(1, n):",
             f"        tj = ta + ({t1} - ta) * j / n",
@@ -364,7 +378,7 @@ def _kernels():
 
     def emit_source(torus):
         """``emit``: the samples of ``step`` up to ``b``, its point at ``th_end``."""
-        return ["def emit(step, th_end, b, times, pts, spacing, domain):"] + indent(
+        return ["def emit(step, th_end, b, times, pts, spacing, room, domain):"] + indent(
             ["t0 = step.t0"] + head("step") + unpack + (torus_geometry if torus else [])
             + ["t1 = t0 + th_end * dt"] + emission("t1", "b[0]", "b[1]", "b", torus, range(len(_P))))
 
@@ -375,7 +389,8 @@ def _kernels():
         at (px, py), and ``hs`` holds, per curve, its h's text at (px, py).
         The arc starts at (x, y) at t = 0 with first stage (k1x, k1y) and first
         trial step ``dt_next``, and ends at ``t_max``; past ``limit`` accepted
-        steps it raises ``step_limit``'s error.  A step whose grid cannot
+        steps it raises ``step_limit``'s error, and past ``room`` samples
+        ``emission``'s.  A step whose grid cannot
         hold an event is emitted into ``times`` and ``pts``; any other step is
         yielded as (``_DenseStep``, its five grid points, each curve's five h
         values on them), and the caller emits it.  ``taken[0]`` is set to the
@@ -429,7 +444,7 @@ def _kernels():
         screen += ["if targets or cand:", *indent(late + capture)] if late else capture
         return source([
             "def regular_steps(bound, signs, targets, domain, rtol, atol, max_step,",
-            "                  spacing, t_max, limit, x, y, k1x, k1y, dt_next, times, pts, taken):",
+            "                  spacing, t_max, limit, room, x, y, k1x, k1y, dt_next, times, pts, taken):",
         ] + indent((torus_geometry if torus else bounds) + [
             "t = 0.0",
             "t_end = t_max - 1e-14",
@@ -478,7 +493,8 @@ def _kernels():
         ]
 
     def chord(qx, qy, t_q, torus):
-        """``emit_to`` the point (qx, qy) at t_q: the chord from the last sample, cut so spacing stays bounded."""
+        """``emit_to`` the point (qx, qy) at t_q: the chord from the last sample, cut so spacing stays bounded,
+        within ``room`` samples as in ``emission``."""
         return [
             "a = pts[-1]",
             f"bx = {qx}",
@@ -488,21 +504,24 @@ def _kernels():
             "dy = by - a[1]",
             *wrap("dx", "dy", torus),
             "n = ceil(hypot(dx, dy) / spacing)",
-            "ta = times[-1]",
-            "for j in range(1, n):",
-            "    w = j / n",
-            f"    times.append(ta + ({t_q} - ta) * w)",
-            "    cx = a[0] + w * dx",
-            "    cy = a[1] + w * dy",
-            *indent(canonical("cx", "cy", torus)),
-            "    pts.append((cx, cy))",
+            "if n > 1:",
+            "    if len(times) + n > room:",
+            "        raise sample_limit()",
+            "    ta = times[-1]",
+            "    for j in range(1, n):",
+            "        w = j / n",
+            f"        times.append(ta + ({t_q} - ta) * w)",
+            "        cx = a[0] + w * dx",
+            "        cy = a[1] + w * dy",
+            *indent(canonical("cx", "cy", torus), 2),
+            "        pts.append((cx, cy))",
             f"times.append({t_q})",
             "pts.append((bx, by))",
         ]
 
     def chord_source(torus):
         """``emit_to``: the chord to the point (x, y) at t_q."""
-        return ["def emit_to(x, y, t_q, times, pts, spacing, domain):"] + indent(
+        return ["def emit_to(x, y, t_q, times, pts, spacing, room, domain):"] + indent(
             (torus_geometry if torus else []) + chord("x", "y", "t_q", torus))
 
     # ``sliding_rhs``: (Z_s, L1, L2) at (x, y) from called components, the piece each sliding-arc stage inlines
@@ -545,7 +564,7 @@ def _kernels():
             ]
         flipped = f"l1 * s1_0 < 0 or abs(l1) <= {TAU_CLASS!r}"
         return source([
-            "def sliding_steps(bound, curve_id, domain, rtol, atol, max_step, spacing, t_max, limit,",
+            "def sliding_steps(bound, curve_id, domain, rtol, atol, max_step, spacing, t_max, limit, room,",
             "                  x, y, k1x, k1y, s1_0, s2_0, dt_next, times, pts, taken):",
         ] + indent((torus_geometry if torus else bounds) + [
             "t = 0.0",
@@ -578,10 +597,10 @@ def _kernels():
         ]))
 
     namespace = {
-        **FUNCTIONS, "__builtins__": {}, "abs": abs, "max": max, "range": range, "round": round,
+        **FUNCTIONS, "__builtins__": {}, "abs": abs, "len": len, "max": max, "range": range, "round": round,
         "zip": zip, "ceil": math.ceil, "floor": math.floor, "hypot": math.hypot,
         "IntegrationError": IntegrationError,
-        "_DenseStep": _DenseStep, "step_limit": _step_limit,
+        "_DenseStep": _DenseStep, "step_limit": _step_limit, "sample_limit": _sample_limit,
         "sliding_undefined": sliding_undefined, "degenerate_gradient": _degenerate_gradient,
     }
 
@@ -617,30 +636,6 @@ class _DenseStep:
 # ``_REGULAR_SOURCE``, ``_SLIDING_SOURCE``: see ``_regular_loop`` and ``_sliding_loop``
 _DenseStep.at, _EMIT, _EMIT_TO, _SLIDING_RHS, _REGULAR_SOURCE, _SLIDING_SOURCE, _compiled = _kernels()
 _loop = functools.lru_cache(maxsize=LOOP_CACHE_SIZE)(_compiled)  # the compiled arc loops, by source text
-
-
-class _LoopText:
-    """What a generated arc loop reads its fields through.
-
-    ``component(field, px, py)`` is the one hook through which every stage
-    piece reads a field component: the text of the ``ScalarField``'s compiled
-    expression at (px, py), so the loop does the lambda's operations in place
-    of a call.  ``bind(value)`` names a value that the text reads; the loop
-    takes the values, in the order they were first named, as its argument
-    ``bound``.
-    """
-
-    def __init__(self):
-        self.bound = {}  # value -> its name in the loop
-
-    def bind(self, value):
-        return self.bound.setdefault(value, f"bound[{len(self.bound)}]")
-
-    @staticmethod
-    def component(field, px, py):
-        return field.text(px, py)
-
-
 _LOOPS = weakref.WeakKeyDictionary()  # system -> {("regular", region id) | ("sliding", curve id): (loop, bound)}
 
 
@@ -653,7 +648,7 @@ def _arc_loop(sys, key, write):
     """
     loops = _LOOPS.setdefault(sys, {})
     if key not in loops:
-        text = _LoopText()
+        text = LoopText()
         source, name = write(text)
         loops[key] = (_loop(source, name), tuple(text.bound))
     return loops[key]
@@ -894,12 +889,14 @@ class CaptureTarget:
     curve_id: int
 
 
-def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, captures=(), budget=math.inf):
+def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, captures=(), budget=math.inf,
+                      room=math.inf):
     """Integrate the region's smooth field until an event.
 
     The steps run in the region's generated loop (``_regular_loop``); each
     step it hands back is searched here for its earliest event.  The arc
-    takes at most ``budget`` accepted steps, and at most ``_arc_step_limit``'s.
+    takes at most ``budget`` accepted steps, and at most ``_arc_step_limit``'s;
+    a chord cut past ``room`` stored samples raises ``_sample_limit``'s error.
     Returns (OrbitSegment, hit) with hit one of ('curve', id, point) |
     ('t_max', point) | ('left_domain', point) | ('capture', target, point).
     """
@@ -924,7 +921,7 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
     regular_steps, bound = _regular_loop(sys, region_id)
     steps = regular_steps(
         bound, signs, [c.point for c in captures], domain, opts.rtol, opts.atol, max_step, spacing,
-        t_max, min(budget, _arc_step_limit(t_max, max_step)), x, y, k1x, k1y, min(max_step, 1e-3),
+        t_max, min(budget, _arc_step_limit(t_max, max_step)), room, x, y, k1x, k1y, min(max_step, 1e-3),
         times, pts, taken,
     )
     for step, grid_pts, vals in steps:  # the steps whose grid may hold an event
@@ -965,7 +962,7 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
                 best = (hit_th, "capture", target)
 
         if best is None:
-            emit(step, 1.0, domain.canonical(grid_pts[-1]), times, pts, spacing, domain)
+            emit(step, 1.0, domain.canonical(grid_pts[-1]), times, pts, spacing, room, domain)
             continue
 
         th, kind, payload = best
@@ -973,7 +970,7 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
             point = onto_curve(sys, payload, step.at(th))
         else:
             point = domain.canonical(step.at(th))
-        emit(step, th, point, times, pts, spacing, domain)
+        emit(step, th, point, times, pts, spacing, room, domain)
         seg = OrbitSegment("regular_arc", times, pts, region_id=region_id, steps=taken[0])
         return seg, ((kind, point) if kind == "left_domain" else (kind, payload, point))
     return OrbitSegment("regular_arc", times, pts, region_id=region_id, steps=taken[0]), ("t_max", pts[-1])
@@ -1014,13 +1011,14 @@ def _capture_theta(domain, step, grid_pts, target):
 # --------------------------------------------------------------------------- #
 
 
-def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False, budget=math.inf):
+def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False, budget=math.inf, room=math.inf):
     """Slide along the Filippov field constrained to the curve.
 
     The steps run in the curve's generated loop (``_sliding_loop``), the first
     stage in ``_SLIDING_RHS`` on the raw side fields; the step the loop hands
     back at an exit is searched here for the exit point, which ``_EMIT_TO`` emits.
-    The arc takes at most ``budget`` accepted steps, and at most ``_arc_step_limit``'s.
+    The arc takes at most ``budget`` accepted steps, and at most ``_arc_step_limit``'s,
+    and stores at most ``room`` samples, as ``integrate_regular``.
     Returns (OrbitSegment, exit) with exit one of
     ('tangency', point, side) | ('pseudo_eq', point) | ('t_max', point) |
     ('left_domain', point).
@@ -1057,17 +1055,17 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False, 
     sliding_steps, bound = _sliding_loop(sys, curve_id)
     kind, step, flipped = sliding_steps(
         bound, curve_id, domain, opts.rtol, opts.atol, max_step, spacing, t_max,
-        min(budget, _arc_step_limit(t_max, max_step)), x, y, zx, zy, s1_0, s2_0, min(max_step, 1e-3),
+        min(budget, _arc_step_limit(t_max, max_step)), room, x, y, zx, zy, s1_0, s2_0, min(max_step, 1e-3),
         times, pts, taken,
     )
     emit_to = _EMIT_TO[torus]
     if kind == "left_domain":
         on_curve = lambda th: curve.project(step.at(th), 2)
         th = _exit_theta(domain, on_curve, 1.0)
-        emit_to(*on_curve(th), step.t0 + th * step.dt, times, pts, spacing, domain)
+        emit_to(*on_curve(th), step.t0 + th * step.dt, times, pts, spacing, room, domain)
     elif kind == "tangency":
         th, point = _locate_slide_tangency(step, curve, rhs, flipped, s1_0, s2_0)
-        emit_to(*point, step.t0 + th * step.dt, times, pts, spacing, domain)
+        emit_to(*point, step.t0 + th * step.dt, times, pts, spacing, room, domain)
     seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id, steps=taken[0])
     return seg, ((kind, pts[-1], flipped) if kind == "tangency" else (kind, pts[-1]))
 
@@ -1126,6 +1124,8 @@ class _Run:
     it changes anything, so one interrupted by ``_Fork`` can re-run on a ``fork``.
     ``steps_left`` is what remains of the orbit's ``MAX_ORBIT_STEPS``: each arc
     may take that many accepted steps at most, and takes its steps from it.
+    ``samples_left`` is, in the same way, what remains of ``MAX_ORBIT_SAMPLES``
+    for the samples the arcs store.
     ``entries`` holds, per disk of ``goal``, the time of its first entry or
     None while it is pending (see ``enumerate_branches``).
     """
@@ -1145,7 +1145,7 @@ class _Run:
         self.mode = (_Run._sigma, where.curve_id) if on_sigma else (_Run._region, where, None)
         self.segments, self.choices = [], []
         self.terminal, self.steps = None, 0
-        self.steps_left = MAX_ORBIT_STEPS
+        self.steps_left, self.samples_left = MAX_ORBIT_STEPS, MAX_ORBIT_SAMPLES
         self.goal = tuple(goal)
         self.entries = (None,) * len(self.goal)  # replaced, never changed in place, so forks may share it
 
@@ -1188,6 +1188,7 @@ class _Run:
 
     def _add_segment(self, seg):
         self.steps_left -= seg.steps
+        self.samples_left -= len(seg.times)
         seg.times = [tt + self.t for tt in seg.times]
         self.t = seg.t_end
         self.p = seg.end_point
@@ -1206,7 +1207,7 @@ class _Run:
         ]
         seg, hit = integrate_regular(
             self.sys, self.p, region_id, self.horizon - self.t, self.opts,
-            entry_curve=entry_curve, captures=arc_captures, budget=self.steps_left,
+            entry_curve=entry_curve, captures=arc_captures, budget=self.steps_left, room=self.samples_left,
         )
         self._add_segment(seg)
         if hit[0] == "t_max":
@@ -1308,7 +1309,7 @@ class _Run:
         remaining = self.horizon - self.t
         seg, exit_info = integrate_sliding(
             self.sys, curve_id, self.p, remaining if dwell is None else min(dwell, remaining),
-            self.opts, allow_escaping=escaping, budget=self.steps_left,
+            self.opts, allow_escaping=escaping, budget=self.steps_left, room=self.samples_left,
         )
         seg.detail["escaping"] = escaping
         self._add_segment(seg)

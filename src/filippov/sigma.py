@@ -353,11 +353,13 @@ def _resample(sys, curve, points, closed, resolution, index):
 
 
 def _lie_samples(sys, curve_id, components):
-    """Per component, the lists of L1 and L2 at its sample points, one Lie pair each."""
+    """Per component, the lists of L1 and L2 at its sample points and of the (grad h, Y1, Y2) they are
+    formed from: one evaluation of the side values per sample, at its canonical form."""
     out = []
     for component in components:
-        pairs = [lie_pair_at(sys, curve_id, p) for p in component.points]
-        out.append(([l1 for l1, _ in pairs], [l2 for _, l2 in pairs]))
+        sides = [_side_values(sys, curve_id, sys.domain.canonical(p)) for p in component.points]
+        pairs = [lie_pair(*values) for values in sides]
+        out.append(([l1 for l1, _ in pairs], [l2 for _, l2 in pairs], sides))
     return out
 
 
@@ -390,8 +392,8 @@ def _scan_tangencies(sys, curve_id, components, lies):
     """Scan-and-bisect: roots of either Lie derivative along the curve."""
     curve = sys.curve(curve_id)
     found = []
-    for component, pair in zip(components, lies):
-        for i, (side, values) in enumerate(zip(("positive", "negative"), pair)):
+    for component, (l1s, l2s, _) in zip(components, lies):
+        for i, (side, values) in enumerate(zip(("positive", "negative"), (l1s, l2s))):
             _check_isolated(values, f"L({side})", curve_id)
             fn = lambda p, _i=i: lie_pair_at(sys, curve_id, p)[_i]
             for k in range(len(values) - 1):
@@ -434,10 +436,8 @@ def _make_tangency(sys, pos, curve_id, side, comp_idx, s):
     )
 
 
-def _sigma_dot(sys, curve_id, p):
-    """Z_s . t at p, t = (-gy, gx) / ||grad h||, with Z_s and t from one evaluation."""
-    p = sys.domain.canonical(p)
-    grad, v1, v2 = _side_values(sys, curve_id, p)
+def _tangential(grad, v1, v2, curve_id, p):
+    """Z_s . t at p, t = (-gy, gx) / ||grad h||, from grad h, Y1 and Y2 at p."""
     gx, gy = grad
     norm = math.hypot(gx, gy)
     tx, ty = -gy / norm, gx / norm
@@ -445,12 +445,22 @@ def _sigma_dot(sys, curve_id, p):
     return zx * tx + zy * ty
 
 
+def _sigma_dot(sys, curve_id, p):
+    """Z_s . t at the canonical form of p, with Z_s and t from one evaluation."""
+    p = sys.domain.canonical(p)
+    return _tangential(*_side_values(sys, curve_id, p), curve_id, p)
+
+
 def _scan_pseudo_equilibria(sys, curve_id, components, lies):
-    """Roots of Z_s . tangent on sliding/escaping sub-arcs of the curve."""
+    """Roots of Z_s . tangent on sliding/escaping sub-arcs of the curve.
+
+    The samples' values are formed from the side values ``_lie_samples``
+    kept; only the bisections evaluate the fields again.
+    """
     curve = sys.curve(curve_id)
     sigma_dot = lambda p: _sigma_dot(sys, curve_id, p)  # noqa: E731
     points = []
-    for component, (l1s, l2s) in zip(components, lies):
+    for component, (l1s, l2s, sides) in zip(components, lies):
         values = []
         for k, p in enumerate(component.points):
             on_arc = (
@@ -458,7 +468,7 @@ def _scan_pseudo_equilibria(sys, curve_id, components, lies):
                 and abs(l2s[k]) > TAU_CLASS
                 and l1s[k] * l2s[k] < 0
             )
-            values.append(sigma_dot(p) if on_arc else None)
+            values.append(_tangential(*sides[k], curve_id, sys.domain.canonical(p)) if on_arc else None)
         _check_isolated([v for v in values if v is not None] or [1.0], "Z_s . t", curve_id)
         roots = []
         for k, v in enumerate(values):

@@ -7,13 +7,12 @@ read-only and safe for concurrent use.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, OutsideDomainError, evaluation_boundary
-from .expr import PlanarField, ScalarField
+from .expr import FUNCTIONS, LoopText, PlanarField, ScalarField
 
 EPS_SIGMA = 1e-9  # |h| band that counts as "on the switching manifold"
 GRAD_MIN = 1e-8  # regular-value floor for ||grad h|| on the manifold
@@ -316,9 +315,62 @@ class FilippovSystem:
             yield [d.x_min + (i + 0.5) * d.width / 256] * 256, ys
         rng = random.Random(0)
         for start in range(0, 10_000, 256):
-            block = [(d.x_min + rng.random() * d.width, d.y_min + rng.random() * d.height)
-                     for _ in range(min(256, 10_000 - start))]
-            yield [x for x, _ in block], [y for _, y in block]
+            xs, ys = [], []
+            for _ in range(min(256, 10_000 - start)):
+                xs.append(d.x_min + rng.random() * d.width)
+                ys.append(d.y_min + rng.random() * d.height)
+            yield xs, ys
+
+    def _sample_check(self):
+        """The generated validation pass, ``check_block``, and the values its text binds.
+
+        ``check_block(bound, xs, ys, near, seen)`` walks one block of samples
+        and evaluates each curve's h once per sample, inline, as the text
+        ``LoopText.component`` gives.  It appends (k, x, y) to ``near`` for
+        the h of each curve k with |h| < 1e-3 of the domain's larger side, in
+        curve order, and then skips a sample within ``DISJOINT_EPS`` of a curve.
+        Any other sample must lie in exactly one region: the conditions
+        ``sign * h > 0`` are written as ``h > 0.0`` or ``h < 0.0``, which
+        agree on NaN and signed zeros.  The first sample in no region or in
+        several returns (x, y, its h values); a sample that one region owns
+        sets that region's flag, and the flags go back into ``seen`` once
+        the block has passed.  An arithmetic error of some h at a sample
+        propagates with every earlier sample checked.
+        """
+        text = LoopText()
+        hs = [f"h{k}" for k in range(len(self.curves))]
+        flags = [f"s{k}" for k in range(len(self.regions))]
+        name = {c.id: h for c, h in zip(self.curves, hs)}
+        near_band = 1e-3 * max(self.domain.width, self.domain.height)
+
+        def holds(cid, sign):  # sign * h > 0
+            return f"{name[cid]} > 0.0" if sign > 0 else f"{name[cid]} < 0.0" if sign < 0 else "False"
+
+        owns = [" and ".join(holds(cid, sign) for cid, sign in r.conditions) for r in self.regions]
+        fail = "return x, y, ({})".format("".join(f"{h}, " for h in hs))
+        body = [f"{h} = {text.component(c.h, 'x', 'y')}" for c, h in zip(self.curves, hs)]
+        for k, h in enumerate(hs):
+            body += [f"if {-near_band!r} < {h} < {near_band!r}:", f"    near.append(({k}, x, y))"]
+        if hs:
+            body += ["if {}:".format(" or ".join(f"{-DISJOINT_EPS!r} < {h} < {DISJOINT_EPS!r}" for h in hs)),
+                     "    continue"]
+        for r, (flag, own) in enumerate(zip(flags, owns)):
+            others = owns[r + 1:]
+            body += [f"{'elif' if r else 'if'} {own}:"]
+            body += [f"    if {' or '.join(f'({o})' for o in others)}:", f"        {fail}"] if others else []
+            body += [f"    {flag} = True"]
+        body += ["else:", f"    {fail}"] if owns else [fail]
+        unpack = "[{}]".format(", ".join(flags))
+        source = "\n".join([
+            "def check_block(bound, xs, ys, near, seen):",
+            f"    {unpack} = seen",
+            "    for x, y in zip(xs, ys):",
+            *[f"        {line}" for line in body],
+            f"    seen[:] = {unpack}",
+        ]) + "\n"
+        env = {**FUNCTIONS, "__builtins__": {}, "zip": zip}
+        exec(source, env)  # noqa: S102 - generated from the curves' field text
+        return env["check_block"], tuple(text.bound)
 
     @evaluation_boundary
     def validate(self):
@@ -327,69 +379,34 @@ class FilippovSystem:
         Samples that fall near a curve are projected onto it before the
         disjointness and regular-value checks, so even hairline overlaps
         between curves are caught.  The first failing sample, in grid-then-
-        random order, is the one reported.
+        random order, is the one reported.  The samples are checked in the
+        generated pass of ``_sample_check``, block by block; the near-curve
+        checks of a block follow its pass, and come before the pass's own
+        failure, as they come first sample by sample.
         """
         if self.domain.kind == "flat_torus":
             self._check_periodicity()
         h_fns = [(c.id, c.h.raw()) for c in self.curves]
-        column = {c.id: k for k, c in enumerate(self.curves)}
-        region_conds = [
-            (r.id, [(column[cid], sign) for cid, sign in r.conditions]) for r in self.regions
-        ]
-        near_band = 1e-3 * max(self.domain.width, self.domain.height)
-        seen_nonempty = {r.id: False for r in self.regions}
+        check_block, bound = self._sample_check()
+        seen = [False] * len(self.regions)
         for xs, ys in self._sample_points():
-            self._check_block(xs, ys, h_fns, region_conds, near_band, seen_nonempty)
-        empty = [rid for rid, seen in seen_nonempty.items() if not seen]
+            near = []
+            try:
+                failure = check_block(bound, xs, ys, near, seen)
+            finally:  # also when some h raised: the samples before it were checked
+                for k, x, y in near:
+                    self._check_on_curve(h_fns[k][0], (x, y), h_fns)
+            if failure is not None:
+                x, y, values = failure
+                column = {c.id: v for c, v in zip(self.curves, values)}
+                found = [r.id for r in self.regions
+                         if all(sign * column[cid] > 0 for cid, sign in r.conditions)]
+                raise ConfigurationError(
+                    f"point ({x:.6g}, {y:.6g}) belongs to regions {found}; expected exactly one"
+                )
+        empty = [r.id for r, flag in zip(self.regions, seen) if not flag]
         if empty:
             raise ConfigurationError(f"regions {empty} are empty on the domain")
-
-    def _check_block(self, xs, ys, h_fns, region_conds, near_band, seen_nonempty):
-        """Check one block of samples, evaluating each h once per sample.
-
-        The block's first failing sample raises, after the near-curve checks
-        of every sample up to and including it, as a sample-by-sample pass
-        would.  Marks the regions that own a sample in ``seen_nonempty``.
-        """
-        try:
-            cols = [list(map(fn, xs, ys)) for _, fn in h_fns]
-        except (ValueError, ZeroDivisionError, OverflowError):
-            # check the samples before the first one some h fails on, then fail there
-            fail = next(i for i in range(len(xs)) if _fails(h_fns, xs[i], ys[i]))
-            self._check_block(xs[:fail], ys[:fail], h_fns, region_conds, near_band, seen_nonempty)
-            for _, fn in h_fns:
-                fn(xs[fail], ys[fail])
-            raise
-        n = len(xs)
-        close = [False] * n  # too close to the manifold for a region call
-        for col in cols:
-            close = [c or abs(v) < DISJOINT_EPS for c, v in zip(close, col)]
-        owners = [0] * n
-        members = []
-        for _, conds in region_conds:
-            (k, sign), *rest = conds
-            member = [sign * v > 0 for v in cols[k]]
-            for k, sign in rest:
-                member = [m and sign * v > 0 for m, v in zip(member, cols[k])]
-            members.append(member)
-            owners = list(map(operator.add, owners, member))
-        bad = [not c and count != 1 for c, count in zip(close, owners)]
-        first_bad = bad.index(True) if True in bad else n
-        near = sorted(
-            (i, k) for k, col in enumerate(cols) for i, v in enumerate(col[:first_bad + 1])
-            if abs(v) < near_band
-        )
-        for i, k in near:
-            self._check_on_curve(h_fns[k][0], (xs[i], ys[i]), h_fns)
-        if first_bad < n:
-            x, y = xs[first_bad], ys[first_bad]
-            found = [rid for (rid, _), member in zip(region_conds, members) if member[first_bad]]
-            raise ConfigurationError(
-                f"point ({x:.6g}, {y:.6g}) belongs to regions {found}; expected exactly one"
-            )
-        for (rid, _), member in zip(region_conds, members):
-            if not seen_nonempty[rid]:
-                seen_nonempty[rid] = any(m and not c for m, c in zip(member, close))
 
     def _check_on_curve(self, cid, p, h_fns):
         curve = self._curves_by_id[cid]
@@ -428,12 +445,3 @@ class FilippovSystem:
                         f"{name} is not periodic on the flat torus (checked at ({x:.6g}, {y:.6g}))"
                     )
 
-
-def _fails(fns, x, y):
-    """Does some (id, h) of ``fns`` raise an arithmetic error at (x, y)?"""
-    try:
-        for _, fn in fns:
-            fn(x, y)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        return True
-    return False

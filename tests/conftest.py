@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from filippov import integrate, scenario, sigma
-from filippov.expr import PlanarField, ScalarField
+from filippov.expr import LoopText, PlanarField, ScalarField
 from filippov.system import Domain, FilippovSystem, RegionSpec, SwitchingCurve
 
 
@@ -75,20 +75,22 @@ def count_arc_calls(monkeypatch):
 
 
 def observe_loop_reads(monkeypatch, observer):
-    """Have the generated arc loops call ``observer(field)(x, y)`` as they read a field component at (x, y).
+    """Have the generated loops call ``observer(field)(x, y)`` as they read a field component at (x, y).
 
-    The loops inline a component's text through ``_LoopText.component``; this
-    hook wraps that text as ``(observer(field)(x, y), text)[1]``, with the
-    observer bound in the loop.  The observer runs first, so it sees a read
-    whose text then fails, and the loop still computes the text's own bits.
-    The systems' written loops are forgotten, so each is written anew.
+    The arc loops and the validation pass inline a field's text through
+    ``LoopText.component``; this hook wraps that text as
+    ``(observer(field)(x, y), text)[1]``, with the observer bound in the loop.
+    The observer runs first, so it sees a read whose text then fails, and the
+    loop still computes the text's own bits.  The systems' written arc loops
+    are forgotten, so each is written anew; the validation pass is written
+    anew at every ``validate``.
     """
-    inline = integrate._LoopText.component
+    inline = LoopText.component
 
     def component(text, field, px, py):
         return f"({text.bind(observer(field))}({px}, {py}), {inline(field, px, py)})[1]"
 
-    monkeypatch.setattr(integrate._LoopText, "component", component)
+    monkeypatch.setattr(LoopText, "component", component)
     monkeypatch.setattr(integrate, "_LOOPS", weakref.WeakKeyDictionary())
 
 

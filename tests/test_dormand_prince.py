@@ -24,9 +24,8 @@ import pytest
 
 from filippov.diagnostics import rescale_tangency_freeze
 from filippov.errors import IntegrationError, UndefinedSlidingError
-from filippov.integrate import (
-    _REGULAR_SOURCE, _THETA_GRID, IntegratorOptions, _DenseStep, _loop, _LoopText,
-)
+from filippov.expr import LoopText
+from filippov.integrate import _REGULAR_SOURCE, _THETA_GRID, IntegratorOptions, _DenseStep, _loop
 from filippov.scenario import load_shipped
 from filippov.system import Domain
 
@@ -201,15 +200,15 @@ def loop_steps(domain, stage, x, y, k1, dt, t_max=math.inf, max_step=math.inf, c
     """The first ``count`` steps the regular-arc loop accepts from (x, y) at t = 0, trying dt first.
 
     ``stage(text, px, py, vx, vy)`` writes the field's lines through ``text``, a
-    ``_LoopText``.  An unarmed curve with h = 1 everywhere makes every step a
+    ``LoopText``.  An unarmed curve with h = 1 everywhere makes every step a
     candidate, so the loop hands back each step with its event grid.
     """
-    text = _LoopText()
+    text = LoopText()
     source = _REGULAR_SOURCE(domain.kind == "flat_torus", lambda *point: stage(text, *point),
                              [lambda px, py: "1.0"])
     steps = _loop(source, "regular_steps")(
         tuple(text.bound), [0.0], [], domain, _OPTS.rtol, _OPTS.atol,
-        max_step, 1.0, t_max, math.inf, x, y, k1[0], k1[1], dt, [0.0], [(x, y)], [0])
+        max_step, 1.0, t_max, math.inf, math.inf, x, y, k1[0], k1[1], dt, [0.0], [(x, y)], [0])
     try:
         return [_image(step, grid) for step, grid, _ in itertools.islice(steps, count)]
     except (IntegrationError, UndefinedSlidingError) as exc:

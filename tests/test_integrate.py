@@ -443,6 +443,59 @@ def test_an_orbit_takes_at_most_its_step_bound(name, p0, horizon, monkeypatch):
         integrate_filippov(system, p0, horizon)
 
 
+@pytest.mark.parametrize("name, p0, horizon", [("rotation_plane", (0.3, 0.2), 20.0),
+                                              ("chaotic_torus", (0.3, 0.7), 8.0)])
+def test_an_orbit_stores_at_most_its_sample_bound(name, p0, horizon, monkeypatch):
+    # the arcs of one orbit share MAX_ORBIT_SAMPLES stored samples, tested where a chord is cut
+    # (a spacing of 1e-3 cuts most chords): an orbit whose arcs store exactly that many keeps
+    # its bytes, and one whose arcs store twice as many is an error naming the setting
+    system = load_shipped(name).build_system()
+    opts = IntegratorOptions(sample_spacing=1e-3)
+    orbit = integrate_filippov(system, p0, horizon, opts=opts)
+    stored = sum(len(s.times) for s in orbit.segments if s.kind.endswith("_arc"))
+    monkeypatch.setattr(integrate, "MAX_ORBIT_SAMPLES", stored)
+    assert serialize(integrate_filippov(system, p0, horizon, opts=opts)) == serialize(orbit)
+    monkeypatch.setattr(integrate, "MAX_ORBIT_SAMPLES", stored // 2)
+    with pytest.raises(IntegrationError, match=f"orbit stores more than {stored // 2} samples"):
+        integrate_filippov(system, p0, horizon, opts=opts)
+
+
+@pytest.mark.parametrize("kind", ["regular", "sliding"])
+def test_an_arc_stores_at_most_its_room(kind, circle_system, belt_system):
+    # an arc without events emits every step in its loop: the loop's own cuts test the room
+    opts = IntegratorOptions(sample_spacing=1e-3)
+    if kind == "regular":
+        arc = lambda room: integrate_regular(circle_system, (1.0, 0.0), 1, 20.0, opts, room=room)[0]
+    else:
+        arc = lambda room: integrate_sliding(belt_system, 0, (0.3, 0.0), 5.0, opts, room=room)[0]
+    full = arc(math.inf)
+    stored = len(full.times)
+    assert stored > 100
+    assert arc(stored).to_dict() == full.to_dict() and arc(stored).points == full.points
+    with pytest.raises(IntegrationError, match="integrator.sample_spacing"):
+        arc(stored // 2)
+
+
+@pytest.mark.parametrize("emitter", ["_EMIT", "_EMIT_TO"])
+@pytest.mark.parametrize("torus", [False, True])
+def test_the_emitters_cut_a_chord_only_within_the_room(emitter, torus):
+    # a chord of length 1 at spacing 0.25 is cut into four pieces: three cut samples and its end
+    domain = Domain("flat_torus" if torus else "plane_rect", -4.0, 4.0, -4.0, 4.0)
+    step = integrate._DenseStep(0.0, 1.0, 0.0, 0.0, ((1.0, 0.0),) * 7)  # x = t along a constant field
+
+    def emit(room):
+        times, pts = [0.0], [(0.0, 0.0)]
+        if emitter == "_EMIT":
+            integrate._EMIT[torus](step, 1.0, (1.0, 0.0), times, pts, 0.25, room, domain)
+        else:
+            integrate._EMIT_TO[torus](1.0, 0.0, 1.0, times, pts, 0.25, room, domain)
+        return times
+
+    assert emit(math.inf) == emit(5) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    with pytest.raises(IntegrationError, match="integrator.sample_spacing"):
+        emit(4)
+
+
 def test_policy_dwell_then_exit(belt_system):
     policy = BranchPolicy.dwell_exit(0.25, "negative")
     orbit = integrate_filippov(belt_system, (0.3, 0.5), 2.0, policy=policy)

@@ -794,6 +794,32 @@ def test_an_orbit_past_its_step_bound_exits_2(tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_an_orbit_past_its_sample_bound_exits_2(tmp_path):
+    # at the smallest sample_spacing the loader allows, each step's chord is cut into hundreds of
+    # samples, and the orbit used to end in "error: MemoryError: " before its step bound; the run
+    # is a child under a 1 GiB address-space limit
+    import resource
+
+    import filippov
+
+    data = json.loads(shipped_path("rotation_plane").read_text())
+    data["integrator"] = {"sample_spacing": 2e-5}  # the least the loader allows on the 2 x 2 domain
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(data))
+    argv = ["orbit", "--scenario", str(path), "--start", "0.3,0.2", "--horizon", "1e300",
+            "--json", str(tmp_path / "out.json")]
+    env = dict(os.environ, PYTHONPATH=str(Path(filippov.__file__).resolve().parents[1]))
+    limit = (1 << 30, 1 << 30)
+    with time_limit(120):
+        proc = subprocess.run([sys.executable, "-m", "filippov.cli", *argv], env=env,
+                              capture_output=True, text=True,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+    message = (f"error: orbit stores more than {integrate.MAX_ORBIT_SAMPLES} samples, its bound: "
+               "use a larger integrator.sample_spacing or a shorter --horizon\n")
+    assert (proc.returncode, proc.stderr) == (2, message)
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_the_resolution_bounds_sit_far_above_every_shipped_value():
     grid, sigma = diagnostics.GRID_RESOLUTION_MAX, diagnostics.SIGMA_RESOLUTION_MAX
     for name in list_shipped():

@@ -170,6 +170,35 @@ def test_sigma_dot_matches_the_two_call_form(pe_system):
         assert _outcome(_sigma_dot, system, cid, p) == _outcome(_sigma_dot_reference, system, cid, p)
 
 
+def test_a_decomposition_evaluates_the_side_fields_once_per_sample(monkeypatch, pe_system):
+    # pe_system slides along all of y = 0 and has a pseudo-equilibrium at the origin, so both
+    # scans read every sample; at resolution 255 no sample lies on the origin, and the
+    # pseudo-equilibrium scan bisects
+    calls = {"sample": 0, "bisection": 0, "classify": 0}
+    within = []
+    side_values, bisect_on_arc, classify = sigma._side_values, sigma._bisect_on_arc, sigma.classify_point
+
+    def counted(*args):
+        calls[within[-1] if within else "sample"] += 1
+        return side_values(*args)
+
+    def inside(kind, fn):
+        def wrapped(*args):
+            within.append(kind)
+            try:
+                return fn(*args)
+            finally:
+                within.pop()
+        return wrapped
+
+    monkeypatch.setattr(sigma, "_side_values", counted)
+    monkeypatch.setattr(sigma, "_bisect_on_arc", inside("bisection", bisect_on_arc))
+    monkeypatch.setattr(sigma, "classify_point", inside("classify", classify))
+    dec = sigma_decomposition(pe_system, 0, 255)
+    assert dec.pseudo_equilibria and calls["bisection"] > 0
+    assert calls["sample"] == sum(len(c.points) for c in dec.components)
+
+
 def test_lie_pair_at_matches_the_one_field_form():
     checked = 0
     for system, cid, arc in _shipped_cases(128):

@@ -172,5 +172,5 @@ def test_torus_wrap_is_domain_canonical():
         for x in values:
             for y in (x, values[rng.randrange(len(values))]):
                 times, pts = [0.0], [(lo, domain.y_min)]
-                _EMIT_TO[True](x, y, 1.0, times, pts, math.inf, domain)
+                _EMIT_TO[True](x, y, 1.0, times, pts, math.inf, math.inf, domain)
                 assert _bits(pts[-1]) == _bits(domain.canonical((x, y))), (x, y)

@@ -8,7 +8,8 @@ module's private name leans on that module's internals; each such import is
 listed with its reason.  A name a module imports and never reads is a leftover
 of code that has gone, and so is a function that neither the package nor
 the benchmarks call: code that only tests read belongs in the tests.  The
-kernels that ``integrate._kernels`` generates run in a closed namespace, so a
+kernels that ``integrate._kernels`` generates and the validation pass that
+``FilippovSystem._sample_check`` writes run in a closed namespace, so a
 name they read must be bound there; a helper missing on a rare error path
 would otherwise show only as a ``NameError`` there.
 The system applies its velocity scale where it hands out fields, so the
@@ -308,9 +309,15 @@ def _arc_loops():
                 yield f"{name}:{direction}:sliding_steps[{curve.id}]", integrate._sliding_loop(sys_, curve.id)[0]
 
 
+def _validation_passes():
+    """The validation pass written for each shipped scenario."""
+    for name in list_shipped():
+        yield f"{name}:check_block", load_shipped(name).build_system()._sample_check()[0]
+
+
 GENERATED = {"_DenseStep.at": integrate._DenseStep.at, "_SLIDING_RHS": integrate._SLIDING_RHS, **{
     f"{name}[{torus}]": getattr(integrate, name)[torus] for name in ("_EMIT", "_EMIT_TO") for torus in (False, True)
-}, **dict(_arc_loops())}
+}, **dict(_arc_loops()), **dict(_validation_passes())}
 
 
 @pytest.mark.parametrize("name", list(GENERATED))

@@ -15,7 +15,7 @@ from filippov.system import (
     DISJOINT_EPS, Domain, FilippovSystem, OnSigma, RegionSpec, SwitchingCurve,
 )
 
-from conftest import build_plane_system
+from conftest import build_plane_system, observe_loop_reads
 
 
 def field_at(system, p):
@@ -384,6 +384,13 @@ def test_shipped_systems_pass_both_validations(name):
     assert _outcome(lambda: validate(system)) is None
 
 
+def test_a_system_without_curves_fails_at_its_first_sample():
+    # the loader accepts empty curve and region lists; the pass then has no h to write
+    system = FilippovSystem(Domain("plane_rect", 0, 1, 0, 1), [], [], validate=False)
+    assert _outcome(system.validate) == _outcome(lambda: validate(system)) == (
+        ConfigurationError, "point (0.00195312, 0.00195312) belongs to regions []; expected exactly one")
+
+
 def test_sample_blocks_hold_the_reference_points_in_order():
     for domain in (Domain("plane_rect", -1, 3, -2, 0.5), Domain("flat_torus", 0, 1, 0, 2)):
         system = FilippovSystem(domain, [SwitchingCurve(0, ScalarField("y"), 1, 2)],
@@ -398,7 +405,7 @@ def test_sample_blocks_hold_the_reference_points_in_order():
 
 def test_each_h_is_evaluated_once_per_sample(monkeypatch):
     system = _EXAMPLES[0]
-    calls = {}
+    reads, calls = {}, {}
     depth = [0]
     raw = ScalarField.raw
 
@@ -412,6 +419,12 @@ def test_each_h_is_evaluated_once_per_sample(monkeypatch):
 
         return counted
 
+    def reading(field):
+        def read(x, y):
+            reads[id(field)] = reads.get(id(field), 0) + 1
+
+        return read
+
     check_on_curve = FilippovSystem._check_on_curve
 
     def projecting(self, *args):
@@ -423,8 +436,10 @@ def test_each_h_is_evaluated_once_per_sample(monkeypatch):
 
     monkeypatch.setattr(ScalarField, "raw", counting_raw)
     monkeypatch.setattr(FilippovSystem, "_check_on_curve", projecting)
+    observe_loop_reads(monkeypatch, reading)  # the pass inlines each h: its reads come through the text hook
     system.validate()
     samples = 256 * 256 + 10_000
     for curve in system.curves:
-        assert calls[(id(curve.h), False)] == samples
+        assert reads[id(curve.h)] == samples
+        assert (id(curve.h), False) not in calls  # the pass calls no h
         assert calls[(id(curve.h), True)] > 0  # near-curve projections
