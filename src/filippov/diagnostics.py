@@ -61,26 +61,12 @@ class ProbeNotFound:
         return {"found": False, "reason": self.reason, "budget": self.budget}
 
 
-class CellFlags:
+class CellFlags(bytearray):
     """An n x n grid of 0/1 flags, stored flat in row-major (i, j) order."""
-
-    def __init__(self, n):
-        self.n = n
-        self.flags = bytearray(n * n)
-
-    @property
-    def size(self):
-        return len(self.flags)
-
-    def sum(self):
-        return self.flags.count(1)
-
-    def all(self):
-        return 0 not in self.flags
 
     def ravel(self):
         """The flags as bytes, row by row."""
-        return bytes(self.flags)
+        return bytes(self)
 
 
 class GridCoverage:
@@ -89,7 +75,7 @@ class GridCoverage:
     def __init__(self, domain, resolution):
         self.domain = domain
         self.resolution = resolution
-        self.hits = CellFlags(resolution)
+        self.hits = CellFlags(resolution * resolution)
 
     def mark_orbit(self, orbit):
         """Hit the cell of every stored sample (samples are canonical already)."""
@@ -97,24 +83,24 @@ class GridCoverage:
         x0, y0, width, height = d.x_min, d.y_min, d.width, d.height
         cells = {(int((x - x0) / width * n), int((y - y0) / height * n))
                  for seg in orbit.segments for x, y in seg.points}
-        flags, last = self.hits.flags, n - 1
+        flags, last = self.hits, n - 1
         for i, j in cells:
             flags[min(i, last) * n + min(j, last)] = 1
 
     def fraction(self):
-        return float(self.hits.sum()) / float(self.hits.size)
+        return self.hits.count(1) / len(self.hits)
 
     def write_csv(self, fh):
         fh.write("i,j,hit\n")
         n = self.resolution
-        for k, hit in enumerate(self.hits.flags):
+        for k, hit in enumerate(self.hits):
             fh.write(f"{k // n},{k % n},{hit}\n")
 
     def to_dict(self):
         return {
             "resolution": self.resolution,
             "fraction": self.fraction(),
-            "hit_cells": self.hits.sum(),
+            "hit_cells": self.hits.count(1),
         }
 
 
@@ -157,12 +143,12 @@ def saturate(sys, seeds, horizon, policies, grid_resolution=32, opts=None):
                                        opts=opts)
             cov.mark_orbit(orbit)
             orbits += 1
-            if cov.hits.all() or not any(c.kind == "escape_exit" for c in orbit.choices):
+            if 0 not in cov.hits or not any(c.kind == "escape_exit" for c in orbit.choices):
                 break
-        if cov.hits.all():
+        if 0 not in cov.hits:
             break
     log.info("saturate: %d of %d seed x direction x policy orbits integrated, %d of %d cells hit",
-             orbits, 2 * len(seeds) * len(policies), cov.hits.sum(), cov.hits.size)
+             orbits, 2 * len(seeds) * len(policies), cov.hits.count(1), len(cov.hits))
     return cov
 
 
@@ -826,7 +812,7 @@ def chaos_report(sys, config=None, opts=None):
     if hypothesis:
         cov = saturate_phase(sys, seeds, cfg, opts)
         report["saturation"] = cov.to_dict()
-        phase_done("saturate", f"{report['saturation']['hit_cells']} of {cov.hits.size} cells hit")
+        phase_done("saturate", f"{report['saturation']['hit_cells']} of {len(cov.hits)} cells hit")
     else:
         report["saturation"] = None
 

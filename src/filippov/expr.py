@@ -20,6 +20,7 @@ integer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -301,9 +302,8 @@ def evaluate(expression: Expression, binding: Mapping[str, float]) -> float:
     Arithmetic failures and non-finite results raise EvaluationError, and so
     does the first variable, left to right, that ``binding`` lacks.
     """
-    code = _codegen(expression, binding)
     try:
-        return _checked(eval, code, dict(_COMPILE_ENV))  # noqa: S307 - closed grammar
+        return _checked(compiled, f"value = {_codegen(expression, binding)}", "value")
     except NameError as exc:
         raise EvaluationError(f"missing binding for {exc.name!r}") from None
 
@@ -439,7 +439,7 @@ def _constant(node):
 
     An inf or nan value leaves ``node`` as it is.
     """
-    value = _computed(eval, _codegen(node, {}), dict(_COMPILE_ENV))  # noqa: S307 - closed grammar
+    value = _computed(compiled, f"value = {_codegen(node, {})}", "value")
     return Const(value) if math.isfinite(value) else node
 
 
@@ -448,7 +448,23 @@ def _constant(node):
 # --------------------------------------------------------------------------- #
 
 FUNCTIONS = {name: getattr(math, name) for name in UNARY_FUNCTIONS}  # what compiled text calls each name
-_COMPILE_ENV = {**FUNCTIONS, "__builtins__": {}}
+
+
+def compiled(source, name, names=(), cache=False):
+    """What the generated ``source`` binds to ``name``, run with ``FUNCTIONS``, the ``names`` pairs and no builtins.
+
+    The package's one compile of source text.  With ``cache`` it comes from one
+    cache of 64 functions keyed by source text, which the generated loops share;
+    the expression compiles, uncached, cannot evict one.
+    """
+    if cache:
+        return _cached(source, name, tuple(names))
+    env = {**FUNCTIONS, **dict(names), "__builtins__": {}}
+    exec(source, env)  # noqa: S102 - generated from the closed grammar and the integrator's tableau
+    return env[name]
+
+
+_cached = functools.lru_cache(maxsize=64)(compiled)
 
 
 def _literal(value):
@@ -559,8 +575,7 @@ class LoopText:
 
 def compile_expression(expression: Expression, parameters: Mapping[str, float]) -> Callable[[float, float], float]:
     """Compile to a fast ``f(x, y) -> float`` with parameters inlined."""
-    code = _codegen(expression, parameters)
-    return eval(f"lambda x, y: {code}", dict(_COMPILE_ENV))  # noqa: S307 - closed grammar
+    return compiled(f"field = lambda x, y: {_codegen(expression, parameters)}", "field")
 
 
 class ScalarField:

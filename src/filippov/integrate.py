@@ -9,10 +9,10 @@ the reference.  The arc loops are written once per field text: a stage
 writes each field component as the text of its compiled expression at the
 stage point (``ScalarField.text``, the body of the lambda ``raw()`` hands
 out), so it does the lambda's operations without a call.  A system's loops
-are written on their first use and compiled through a cache keyed by source
-text (``_loop``), so equal texts share one loop and a command that
-integrates nothing compiles none; only ``_DenseStep.at``, the emitters and
-``sliding_rhs`` are compiled at import.
+are written on their first use and compiled through ``expr.compiled``'s
+cache, keyed by source text, so equal texts share one loop and a command
+that integrates nothing compiles none; only ``_DenseStep.at``, the emitters
+and ``sliding_rhs`` are compiled at import.
 
 The regular-arc loop runs whole accepted steps with its state in locals: the
 seven stages of the region's field, error control, the five-point event grid
@@ -55,11 +55,11 @@ one bracket kernel ``sigma.bracket``.  An arc that takes ``MAX_ARC_STEPS``
 accepted steps more than it needs at ``max_step`` fails with
 ``IntegrationError``: its steps have shrunk to nothing, as past a
 finite-time blow-up.  The arcs of one orbit share ``MAX_ORBIT_STEPS``
-accepted steps, whatever its horizon; an orbit past them fails with an
-``IntegrationError`` that names ``--horizon`` and ``integrator.max_step``.
-They share ``MAX_ORBIT_SAMPLES`` stored samples too, tested where a chord is
-cut; an orbit past them fails with one that names
-``integrator.sample_spacing`` and ``--horizon``.
+accepted steps and ``MAX_ORBIT_SAMPLES`` stored samples, whatever its
+horizon: each arc gets what is left of both as one pair, ``left``.  An orbit
+past its steps fails with an ``IntegrationError`` that names ``--horizon``
+and ``integrator.max_step``; one past its samples, tested where a chord is
+cut, with one that names ``integrator.sample_spacing`` and ``--horizon``.
 
 One orbit is computed sequentially; distinct orbits may be computed
 concurrently against the shared system.
@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 from .errors import (
     ConfigurationError, IntegrationError, UndefinedSlidingError, evaluation_boundary,
 )
-from .expr import FUNCTIONS, LoopText
+from .expr import LoopText, compiled
 from .sigma import (
     PE_NORM_TOL,
     PointClass,
@@ -99,7 +99,6 @@ MAX_ARC_STEPS = 100_000
 MAX_ORBIT_STEPS = 1_000_000  # accepted steps of all arcs of one orbit, whatever its horizon
 MAX_ORBIT_SAMPLES = 2_000_000  # samples stored by all arcs of one orbit, whatever its horizon and spacing
 MAX_SEGMENTS = 200_000  # driver steps of one orbit; an orbit that reaches it ends "segment_budget"
-LOOP_CACHE_SIZE = 64  # compiled arc loops kept, by source text
 
 
 # --------------------------------------------------------------------------- #
@@ -129,15 +128,10 @@ _THETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # event sampling points of each step
 _UNDERFLOW = "step size underflow (degenerate point?)"
 
 
-def _arc_step_limit(t_max, max_step):
-    """The accepted steps an arc to ``t_max`` may take: an arc past it creeps, as past a blow-up."""
-    return MAX_ARC_STEPS + t_max / max_step
-
-
 def _step_limit(steps, t, t_max, max_step):
-    """The error of an arc that took ``steps`` accepted steps, the lesser of its own limit and the
-    orbit's remaining budget: the orbit's, if its arcs have spent ``MAX_ORBIT_STEPS``."""
-    if steps < _arc_step_limit(t_max, max_step):
+    """The error of an arc stopped after ``steps`` accepted steps: its own past ``MAX_ARC_STEPS`` more than it
+    needs at ``max_step`` (it creeps, as past a blow-up), else the orbit's, whose ``MAX_ORBIT_STEPS`` are spent."""
+    if steps < MAX_ARC_STEPS + t_max / max_step:
         return IntegrationError(
             f"orbit took {MAX_ORBIT_STEPS} accepted steps, its bound: use a shorter --horizon "
             "or a larger integrator.max_step")
@@ -173,8 +167,8 @@ class IntegratorOptions:
 def _kernels():
     """``_DenseStep.at``, the emitters, ``sliding_rhs`` and the writers of the arc loops, in straight lines.
 
-    The source is written out from ``_A``, ``_E`` and ``_P`` and compiled in a
-    closed namespace, as ``expr.compile_expression`` compiles fields.  Each sum
+    The source is written out from ``_A``, ``_E`` and ``_P`` and compiled by
+    ``expr.compiled`` with the ``names`` it reads, as fields are.  Each sum
     keeps the operation order of the tableau loop it unrolls: ``x + dt * a * k``
     associates left, as ``x + (dt * a) * k``, so a stage forms each product
     ``dt * a`` once for both coordinates; the error and dense-output sums start
@@ -197,8 +191,8 @@ def _kernels():
     but ``at`` and ``sliding_rhs``, which know no domain, comes in a plane and
     a torus form.  The arc loops are not compiled here: ``regular_source``
     and ``sliding_source`` write the text of one loop for the field texts
-    they are given (see ``expr.LoopText``), which ``compiled`` compiles on first
-    use (``_loop``).  Their stage pieces, the stages of ``accepted_step``,
+    they are given (see ``expr.LoopText``), which ``_arc_loop`` compiles on
+    first use.  Their stage pieces, the stages of ``accepted_step``,
     the event screen, ``sliding`` and the two-step projection, write each
     field component as that text at the stage point, so a stage calls no
     field; ``sliding_rhs`` wraps the same ``sliding`` piece on called
@@ -319,8 +313,7 @@ def _kernels():
         + [f"return {point(qs, [f'k{j}[0]' for j in range(1, 8)], [f'k{j}[1]' for j in range(1, 8)])}"])
 
     # the event grid's weights q_j(theta), once, by the Horner expression ``at`` evaluates
-    weights = [[eval(horner(repr(th), p), {"__builtins__": {}}) for p in _P]  # noqa: S307
-               for th in _THETA_GRID[1:]]
+    weights = [[compiled(f"w = {horner(repr(th), p)}", "w") for p in _P] for th in _THETA_GRID[1:]]
     grid = [(f"g{i}x", f"g{i}y") for i in range(1, 5)]
     points = [("x0", "y0")] + grid
     dense_rows = [j for j, p in enumerate(_P) if any(p)]  # the stages the dense output weighs
@@ -343,6 +336,8 @@ def _kernels():
 
     bounds = [f"{b} = domain.{b}" for b in ("x_min", "x_max", "y_min", "y_max")]
     torus_geometry = bounds + ["width = domain.width", "height = domain.height"]
+    # an arc loop's steps and samples from ``left``, what its orbit has left, and its own step bound
+    allowance = ["limit, room = left", f"limit = min(limit, {MAX_ARC_STEPS!r} + t_max / max_step)"]
 
     def emission(t1, bx, by, end, torus, rows):
         """Samples after the last one up to ``end``, the point (bx, by) at ``t1``: the chord is cut so
@@ -388,8 +383,8 @@ def _kernels():
         ``stage(px, py, vx, vy)`` gives the lines that set vx, vy to the field
         at (px, py), and ``hs`` holds, per curve, its h's text at (px, py).
         The arc starts at (x, y) at t = 0 with first stage (k1x, k1y) and first
-        trial step ``dt_next``, and ends at ``t_max``; past ``limit`` accepted
-        steps it raises ``step_limit``'s error, and past ``room`` samples
+        trial step ``dt_next``, and ends at ``t_max``; past its ``allowance`` of
+        accepted steps it raises ``step_limit``'s error, and past its samples
         ``emission``'s.  A step whose grid cannot
         hold an event is emitted into ``times`` and ``pts``; any other step is
         yielded as (``_DenseStep``, its five grid points, each curve's five h
@@ -444,8 +439,8 @@ def _kernels():
         screen += ["if targets or cand:", *indent(late + capture)] if late else capture
         return source([
             "def regular_steps(bound, signs, targets, domain, rtol, atol, max_step,",
-            "                  spacing, t_max, limit, room, x, y, k1x, k1y, dt_next, times, pts, taken):",
-        ] + indent((torus_geometry if torus else bounds) + [
+            "                  spacing, t_max, left, x, y, k1x, k1y, dt_next, times, pts, taken):",
+        ] + indent((torus_geometry if torus else bounds) + allowance + [
             "t = 0.0",
             "t_end = t_max - 1e-14",
             "steps = 0",
@@ -564,9 +559,9 @@ def _kernels():
             ]
         flipped = f"l1 * s1_0 < 0 or abs(l1) <= {TAU_CLASS!r}"
         return source([
-            "def sliding_steps(bound, curve_id, domain, rtol, atol, max_step, spacing, t_max, limit, room,",
+            "def sliding_steps(bound, curve_id, domain, rtol, atol, max_step, spacing, t_max, left,",
             "                  x, y, k1x, k1y, s1_0, s2_0, dt_next, times, pts, taken):",
-        ] + indent((torus_geometry if torus else bounds) + [
+        ] + indent((torus_geometry if torus else bounds) + allowance + [
             "t = 0.0",
             "t_end = t_max - 1e-14",
             "steps = 0",
@@ -596,27 +591,20 @@ def _kernels():
             "    k1y = zy",
         ]))
 
-    namespace = {
-        **FUNCTIONS, "__builtins__": {}, "abs": abs, "len": len, "max": max, "range": range, "round": round,
-        "zip": zip, "ceil": math.ceil, "floor": math.floor, "hypot": math.hypot,
-        "IntegrationError": IntegrationError,
+    names = tuple({
+        "abs": abs, "len": len, "max": max, "min": min, "range": range, "round": round, "zip": zip,
+        "ceil": math.ceil, "floor": math.floor, "hypot": math.hypot, "IntegrationError": IntegrationError,
         "_DenseStep": _DenseStep, "step_limit": _step_limit, "sample_limit": _sample_limit,
         "sliding_undefined": sliding_undefined, "degenerate_gradient": _degenerate_gradient,
-    }
+    }.items())
 
     def source(lines):
         return "\n".join(lines) + "\n"
 
-    def compiled(text, name):
-        """The function ``name`` that the source ``text`` defines, compiled in the closed namespace."""
-        env = dict(namespace)
-        exec(text, env)  # noqa: S102 - generated from the tableau and expr's field text
-        return env[name]
-
-    emits = {torus: compiled(source(emit_source(torus)), "emit") for torus in (False, True)}
-    chords = {torus: compiled(source(chord_source(torus)), "emit_to") for torus in (False, True)}
-    return (compiled(source(at), "at"), emits, chords, compiled(source(sliding_rhs), "sliding_rhs"),
-            regular_source, sliding_source, compiled)
+    emits = {torus: compiled(source(emit_source(torus)), "emit", names) for torus in (False, True)}
+    chords = {torus: compiled(source(chord_source(torus)), "emit_to", names) for torus in (False, True)}
+    return (compiled(source(at), "at", names), emits, chords, compiled(source(sliding_rhs), "sliding_rhs", names),
+            regular_source, sliding_source, names)
 
 
 class _DenseStep:
@@ -633,9 +621,8 @@ class _DenseStep:
 
 
 # ``_EMIT[torus]``: see ``integrate_regular``; ``_SLIDING_RHS``, ``_EMIT_TO[torus]``: see ``integrate_sliding``;
-# ``_REGULAR_SOURCE``, ``_SLIDING_SOURCE``: see ``_regular_loop`` and ``_sliding_loop``
-_DenseStep.at, _EMIT, _EMIT_TO, _SLIDING_RHS, _REGULAR_SOURCE, _SLIDING_SOURCE, _compiled = _kernels()
-_loop = functools.lru_cache(maxsize=LOOP_CACHE_SIZE)(_compiled)  # the compiled arc loops, by source text
+# ``_REGULAR_SOURCE``, ``_SLIDING_SOURCE``: see ``_regular_loop`` and ``_sliding_loop``; ``_NAMES``: see ``_kernels``
+_DenseStep.at, _EMIT, _EMIT_TO, _SLIDING_RHS, _REGULAR_SOURCE, _SLIDING_SOURCE, _NAMES = _kernels()
 _LOOPS = weakref.WeakKeyDictionary()  # system -> {("regular", region id) | ("sliding", curve id): (loop, bound)}
 
 
@@ -644,13 +631,13 @@ def _arc_loop(sys, key, write):
 
     A system writes each of its loops once, held as long as the system lives:
     writing one costs more than integrating a typical arc.  Equal texts share
-    one compiled loop through ``_loop``, across regions and systems.
+    one compiled loop through ``expr.compiled``'s cache, across regions and systems.
     """
     loops = _LOOPS.setdefault(sys, {})
     if key not in loops:
         text = LoopText()
         source, name = write(text)
-        loops[key] = (_loop(source, name), tuple(text.bound))
+        loops[key] = (compiled(source, name, _NAMES, cache=True), tuple(text.bound))
     return loops[key]
 
 
@@ -889,14 +876,14 @@ class CaptureTarget:
     curve_id: int
 
 
-def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, captures=(), budget=math.inf,
-                      room=math.inf):
+def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, captures=(), left=(math.inf, math.inf)):
     """Integrate the region's smooth field until an event.
 
     The steps run in the region's generated loop (``_regular_loop``); each
-    step it hands back is searched here for its earliest event.  The arc
-    takes at most ``budget`` accepted steps, and at most ``_arc_step_limit``'s;
-    a chord cut past ``room`` stored samples raises ``_sample_limit``'s error.
+    step it hands back is searched here for its earliest event.  ``left`` is
+    what the orbit has left, (accepted steps, stored samples): the arc takes
+    at most that many steps, and at most ``_step_limit``'s own bound, and a
+    chord cut past that many samples raises ``_sample_limit``'s error.
     Returns (OrbitSegment, hit) with hit one of ('curve', id, point) |
     ('t_max', point) | ('left_domain', point) | ('capture', target, point).
     """
@@ -921,8 +908,7 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
     regular_steps, bound = _regular_loop(sys, region_id)
     steps = regular_steps(
         bound, signs, [c.point for c in captures], domain, opts.rtol, opts.atol, max_step, spacing,
-        t_max, min(budget, _arc_step_limit(t_max, max_step)), room, x, y, k1x, k1y, min(max_step, 1e-3),
-        times, pts, taken,
+        t_max, left, x, y, k1x, k1y, min(max_step, 1e-3), times, pts, taken,
     )
     for step, grid_pts, vals in steps:  # the steps whose grid may hold an event
         best = None  # (theta, kind, payload)
@@ -962,7 +948,7 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
                 best = (hit_th, "capture", target)
 
         if best is None:
-            emit(step, 1.0, domain.canonical(grid_pts[-1]), times, pts, spacing, room, domain)
+            emit(step, 1.0, domain.canonical(grid_pts[-1]), times, pts, spacing, left[1], domain)
             continue
 
         th, kind, payload = best
@@ -970,7 +956,7 @@ def integrate_regular(sys, p, region_id, t_max, opts=None, entry_curve=None, cap
             point = onto_curve(sys, payload, step.at(th))
         else:
             point = domain.canonical(step.at(th))
-        emit(step, th, point, times, pts, spacing, room, domain)
+        emit(step, th, point, times, pts, spacing, left[1], domain)
         seg = OrbitSegment("regular_arc", times, pts, region_id=region_id, steps=taken[0])
         return seg, ((kind, point) if kind == "left_domain" else (kind, payload, point))
     return OrbitSegment("regular_arc", times, pts, region_id=region_id, steps=taken[0]), ("t_max", pts[-1])
@@ -1011,14 +997,14 @@ def _capture_theta(domain, step, grid_pts, target):
 # --------------------------------------------------------------------------- #
 
 
-def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False, budget=math.inf, room=math.inf):
+def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False, left=(math.inf, math.inf)):
     """Slide along the Filippov field constrained to the curve.
 
     The steps run in the curve's generated loop (``_sliding_loop``), the first
     stage in ``_SLIDING_RHS`` on the raw side fields; the step the loop hands
     back at an exit is searched here for the exit point, which ``_EMIT_TO`` emits.
-    The arc takes at most ``budget`` accepted steps, and at most ``_arc_step_limit``'s,
-    and stores at most ``room`` samples, as ``integrate_regular``.
+    The arc spends at most ``left`` (accepted steps, stored samples), as in
+    ``integrate_regular``.
     Returns (OrbitSegment, exit) with exit one of
     ('tangency', point, side) | ('pseudo_eq', point) | ('t_max', point) |
     ('left_domain', point).
@@ -1054,18 +1040,17 @@ def integrate_sliding(sys, curve_id, p, t_max, opts=None, allow_escaping=False, 
     taken = [0]
     sliding_steps, bound = _sliding_loop(sys, curve_id)
     kind, step, flipped = sliding_steps(
-        bound, curve_id, domain, opts.rtol, opts.atol, max_step, spacing, t_max,
-        min(budget, _arc_step_limit(t_max, max_step)), room, x, y, zx, zy, s1_0, s2_0, min(max_step, 1e-3),
-        times, pts, taken,
+        bound, curve_id, domain, opts.rtol, opts.atol, max_step, spacing, t_max, left,
+        x, y, zx, zy, s1_0, s2_0, min(max_step, 1e-3), times, pts, taken,
     )
     emit_to = _EMIT_TO[torus]
     if kind == "left_domain":
         on_curve = lambda th: curve.project(step.at(th), 2)
         th = _exit_theta(domain, on_curve, 1.0)
-        emit_to(*on_curve(th), step.t0 + th * step.dt, times, pts, spacing, room, domain)
+        emit_to(*on_curve(th), step.t0 + th * step.dt, times, pts, spacing, left[1], domain)
     elif kind == "tangency":
         th, point = _locate_slide_tangency(step, curve, rhs, flipped, s1_0, s2_0)
-        emit_to(*point, step.t0 + th * step.dt, times, pts, spacing, room, domain)
+        emit_to(*point, step.t0 + th * step.dt, times, pts, spacing, left[1], domain)
     seg = OrbitSegment("sliding_arc", times, pts, curve_id=curve_id, steps=taken[0])
     return seg, ((kind, pts[-1], flipped) if kind == "tangency" else (kind, pts[-1]))
 
@@ -1122,10 +1107,10 @@ class _Run:
     target and ``_escape`` applies the branch policy after a ride.  Each step
     counts against ``MAX_SEGMENTS`` and consults the cursor at most once, before
     it changes anything, so one interrupted by ``_Fork`` can re-run on a ``fork``.
-    ``steps_left`` is what remains of the orbit's ``MAX_ORBIT_STEPS``: each arc
-    may take that many accepted steps at most, and takes its steps from it.
-    ``samples_left`` is, in the same way, what remains of ``MAX_ORBIT_SAMPLES``
-    for the samples the arcs store.
+    ``left`` is what the orbit has left of ``MAX_ORBIT_STEPS`` accepted steps
+    and ``MAX_ORBIT_SAMPLES`` stored samples, (steps, samples): each arc spends
+    at most that, and ``_add_segment`` replaces it by what remains, never
+    changing it in place, so that a fork, a shallow copy, spends its own.
     ``entries`` holds, per disk of ``goal``, the time of its first entry or
     None while it is pending (see ``enumerate_branches``).
     """
@@ -1145,7 +1130,7 @@ class _Run:
         self.mode = (_Run._sigma, where.curve_id) if on_sigma else (_Run._region, where, None)
         self.segments, self.choices = [], []
         self.terminal, self.steps = None, 0
-        self.steps_left, self.samples_left = MAX_ORBIT_STEPS, MAX_ORBIT_SAMPLES
+        self.left = (MAX_ORBIT_STEPS, MAX_ORBIT_SAMPLES)
         self.goal = tuple(goal)
         self.entries = (None,) * len(self.goal)  # replaced, never changed in place, so forks may share it
 
@@ -1187,8 +1172,8 @@ class _Run:
         self.segments.append(OrbitSegment(kind, [self.t], [self.p], detail=detail))
 
     def _add_segment(self, seg):
-        self.steps_left -= seg.steps
-        self.samples_left -= len(seg.times)
+        steps, samples = self.left
+        self.left = (steps - seg.steps, samples - len(seg.times))
         seg.times = [tt + self.t for tt in seg.times]
         self.t = seg.t_end
         self.p = seg.end_point
@@ -1207,7 +1192,7 @@ class _Run:
         ]
         seg, hit = integrate_regular(
             self.sys, self.p, region_id, self.horizon - self.t, self.opts,
-            entry_curve=entry_curve, captures=arc_captures, budget=self.steps_left, room=self.samples_left,
+            entry_curve=entry_curve, captures=arc_captures, left=self.left,
         )
         self._add_segment(seg)
         if hit[0] == "t_max":
@@ -1309,7 +1294,7 @@ class _Run:
         remaining = self.horizon - self.t
         seg, exit_info = integrate_sliding(
             self.sys, curve_id, self.p, remaining if dwell is None else min(dwell, remaining),
-            self.opts, allow_escaping=escaping, budget=self.steps_left, room=self.samples_left,
+            self.opts, allow_escaping=escaping, left=self.left,
         )
         seg.detail["escaping"] = escaping
         self._add_segment(seg)

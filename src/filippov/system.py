@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, OutsideDomainError, evaluation_boundary
-from .expr import FUNCTIONS, LoopText, PlanarField, ScalarField
+from .expr import LoopText, PlanarField, ScalarField, compiled
 
 EPS_SIGMA = 1e-9  # |h| band that counts as "on the switching manifold"
 GRAD_MIN = 1e-8  # regular-value floor for ||grad h|| on the manifold
@@ -335,7 +335,8 @@ class FilippovSystem:
         several returns (x, y, its h values); a sample that one region owns
         sets that region's flag, and the flags go back into ``seen`` once
         the block has passed.  An arithmetic error of some h at a sample
-        propagates with every earlier sample checked.
+        propagates with every earlier sample checked.  Equal passes share one
+        compiled function through ``expr.compiled``'s cache.
         """
         text = LoopText()
         hs = [f"h{k}" for k in range(len(self.curves))]
@@ -368,9 +369,7 @@ class FilippovSystem:
             *[f"        {line}" for line in body],
             f"    seen[:] = {unpack}",
         ]) + "\n"
-        env = {**FUNCTIONS, "__builtins__": {}, "zip": zip}
-        exec(source, env)  # noqa: S102 - generated from the curves' field text
-        return env["check_block"], tuple(text.bound)
+        return compiled(source, "check_block", (("zip", zip),), cache=True), tuple(text.bound)
 
     @evaluation_boundary
     def validate(self):

@@ -24,8 +24,8 @@ import pytest
 
 from filippov.diagnostics import rescale_tangency_freeze
 from filippov.errors import IntegrationError, UndefinedSlidingError
-from filippov.expr import LoopText
-from filippov.integrate import _REGULAR_SOURCE, _THETA_GRID, IntegratorOptions, _DenseStep, _loop
+from filippov.expr import LoopText, compiled
+from filippov.integrate import _NAMES, _REGULAR_SOURCE, _THETA_GRID, IntegratorOptions, _DenseStep
 from filippov.scenario import load_shipped
 from filippov.system import Domain
 
@@ -206,9 +206,9 @@ def loop_steps(domain, stage, x, y, k1, dt, t_max=math.inf, max_step=math.inf, c
     text = LoopText()
     source = _REGULAR_SOURCE(domain.kind == "flat_torus", lambda *point: stage(text, *point),
                              [lambda px, py: "1.0"])
-    steps = _loop(source, "regular_steps")(
+    steps = compiled(source, "regular_steps", _NAMES, cache=True)(
         tuple(text.bound), [0.0], [], domain, _OPTS.rtol, _OPTS.atol,
-        max_step, 1.0, t_max, math.inf, math.inf, x, y, k1[0], k1[1], dt, [0.0], [(x, y)], [0])
+        max_step, 1.0, t_max, (math.inf, math.inf), x, y, k1[0], k1[1], dt, [0.0], [(x, y)], [0])
     try:
         return [_image(step, grid) for step, grid, _ in itertools.islice(steps, count)]
     except (IntegrationError, UndefinedSlidingError) as exc:

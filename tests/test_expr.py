@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from filippov import expr
 from filippov.errors import EvaluationError, ExpressionError
 from filippov.expr import (
     FUNCTIONS,
@@ -439,6 +440,16 @@ def test_inlined_text_is_the_compiled_body(tree, a):
         got = eval(f"lambda {x}, {y}: {field.text(x, y)}", dict(FUNCTIONS)).__code__  # noqa: S307
         assert got.co_code == want.co_code
         assert (repr(got.co_consts), got.co_names) == (repr(want.co_consts), want.co_names)
+
+
+def test_expression_compiles_leave_the_loop_cache_alone():
+    # fields, evaluate and fold's constants compile outside ``compiled``'s cache, so however many
+    # there are, none can evict a generated loop from it
+    before = expr._cached.cache_info()
+    field = ScalarField("sin(x) * a^2 + y", parameters={"a": 3.0})
+    assert evaluate(field.expression, {"x": 0.5, "y": 2.0, "a": 3.0}) == field(0.5, 2.0)
+    assert fold(parse_expression("cos(1) * x", XY)) == Binary("*", Const(math.cos(1.0)), Var("x"))
+    assert expr._cached.cache_info() == before
 
 
 def test_a_repeated_call_is_computed_once_and_fails_as_the_tree_walk():

@@ -460,14 +460,36 @@ def test_an_orbit_stores_at_most_its_sample_bound(name, p0, horizon, monkeypatch
         integrate_filippov(system, p0, horizon, opts=opts)
 
 
+@pytest.mark.parametrize("bound, spend, message", [
+    ("MAX_ORBIT_STEPS", lambda seg: seg.steps, "orbit took {} accepted steps, its bound"),
+    ("MAX_ORBIT_SAMPLES", lambda seg: len(seg.times) if seg.kind.endswith("_arc") else 0,
+     "orbit stores more than {} samples, its bound"),
+], ids=["steps", "samples"])
+def test_forks_spend_their_own_allowance(bound, spend, message, monkeypatch):
+    # a fork copies the run, and with it what the orbit has left: each of the five orbits from
+    # the escaping belt spends its own, so a bound at the largest spend of one orbit keeps them
+    # all, although together they spend far more, and one less fails
+    system = load_shipped("sliding_belt_torus").build_system()
+    spent = lambda orbit: sum(map(spend, orbit.segments))
+    orbits = enumerate_branches(system, (0.3, 0.5), 2.0, budget=100, dwell_grid=(0.0, 0.1))
+    largest = max(map(spent, orbits))
+    assert len(orbits) == 5 and sum(map(spent, orbits)) > 4 * largest
+    monkeypatch.setattr(integrate, bound, largest)
+    again = _enumerate_against_fresh_runs(system, (0.3, 0.5), 2.0, budget=100, dwell_grid=(0.0, 0.1))
+    assert list(map(serialize, again)) == list(map(serialize, orbits))
+    monkeypatch.setattr(integrate, bound, largest - 1)
+    with pytest.raises(IntegrationError, match=message.format(largest - 1)):
+        enumerate_branches(system, (0.3, 0.5), 2.0, budget=100, dwell_grid=(0.0, 0.1))
+
+
 @pytest.mark.parametrize("kind", ["regular", "sliding"])
 def test_an_arc_stores_at_most_its_room(kind, circle_system, belt_system):
     # an arc without events emits every step in its loop: the loop's own cuts test the room
     opts = IntegratorOptions(sample_spacing=1e-3)
     if kind == "regular":
-        arc = lambda room: integrate_regular(circle_system, (1.0, 0.0), 1, 20.0, opts, room=room)[0]
+        arc = lambda room: integrate_regular(circle_system, (1.0, 0.0), 1, 20.0, opts, left=(math.inf, room))[0]
     else:
-        arc = lambda room: integrate_sliding(belt_system, 0, (0.3, 0.0), 5.0, opts, room=room)[0]
+        arc = lambda room: integrate_sliding(belt_system, 0, (0.3, 0.0), 5.0, opts, left=(math.inf, room))[0]
     full = arc(math.inf)
     stored = len(full.times)
     assert stored > 100

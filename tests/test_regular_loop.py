@@ -238,12 +238,15 @@ def test_equal_field_texts_share_one_loop():
 
 
 def test_loops_compile_on_first_use():
-    # importing the package and building a system compile no arc loop; an orbit compiles its own
-    probe = ("from filippov import integrate\nfrom filippov.scenario import load_shipped\n"
+    # importing the package and building a system compile no arc loop; an orbit compiles its own,
+    # one for rotation_plane's two regions of equal field text
+    probe = ("import gc, types\nfrom filippov import integrate\nfrom filippov.scenario import load_shipped\n"
+             "loops = lambda: sum(isinstance(o, types.FunctionType) and o.__name__.endswith('_steps')\n"
+             "                    for o in gc.get_objects())\n"
              "sys_ = load_shipped('rotation_plane').build_system()\n"
-             "print(integrate._loop.cache_info().currsize)\n"
+             "print(loops())\n"
              "integrate.integrate_filippov(sys_, (0.3, 0.2), 5.0)\n"
-             "print(integrate._loop.cache_info().currsize)\n")
+             "print(loops())\n")
     src = Path(integrate.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src))).stdout
@@ -312,8 +315,9 @@ def test_creeping_arc_fails_at_its_step_limit():
 def loop_source(monkeypatch, sys_, region_id):
     """The source text of the region's regular-arc loop, as ``_regular_loop`` writes it."""
     sources = []
-    compiled = integrate._loop
-    monkeypatch.setattr(integrate, "_loop", lambda source, name: sources.append(source) or compiled(source, name))
+    compiled = integrate.compiled
+    monkeypatch.setattr(integrate, "compiled", lambda source, *args, **kwargs: sources.append(source)
+                        or compiled(source, *args, **kwargs))
     monkeypatch.setattr(integrate, "_LOOPS", weakref.WeakKeyDictionary())
     integrate._regular_loop(sys_, region_id)
     return sources[-1]

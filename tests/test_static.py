@@ -7,9 +7,10 @@ still have to pass; this finds those too.  A module that imports another
 module's private name leans on that module's internals; each such import is
 listed with its reason.  A name a module imports and never reads is a leftover
 of code that has gone, and so is a function that neither the package nor
-the benchmarks call: code that only tests read belongs in the tests.  The
-kernels that ``integrate._kernels`` generates and the validation pass that
-``FilippovSystem._sample_check`` writes run in a closed namespace, so a
+the benchmarks call: code that only tests read belongs in the tests.  Only
+``expr.compiled`` compiles source text.  The kernels that
+``integrate._kernels`` generates and the validation pass that
+``FilippovSystem._sample_check`` writes run in its closed namespace, so a
 name they read must be bound there; a helper missing on a rare error path
 would otherwise show only as a ``NameError`` there.
 The system applies its velocity scale where it hands out fields, so the
@@ -273,6 +274,37 @@ def test_only_expr_builds_expression_trees():
             found |= {(path.stem, a.name) for node in ast.walk(ast.parse(path.read_text(), str(path)))
                       if isinstance(node, ast.ImportFrom) for a in node.names if a.name in TREE_NAMES}
     assert found == set()
+
+
+COMPILE_CALLS = {"exec", "eval", "compile"}
+
+
+def compile_calls(source, filename="<source>"):
+    """(innermost enclosing function or None, called name) for each exec, eval or compile call."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id in COMPILE_CALLS:
+                found.add((where, child.func.id))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(source, filename), None)
+    return found
+
+
+def test_compile_call_check_finds_the_calls():
+    source = ("import re\nexec('x = 1')\n\ndef f(s):\n    def g():\n        return compile(s, '', 'eval')\n"
+              "    return eval(s), re.compile(s), g\n")
+    assert compile_calls(source) == {(None, "exec"), ("f", "eval"), ("g", "compile")}
+
+
+def test_only_expr_compiles_source():
+    # generated code must run in one closed namespace, with no builtins; a second place that
+    # compiled source would have to keep its namespace closed too
+    found = {(path.stem, *call) for path in sorted(PACKAGE.glob("*.py"))
+             for call in compile_calls(path.read_text(), str(path))}
+    assert found == {("expr", "compiled", "exec")}
 
 
 def unbound_globals(fn):

@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 from filippov.errors import (
     ConfigurationError, EvaluationError, FilippovError, OutsideDomainError, evaluation_boundary,
 )
-from filippov.expr import PlanarField, ScalarField
+from filippov.expr import PlanarField, ScalarField, compiled
 from filippov.scenario import load_shipped
 from filippov.sigma import lie_pair_at
 from filippov.system import (
     DISJOINT_EPS, Domain, FilippovSystem, OnSigma, RegionSpec, SwitchingCurve,
 )
 
-from conftest import build_plane_system, observe_loop_reads
+from conftest import build_plane_system, list_shipped, observe_loop_reads
 
 
 def field_at(system, p):
@@ -382,6 +382,18 @@ def test_shipped_systems_pass_both_validations(name):
     system = load_shipped(name).build_system()
     assert _outcome(system.validate) is None
     assert _outcome(lambda: validate(system)) is None
+
+
+@pytest.mark.parametrize("name", list_shipped())
+def test_a_second_build_reuses_the_validation_pass(name, monkeypatch):
+    # the pass is compiled through expr's cache, keyed by its text: the second build of a
+    # scenario validates with the check_block the first one compiled
+    passes = []
+    monkeypatch.setattr("filippov.system.compiled",
+                        lambda *args, **kwargs: passes.append(compiled(*args, **kwargs)) or passes[-1])
+    load_shipped(name).build_system()
+    load_shipped(name).build_system()
+    assert len(passes) == 2 and passes[0] is passes[1]
 
 
 def test_a_system_without_curves_fails_at_its_first_sample():
